@@ -46,6 +46,7 @@ from ..pointsto.graph import HeapEdge
 from ..pointsto.producers import EdgeKey, edge_key
 from ..symbolic import Engine, SearchConfig
 from ..symbolic.stats import EdgeResult
+from ..symbolic.symvar import private_ids
 from .events import (
     EdgeEscalated,
     EdgeFinished,
@@ -77,6 +78,22 @@ PROCESS = "process"
 #: A fact-refutation request: (label, bindings, description) — the
 #: arguments of :meth:`Engine.refute_fact_at` plus a display name.
 FactJob = tuple  # (int, list[tuple[str, Optional[frozenset]]], str)
+
+
+def _isolated_replay(search: Callable[[], object]) -> Callable[[], object]:
+    """``search``, numbering its symbolic variables privately.
+
+    The flight recorder re-runs a slow search only for its journal (and
+    mutes the metrics registry while it does). Drawing the re-run's
+    variables from the shared counter would shift the names of every
+    later search's variables, and with them the order of their linear
+    terms and the work their solver caches save."""
+
+    def replay() -> object:
+        with private_ids():
+            return search()
+
+    return replay
 
 
 class RefutationDriver:
@@ -325,7 +342,11 @@ class RefutationDriver:
         telemetry.RECORDER.record(summary)
         threshold = self.config.slow_query_ms
         if threshold is not None and result.seconds * 1000.0 >= threshold:
-            telemetry.RECORDER.capture(description, summary, replay=replay)
+            telemetry.RECORDER.capture(
+                description,
+                summary,
+                replay=None if replay is None else _isolated_replay(replay),
+            )
 
     @contextmanager
     def _timed_batch(self, total: int, jobs: int, backend: str, kind: str):

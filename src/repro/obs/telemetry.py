@@ -480,7 +480,11 @@ class FlightRecorder:
             trace.Tracer(max_spans=100_000)
         )
         try:
-            replay()
+            # The search already counted itself once; the replay runs only
+            # for its journal and trace, so this thread's registry updates
+            # are dropped (other workers keep counting).
+            with metrics.muted():
+                replay()
         except Exception:
             pass
         finally:

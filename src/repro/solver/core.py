@@ -23,6 +23,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..obs import metrics, provenance, trace
+from ..perf import store as perf_store
+from ..perf.memo import SOLVER_MEMO, SOLVER_PARTITION
 from . import partition
 from .terms import NULL, Atom, LinAtom, LinExpr, RefAtom, Var, _NullConst, tighten
 from .unionfind import UnionFind
@@ -124,9 +126,6 @@ def check_sat(
       is UNSAT overall; SAT in every component is SAT overall (the
       components share no variables, so models compose).
     """
-    from ..perf import store as perf_store
-    from ..perf.memo import SOLVER_MEMO, SOLVER_PARTITION
-
     stats = stats or GLOBAL_STATS
     stats.checks += 1
     atoms = list(atoms)
@@ -201,9 +200,6 @@ def _check_sat_partitioned(
     component, answering from ``context`` / the component memo / the
     persistent verdict store when the fragment is already known. See
     :mod:`repro.solver.partition` for the soundness argument."""
-    from ..perf import store as perf_store
-    from ..perf.memo import SOLVER_MEMO
-
     _PARTITIONS.inc()
     store = perf_store.ACTIVE
 
@@ -345,8 +341,6 @@ def entails(
     in ``stronger`` (after normalization). Used by query subsumption, where
     a miss only costs re-exploration, never soundness. Memoized like
     :func:`check_sat` on the pair of normalized frozen atom sets."""
-    from ..perf.memo import SOLVER_MEMO
-
     stats = stats or GLOBAL_STATS
     stats.entails += 1
     _ENTAILS.inc()

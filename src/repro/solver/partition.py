@@ -29,7 +29,7 @@ Three pieces live here:
 * :func:`syntactic_unsat` — an O(n) screen for atoms contradictory on
   their own (constant-infeasible linear atoms, ``x != x``, ``v == NULL``
   for a known-non-null ``v``) that skips union-find and FM entirely;
-* :func:`split_components` — union-find over the atoms' variable sets,
+* :func:`split_components` — union-find over the atoms' variables,
   producing per-component atom lists plus cheap *nominal* keys (the
   component's own atoms and sliced non-null facts, untouched), while
   :func:`canonical_key` derives — lazily, on the cache-miss path only —
@@ -151,46 +151,66 @@ def split_components(
     screened by :func:`syntactic_unsat` first: whatever survives the
     screen is a tautology and is dropped here.
     """
+    # Only non-roots are keys, so ``parent.get(v, v) is v`` marks a root.
     parent: dict = {}
 
     def find(v: Var) -> Var:
         root = v
-        while True:
-            up = parent.get(root, root)
-            if up == root:
-                break
+        up = parent.get(root, root)
+        while up is not root:
             root = up
-        while v != root:  # path compression
+            up = parent.get(root, root)
+        while v is not root:  # path compression
             parent[v], v = root, parent[v]
         return root
 
-    atom_vars: list[tuple[Atom, frozenset]] = []
+    # One representative variable per atom (None for a ground atom),
+    # walking the terms directly rather than allocating ``vars()`` sets.
+    reps: list = []
     for atom in atoms:
-        avars = atom.vars()
-        atom_vars.append((atom, avars))
-        if not avars:
-            continue
-        it = iter(avars)
-        first = find(next(it))
-        for v in it:
-            parent[find(v)] = first
+        if isinstance(atom, LinAtom):
+            first = None
+            for v, _ in atom.expr.coeffs:
+                if first is None:
+                    first = v
+                    froot = find(v)
+                else:
+                    root = find(v)
+                    if root is not froot:
+                        parent[root] = froot
+        else:  # RefAtom
+            left, right = atom.left, atom.right
+            if isinstance(left, _NullConst):
+                first = None if isinstance(right, _NullConst) else right
+            else:
+                first = left
+                if not isinstance(right, _NullConst):
+                    lroot, rroot = find(left), find(right)
+                    if rroot is not lroot:
+                        parent[rroot] = lroot
+        reps.append(first)
 
-    groups: dict = {}  # root -> (atom list, var set); insertion-ordered
-    for atom, avars in atom_vars:
-        if not avars:
+    groups: dict = {}  # root -> atom list; insertion-ordered
+    for atom, rep in zip(atoms, reps):
+        if rep is None:
             continue  # ground tautology (screened by syntactic_unsat)
-        root = find(next(iter(avars)))
-        entry = groups.get(root)
-        if entry is None:
-            groups[root] = entry = ([], set())
-        entry[0].append(atom)
-        entry[1].update(avars)
+        root = find(rep)
+        catoms = groups.get(root)
+        if catoms is None:
+            groups[root] = catoms = []
+        catoms.append(atom)
 
-    out: list[tuple[list, ComponentKey]] = []
-    for catoms, cvars in groups.values():
-        sliced = frozenset(v for v in nonnull if v in cvars)
-        out.append((catoms, (frozenset(catoms), sliced)))
-    return out
+    # A variable's root is a group key iff the variable occurs in that
+    # group's atoms (roots are always drawn from atom variables).
+    sliced: dict = {}
+    for v in nonnull:
+        root = find(v)
+        if root in groups:
+            sliced.setdefault(root, []).append(v)
+    return [
+        (catoms, (frozenset(catoms), frozenset(sliced.get(root, ()))))
+        for root, catoms in groups.items()
+    ]
 
 
 def canonical_key(catoms: list, nonnull: frozenset) -> CanonicalKey:

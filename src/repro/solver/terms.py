@@ -161,6 +161,11 @@ class LinExpr:
         return LinExpr.of({v: c * factor for v, c in self.coeffs}, self.const * factor)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "LinExpr":
+        for v, _ in self.coeffs:
+            if mapping.get(v, v) is not v:
+                break
+        else:
+            return self  # untouched: rebuilding would re-intern ``self``
         terms: dict[Var, int] = {}
         for v, c in self.coeffs:
             v2 = mapping.get(v, v)
@@ -239,7 +244,8 @@ class LinAtom:
         return f"LinAtom(op={self.op!r}, expr={self.expr!r})"
 
     def rename(self, mapping: Mapping[Var, Var]) -> "LinAtom":
-        return LinAtom(self.op, self.expr.rename(mapping))
+        expr = self.expr.rename(mapping)
+        return self if expr is self.expr else LinAtom(self.op, expr)
 
     def vars(self) -> frozenset[Var]:
         return self.expr.vars()
@@ -304,6 +310,8 @@ class RefAtom:
     def rename(self, mapping: Mapping[Var, Var]) -> "RefAtom":
         left = mapping.get(self.left, self.left)
         right = mapping.get(self.right, self.right)
+        if left is self.left and right is self.right:
+            return self
         return RefAtom(self.equal, left, right)
 
     def normalized(self) -> "RefAtom":

@@ -10,11 +10,18 @@ class UnionFind:
         self._parent: dict[Hashable, Hashable] = {}
 
     def find(self, item: Hashable) -> Hashable:
-        parent = self._parent.get(item, item)
-        if parent == item:
+        # Only non-roots are keys of ``_parent`` (``union`` never links a
+        # root to itself), so a miss means ``item`` is its own root.
+        parent = self._parent
+        root = parent.get(item, item)
+        if root is item:
             return item
-        root = self.find(parent)
-        self._parent[item] = root
+        up = parent.get(root, root)
+        while up is not root:
+            root = up
+            up = parent.get(root, root)
+        while item is not root:  # path compression
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: Hashable, b: Hashable) -> Hashable:

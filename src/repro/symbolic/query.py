@@ -25,12 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..perf.memo import SOLVER_PARTITION
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, SolverContext, check_sat, ref_eq, ref_ne
-
-
-def ref_eq_null(v: SymVar) -> Atom:
-    return ref_eq(v, NULL)
 from ..solver.core import SolverStats
 from ..solver.terms import LinAtom, LinExpr, RefAtom
 from ..solver.unionfind import UnionFind
@@ -154,7 +151,7 @@ class Query:
         null (axiom (1) applies only to instances); otherwise refute."""
         root = self.find(v)
         if root in self.maybe_null:
-            self.pure.append((ref_eq_null(root), False))
+            self.pure.append((ref_eq(root, NULL), False))
             self.touch()
         else:
             self.fail(f"instance constraint: {v} from ∅")
@@ -360,12 +357,27 @@ class Query:
         return dropped
 
     def canonical_pure(self) -> list[Atom]:
-        mapping = {}
+        """The pure atoms with every variable replaced by its union-find
+        root, in order.
+
+        Runs on every satisfiability check, so it only rebuilds atoms that
+        mention a merged (non-root) variable. Every other atom is returned
+        as is: terms are interned in canonical form, so a full rename
+        would only rebuild an equal term."""
+        parent = self.uf._parent  # keys are exactly the non-root variables
+        if not parent:
+            return [atom for atom, _ in self.pure]
+        find = self.uf.find
+        out: list[Atom] = []
         for atom, _ in self.pure:
-            for v in atom.vars():
-                if isinstance(v, SymVar):
-                    mapping[v] = self.find(v)
-        return [atom.rename(mapping) for atom, _ in self.pure]
+            if isinstance(atom, LinAtom):
+                moved = [v for v, _ in atom.expr.coeffs if v in parent]
+            else:
+                moved = [v for v in (atom.left, atom.right) if v in parent]
+            if moved:
+                atom = atom.rename({v: find(v) for v in moved})
+            out.append(atom)
+        return out
 
     # -- satisfiability ---------------------------------------------------------------
 
@@ -415,8 +427,6 @@ class Query:
         if self._sat_version == self.version:
             return self._sat_result
         atoms = self.canonical_pure() + self.separation_atoms()
-        from ..perf.memo import SOLVER_PARTITION
-
         if SOLVER_PARTITION.enabled and self.solver_ctx is None:
             self.solver_ctx = SolverContext()
         ok = check_sat(

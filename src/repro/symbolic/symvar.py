@@ -11,8 +11,17 @@ between forked queries.
 from __future__ import annotations
 
 import itertools
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 _ids = itertools.count()
+
+# Threads inside :func:`private_ids`. While zero, creating a variable
+# reads no thread-local state.
+_PRIVATE_THREADS = 0
+_PRIVATE_LOCK = threading.Lock()
+_local = threading.local()
 
 REF = "ref"
 DATA = "data"
@@ -26,7 +35,9 @@ class SymVar:
     def __init__(self, kind: str, hint: str = "") -> None:
         if kind not in (REF, DATA):
             raise ValueError(f"bad symvar kind {kind!r}")
-        self.vid = next(_ids)
+        self.vid = next(
+            _local.ids if _PRIVATE_THREADS and hasattr(_local, "ids") else _ids
+        )
         self.kind = kind
         self.hint = hint
 
@@ -48,3 +59,26 @@ def fresh_ref(hint: str = "") -> SymVar:
 
 def fresh_data(hint: str = "") -> SymVar:
     return SymVar(DATA, hint)
+
+
+@contextmanager
+def private_ids() -> Iterator[None]:
+    """Number the calling thread's new variables from a private counter
+    while the block runs; the process-wide numbering stays where it was.
+
+    Variable names order the terms of linear atoms (by ``repr``), so the
+    numbering steers how much work the solver's caches save. Work done
+    inside the block (the flight recorder's replay of a slow search)
+    therefore cannot change the work of any search that runs after it.
+    Other threads keep drawing from the shared counter, so no two live
+    variables of one search ever share a name."""
+    global _PRIVATE_THREADS
+    with _PRIVATE_LOCK:
+        _PRIVATE_THREADS += 1
+    _local.ids = itertools.count()
+    try:
+        yield
+    finally:
+        del _local.ids
+        with _PRIVATE_LOCK:
+            _PRIVATE_THREADS -= 1

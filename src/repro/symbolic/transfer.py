@@ -132,8 +132,6 @@ class TransferContext:
                 vreg = q.region_of(cell.value)
                 if breg is None or vreg is None or not cell.value.is_ref:
                     continue
-                from ..pointsto import ELEMS
-
                 target = self.pta.pt_field_of_set(breg, ELEMS)
                 if not vreg <= target:
                     q.narrow(cell.value, target)
@@ -849,13 +847,12 @@ def _array_write(cmd: ins.ArrayWrite, q: Query, ctx: TransferContext) -> list[Qu
             break  # fall back to dropping disaliasing info (sound)
         next_splits = []
         for qs in splits:
-            if kind == "index" or True:
-                # Case A: different index.
-                qa = qs.copy()
-                qa.add_pure(
-                    ne(LinExpr.var(qa.find(wi)), LinExpr.var(qa.find(cell.index)))
-                )
-                next_splits.append(qa)
+            # Case A: different index.
+            qa = qs.copy()
+            qa.add_pure(
+                ne(LinExpr.var(qa.find(wi)), LinExpr.var(qa.find(cell.index)))
+            )
+            next_splits.append(qa)
             if kind == "either":
                 # Case B: different base (disequality dropped after check).
                 qb = qs.copy()

@@ -96,6 +96,31 @@ class TestUnification:
         assert q.find(u1) is q.find(u2)
 
 
+class TestCanonicalPure:
+    def test_no_merges_returns_the_atom_objects_themselves(self):
+        q = fresh_query()
+        r, d = q.new_ref(None), q.new_data()
+        atoms = [ref_eq(r, NULL), eq(LinExpr.var(d), LinExpr.constant(1))]
+        for atom in atoms:
+            q.add_pure(atom)
+        out = q.canonical_pure()
+        assert len(out) == len(atoms)
+        assert all(got is want for got, want in zip(out, atoms))
+
+    def test_only_atoms_over_merged_variables_are_rebuilt(self):
+        q = fresh_query()
+        a, b, c = q.new_ref(None), q.new_ref(None), q.new_ref(None)
+        untouched = ref_eq(c, NULL)
+        q.add_pure(ref_eq(a, NULL))
+        q.add_pure(ref_eq(b, NULL))
+        q.add_pure(untouched)
+        assert q.unify(a, b)
+        first, second, kept = q.canonical_pure()
+        assert first == second
+        assert first.vars() == {q.find(a)}
+        assert kept is untouched
+
+
 class TestSeparation:
     def test_local_rebinding_unifies(self):
         q = fresh_query()

@@ -57,6 +57,31 @@ class TestUnionFind:
         assert not uf.same("a", "c")
         assert other.same("a", "c")
 
+    def test_long_chain_finds_root_without_recursion(self):
+        uf = UnionFind()
+        items = [object() for _ in range(5_000)]
+        for a, b in zip(items, items[1:]):
+            uf.union(a, b)  # links a's root under b: one long chain
+        assert uf.find(items[0]) is items[-1]
+        # Path compression: every item now points straight at the root.
+        assert all(uf._parent[x] is items[-1] for x in items[:-1])
+
+
+class TestRenameFastPath:
+    def test_untouched_terms_return_themselves(self):
+        expr = v(X).add(v(Y).scale(2))
+        atom = LinAtom("<=", expr)
+        ref = ref_ne(X, NULL)
+        for mapping in ({}, {Z: X}, {X: X}):
+            assert expr.rename(mapping) is expr
+            assert atom.rename(mapping) is atom
+            assert ref.rename(mapping) is ref
+
+    def test_touched_terms_are_rebuilt(self):
+        atom = LinAtom("<=", v(X).add(v(Y)))
+        assert atom.rename({Y: Z}) == LinAtom("<=", v(X).add(v(Z)))
+        assert ref_ne(X, Y).rename({Y: Z}) == ref_ne(X, Z)
+
 
 class TestLinExpr:
     def test_canonical_drops_zero_coeffs(self):

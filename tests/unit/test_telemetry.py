@@ -3,6 +3,7 @@
 exposition, the lifecycle hub, the slow-query flight recorder, periodic
 metric streaming, and run-report diffing."""
 
+import itertools
 import json
 import time
 
@@ -370,6 +371,100 @@ class TestDriverAutoCapture:
         # Summaries always recorded; nothing crossed the capture bar.
         assert telemetry.RECORDER.recent()
         assert telemetry.list_captures(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("workload", ["leak_checker", "layered"])
+    def test_captured_run_counts_like_an_uncaptured_one(
+        self, tmp_path, monkeypatch, workload
+    ):
+        """Every search is captured and replayed, yet the registry deltas
+        equal an uncaptured run's. ``leak_checker`` catches the replay
+        counting itself; ``layered`` catches a replay that warms the
+        solver memo or advances the variable numbering, either of which
+        changes the work of the searches after it."""
+        from repro.android.leaks import LeakChecker
+        from repro.api import AnalysisRequest
+        from repro.api import analyze as run_analysis
+        from repro.bench.workloads import branchy_app, layered_app
+        from repro.perf.memo import SOLVER_MEMO
+        from repro.symbolic import symvar
+
+        def run():
+            if workload == "leak_checker":
+                LeakChecker(
+                    branchy_app(4, leaky=False),
+                    config=SearchConfig(slow_query_ms=0),
+                ).run()
+            else:
+                run_analysis(
+                    AnalysisRequest(
+                        source=layered_app(2, hard_branches=4),
+                        client="reachability",
+                        root_class="Registry",
+                        root_field="hold",
+                        target_class="Item",
+                        include_library=False,
+                        slow_query_ms=0,
+                    )
+                )
+
+        def deltas(capture: bool) -> dict:
+            if capture:
+                monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FLIGHT_DISABLE", "1")
+            monkeypatch.setattr(telemetry, "RECORDER", FlightRecorder())
+            # Both runs start from a cold memo and the same numbering.
+            SOLVER_MEMO.clear()
+            monkeypatch.setattr(symvar, "_ids", itertools.count())
+            before = metrics.REGISTRY.snapshot()
+            run()
+            after = metrics.REGISTRY.snapshot()
+            out = {}
+            for name, snap in after.items():
+                old = before.get(name, {})
+                if snap["type"] == "counter":
+                    out[name] = snap["value"] - old.get("value", 0)
+                elif snap["type"] == "histogram":
+                    out[name] = snap["count"] - old.get("count", 0)
+            return {name: n for name, n in out.items() if n}
+
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        uncaptured = deltas(capture=False)
+        captured = deltas(capture=True)
+        assert telemetry.list_captures(str(tmp_path)), "nothing was captured"
+        assert captured == uncaptured
+        assert uncaptured["executor.states_explored"] > 0
+
+    def test_muted_thread_keeps_other_threads_counting(self):
+        import threading
+
+        counter = metrics.counter("test.muted_probe")
+        start = counter.value
+        with metrics.muted():
+            counter.inc()  # dropped: this thread is muted
+            worker = threading.Thread(target=counter.inc, args=(5,))
+            worker.start()
+            worker.join()
+        counter.inc(2)
+        assert counter.value - start == 7
+
+    def test_private_ids_leave_the_shared_numbering_alone(self):
+        import threading
+
+        from repro.symbolic.symvar import fresh_data, private_ids
+
+        first = fresh_data().vid
+        shared = []
+        with private_ids():
+            inside = [fresh_data().vid for _ in range(3)]
+            worker = threading.Thread(
+                target=lambda: shared.append(fresh_data().vid)
+            )
+            worker.start()
+            worker.join()
+        assert inside == [0, 1, 2]
+        assert shared == [first + 1]  # other threads draw from the shared counter
+        assert fresh_data().vid == first + 2
 
     def test_none_disables_recording_threshold(
         self, tmp_path, monkeypatch, pta, edges
