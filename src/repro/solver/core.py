@@ -452,17 +452,14 @@ def _eliminate_equalities(
             les.append(expr)
             les.append(expr.scale(-1))
             continue
-        # unit_coeff * v = -(expr - unit_coeff*v)  =>  v = replacement
-        rest = expr.sub(LinExpr.of({unit_var: unit_coeff}))
-        replacement = rest.scale(-unit_coeff)
-
+        # unit_coeff·v = -(expr - unit_coeff·v), so substituting for v in
+        # a target with coefficient c adds -c·unit_coeff·expr to it
+        # (unit_coeff² = 1 cancels v).
         def subst(target: LinExpr) -> LinExpr:
-            coeff = target.as_dict().get(unit_var, 0)
+            coeff = target.coeff(unit_var)
             if coeff == 0:
                 return target
-            return target.sub(LinExpr.of({unit_var: coeff})).add(
-                replacement.scale(coeff)
-            )
+            return target.combine(expr, -coeff * unit_coeff)
 
         pending = [subst(e) for e in pending]
         les = [subst(e) for e in les]
@@ -497,14 +494,20 @@ def _fm_feasible(les: list[LinExpr], stats: SolverStats) -> bool:
             occurrences,
             key=lambda v: (occurrences[v][0] * occurrences[v][1], repr(v)),
         )
-        pos_exprs = [e for e in system if e.as_dict().get(var, 0) > 0]
-        neg_exprs = [e for e in system if e.as_dict().get(var, 0) < 0]
-        others = [e for e in system if e.as_dict().get(var, 0) == 0]
+        pos_exprs: list[tuple[LinExpr, int]] = []
+        neg_exprs: list[tuple[LinExpr, int]] = []
+        others: list[LinExpr] = []
+        for e in system:
+            c = e.coeff(var)
+            if c > 0:
+                pos_exprs.append((e, c))
+            elif c < 0:
+                neg_exprs.append((e, -c))
+            else:
+                others.append(e)
         combined: list[LinExpr] = []
-        for p in pos_exprs:
-            cp = p.as_dict()[var]
-            for n in neg_exprs:
-                cn = -n.as_dict()[var]
+        for p, cp in pos_exprs:
+            for n, cn in neg_exprs:
                 # cn*p + cp*n eliminates var.
-                combined.append(tighten(p.scale(cn).add(n.scale(cp))))
+                combined.append(tighten(p.scale(cn).combine(n, cp)))
         system = others + combined

@@ -44,19 +44,32 @@ def intern_stats() -> dict:
     return {"hits": _HITS, "misses": _MISSES, "size": len(_TABLE)}
 
 
-def _canon(key: tuple, build) -> object:
-    """Return the canonical object for ``key``, building it on first use."""
+_SETATTR = object.__setattr__
+
+
+def _intern(cls: type, key: tuple):
+    """Return the canonical ``cls`` instance for ``key`` = ``(tag, *fields)``,
+    building it on first use. ``cls.__slots__`` lists the fields in key
+    order, then ``_hash`` (the hash of ``key``)."""
     global _HITS, _MISSES
     obj = _TABLE.get(key)
     if obj is not None:
         _HITS += 1
         return obj
     _MISSES += 1
-    obj = build()
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, key[1:]):
+        _SETATTR(obj, name, value)
+    _SETATTR(obj, "_hash", hash(key))
     if len(_TABLE) >= INTERN_CAP:
         _TABLE.clear()
     _TABLE[key] = obj
     return obj
+
+
+def _repr_key(item: tuple) -> str:
+    """Sort key of a ``(var, coeff)`` pair: the variable's ``repr``."""
+    return repr(item[0])
 
 
 class _NullConst:
@@ -87,17 +100,7 @@ class LinExpr:
     __slots__ = ("coeffs", "const", "_hash")
 
     def __new__(cls, coeffs: tuple = (), const: int = 0) -> "LinExpr":
-        coeffs = tuple(coeffs)
-        key = ("le", coeffs, const)
-
-        def build() -> "LinExpr":
-            self = object.__new__(cls)
-            object.__setattr__(self, "coeffs", coeffs)
-            object.__setattr__(self, "const", const)
-            object.__setattr__(self, "_hash", hash(key))
-            return self
-
-        return _canon(key, build)  # type: ignore[return-value]
+        return _intern(LinExpr, ("le", tuple(coeffs), const))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinExpr is immutable")
@@ -129,36 +132,65 @@ class LinExpr:
 
     @staticmethod
     def of(terms: Mapping[Var, int], const: int = 0) -> "LinExpr":
-        clean = tuple(
-            sorted(
-                ((v, c) for v, c in terms.items() if c != 0),
-                key=lambda item: repr(item[0]),
-            )
-        )
-        return LinExpr(clean, const)
+        items = [(v, c) for v, c in terms.items() if c != 0]
+        if len(items) > 1:
+            items.sort(key=_repr_key)
+        return _intern(LinExpr, ("le", tuple(items), const))
 
     @staticmethod
     def var(v: Var) -> "LinExpr":
-        return LinExpr.of({v: 1})
+        return _intern(LinExpr, ("le", ((v, 1),), 0))
 
     @staticmethod
     def constant(k: int) -> "LinExpr":
-        return LinExpr((), k)
+        return _intern(LinExpr, ("le", (), k))
 
-    def as_dict(self) -> dict[Var, int]:
-        return dict(self.coeffs)
+    def coeff(self, v: Var) -> int:
+        """The coefficient of ``v`` (0 when ``v`` does not occur)."""
+        for w, c in self.coeffs:
+            if w == v:
+                return c
+        return 0
+
+    def combine(self, other: "LinExpr", k: int) -> "LinExpr":
+        """``self + k·other`` in one construction.
+
+        Both operands are canonical, so their terms are already sorted by
+        ``repr``: when ``other`` brings no variable that ``self`` lacks,
+        the result keeps ``self``'s order and needs no sort. Otherwise the
+        stable sort of ``self``'s terms followed by the new ones is exactly
+        what canonicalizing the summed coefficient map gives."""
+        const = self.const + k * other.const
+        if k == 0 or not other.coeffs:
+            coeffs = self.coeffs
+        elif not self.coeffs:
+            coeffs = other.coeffs if k == 1 else tuple(
+                (v, c * k) for v, c in other.coeffs
+            )
+        else:
+            terms = dict(self.coeffs)
+            known = len(terms)
+            for v, c in other.coeffs:
+                terms[v] = terms.get(v, 0) + c * k
+            items = [(v, c) for v, c in terms.items() if c != 0]
+            if len(terms) > known and len(items) > 1:
+                items.sort(key=_repr_key)
+            coeffs = tuple(items)
+        return _intern(LinExpr, ("le", coeffs, const))
 
     def add(self, other: "LinExpr") -> "LinExpr":
-        terms = self.as_dict()
-        for v, c in other.coeffs:
-            terms[v] = terms.get(v, 0) + c
-        return LinExpr.of(terms, self.const + other.const)
+        return self.combine(other, 1)
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.scale(-1))
+        return self.combine(other, -1)
 
     def scale(self, factor: int) -> "LinExpr":
-        return LinExpr.of({v: c * factor for v, c in self.coeffs}, self.const * factor)
+        if factor == 1:
+            return self
+        if factor == 0:
+            return _intern(LinExpr, ("le", (), 0))
+        coeffs = tuple((v, c * factor) for v, c in self.coeffs)
+        return _intern(LinExpr, ("le", coeffs, self.const * factor))
 
     def rename(self, mapping: Mapping[Var, Var]) -> "LinExpr":
         for v, _ in self.coeffs:
@@ -205,16 +237,7 @@ class LinAtom:
     def __new__(cls, op: str, expr: LinExpr) -> "LinAtom":
         if op not in ("<=", "==", "!="):
             raise ValueError(f"bad linear op {op!r}")
-        key = ("la", op, expr)
-
-        def build() -> "LinAtom":
-            self = object.__new__(cls)
-            object.__setattr__(self, "op", op)
-            object.__setattr__(self, "expr", expr)
-            object.__setattr__(self, "_hash", hash(key))
-            return self
-
-        return _canon(key, build)  # type: ignore[return-value]
+        return _intern(LinAtom, ("la", op, expr))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinAtom is immutable")
@@ -264,17 +287,7 @@ class RefAtom:
     def __new__(
         cls, equal: bool, left: Union[Var, _NullConst], right: Union[Var, _NullConst]
     ) -> "RefAtom":
-        key = ("ra", equal, left, right)
-
-        def build() -> "RefAtom":
-            self = object.__new__(cls)
-            object.__setattr__(self, "equal", equal)
-            object.__setattr__(self, "left", left)
-            object.__setattr__(self, "right", right)
-            object.__setattr__(self, "_hash", hash(key))
-            return self
-
-        return _canon(key, build)  # type: ignore[return-value]
+        return _intern(RefAtom, ("ra", equal, left, right))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RefAtom is immutable")
@@ -315,10 +328,9 @@ class RefAtom:
         return RefAtom(self.equal, left, right)
 
     def normalized(self) -> "RefAtom":
-        a, b = self.left, self.right
-        if repr(a) > repr(b):
-            a, b = b, a
-        return RefAtom(self.equal, a, b)
+        if repr(self.left) > repr(self.right):
+            return RefAtom(self.equal, self.right, self.left)
+        return self
 
     def vars(self) -> frozenset[Var]:
         out = set()
@@ -355,11 +367,15 @@ def ne(lhs: LinExpr, rhs: LinExpr) -> LinAtom:
 
 
 def ref_eq(a: Union[Var, _NullConst], b: Union[Var, _NullConst]) -> RefAtom:
-    return RefAtom(True, a, b).normalized()
+    if repr(a) > repr(b):
+        a, b = b, a
+    return RefAtom(True, a, b)
 
 
 def ref_ne(a: Union[Var, _NullConst], b: Union[Var, _NullConst]) -> RefAtom:
-    return RefAtom(False, a, b).normalized()
+    if repr(a) > repr(b):
+        a, b = b, a
+    return RefAtom(False, a, b)
 
 
 def tighten(expr: LinExpr) -> LinExpr:
@@ -372,7 +388,8 @@ def tighten(expr: LinExpr) -> LinExpr:
         g = gcd(g, abs(c))
     if g <= 1:
         return expr
-    new_coeffs = {v: c // g for v, c in expr.coeffs}
     # Σ c'x ≤ -k/g  and the LHS is an integer, so Σ c'x ≤ floor(-k/g).
+    # Dividing every coefficient by g keeps their order.
     bound = (-expr.const) // g
-    return LinExpr.of(new_coeffs, -bound)
+    coeffs = tuple((v, c // g) for v, c in expr.coeffs)
+    return _intern(LinExpr, ("le", coeffs, -bound))

@@ -322,10 +322,10 @@ def _bool_value(q: Query, v: SymVar) -> Optional[bool]:
     """Is v's truth value determined by the pure constraints?"""
     root = q.find(v)
     for atom in q.canonical_pure():
-        if isinstance(atom, LinAtom) and atom.op == "==":
-            coeffs = atom.expr.as_dict()
-            if set(coeffs) == {root} and abs(coeffs[root]) == 1:
-                value = -atom.expr.const * coeffs[root]
+        if isinstance(atom, LinAtom) and atom.op == "==" and len(atom.expr.coeffs) == 1:
+            ((var, c),) = atom.expr.coeffs
+            if var == root and abs(c) == 1:
+                value = -atom.expr.const * c
                 if value in (0, 1):
                     return bool(value)
     return None

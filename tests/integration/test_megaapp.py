@@ -7,7 +7,7 @@ import pytest
 
 from repro.android.harness import build_full_source
 from repro.android.leaks import LeakChecker
-from repro.clients import check_casts, check_immutable
+from repro.clients import analyze_casts, analyze_immutability
 from repro.ir import Interpreter, Limits, build_program, heap_reaches
 from repro.lang import frontend
 
@@ -162,11 +162,11 @@ class TestMegaApp:
     def test_casts_all_safe(self, mega):
         # The only cast is guarded by instanceof (+ throw on failure).
         checker, _ = mega
-        reports = check_casts(checker.pta, engine=checker.engine)
+        reports = analyze_casts(checker.pta, engine=checker.engine).results
         assert reports
         assert all(r.status == "safe" for r in reports)
 
     def test_session_immutable_after_construction(self, mega):
         checker, _ = mega
-        report = check_immutable(checker.pta, "Session", engine=checker.engine)
-        assert report.verified
+        result = analyze_immutability(checker.pta, "Session", engine=checker.engine)
+        assert result.verified

@@ -8,12 +8,11 @@ from repro.clients import (
     POSSIBLY_UNSAFE,
     SAFE,
     VIOLATED,
+    analyze_casts,
+    analyze_encapsulation,
+    analyze_immutability,
     assert_not_leaked,
     assert_unreachable,
-    check_casts,
-    check_encapsulation,
-    encapsulated,
-    unsafe_casts,
     verified,
 )
 from repro.ir import compile_program
@@ -30,7 +29,7 @@ class TestCastChecking:
             "class A { } class M { static void main() {"
             " Object o = new A(); A a = (A) o; } }"
         )
-        (report,) = check_casts(pta)
+        (report,) = analyze_casts(pta).results
         assert report.status == SAFE
         assert not report.suspects
 
@@ -39,7 +38,7 @@ class TestCastChecking:
             "class A { } class B { } class M { static void main() {"
             " Object o = new B(); A a = (A) o; } }"
         )
-        (report,) = check_casts(pta)
+        (report,) = analyze_casts(pta).results
         assert report.status == POSSIBLY_UNSAFE
         assert report.witness_trace
 
@@ -53,7 +52,7 @@ class TestCastChecking:
             " if (tag == 1) { o = new B(); }"
             " A a = (A) o; } }"
         )
-        (report,) = check_casts(pta)
+        (report,) = analyze_casts(pta).results
         assert report.suspects  # points-to alone cannot prove it
         assert report.status == SAFE  # ... but the refuter can
 
@@ -64,7 +63,7 @@ class TestCastChecking:
             " if (nondet()) { o = new B(); }"
             " if (o instanceof A) { A a = (A) o; } } }"
         )
-        (report,) = check_casts(pta)
+        (report,) = analyze_casts(pta).results
         assert report.status == SAFE
 
     def test_unguarded_union_cast_unsafe(self):
@@ -74,7 +73,7 @@ class TestCastChecking:
             " if (nondet()) { o = new B(); }"
             " A a = (A) o; } }"
         )
-        (report,) = check_casts(pta)
+        (report,) = analyze_casts(pta).results
         assert report.status == POSSIBLY_UNSAFE
 
     def test_unsafe_casts_filter(self):
@@ -83,9 +82,10 @@ class TestCastChecking:
             " Object x = new A(); A a1 = (A) x;"
             " Object y = new B(); A a2 = (A) y; } }"
         )
-        reports = check_casts(pta)
-        assert len(reports) == 2
-        assert len(unsafe_casts(reports)) == 1
+        result = analyze_casts(pta)
+        assert len(result.results) == 2
+        assert [r.status for r in result.results] == [SAFE, POSSIBLY_UNSAFE]
+        assert not result.verified
 
 
 class TestReachabilityAssertions:
@@ -155,7 +155,7 @@ class TestEncapsulation:
         # The Rep is reachable from M.o *through the owner* — check asks
         # whether the rep is reachable from statics at all; it is (via the
         # owner), so the naive exposure exists...
-        results = check_encapsulation(pta, "Owner", "rep")
+        results = analyze_encapsulation(pta, "Owner", "rep").results
         assert results  # reachable through the owner itself
         # ...the meaningful query is violation via an alien root:
         alien = [r for r in results if r.root.class_name != "M"]
@@ -169,10 +169,10 @@ class TestEncapsulation:
             " class M { static Rep stolen; static void main() {"
             " Owner o = new Owner(); M.stolen = o.expose(); } }"
         )
-        results = check_encapsulation(pta, "Owner", "rep")
-        stolen = [r for r in results if str(r.root) == "M.stolen"]
+        result = analyze_encapsulation(pta, "Owner", "rep")
+        stolen = [r for r in result.results if str(r.root) == "M.stolen"]
         assert stolen and stolen[0].status == VIOLATED
-        assert not encapsulated(results)
+        assert not result.verified
 
     def test_guarded_exposure_refuted(self):
         pta = pta_of(
@@ -184,7 +184,7 @@ class TestEncapsulation:
             " class M { static Rep stolen; static void main() {"
             " Owner o = new Owner(); M.stolen = o.expose(7); } }"
         )
-        results = check_encapsulation(pta, "Owner", "rep")
+        results = analyze_encapsulation(pta, "Owner", "rep").results
         stolen = [r for r in results if str(r.root) == "M.stolen"]
         assert stolen and stolen[0].status == HOLDS
 
@@ -197,11 +197,9 @@ class TestImmutability:
             " class M { static void main() {"
             " Point p = new Point(1, 2); int s = p.x + p.y; } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Point")
-        assert report.verified
-        assert report.sites == []  # no write outside the ctor even aims at it
+        result = analyze_immutability(pta, "Point")
+        assert result.verified
+        assert result.results == []  # no write outside the ctor even aims at it
 
     def test_mutated_class_detected(self):
         pta = pta_of(
@@ -209,11 +207,9 @@ class TestImmutability:
             " class M { static void main() {"
             " Point p = new Point(1); p.x = 2; } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Point")
-        assert not report.verified
-        assert any(s.status == "witnessed" for s in report.sites)
+        result = analyze_immutability(pta, "Point")
+        assert not result.verified
+        assert any(s.status == "witnessed" for s in result.results)
 
     def test_guarded_mutation_refuted(self):
         pta = pta_of(
@@ -223,11 +219,9 @@ class TestImmutability:
             " int debug = 0;"
             " if (debug == 1) { p.x = 9; } } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Point")
-        assert report.verified
-        assert any(s.status == "refuted" for s in report.sites)
+        result = analyze_immutability(pta, "Point")
+        assert result.verified
+        assert any(s.status == "refuted" for s in result.results)
 
     def test_mutation_of_other_class_ignored(self):
         pta = pta_of(
@@ -236,10 +230,8 @@ class TestImmutability:
             " class M { static void main() {"
             " Point p = new Point(1); Box b = new Box(); b.v = p; } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Point")
-        assert report.verified
+        result = analyze_immutability(pta, "Point")
+        assert result.verified
 
     def test_subclass_writes_count(self):
         pta = pta_of(
@@ -247,10 +239,8 @@ class TestImmutability:
             " class Sub extends Base { void bump() { this.x = this.x + 1; } }"
             " class M { static void main() { new Sub().bump(); } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Base")
-        assert not report.verified
+        result = analyze_immutability(pta, "Base")
+        assert not result.verified
 
     def test_ctor_helper_writes_flag_mutation(self):
         # Writes from a helper called by the ctor are outside the ctor
@@ -260,7 +250,5 @@ class TestImmutability:
             "   void init(int x) { this.x = x; } }"
             " class M { static void main() { Point p = new Point(1); } }"
         )
-        from repro.clients import check_immutable
-
-        report = check_immutable(pta, "Point")
-        assert not report.verified
+        result = analyze_immutability(pta, "Point")
+        assert not result.verified

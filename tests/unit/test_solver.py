@@ -21,6 +21,8 @@ from repro.solver import (
     ref_ne,
     tighten,
 )
+from repro.solver import terms
+from repro.symbolic.symvar import fresh_ref
 
 X, Y, Z = "x", "y", "z"
 
@@ -90,19 +92,19 @@ class TestLinExpr:
 
     def test_add_and_scale(self):
         expr = v(X).scale(2).add(v(Y)).add(k(3))
-        assert expr.as_dict() == {X: 2, Y: 1}
+        assert dict(expr.coeffs) == {X: 2, Y: 1}
         assert expr.const == 3
 
     def test_rename_merges_coefficients(self):
         expr = v(X).add(v(Y))
         renamed = expr.rename({Y: X})
-        assert renamed.as_dict() == {X: 2}
+        assert dict(renamed.coeffs) == {X: 2}
 
     def test_tighten_divides_by_gcd(self):
         # 2x - 5 <= 0  =>  x <= 2 (integers)
         expr = v(X).scale(2).add(k(-5))
         tightened = tighten(expr)
-        assert tightened.as_dict() == {X: 1}
+        assert dict(tightened.coeffs) == {X: 1}
         assert tightened.const == -2
 
 
@@ -191,6 +193,17 @@ class TestRefSat:
 
     def test_null_ne_null_unsat(self):
         assert not check_sat([ref_ne(NULL, NULL)])
+
+    @pytest.mark.parametrize("make", [ref_eq, ref_ne])
+    def test_only_the_normalized_atom_is_interned(self, make):
+        a, b = fresh_ref(), fresh_ref()  # never interned before
+        if repr(a) < repr(b):
+            a, b = b, a  # pass the pair in unnormalized order
+        before = terms.intern_stats()["misses"]
+        atom = make(a, b)
+        assert terms.intern_stats()["misses"] - before == 1
+        assert (atom.left, atom.right) == (b, a)
+        assert atom is make(b, a) is atom.normalized()
 
 
 class TestEntailment:
