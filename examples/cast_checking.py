@@ -10,7 +10,7 @@ witness-refutation search then separates the casts that are provably safe
 Run:  python examples/cast_checking.py
 """
 
-from repro.clients import check_casts
+from repro.clients import analyze_casts
 from repro.ir import compile_program
 from repro.pointsto import analyze
 from repro.symbolic.witness import witness_steps
@@ -52,7 +52,7 @@ class Main {
 def main() -> None:
     program = compile_program(SOURCE)
     pta = analyze(program)
-    reports = check_casts(pta)
+    reports = analyze_casts(pta).results
     print(f"checked {len(reports)} casts\n")
     for report in reports:
         line = program.commands[report.label].pos.line

@@ -14,11 +14,10 @@ Run:  python examples/heap_assertions.py
 """
 
 from repro.clients import (
+    analyze_encapsulation,
+    analyze_immutability,
     assert_not_leaked,
     assert_unreachable,
-    check_encapsulation,
-    check_immutable,
-    encapsulated,
     verified,
 )
 from repro.ir import compile_program
@@ -96,7 +95,7 @@ def main() -> None:
 
     # 3. Encapsulation: Pool.slot's contents are reachable from statics
     # only through the pool itself.
-    exposures = check_encapsulation(pta, "Pool", "slot")
+    exposures = analyze_encapsulation(pta, "Pool", "slot").results
     alien = [e for e in exposures if e.root.field != "pool"]
     print(f"\nencapsulation of Pool.slot: "
           f"{'intact (only via the pool)' if not alien else 'leaked!'}"
@@ -105,9 +104,12 @@ def main() -> None:
     # 4. Immutability: Credentials are never mutated after construction;
     # Pools are (put() writes slot).
     for cls in ("Credential", "Connection", "Pool"):
-        report = check_immutable(pta, cls)
-        print(f"\nimmutability of {cls}: {report.status.upper()}"
-              f" ({len(report.sites)} candidate mutation site(s))")
+        result = analyze_immutability(pta, cls)
+        status = {"verified": "immutable", "violated": "mutated"}.get(
+            result.status, "unknown"
+        )
+        print(f"\nimmutability of {cls}: {status.upper()}"
+              f" ({len(result.results)} candidate mutation site(s))")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ twice:
   :mod:`repro.solver.terms`, so key construction is cheap), plus the
   per-component verdict table of the relevance-partitioned solver path
   (:mod:`repro.solver.partition`), where verdicts are cached per
-  variable-connected constraint fragment and additionally reused from
-  parent states via per-lineage solver contexts;
+  variable-connected constraint fragment and each query re-decides only
+  the fragments changed since its lineage's last SAT check;
 * :mod:`repro.perf.cache` — a lock-striped **refuted-state cache** shared
   across refutation jobs: once a whole search completes REFUTED, every
   query it recorded at loop heads and procedure boundaries is a proven

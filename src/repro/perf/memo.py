@@ -86,7 +86,9 @@ class SolverMemo:
     process-pool initializer replays the same config in workers, so one
     flag consistently governs a whole run.
 
-    ``check`` keys whole-query verdicts (the monolithic solver path);
+    ``check`` keys whole-query verdicts and is used only by the
+    monolithic (``--no-partition``) solver path; the partitioned path
+    answers repeated queries from each query's SAT basis instead.
     ``component`` keys per-component verdicts (the relevance-partitioned
     path of :mod:`repro.solver.partition`, where the key space collapses
     from "every distinct path constraint" to "every distinct constraint
@@ -128,8 +130,8 @@ SOLVER_MEMO = SolverMemo()
 class SolverPartition:
     """Process-wide switch for relevance-partitioned incremental solving
     (:mod:`repro.solver.partition`): component decomposition, per-component
-    verdict caching, parent-reuse solver contexts, and the syntactic UNSAT
-    fast path. Governed by ``SearchConfig.partition_solver`` (CLI
+    verdict caching, SAT-basis delta checks, and the syntactic UNSAT fast
+    path. Governed by ``SearchConfig.partition_solver`` (CLI
     ``--no-partition``) exactly like :data:`SOLVER_MEMO`; disabling it
     restores the monolithic pre-partitioning solver path bit-for-bit.
     """

@@ -1,7 +1,7 @@
 """Pure-constraint decision procedure (the offline stand-in for Z3)."""
 
 from .core import FM_ATOM_BUDGET, GLOBAL_STATS, SolverStats, check_sat, entails
-from .partition import SolverContext, canonical_key, split_components, syntactic_unsat
+from .partition import canonical_key, split_components, syntactic_unsat
 from .terms import (
     NULL,
     Atom,
@@ -25,7 +25,6 @@ __all__ = [
     "SolverStats",
     "check_sat",
     "entails",
-    "SolverContext",
     "canonical_key",
     "split_components",
     "syntactic_unsat",

@@ -49,8 +49,10 @@ _MEMO_MISSES = metrics.counter("solver.memo_misses")
 _ENTAILS_MEMO_HITS = metrics.counter("solver.entails_memo_hits")
 _ENTAILS_MEMO_MISSES = metrics.counter("solver.entails_memo_misses")
 # Relevance-partitioned path (repro.solver.partition): queries partitioned,
-# components per query, atoms per component, and the three ways a component
-# can be answered without an actual decision-procedure run.
+# components per query, atoms per component, and the ways a component can
+# be answered without an actual decision-procedure run. There the names
+# ``memo_hits``/``context_hits`` are kept for the queries and components
+# the SAT basis answers (they also name the Prometheus ``tier`` labels).
 _PARTITIONS = metrics.counter("solver.partitions")
 _COMPONENTS = metrics.histogram("solver.components")
 _COMPONENT_SIZE = metrics.histogram("solver.component_size")
@@ -68,9 +70,10 @@ class SolverStats:
     verdicts* — they are memoization-invariant, so per-search accounting
     (and tests pinning exact counts) reads the same with caches on or off.
     ``memo_hits``/``memo_misses`` say how many of those queries were
-    answered from the memo table vs. actually decided; on the partitioned
-    path ``context_hits``/``component_hits`` count components answered
-    from the per-state solver context and the per-component memo table.
+    answered whole without a decision (the memo table on the monolithic
+    path, the SAT basis on the partitioned one) vs. not; on the
+    partitioned path ``context_hits``/``component_hits`` count components
+    answered by the SAT basis and by the per-component memo table.
     """
 
     def __init__(self) -> None:
@@ -96,11 +99,17 @@ class SolverStats:
 GLOBAL_STATS = SolverStats()
 
 
+#: A query lineage's *SAT basis*: the ``(frozenset of atoms, non-null
+#: vars)`` of its last satisfiable check (see :func:`check_sat`).
+SatBasis = tuple
+
+
 def check_sat(
     atoms: Iterable[Atom],
     nonnull: Optional[frozenset[Var]] = None,
     stats: Optional[SolverStats] = None,
-    context: Optional[partition.SolverContext] = None,
+    basis: Optional[SatBasis] = None,
+    atom_set: Optional[frozenset[Atom]] = None,
 ) -> bool:
     """True if the conjunction may be satisfiable, False if definitely not.
 
@@ -116,15 +125,19 @@ def check_sat(
       the canonical frozen atom set (terms are hash-consed, so the key is
       cheap); the memo is a pure-function cache with no invalidation,
       toggled via :data:`repro.perf.SOLVER_MEMO`;
-    * **relevance-partitioned** (the default): screen for syntactic
-      contradictions, split the conjunction into connected components
-      over shared variables, and decide each component independently —
-      answering from the caller's ``context``
-      (:class:`repro.solver.partition.SolverContext`, carried on the
-      query and shared parent→child) or the per-component memo table
-      whenever the fragment was already decided. UNSAT in any component
-      is UNSAT overall; SAT in every component is SAT overall (the
-      components share no variables, so models compose).
+    * **relevance-partitioned** (the default): decide only what changed
+      since ``basis`` — the ``(atom set, nonnull)`` of the caller's last
+      SAT check (:attr:`repro.symbolic.query.Query.sat_basis`) — then
+      screen for syntactic contradictions, split the conjunction into
+      connected components over shared variables, and decide each
+      changed component independently, answering from the per-component
+      memo table or the persistent store whenever the fragment was
+      already decided. UNSAT in any component is UNSAT overall; SAT in
+      every component is SAT overall (the components share no
+      variables, so models compose).
+
+    ``atom_set`` is ``frozenset(atoms)`` when the caller already has it
+    (the basis it keeps is built from the same set).
     """
     stats = stats or GLOBAL_STATS
     stats.checks += 1
@@ -132,7 +145,7 @@ def check_sat(
     nonnull = nonnull or frozenset()
 
     if SOLVER_PARTITION.enabled:
-        return _check_sat_partitioned(atoms, nonnull, stats, context)
+        return _check_sat_partitioned(atoms, nonnull, stats, basis, atom_set)
 
     memo_key = None
     if SOLVER_MEMO.enabled:
@@ -194,46 +207,52 @@ def _check_sat_partitioned(
     atoms: list[Atom],
     nonnull: frozenset[Var],
     stats: SolverStats,
-    context: Optional[partition.SolverContext],
+    basis: Optional[SatBasis],
+    atom_set: Optional[frozenset[Atom]],
 ) -> bool:
-    """Relevance-partitioned ``check_sat``: screen, split, decide per
-    component, answering from ``context`` / the component memo / the
-    persistent verdict store when the fragment is already known. See
-    :mod:`repro.solver.partition` for the soundness argument."""
+    """Relevance-partitioned ``check_sat`` (delta satisfiability).
+
+    Against the lineage's SAT ``basis`` a query is answered three ways:
+
+    * **same atoms**, no new non-null fact: SAT at once — the basis
+      conjunction was SAT and this one is no stronger;
+    * **atoms grew**: split as usual, but decide only the components that
+      hold a new atom or a newly non-null variable. Adding atoms only
+      merges components, so any other component is exactly a component
+      of the basis's SAT conjunction with the same or fewer non-null
+      facts, and the decision procedure is monotone in those facts;
+    * **anything else** (unify renames, dropped atoms, no basis): decide
+      every component.
+
+    A component that needs a verdict is answered from the component memo,
+    then the persistent store, then the decision procedure. See
+    :mod:`repro.solver.partition` for the soundness of splitting."""
     _PARTITIONS.inc()
     store = perf_store.ACTIVE
+    if atom_set is None:
+        atom_set = frozenset(atoms)
 
-    # L1: whole-query memo. The executor re-asks identical conjunctions
-    # constantly (version bumps without atom changes, sibling copies); a
-    # frozenset probe is far cheaper than splitting and canonicalizing.
-    # The leading marker keeps partitioned verdicts apart from monolithic
-    # ones — per-component FM give-ups can differ from whole-query ones.
-    memo_key = None
-    if SOLVER_MEMO.enabled:
-        memo_key = ("part", frozenset(atoms), nonnull)
-        cached = SOLVER_MEMO.check.get(memo_key)
-        if cached is not None:
-            stats.memo_hits += 1
-            _MEMO_HITS.inc()
-            if not cached:
-                stats.unsat += 1
-                if provenance.enabled():
-                    provenance.note_unsat(atoms)
-            return cached
-        stats.memo_misses += 1
-        _MEMO_MISSES.inc()
+    grew = False
+    if basis is not None:
+        basis_atoms, basis_nonnull = basis
+        if atom_set >= basis_atoms:
+            if len(atom_set) == len(basis_atoms) and nonnull <= basis_nonnull:
+                stats.memo_hits += 1
+                _MEMO_HITS.inc()
+                return True
+            grew = True
+    stats.memo_misses += 1
+    _MEMO_MISSES.inc()
 
-    # L1.5: the persistent store's whole-query tier, on the canonical
-    # alpha-renamed signature (run- and process-independent). Probed only
-    # after an in-memory miss, so the disk-backed tier never slows a
-    # memo hit; a hit back-fills the L1 memo for this run.
+    # The persistent store's whole-query tier, on the canonical
+    # alpha-renamed signature (run- and process-independent). Its "part"
+    # kind keeps partitioned verdicts apart from monolithic ones —
+    # per-component FM give-ups can differ from whole-query ones.
     wcanon = None
     if store is not None:
         wcanon = partition.canonical_key(atoms, nonnull)
         cached = store.get("part", wcanon)
         if cached is not None:
-            if memo_key is not None:
-                SOLVER_MEMO.check.put(memo_key, cached)
             if not cached:
                 stats.unsat += 1
                 if provenance.enabled():
@@ -247,80 +266,76 @@ def _check_sat_partitioned(
         _UNSAT.inc()
         if provenance.enabled():
             provenance.note_unsat([bad])
-        if memo_key is not None:
-            SOLVER_MEMO.check.put(memo_key, False)
         return False
 
-    components = partition.split_components(atoms, nonnull)
+    dirty = None
+    if grew:
+        # Only the components of new atoms and newly non-null variables
+        # need a verdict.
+        dirty = set(nonnull - basis_nonnull)
+        for atom in atom_set - basis_atoms:
+            dirty.update(atom.vars())
+    if len(atom_set) != len(atoms):
+        # Repeated atoms (one separation disequality per shared field)
+        # would give one component two signatures.
+        atoms = list(dict.fromkeys(atoms))
+    components = partition.split_components(atoms, nonnull, dirty)
     _COMPONENTS.observe(len(components))
 
     memo_on = SOLVER_MEMO.enabled
-    for catoms, key in components:
-        # Tier 1: the per-lineage context, on cheap nominal keys (copies
-        # share symbolic variables, so unchanged components recur by
-        # name). The canonical signature is only derived below, on a
-        # context miss.
+    for catoms, cnonnull, changed in components:
+        if not changed:
+            stats.context_hits += 1
+            _CONTEXT_HITS.inc()
+            continue
+        # The component memo, on canonical signatures (alpha-equivalent
+        # fragments collapse); then the persistent store's component tier
+        # (fragments decided by earlier runs); then decide the fragment.
         verdict: Optional[bool] = None
-        if context is not None:
-            verdict = context.get(key)
+        canon = (
+            partition.canonical_key(catoms, cnonnull)
+            if (memo_on or store is not None)
+            else None
+        )
+        if canon is not None and memo_on:
+            verdict = SOLVER_MEMO.component.get(canon)
             if verdict is not None:
-                stats.context_hits += 1
-                _CONTEXT_HITS.inc()
+                stats.component_hits += 1
+                _COMPONENT_HITS.inc()
+            else:
+                _COMPONENT_MISSES.inc()
+        if verdict is None and canon is not None and store is not None:
+            verdict = store.get("comp", canon)
+            if verdict is not None and memo_on:
+                SOLVER_MEMO.component.put(canon, verdict)
         if verdict is None:
-            # Tier 2: the cross-lineage component memo, on canonical
-            # signatures (alpha-equivalent fragments collapse); tier 2.5:
-            # the persistent store's component tier (fragments decided by
-            # earlier runs); tier 3: decide the original fragment.
-            canon = (
-                partition.canonical_key(catoms, key[1])
-                if (memo_on or store is not None)
-                else None
-            )
+            verdict = _decide_component(catoms, cnonnull, stats)
             if canon is not None and memo_on:
-                verdict = SOLVER_MEMO.component.get(canon)
-                if verdict is not None:
-                    stats.component_hits += 1
-                    _COMPONENT_HITS.inc()
-                else:
-                    _COMPONENT_MISSES.inc()
-            if verdict is None and canon is not None and store is not None:
-                verdict = store.get("comp", canon)
-                if verdict is not None and memo_on:
-                    SOLVER_MEMO.component.put(canon, verdict)
-            if verdict is None:
-                verdict = _decide_component(catoms, key[1], stats)
-                if canon is not None and memo_on:
-                    SOLVER_MEMO.component.put(canon, verdict)
-                if canon is not None and store is not None:
-                    store.put("comp", canon, verdict)
-        if context is not None:
-            context.remember(key, verdict)
+                SOLVER_MEMO.component.put(canon, verdict)
+            if canon is not None and store is not None:
+                store.put("comp", canon, verdict)
         if not verdict:
             stats.unsat += 1
             _UNSAT.inc()
             if provenance.enabled():
                 provenance.note_unsat(catoms)
-            if memo_key is not None:
-                SOLVER_MEMO.check.put(memo_key, False)
             if wcanon is not None and store is not None:
                 store.put("part", wcanon, False)
             return False
-    if memo_key is not None:
-        SOLVER_MEMO.check.put(memo_key, True)
     if wcanon is not None and store is not None:
         store.put("part", wcanon, True)
     return True
 
 
 def _decide_component(
-    catoms: list[Atom], nonnull: frozenset[Var], stats: SolverStats
+    catoms: list[Atom], nonnull: Iterable[Var], stats: SolverStats
 ) -> bool:
     """Run the actual decision procedure on one variable-connected
     component, in the caller's own variable names (the canonical
     signature is a cache key, never an instance — signatures are built
     from plain data precisely so no renamed terms are ever interned).
     Counts toward ``solver.checks`` — the "actual runs" metric the
-    ablation grid compares against memo/context hits."""
+    ablation grid compares against the answering tiers."""
     _CHECKS.inc()
     _CHECK_ATOMS.observe(len(catoms))
     _COMPONENT_SIZE.observe(len(catoms))
@@ -373,7 +388,7 @@ def _normalize(atom: Atom) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def _check_refs(ref_atoms: list[RefAtom], nonnull: frozenset[Var]) -> bool:
+def _check_refs(ref_atoms: list[RefAtom], nonnull: Iterable[Var]) -> bool:
     uf = UnionFind()
     for atom in ref_atoms:
         if atom.equal:

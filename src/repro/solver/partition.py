@@ -24,50 +24,43 @@ Soundness is the easy direction of variable-disjoint conjunction:
   refutation soundness (Theorem 1) is preserved exactly as in the
   monolithic procedure.
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`syntactic_unsat` — an O(n) screen for atoms contradictory on
   their own (constant-infeasible linear atoms, ``x != x``, ``v == NULL``
   for a known-non-null ``v``) that skips union-find and FM entirely;
 * :func:`split_components` — union-find over the atoms' variables,
-  producing per-component atom lists plus cheap *nominal* keys (the
-  component's own atoms and sliced non-null facts, untouched), while
-  :func:`canonical_key` derives — lazily, on the cache-miss path only —
-  the plain-data *signature* with variables replaced by first-occurrence
-  indices. Satisfiability is invariant under injective renaming, so the
-  signature fully determines the verdict — and it is what makes the key
-  space collapse: the executor mints globally fresh symbolic variables
-  per path and per search, so nominal keys never recur across searches,
-  while signatures recur for every structurally identical fragment
-  across sibling paths and across searches;
-* :class:`SolverContext` — the per-path-state verdict map carried on
-  :class:`~repro.symbolic.query.Query`. A child state created by one
-  transfer shares its parent's context; components untouched by the new
-  atoms have unchanged keys and are answered from the context without
-  even a memo-table lookup. Because a component key fully determines the
-  verdict, the map holds only pure facts — sharing it *by reference*
-  between siblings is the degenerate (and cheapest) safe form of
-  copy-on-write.
+  producing per-component atom lists and sliced non-null facts in the
+  caller's own variable names, each flagged *dirty* when it holds one of
+  the caller's dirty variables, while :func:`canonical_key` derives — on
+  the cache path only — the plain-data *signature* with variables
+  replaced by first-occurrence indices. Satisfiability is invariant
+  under injective renaming, so the signature fully determines the
+  verdict — and it is what makes the key space collapse: the executor
+  mints globally fresh symbolic variables per path and per search, so
+  variable names never recur across searches, while signatures recur
+  for every structurally identical fragment across sibling paths and
+  across searches.
+
+The dirty flag is how :func:`repro.solver.core.check_sat` decides only
+what a transfer changed (*delta satisfiability*): when a query's atoms
+are a superset of its lineage's last SAT check, a component holding no
+new atom and no newly non-null variable is exactly a component of that
+SAT conjunction, with the same or fewer non-null facts, so it is SAT.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .terms import Atom, LinAtom, Var, _NullConst
-
-#: A component's *nominal* identity: ``(frozenset of atoms, frozenset of
-#: relevant non-null vars)`` in the caller's own variable names. Cheap to
-#: build (no new terms) and exact within one search lineage, where copies
-#: share symbolic variables — the :class:`SolverContext` key.
-ComponentKey = tuple
 
 #: A component's *canonical* identity: a plain-data signature of the
 #: atoms with variables replaced by first-occurrence indices — an
 #: injective renaming, under which satisfiability is invariant. This is
-#: the cross-lineage memo key: the executor mints globally fresh symbolic
-#: variables per path and per search, so nominal keys never recur across
-#: searches, while signatures recur for every structurally identical
+#: the component memo key: the executor mints globally fresh symbolic
+#: variables per path and per search, so variable names never recur
+#: across searches, while signatures recur for every structurally identical
 #: fragment. Deliberately NOT built from term objects: signatures are
 #: nested tuples of ints and strings, so they hash and compare at C
 #: speed and — crucially — never touch the hash-cons intern table
@@ -93,10 +86,6 @@ def _zig(n: int) -> int:
     hash and dict probes degenerate into long equality chains. Small
     non-negative ints hash to themselves, all distinct."""
     return n + n if n >= 0 else -n - n - 1
-
-#: Context size cap; reaching it clears the map (cheap, rare — only very
-#: long-lived lineages accumulate this many distinct components).
-CONTEXT_CAP = 2048
 
 
 def syntactic_unsat(
@@ -138,18 +127,20 @@ def syntactic_unsat(
 
 
 def split_components(
-    atoms: list, nonnull: frozenset
-) -> list[tuple[list, ComponentKey]]:
+    atoms: list, nonnull: frozenset, dirty: Optional[Iterable[Var]] = None
+) -> list[tuple[list, Sequence[Var], bool]]:
     """Partition ``atoms`` into connected components over shared
     variables, slicing ``nonnull`` per component.
 
-    Returns ``(component atoms, nominal component key)`` pairs; the atom
-    lists preserve the input order and everything stays in the caller's
-    own variable names — renaming costs term interning, so the canonical
-    form (:func:`canonical_key`) is derived lazily, only when the cheap
-    nominal tiers miss. Ground atoms (no variables) must have been
-    screened by :func:`syntactic_unsat` first: whatever survives the
-    screen is a tautology and is dropped here.
+    Returns ``(component atoms, component non-null vars, dirty)``
+    triples; the atom lists preserve the input order and everything stays
+    in the caller's own variable names — renaming costs term interning,
+    so the canonical form (:func:`canonical_key`) is derived separately,
+    only for components that need a verdict. A component is dirty when it
+    mentions a variable of ``dirty``; with ``dirty=None`` every component
+    is. Ground atoms (no variables) must have been screened by
+    :func:`syntactic_unsat` first: whatever survives the screen is a
+    tautology and is dropped here.
     """
     # Only non-roots are keys, so ``parent.get(v, v) is v`` marks a root.
     parent: dict = {}
@@ -207,13 +198,14 @@ def split_components(
         root = find(v)
         if root in groups:
             sliced.setdefault(root, []).append(v)
+    touched = None if dirty is None else {find(v) for v in dirty}
     return [
-        (catoms, (frozenset(catoms), frozenset(sliced.get(root, ()))))
+        (catoms, sliced.get(root, ()), touched is None or root in touched)
         for root, catoms in groups.items()
     ]
 
 
-def canonical_key(catoms: list, nonnull: frozenset) -> CanonicalKey:
+def canonical_key(catoms: list, nonnull: Iterable[Var]) -> CanonicalKey:
     """The plain-data signature of one component: ``catoms`` (in order)
     with variables replaced by first-occurrence indices, plus the sliced
     ``nonnull`` facts under the same replacement.
@@ -248,31 +240,3 @@ def canonical_key(catoms: list, nonnull: frozenset) -> CanonicalKey:
         tuple(sig),
         frozenset(mapping[v] for v in nonnull if v in mapping),
     )
-
-
-class SolverContext:
-    """Per-path-state component verdict map (parent-reuse solver context).
-
-    Holds ``component key -> verdict`` facts accumulated along one search
-    lineage. Verdicts are pure functions of their keys, so the map is
-    append-only-correct: it is shared by reference between a query and
-    all its copies (parents, children, and siblings), and a stale entry
-    cannot exist. The map is cleared wholesale at :data:`CONTEXT_CAP`
-    entries, which only costs future re-derivation, never correctness.
-    """
-
-    __slots__ = ("verdicts",)
-
-    def __init__(self) -> None:
-        self.verdicts: dict = {}
-
-    def get(self, key: ComponentKey) -> Optional[bool]:
-        return self.verdicts.get(key)
-
-    def remember(self, key: ComponentKey, verdict: bool) -> None:
-        if len(self.verdicts) >= CONTEXT_CAP:
-            self.verdicts.clear()
-        self.verdicts[key] = verdict
-
-    def __len__(self) -> int:
-        return len(self.verdicts)

@@ -69,8 +69,8 @@ class SearchConfig:
     state_subsumption: bool = True
     #: Relevance-partitioned incremental solving: decompose each pure
     #: conjunction into variable-connected components, cache verdicts per
-    #: component, and reuse parent states' solved components via
-    #: per-lineage solver contexts (CLI ``--no-partition`` restores the
+    #: component, and re-decide only the components changed since a
+    #: query's last SAT check (CLI ``--no-partition`` restores the
     #: monolithic solver path). Process-wide like ``memoize_solver``.
     partition_solver: bool = True
     loop_inference: LoopInference = LoopInference.FULL

@@ -27,8 +27,8 @@ from typing import Iterable, Optional
 
 from ..perf.memo import SOLVER_PARTITION
 from ..pointsto.graph import AbsLoc
-from ..solver import NULL, Atom, SolverContext, check_sat, ref_eq, ref_ne
-from ..solver.core import SolverStats
+from ..solver import NULL, Atom, check_sat, ref_eq, ref_ne
+from ..solver.core import SatBasis, SolverStats
 from ..solver.terms import LinAtom, LinExpr, RefAtom
 from ..solver.unionfind import UnionFind
 from .symvar import DATA, REF, SymVar, fresh_data, fresh_ref
@@ -73,7 +73,7 @@ class Query:
         "fail_reason",
         "_sat_version",
         "_sat_result",
-        "solver_ctx",
+        "sat_basis",
     )
 
     def __init__(self, current_method: str) -> None:
@@ -94,7 +94,9 @@ class Query:
         self.fail_reason = ""
         self._sat_version = -1
         self._sat_result = True
-        self.solver_ctx: Optional[SolverContext] = None
+        # (atom set, nonnull roots) of the last SAT check on the
+        # partitioned path; the solver decides only what changed since.
+        self.sat_basis: Optional[SatBasis] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -117,10 +119,7 @@ class Query:
         q.fail_reason = self.fail_reason
         q._sat_version = self._sat_version
         q._sat_result = self._sat_result
-        # Shared by reference: the context holds only pure component
-        # verdicts (key fully determines verdict), so parent, children,
-        # and siblings safely reuse one map (see repro.solver.partition).
-        q.solver_ctx = self.solver_ctx
+        q.sat_basis = self.sat_basis
         return q
 
     def touch(self) -> None:
@@ -427,18 +426,21 @@ class Query:
         if self._sat_version == self.version:
             return self._sat_result
         atoms = self.canonical_pure() + self.separation_atoms()
-        if SOLVER_PARTITION.enabled and self.solver_ctx is None:
-            self.solver_ctx = SolverContext()
+        nonnull = self.nonnull_roots()
+        atom_set = frozenset(atoms) if SOLVER_PARTITION.enabled else None
         ok = check_sat(
             atoms,
-            nonnull=self.nonnull_roots(),
+            nonnull=nonnull,
             stats=stats,
-            context=self.solver_ctx,
+            basis=self.sat_basis,
+            atom_set=atom_set,
         )
         self._sat_version = self.version
         self._sat_result = ok
         if not ok:
             self.fail("pure constraints unsatisfiable")
+        elif atom_set is not None:
+            self.sat_basis = (atom_set, nonnull)
         return ok
 
     # -- structure queries --------------------------------------------------------------

@@ -8,7 +8,7 @@ answer, only skips work:
   ``LinAtom`` conjunctions (shared variables, NULL operands, nonnull
   facts, ground contradictions); ``check_sat`` must agree between the
   monolithic path and every partitioned flavor (cold, memo-warmed,
-  context-warmed, memo-disabled);
+  basis-warmed, memo-disabled);
 * **client-level** — Hypothesis generates small mini-Java programs (same
   universe as the refutation-soundness suite) and all four analysis
   clients run end to end with partitioning on and off; verdicts, per-item
@@ -25,7 +25,6 @@ from repro.solver import (
     NULL,
     LinAtom,
     LinExpr,
-    SolverContext,
     check_sat,
 )
 
@@ -90,15 +89,24 @@ def test_partitioned_check_sat_agrees_with_monolithic(case):
         SOLVER_PARTITION.set_enabled(True)
         SOLVER_MEMO.clear()
         cold = check_sat(atoms, nonnull=nonnull)
-        warm = check_sat(atoms, nonnull=nonnull)  # whole-query memo hit
-        ctx = SolverContext()
-        with_ctx = check_sat(atoms, nonnull=nonnull, context=ctx)
-        from_ctx = check_sat(atoms, nonnull=nonnull, context=ctx)
+        warm = check_sat(atoms, nonnull=nonnull)  # component memo hits
+        # Basis-warmed: grown from a SAT prefix with fewer non-null
+        # facts (only the changed components are decided), and answered
+        # whole from a basis equal to the query.
+        got = [cold, warm]
+        half = len(atoms) // 2
+        prefix, fewer = atoms[:half], frozenset(sorted(nonnull)[1:])
+        SOLVER_MEMO.clear()
+        if check_sat(prefix, nonnull=fewer):
+            basis = (frozenset(prefix), fewer)
+            got.append(check_sat(atoms, nonnull=nonnull, basis=basis))
+        if cold:
+            basis = (frozenset(atoms), nonnull)
+            got.append(check_sat(atoms, nonnull=nonnull, basis=basis))
 
         SOLVER_MEMO.set_enabled(False)
-        no_memo = check_sat(atoms, nonnull=nonnull)
+        got.append(check_sat(atoms, nonnull=nonnull))  # memo disabled
 
-        got = (cold, warm, with_ctx, from_ctx, no_memo)
         assert all(v == mono for v in got), (
             f"partitioned solver diverged: monolithic={mono} got={got}\n"
             f"atoms={atoms}\nnonnull={set(nonnull)}"

@@ -94,7 +94,7 @@ def vars_split_components(atoms: list, nonnull: frozenset) -> list:
     out = []
     for catoms, cvars in groups.values():
         sliced = frozenset(v for v in nonnull if v in cvars)
-        out.append((catoms, (frozenset(catoms), sliced)))
+        out.append((catoms, sliced))
     return out
 
 
@@ -180,7 +180,7 @@ def test_split_components_matches_vars_union_find(script, nonnull_picks):
     fast = split_components(atoms, nonnull)
     slow = vars_split_components(atoms, nonnull)
     assert len(fast) == len(slow)
-    for (fatoms, fkey), (satoms, skey) in zip(fast, slow):
+    for (fatoms, fslice, dirty), (satoms, sslice) in zip(fast, slow):
         assert fatoms == satoms  # same atoms, same order
-        assert fkey == skey
-        assert list(fkey[1]) == list(skey[1])  # same slice, same layout
+        assert len(fslice) == len(sslice) and frozenset(fslice) == sslice
+        assert dirty

@@ -13,7 +13,6 @@ from repro.pointsto.graph import AbsLoc
 from repro.solver import (
     NULL,
     LinExpr,
-    SolverContext,
     SolverStats,
     check_sat,
     eq,
@@ -24,6 +23,8 @@ from repro.solver import (
     split_components,
     syntactic_unsat,
 )
+from repro.solver import core
+from repro.solver import partition as partition_mod
 from repro.symbolic import Query
 
 
@@ -194,14 +195,20 @@ class TestPartitionedSolver:
     def test_split_components_by_shared_variables(self):
         comps = split_components(self._xy_atoms(), frozenset({"x", "z"}))
         assert len(comps) == 2
-        sizes = sorted(len(catoms) for catoms, _ in comps)
+        sizes = sorted(len(catoms) for catoms, _, _ in comps)
         assert sizes == [1, 2]
-        for catoms, (atom_key, sliced) in comps:
-            # Nominal keys: the component's own atoms, untouched.
-            assert atom_key == frozenset(catoms)
+        for catoms, sliced, dirty in comps:
             # nonnull slices to the component's own variables only (the
-            # irrelevant "z" fact never reaches a key).
-            assert len(sliced) <= 1
+            # irrelevant "z" fact never reaches a component).
+            assert list(sliced) == (["x"] if len(catoms) == 2 else [])
+            # With no dirty set given, every component needs a verdict.
+            assert dirty
+        # Given dirty variables, only their components are flagged.
+        comps = split_components(self._xy_atoms(), frozenset(), {"y", "w"})
+        assert [(len(catoms), dirty) for catoms, _, dirty in comps] == [
+            (2, False),
+            (1, True),
+        ]
 
     def test_canonical_keys_collapse_alpha_equivalent_fragments(self):
         # Structurally identical chains over different fresh variables
@@ -240,15 +247,6 @@ class TestPartitionedSolver:
         assert checks.value == before + 1  # only the fresh z component ran
         assert stats.component_hits == 2
 
-    def test_context_answers_before_memo(self):
-        ctx = SolverContext()
-        stats = SolverStats()
-        assert check_sat(self._xy_atoms(), stats=stats, context=ctx)
-        assert len(ctx) == 2
-        SOLVER_MEMO.clear()  # context alone must answer now
-        assert check_sat(self._xy_atoms(), stats=stats, context=ctx)
-        assert stats.context_hits == 2
-
     def test_unsat_component_refutes_whole_query(self):
         x, y = LinExpr.var("x"), LinExpr.var("y")
         atoms = [
@@ -286,25 +284,142 @@ class TestPartitionedSolver:
         assert stats.component_hits == 0
         assert len(SOLVER_MEMO.component) == 0
 
-    def test_context_cap_clears_wholesale(self):
-        from repro.solver import partition as partition_mod
+    def test_repeated_atoms_share_one_component_signature(self, monkeypatch):
+        # Two bases sharing several fields give one separation
+        # disequality per field: the same component listed with x != y
+        # twice and three times must have one signature and one decision.
+        decided = []
+        real = core._decide_component
+        monkeypatch.setattr(
+            core,
+            "_decide_component",
+            lambda catoms, nonnull, stats: decided.append(catoms)
+            or real(catoms, nonnull, stats),
+        )
+        assert check_sat([ref_ne("a", "b")] * 2)
+        assert check_sat([ref_ne("c", "d")] * 3)
+        assert decided == [[ref_ne("a", "b")]]
 
-        ctx = SolverContext()
-        for i in range(partition_mod.CONTEXT_CAP):
-            ctx.remember(("k", i), True)
-        assert len(ctx) == partition_mod.CONTEXT_CAP
-        ctx.remember(("k", "overflow"), False)
-        assert len(ctx) == 1
-        assert ctx.get(("k", "overflow")) is False
+    def test_shared_fields_decide_the_separation_component_once(self):
+        # K9Mail-shaped: two instances sharing two fields, then (in a
+        # fresh query) three — the same separation fragment either way.
+        def query(fields):
+            q = Query("M.m")
+            a, b = q.new_ref(frozenset({A})), q.new_ref(frozenset({A}))
+            for base in (a, b):
+                for name in fields:
+                    q.set_field(base, name, q.new_ref(None, maybe_null=True))
+            return q
 
-    def test_query_shares_context_with_copies(self):
+        checks = metrics.counter("solver.checks")
+        assert query("fg").check_sat()
+        before = checks.value
+        assert query("fgh").check_sat()
+        assert checks.value == before
+
+
+class TestSatBasis:
+    """Delta satisfiability: a query is decided only where it differs
+    from its lineage's last SAT check (``Query.sat_basis``)."""
+
+    @pytest.fixture(autouse=True)
+    def partitioned_no_memo(self, monkeypatch):
+        # With the component memo off, every component that needs a
+        # verdict runs the decision procedure, so decisions are countable.
+        SOLVER_PARTITION.set_enabled(True)
+        SOLVER_MEMO.set_enabled(False)
+        self.splits = 0
+        real_split = partition_mod.split_components
+
+        def counting_split(*args):
+            self.splits += 1
+            return real_split(*args)
+
+        monkeypatch.setattr(partition_mod, "split_components", counting_split)
+        yield
+
+    @staticmethod
+    def decisions() -> int:
+        return metrics.counter("solver.checks").value
+
+    @staticmethod
+    def two_component_query():
+        """A query over two variable-disjoint fragments: an ``x`` chain
+        (two data variables) and a ``y`` bound."""
         q = Query("M.m")
-        v = q.new_ref(frozenset({A}))
-        q.set_local("x", v)
+        x1, x2, y = q.new_data("x1"), q.new_data("x2"), q.new_data("y")
+        q.add_pure(le(LinExpr.var(x1), LinExpr.constant(3)))
+        q.add_pure(le(LinExpr.var(x1), LinExpr.var(x2)))
+        q.add_pure(le(LinExpr.var(y), LinExpr.constant(9)))
+        return q, x1, x2, y
+
+    def test_query_equal_to_its_basis_needs_no_split(self):
+        q, *_ = self.two_component_query()
         assert q.check_sat()
-        assert q.solver_ctx is not None
+        assert q.sat_basis is not None and self.splits == 1
         child = q.copy()
-        assert child.solver_ctx is q.solver_ctx
+        assert child.sat_basis is q.sat_basis
+        child.touch()  # a transfer that left the pure part alone
+        stats = SolverStats()
+        before = self.decisions()
+        assert child.check_sat(stats)
+        assert self.splits == 1
+        assert self.decisions() == before
+        assert stats.memo_hits == 1 and stats.context_hits == 0
+
+    def test_one_new_atom_decides_only_its_component(self):
+        q, x1, _, _ = self.two_component_query()
+        assert q.check_sat()
+        child = q.copy()
+        child.add_pure(le(LinExpr.constant(1), LinExpr.var(x1)))
+        stats = SolverStats()
+        before = self.decisions()
+        assert child.check_sat(stats)
+        assert self.decisions() == before + 1  # the x chain only
+        assert stats.context_hits == 1  # the y bound, from the basis
+        # The parent's basis is its own; the child's moved on.
+        assert child.sat_basis != q.sat_basis
+
+    def test_new_nonnull_variable_dirties_exactly_its_component(self):
+        atoms = [ref_ne("a", "b"), ref_ne("c", "d")]
+        basis = (frozenset(atoms), frozenset())
+        stats = SolverStats()
+        before = self.decisions()
+        assert check_sat(atoms, frozenset({"a"}), stats, basis=basis)
+        assert self.decisions() == before + 1
+        assert stats.context_hits == 1
+        # Fewer non-null facts than the basis: answered whole.
+        basis = (frozenset(atoms), frozenset({"a", "c"}))
+        assert check_sat(atoms, frozenset({"c"}), stats, basis=basis)
+        assert self.decisions() == before + 1
+        assert stats.memo_hits == 1
+
+    def test_child_renamed_by_unify_takes_full_path(self):
+        q, x1, x2, _ = self.two_component_query()
+        assert q.check_sat()
+        child = q.copy()
+        assert child.unify(x1, x2)  # renames an atom of the x chain
+        assert not frozenset(child.canonical_pure()) >= q.sat_basis[0]
+        stats = SolverStats()
+        before = self.decisions()
+        assert child.check_sat(stats)
+        assert self.decisions() == before + 2  # both components
+        assert stats.context_hits == 0 and stats.memo_hits == 0
+
+    def test_unsat_check_sets_no_basis(self):
+        q, x1, _, _ = self.two_component_query()
+        assert q.check_sat()
+        basis = q.sat_basis
+        child = q.copy()
+        child.add_pure(le(LinExpr.constant(4), LinExpr.var(x1)))  # x1 > 3
+        assert not child.check_sat()
+        assert child.sat_basis is basis
+        fresh = Query("M.m")
+        d = fresh.new_data()
+        fresh.add_pure(eq(LinExpr.var(d), LinExpr.constant(1)))
+        fresh.add_pure(eq(LinExpr.var(d), LinExpr.constant(2)))
+        assert not fresh.check_sat()
+        assert fresh.sat_basis is None
 
 
 class TestRefutedStateCache:
