@@ -1,7 +1,7 @@
 """The Android Activity-leak client: mini Android library, lifecycle
 harness synthesis, and the alarm-refutation driver."""
 
-from .harness import HARNESS_CLASS, build_full_source, generate_harness
+from .harness import HARNESS_CLASS, add_harness, combined_source, generate_harness
 from .leaks import (
     ALARM_CONFIRMED,
     ALARM_REFUTED,
@@ -20,7 +20,8 @@ from .lifecycle import activity_classes, handlers_of, is_event_handler
 
 __all__ = [
     "HARNESS_CLASS",
-    "build_full_source",
+    "add_harness",
+    "combined_source",
     "generate_harness",
     "ALARM_CONFIRMED",
     "ALARM_REFUTED",

@@ -13,27 +13,57 @@ orderings beyond the lifecycle order are approximated — see DESIGN.md.)
 
 from __future__ import annotations
 
-from ..lang import ast, frontend, parse_program
-from ..lang.types import ClassTable, MethodInfo
+from ..lang import ast, parse_program
+from ..lang.types import (
+    CheckedProgram,
+    ClassTable,
+    MethodInfo,
+    check_classes,
+    declare_classes,
+)
 from .library import LIBRARY_SOURCE
 from .lifecycle import component_classes, default_argument, handlers_of
 
 HARNESS_CLASS = "AndroidHarness"
 
+_LIBRARY_LINES = LIBRARY_SOURCE.count("\n")
 
-def build_full_source(app_source: str, include_library: bool = True) -> str:
-    """Library + app + synthesized harness, as one compilation unit.
+
+def combined_source(app_source: str, include_library: bool = True) -> str:
+    """Library + app, as one compilation unit for the frontend.
 
     The library comes first so that its class initializers (e.g.
     ``Vec.EMPTY``) run before any app ``<clinit>`` that allocates library
     objects — our stand-in for Java's lazy class initialization.
     """
     library = LIBRARY_SOURCE if include_library else ""
-    combined = library + "\n" + app_source
-    checked = frontend(combined)
-    app_classes = {cls.name for cls in parse_program(app_source).classes}
+    return library + "\n" + app_source
+
+
+def add_harness(
+    checked: CheckedProgram, source: str, include_library: bool = True
+) -> CheckedProgram:
+    """``checked`` (the frontend's result on ``source``, a
+    :func:`combined_source` text) plus the synthesized harness class.
+
+    The app's classes are those declared on or after the app's first line.
+    Only the harness text is parsed, declared and type-checked, into
+    ``checked``'s table; it is padded with newlines so that it sits, with
+    every position, on the line after ``source`` ends. The result equals
+    the frontend's result on ``source + "\\n" + harness``.
+    """
+    first_line = (_LIBRARY_LINES if include_library else 0) + 2
+    app_classes = {
+        cls.name for cls in checked.unit.classes if cls.pos.line >= first_line
+    }
     harness = generate_harness(checked.table, app_classes)
-    return combined + "\n" + harness
+    padding = "\n" * (source.count("\n") + 1)
+    decls = parse_program(padding + harness).classes
+    declare_classes(checked.table, decls)
+    check_classes(checked.table, decls)
+    return CheckedProgram(
+        checked.table, ast.CompilationUnit(checked.unit.classes + decls)
+    )
 
 
 def generate_harness(table: ClassTable, app_classes: set[str]) -> str:

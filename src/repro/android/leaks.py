@@ -36,7 +36,7 @@ from ..pointsto import (
 from ..pointsto.graph import AbsLoc
 from ..symbolic import SearchConfig
 from ..symbolic.stats import REFUTED, TIMEOUT, WITNESSED
-from .harness import build_full_source
+from .harness import add_harness, combined_source
 from .library import CONTAINER_CLASSES, EMPTY_TABLE_ANNOTATIONS, library_class_names
 
 ALARM_REFUTED = "refuted"
@@ -132,8 +132,8 @@ class LeakChecker:
         self.app_name = app_name
         self.annotated = annotated
         self.target_class = target_class
-        full_source = build_full_source(app_source, include_library)
-        checked = frontend(full_source)
+        source = combined_source(app_source, include_library)
+        checked = add_harness(frontend(source), source, include_library)
         self.program = build_program(checked)
         policy = ContainerSensitive(
             containers=set(CONTAINER_CLASSES), class_table=checked.table

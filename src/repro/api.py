@@ -268,21 +268,23 @@ def _resolve_pta(request: AnalysisRequest) -> "object":
             raise ValueError(
                 "AnalysisRequest needs one of source=, program=, or pta="
             )
-        program = build_program(frontend_source(request))
+        program = build_program(
+            frontend_app(request.source, request.include_library)
+        )
     return pointsto_analyze(program, policy=request.context_policy)
 
 
-def frontend_source(request: AnalysisRequest) -> "object":
-    """Run the frontend over the request's source text, wrapping it in the
-    Android library+harness first when ``include_library`` asks for it."""
+def frontend_app(source: str, include_library: bool = True) -> "object":
+    """Run the frontend over ``source``, with the Android library before it
+    and the synthesized harness after it when ``include_library``."""
     from .lang import frontend
 
-    source = request.source
-    if request.include_library:
-        from .android.harness import build_full_source
+    if not include_library:
+        return frontend(source)
+    from .android.harness import add_harness, combined_source
 
-        source = build_full_source(source)
-    return frontend(source)
+    combined = combined_source(source)
+    return add_harness(frontend(combined), combined)
 
 
 def _resolve_config(request: AnalysisRequest) -> SearchConfig:

@@ -11,9 +11,8 @@ scaling micro-benchmarks.
 
 from __future__ import annotations
 
-from ..android.harness import build_full_source
 from ..ir import Interpreter, Limits, build_program, heap_reaches
-from ..lang import frontend
+from ..api import frontend_app
 from .apps import BenchApp
 
 
@@ -29,8 +28,7 @@ def concrete_leak_pairs(
     Cached per app for the default limits (the tables query it often)."""
     if limits is None and app.name in _TRUTH_CACHE:
         return set(_TRUTH_CACHE[app.name])
-    source = build_full_source(app.source)
-    program = build_program(frontend(source))
+    program = build_program(frontend_app(app.source))
     interp = Interpreter(
         program,
         limits

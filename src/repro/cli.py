@@ -513,16 +513,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .android.harness import build_full_source
+    from .api import frontend_app
     from .ir import build_program
-    from .lang import frontend
     from .pointsto import analyze
 
-    if args.no_library:
-        source = _read(args.file)
-    else:
-        source = build_full_source(_read(args.file))
-    pta = analyze(build_program(frontend(source)))
+    checked = frontend_app(_read(args.file), not args.no_library)
+    pta = analyze(build_program(checked))
     print(pta.graph.to_dot())
     return 0
 
@@ -619,18 +615,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_casts(args) -> int:
-    from .android.harness import build_full_source
+    from .api import frontend_app
     from .clients import SAFE, analyze_casts
     from .engine import RefutationDriver
     from .ir import build_program
-    from .lang import frontend
     from .pointsto import analyze
 
-    if args.no_library:
-        source = _read(args.file)
-    else:
-        source = build_full_source(_read(args.file))
-    program = build_program(frontend(source))
+    program = build_program(frontend_app(_read(args.file), not args.no_library))
     pta = analyze(program)
     driver = RefutationDriver(
         pta,
@@ -1119,15 +1110,12 @@ def _explain_witness(args, record) -> None:
             file=sys.stderr,
         )
         return
-    from .android.harness import build_full_source
+    from .api import frontend_app
     from .ir import build_program
-    from .lang import frontend
 
-    if args.no_library:
-        source = _read(args.source)
-    else:
-        source = build_full_source(_read(args.source))
-    program = build_program(frontend(source))
+    program = build_program(
+        frontend_app(_read(args.source), not args.no_library)
+    )
     print(render_trace(program, record.witness_trace or [], header))
 
 

@@ -4,10 +4,7 @@ lifetime/escape assertions, and field-encapsulation checking.
 
 Every client answers through the shared
 :class:`~repro.clients.result.AnalysisResult` protocol via its normalized
-``analyze_*`` entry point (or the :func:`repro.api.analyze` facade). The
-original per-client entry points (``check_casts``, ``check_immutable``,
-``check_encapsulation``, ``refute_reachability``, …) remain as thin
-deprecated shims.
+``analyze_*`` entry point (or the :func:`repro.api.analyze` facade).
 """
 
 from .casts import (
@@ -16,14 +13,10 @@ from .casts import (
     UNKNOWN,
     CastReport,
     analyze_casts,
-    check_casts,
-    unsafe_casts,
 )
 from .encapsulation import (
     ExposureResult,
     analyze_encapsulation,
-    check_encapsulation,
-    encapsulated,
 )
 from .immutability import (
     IMMUTABLE,
@@ -31,7 +24,6 @@ from .immutability import (
     ImmutabilityReport,
     MutationSite,
     analyze_immutability,
-    check_immutable,
 )
 from .reachability import (
     HOLDS,
@@ -41,7 +33,6 @@ from .reachability import (
     analyze_reachability,
     assert_not_leaked,
     assert_unreachable,
-    refute_reachability,
     verified,
 )
 from .result import AnalysisResult, AnalysisStats
@@ -54,18 +45,13 @@ __all__ = [
     "UNKNOWN",
     "CastReport",
     "analyze_casts",
-    "check_casts",
-    "unsafe_casts",
     "ExposureResult",
     "analyze_encapsulation",
-    "check_encapsulation",
-    "encapsulated",
     "IMMUTABLE",
     "MUTATED",
     "ImmutabilityReport",
     "MutationSite",
     "analyze_immutability",
-    "check_immutable",
     "HOLDS",
     "INCONCLUSIVE",
     "VIOLATED",
@@ -73,6 +59,5 @@ __all__ = [
     "analyze_reachability",
     "assert_not_leaked",
     "assert_unreachable",
-    "refute_reachability",
     "verified",
 ]

@@ -12,7 +12,6 @@ program to a potential failure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,19 +44,12 @@ class CastReport:
         return f"({self.cast.class_name}) {self.cast.src} in {self.method}: {self.status}"
 
 
-def _check_casts(
-    pta: PointsToResult,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> list[CastReport]:
+def _check_casts(pta: PointsToResult, refuter: Refuter) -> list[CastReport]:
     """Check every reachable cast in the program.
 
     Each suspicious cast is an independent fact-refutation query; with a
     parallel driver (``jobs > 1``) the queries are fanned out over the
     worker pool. Reports come back in program order either way."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
     table = pta.program.class_table
     reports: list[Optional[CastReport]] = []
     # First pass: classify trivially-safe casts, collect the rest as jobs.
@@ -117,35 +109,6 @@ def _check_casts(
     return [r for r in reports if r is not None]
 
 
-def check_casts(
-    pta: PointsToResult,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> list[CastReport]:
-    """Deprecated: use :func:`analyze_casts` (or :func:`repro.api.analyze`)
-    for the normalized result protocol. Behavior is unchanged."""
-    warnings.warn(
-        "check_casts() is deprecated; use repro.clients.analyze_casts()"
-        " or repro.api.analyze()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_casts(pta, config, engine, jobs, deadline)
-
-
-def unsafe_casts(reports: list[CastReport]) -> list[CastReport]:
-    """Deprecated: filter ``analyze_casts(...).results`` instead."""
-    warnings.warn(
-        "unsafe_casts() is deprecated; filter analyze_casts(...).results"
-        " by status instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [r for r in reports if r.status != SAFE]
-
-
 def analyze_casts(
     pta: PointsToResult,
     *,
@@ -159,7 +122,7 @@ def analyze_casts(
     protocol. ``results`` are the familiar :class:`CastReport` objects in
     program order."""
     refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    reports = _check_casts(pta, config, refuter)
+    reports = _check_casts(pta, refuter)
     report = _finalize(refuter, engine, "casts")
     stats = AnalysisStats(items=len(reports))
     for r in reports:

@@ -12,7 +12,6 @@ client."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,20 +41,13 @@ class ExposureResult:
 
 
 def _check_encapsulation(
-    pta: PointsToResult,
-    owner_class: str,
-    field: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    pta: PointsToResult, owner_class: str, field: str, engine: Refuter
 ) -> list[ExposureResult]:
     """Check that the representation objects held in ``owner_class.field``
     are not reachable from any static field. Returns an
     :class:`ExposureResult` for each candidate exposure the
     flow-insensitive graph reports; an empty list (or all ``holds``) means
     the representation is encapsulated against static exposure."""
-    engine = _resolve_refuter(pta, config, engine, jobs, deadline)
     table = pta.program.class_table
     # Representation: everything field `field` of Owner instances may hold.
     rep_locs: set[AbsLoc] = set()
@@ -94,40 +86,6 @@ def _check_encapsulation(
     return results
 
 
-def check_encapsulation(
-    pta: PointsToResult,
-    owner_class: str,
-    field: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> list[ExposureResult]:
-    """Deprecated: use :func:`analyze_encapsulation` (or
-    :func:`repro.api.analyze`) for the normalized result protocol.
-    Behavior is unchanged."""
-    warnings.warn(
-        "check_encapsulation() is deprecated; use"
-        " repro.clients.analyze_encapsulation() or repro.api.analyze()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_encapsulation(
-        pta, owner_class, field, config, engine, jobs, deadline
-    )
-
-
-def encapsulated(results: list[ExposureResult]) -> bool:
-    """Deprecated: use ``analyze_encapsulation(...).verified`` instead."""
-    warnings.warn(
-        "encapsulated() is deprecated; use"
-        " analyze_encapsulation(...).verified instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return all(r.status == HOLDS for r in results)
-
-
 def analyze_encapsulation(
     pta: PointsToResult,
     owner_class: str,
@@ -142,7 +100,7 @@ def analyze_encapsulation(
     :class:`ExposureResult` objects; ``verified`` means every candidate
     exposure of ``owner_class.field``'s representation was refuted."""
     refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    results = _check_encapsulation(pta, owner_class, field, config, refuter)
+    results = _check_encapsulation(pta, owner_class, field, refuter)
     report = _finalize(refuter, engine, "encapsulation")
     stats = AnalysisStats(items=len(results))
     for r in results:

@@ -13,7 +13,6 @@ class?* All refuted ⇒ immutability verified.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -52,17 +51,11 @@ class ImmutabilityReport:
 
 
 def _check_immutable(
-    pta: PointsToResult,
-    class_name: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    pta: PointsToResult, class_name: str, refuter: Refuter
 ) -> ImmutabilityReport:
     """Check that instances of ``class_name`` are never mutated outside
     their own constructors. Each flagged write is an independent
     fact-refutation query, fanned out over the driver's worker pool."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
     table = pta.program.class_table
     targets = frozenset(
         loc
@@ -117,26 +110,6 @@ def _check_immutable(
     return ImmutabilityReport(class_name, overall, sites)
 
 
-def check_immutable(
-    pta: PointsToResult,
-    class_name: str,
-    config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
-) -> ImmutabilityReport:
-    """Deprecated: use :func:`analyze_immutability` (or
-    :func:`repro.api.analyze`) for the normalized result protocol.
-    Behavior is unchanged."""
-    warnings.warn(
-        "check_immutable() is deprecated; use"
-        " repro.clients.analyze_immutability() or repro.api.analyze()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_immutable(pta, class_name, config, engine, jobs, deadline)
-
-
 def analyze_immutability(
     pta: PointsToResult,
     class_name: str,
@@ -151,7 +124,7 @@ def analyze_immutability(
     rollup status maps ``immutable``/``mutated``/``unknown`` onto the
     shared ``verified``/``violated``/``inconclusive`` vocabulary."""
     refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    inner = _check_immutable(pta, class_name, config, refuter)
+    inner = _check_immutable(pta, class_name, refuter)
     report = _finalize(refuter, engine, "immutability")
     stats = AnalysisStats(items=len(inner.sites))
     for site in inner.sites:

@@ -13,7 +13,6 @@ parallel :class:`repro.engine.RefutationDriver`."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -99,27 +98,6 @@ def _refute_reachability(
             return ReachabilityResult(
                 root, target, status, path, refuted_count, timeouts
             )
-
-
-def refute_reachability(
-    pta: PointsToResult,
-    engine: Refuter,
-    root: StaticFieldNode,
-    target: AbsLoc,
-    shared_refuted: Optional[set] = None,
-) -> ReachabilityResult:
-    """Deprecated alias for the single-pair refutation loop.
-
-    Use :func:`analyze_reachability` (or :func:`repro.api.analyze`) for the
-    normalized entry point; this shim remains for callers of the original
-    signature."""
-    warnings.warn(
-        "refute_reachability() is deprecated; use"
-        " repro.clients.analyze_reachability() or repro.api.analyze()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _refute_reachability(pta, engine, root, target, shared_refuted)
 
 
 def assert_unreachable(

@@ -8,7 +8,7 @@ expressions, and a ``nondet()`` builtin modelling environment choice.
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
 
 from .errors import LexError, SourcePosition
 
@@ -101,92 +101,110 @@ class Token:
         return self.kind == "keyword" and self.text == text
 
 
+# One alternative per lexeme, tried in order at each position. Whitespace
+# and comments are alternatives of their own (never a prefix of a token
+# pattern), and come before the operators so that ``//`` and ``/*`` are
+# never read as ``/``. Identifier and integer classes are ASCII only:
+# Python's ``\d``/``\w`` disagree with ``str.isdigit``/``isalpha`` on some
+# non-ASCII characters, so those are lexed with the ``str`` predicates, both
+# where a token starts (:func:`_scan_unmatched`) and where an ASCII match
+# stops at one.
+_MASTER = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<int>[0-9]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<open_string>")
+    | (?P<op>"""
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + """)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _unescape(match: re.Match) -> str:
+    esc = match.group(1)
+    return _ESCAPES.get(esc, esc)
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch in "_$"
+
+
+def _scan_while(source: str, j: int, accept) -> int:
+    n = len(source)
+    while j < n and accept(source[j]):
+        j += 1
+    return j
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``, returning a token list terminated by EOF."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    n = len(source)
     i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def pos() -> SourcePosition:
-        return SourcePosition(line, col)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    line_start = 0  # offset of the first character of ``line``
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+        m = match(source, i)
+        if m is None:
+            pos = SourcePosition(line, i - line_start + 1)
+            i = _scan_unmatched(source, i, pos, append)
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start = pos()
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start)
-            advance(2)
-            continue
-        if ch.isdigit():
-            start = pos()
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            advance(j - i)
-            yield Token("int", text, start)
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = pos()
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
-            advance(j - i)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ws" or kind == "block_comment" or kind == "string":
+            if kind == "string":
+                body = source[i + 1 : end - 1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(_unescape, body)
+                append(Token("string", body, SourcePosition(line, i - line_start + 1)))
+            newlines = source.count("\n", i, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", i, end) + 1
+        elif kind == "ident":
+            if end < n and source[end] >= "\x80":
+                end = _scan_while(source, end, _is_ident_char)
+            text = source[i:end]
             kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, start)
-            continue
-        if ch == '"':
-            start = pos()
-            j = i + 1
-            chars: list[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    chars.append(source[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", start)
-            advance(j + 1 - i)
-            yield Token("string", "".join(chars), start)
-            continue
-        matched = False
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                start = pos()
-                advance(len(op))
-                yield Token("op", op, start)
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", pos())
-    yield Token("eof", "", pos())
+            append(Token(kind, text, SourcePosition(line, i - line_start + 1)))
+        elif kind == "op":
+            append(Token("op", m.group(), SourcePosition(line, i - line_start + 1)))
+        elif kind == "int":
+            if end < n and source[end] >= "\x80":
+                end = _scan_while(source, end, str.isdigit)
+            append(Token("int", source[i:end], SourcePosition(line, i - line_start + 1)))
+        elif kind != "line_comment":
+            what = "block comment" if kind == "open_comment" else "string literal"
+            pos = SourcePosition(line, i - line_start + 1)
+            raise LexError(f"unterminated {what}", pos)
+        i = end
+    append(Token("eof", "", SourcePosition(line, n - line_start + 1)))
+    return tokens
+
+
+def _scan_unmatched(source: str, i: int, pos: SourcePosition, append) -> int:
+    """Lex the token at ``i``, where no pattern matched, with the ``str``
+    predicates: a (non-ASCII) digit starts an integer, a letter an
+    identifier; anything else is an error. Returns the token's end."""
+    ch = source[i]
+    if ch.isdigit():
+        end = _scan_while(source, i, str.isdigit)
+        append(Token("int", source[i:end], pos))
+    elif ch.isalpha():
+        end = _scan_while(source, i, _is_ident_char)
+        append(Token("ident", source[i:end], pos))
+    else:
+        raise LexError(f"unexpected character {ch!r}", pos)
+    return end

@@ -34,11 +34,16 @@ class Parser:
 
     # -- token stream helpers ------------------------------------------------
 
+    # The token list ends with EOF and ``_idx`` never moves past it, so only
+    # lookahead needs clamping.
+
     def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._idx + offset, len(self._tokens) - 1)]
+        if offset:
+            return self._tokens[min(self._idx + offset, len(self._tokens) - 1)]
+        return self._tokens[self._idx]
 
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self._tokens[self._idx]
         if tok.kind != "eof":
             self._idx += 1
         return tok
@@ -341,11 +346,13 @@ class Parser:
 
     def _parse_binary_level(self, ops: tuple[str, ...], sub) -> ast.Expr:
         left = sub()
-        while self._peek().kind == "op" and self._peek().text in ops:
-            tok = self._next()
+        while True:
+            tok = self._tokens[self._idx]
+            if tok.kind != "op" or tok.text not in ops:
+                return left
+            self._idx += 1
             right = sub()
             left = ast.Binary(tok.pos, tok.text, left, right)
-        return left
 
     def _parse_or(self) -> ast.Expr:
         return self._parse_binary_level(("||",), self._parse_and)

@@ -143,21 +143,31 @@ class CheckedProgram:
 
 def check_program(unit: ast.CompilationUnit) -> CheckedProgram:
     """Type-check ``unit`` in place and return the checked program."""
-    table = _build_class_table(unit)
-    checker = _Checker(table)
-    for cls in unit.classes:
-        checker.check_class(cls)
+    table = ClassTable()
+    declare_classes(table, unit.classes)
+    check_classes(table, unit.classes)
     return CheckedProgram(table, unit)
 
 
-def _build_class_table(unit: ast.CompilationUnit) -> ClassTable:
-    table = ClassTable()
-    for cls in unit.classes:
+def check_classes(table: ClassTable, decls: list[ast.ClassDecl]) -> None:
+    """Type-check ``decls`` in place against ``table``, which already
+    declares them (see :func:`declare_classes`)."""
+    checker = _Checker(table)
+    for cls in decls:
+        checker.check_class(cls)
+
+
+def declare_classes(table: ClassTable, decls: list[ast.ClassDecl]) -> None:
+    """Add ``decls`` to ``table``: their names first, then each one's
+    superclass, fields and methods, then an inheritance-cycle check over
+    the whole table. ``decls`` may only refer to classes already in
+    ``table`` or among themselves."""
+    for cls in decls:
         if cls.name in table.classes:
             raise TypeCheckError(f"duplicate class {cls.name!r}", cls.pos)
         superclass = cls.superclass or "Object"
         table.classes[cls.name] = ClassInfo(cls.name, superclass, pos=cls.pos)
-    for cls in unit.classes:
+    for cls in decls:
         info = table.classes[cls.name]
         if info.superclass not in table.classes:
             raise TypeCheckError(
@@ -191,7 +201,6 @@ def _build_class_table(unit: ast.CompilationUnit) -> ClassTable:
     # Detect inheritance cycles eagerly.
     for name in table.classes:
         list(table.ancestors(name))
-    return table
 
 
 class _Scope:

@@ -32,11 +32,13 @@ updates serialized and exclusive (:class:`_RWLock`).
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from contextlib import contextmanager
 from typing import Optional
 
+from ..android.harness import add_harness, combined_source
 from ..api import (
     _SELECTOR_FIELDS,
     CLIENTS,
@@ -46,7 +48,7 @@ from ..api import (
 )
 from ..engine import RefutationDriver
 from ..ir import build_program
-from ..lang import frontend
+from ..lang import frontend, tokenize
 from .. import perf
 from ..obs import metrics, provenance, telemetry
 from ..pointsto import analyze as pointsto_analyze
@@ -185,22 +187,22 @@ class ProgramSession:
         #: created by rebuilds) feeds it, so ``watch`` cursors survive
         #: updates and the ``top`` renderer sees one continuous stream.
         self.hub = telemetry.TelemetryHub()
-        self._rebuild(source)
+        self._rebuild(self._build(source))
 
     # -- pipeline front half -------------------------------------------------
 
-    def _full_source(self, source: str) -> str:
-        if self._include_library:
-            from ..android.harness import build_full_source
+    def _build(self, source: str):
+        """Frontend and IR for ``source`` (with the Android library and
+        harness when the session includes them)."""
+        if not self._include_library:
+            return build_program(frontend(source))
+        combined = combined_source(source)
+        return build_program(add_harness(frontend(combined), combined))
 
-            return build_full_source(source)
-        return source
-
-    def _rebuild(self, source: str) -> None:
-        """Cold path: build everything from scratch and start a fresh
-        driver. Callers have already cleared (or decided to keep) the
-        verdict and fact tables."""
-        program = build_program(frontend(self._full_source(source)))
+    def _rebuild(self, program) -> None:
+        """Cold path: build everything after the IR from scratch and start
+        a fresh driver. Callers have already cleared (or decided to keep)
+        the verdict and fact tables."""
         self._program = program
         self._pta = pointsto_analyze(
             program, policy=self._policy, retain_solver=True
@@ -293,12 +295,14 @@ class ProgramSession:
         with self._rw.write():
             if classes is not None:
                 source = splice_classes(self._source, classes)
-            new_program = build_program(frontend(self._full_source(source)))
+            new_program = self._build(source)
             new_prints = method_fingerprints(new_program)
             if program_signature(new_program) != program_signature(
                 self._program
             ):
-                return self._full_update(source, started, reason="declarations")
+                return self._full_update(
+                    source, new_program, started, reason="declarations"
+                )
             changed = sorted(
                 qname
                 for qname, print_ in new_prints.items()
@@ -320,23 +324,24 @@ class ProgramSession:
             )
             if not additive:
                 return self._full_update(
-                    source, started, reason="non-additive edit"
+                    source, new_program, started, reason="non-additive edit"
                 )
             return self._incremental_update(
                 source, new_program, changed, started
             )
 
     def _full_update(
-        self, source: str, started: float, reason: str
+        self, source: str, program, started: float, reason: str
     ) -> tuple[dict, dict]:
-        """The conservative path: everything retained is dropped."""
+        """The conservative path: everything retained is dropped, and the
+        session restarts from ``program``, built from ``source``."""
         invalidated = len(self._verdicts)
         _INVALIDATED.inc(invalidated)
         self._verdicts = {}
         self._facts.clear()
         self._driver.close()
         self._source = source
-        self._rebuild(source)
+        self._rebuild(program)
         self._updates_applied += 1
         return (
             {"mode": "rebuild", "reason": reason, "changed_methods": None},
@@ -564,38 +569,30 @@ class ProgramSession:
 
 
 def split_classes(source: str) -> dict[str, str]:
-    """Split mini-Java source into its top-level class texts by brace
-    counting, keyed by class name, in order. Comments are assumed not to
-    contain unbalanced braces (true of the mini-Java corpus)."""
+    """Split mini-Java source into its top-level class texts, keyed by
+    class name, in order. Works on tokens, so ``class`` in a comment and
+    braces in comments or string literals do not count."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def offset(tok) -> int:
+        return line_starts[tok.pos.line - 1] + tok.pos.column - 1
+
     out: dict[str, str] = {}
-    i = 0
-    n = len(source)
-    while i < n:
-        start = source.find("class ", i)
-        if start < 0:
-            break
-        # Class name: the identifier after "class".
-        j = start + len("class ")
-        while j < n and source[j].isspace():
-            j += 1
-        k = j
-        while k < n and (source[k].isalnum() or source[k] == "_"):
-            k += 1
-        name = source[j:k]
-        open_brace = source.find("{", k)
-        if open_brace < 0:
-            break
-        depth = 0
-        end = open_brace
-        for end in range(open_brace, n):
-            if source[end] == "{":
-                depth += 1
-            elif source[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-        out[name] = source[start : end + 1]
-        i = end + 1
+    tokens = tokenize(source)
+    depth = 0
+    start = None
+    name = ""
+    for index, tok in enumerate(tokens):
+        if depth == 0 and tok.is_keyword("class"):
+            start = offset(tok)
+            name = tokens[index + 1].text
+        elif tok.is_op("{"):
+            depth += 1
+        elif tok.is_op("}"):
+            depth -= 1
+            if depth == 0 and start is not None:
+                out[name] = source[start : offset(tok) + 1]
+                start = None
     return out
 
 

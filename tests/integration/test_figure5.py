@@ -84,11 +84,10 @@ class TestFigure5:
         assert "getInstance" in text
 
     def test_concrete_ground_truth_agrees(self, fig5):
-        from repro.android.harness import build_full_source
+        from repro.api import frontend_app
         from repro.ir import Interpreter, build_program, heap_reaches
-        from repro.lang import frontend
 
-        program = build_program(frontend(build_full_source(FIGURE5_APP)))
+        program = build_program(frontend_app(FIGURE5_APP))
         leaks = set()
         for run in Interpreter(program).explore():
             for key, _ in heap_reaches(run.statics, program.class_table, {"Activity"}):

@@ -5,11 +5,10 @@ end-to-end for soundness against interpreter ground truth."""
 
 import pytest
 
-from repro.android.harness import build_full_source
+from repro.api import frontend_app
 from repro.android.leaks import LeakChecker
 from repro.clients import analyze_casts, analyze_immutability
 from repro.ir import Interpreter, Limits, build_program, heap_reaches
-from repro.lang import frontend
 
 MEGA_APP = """
 class Session {
@@ -96,7 +95,7 @@ def mega():
 
 
 def concrete_truth():
-    program = build_program(frontend(build_full_source(MEGA_APP)))
+    program = build_program(frontend_app(MEGA_APP))
     interp = Interpreter(
         program, Limits(max_loop_iterations=4, max_steps=80_000, max_paths=800)
     )

@@ -128,19 +128,49 @@ class TestLifecycle:
         finally:
             session.close()
 
-    def test_non_additive_edit_takes_rebuild_path(self, lifecycle_source):
+    def test_non_additive_edit_takes_rebuild_path(
+        self, lifecycle_source, monkeypatch
+    ):
+        import repro.serve.session as session_module
+
         session = ProgramSession(lifecycle_source, include_library=False)
+        calls = {"frontend": 0, "build_program": 0}
+
+        def counted(name):
+            original = getattr(session_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
         try:
             session.analyze(REACH_PARAMS)
             # Deleting a statement cannot ride the monotone solver.
             edited = lifecycle_source.replace(
                 f"this.pad = this.pad + 1; /*edit-{EDITED}*/", f"/*edit-{EDITED}*/"
             )
+            for name in calls:
+                monkeypatch.setattr(session_module, name, counted(name))
             update, _ = session.update({"source": edited})
+            monkeypatch.undo()
             assert update["mode"] == "rebuild"
             assert update["reason"] == "non-additive edit"
+            # The rebuild starts from the program the diff already built.
+            assert calls == {"frontend": 1, "build_program": 1}
+            warm, _ = session.analyze(REACH_PARAMS)
         finally:
             session.close()
+        cold_session = ProgramSession(edited, include_library=False)
+        try:
+            cold, _ = cold_session.analyze(REACH_PARAMS)
+        finally:
+            cold_session.close()
+        assert warm["status"] == cold["status"]
+        assert json.dumps(warm["verdicts"], sort_keys=True) == json.dumps(
+            cold["verdicts"], sort_keys=True
+        )
 
     def test_error_paths(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)

@@ -7,13 +7,13 @@ from repro.android import (
     HARNESS_CLASS,
     LIBRARY_SOURCE,
     LeakChecker,
-    build_full_source,
     generate_harness,
     library_class_names,
 )
 from repro.android.leaks import ALARM_CONFIRMED, ALARM_REFUTED
 from repro.android.lifecycle import handlers_of, is_event_handler
-from repro.lang import frontend, parse_program
+from repro.api import frontend_app
+from repro.lang import frontend
 
 
 class TestLibrary:
@@ -80,10 +80,9 @@ class TestLifecycle:
 
 class TestHarness:
     def test_harness_compiles_with_app(self):
-        source = build_full_source(
+        checked = frontend_app(
             "class A extends Activity { void onCreate() { } }"
         )
-        checked = frontend(source)
         assert HARNESS_CLASS in checked.table
 
     def test_harness_calls_each_handler_once_guarded(self):
@@ -121,12 +120,11 @@ class TestHarness:
     def test_library_initializers_run_before_app(self):
         # The combined unit puts the library first so Vec.EMPTY is
         # initialized before any app <clinit> allocates a Vec.
-        source = build_full_source(
+        checked = frontend_app(
             "class S { static Vec v = new Vec(); }"
             " class A extends Activity { void onCreate() { } }"
         )
-        unit = parse_program(source)
-        names = [cls.name for cls in unit.classes]
+        names = [cls.name for cls in checked.unit.classes]
         assert names.index("Vec") < names.index("S")
 
     def test_non_activity_classes_not_driven(self):

@@ -16,8 +16,6 @@ from repro.api import (
 from repro.clients import (
     POSSIBLY_UNSAFE,
     analyze_casts,
-    analyze_encapsulation,
-    analyze_immutability,
     analyze_reachability,
 )
 from repro.engine import RunReport
@@ -362,45 +360,6 @@ class TestSelectorValidation:
 class TestParityWithLegacyEntryPoints:
     """The normalized entry points wrap — not reimplement — the originals."""
 
-    def test_casts_parity(self):
-        pta = pta_of(CAST_UNSAFE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_casts
-
-            legacy = check_casts(pta)
-        modern = analyze_casts(pta)
-        assert [(r.label, r.status) for r in legacy] == [
-            (r.label, r.status) for r in modern.results
-        ]
-
-    def test_immutability_parity(self):
-        pta = pta_of(MUTATED_SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_immutable
-
-            legacy = check_immutable(pta, "Point")
-        modern = analyze_immutability(pta, "Point")
-        assert modern.verified == legacy.verified
-        assert [(s.label, s.status) for s in legacy.sites] == [
-            (s.label, s.status) for s in modern.results
-        ]
-
-    def test_encapsulation_parity(self):
-        pta = pta_of(LEAKED_REP_SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.clients import check_encapsulation, encapsulated
-
-            legacy = check_encapsulation(pta, "Owner", "rep")
-            legacy_ok = encapsulated(legacy)
-        modern = analyze_encapsulation(pta, "Owner", "rep")
-        assert modern.verified == legacy_ok
-        assert [(str(r.root), r.status) for r in legacy] == [
-            (str(r.root), r.status) for r in modern.results
-        ]
-
     def test_reachability_parity(self):
         pta = pta_of(REACH_VERIFIED_SRC)
         from repro.clients import assert_unreachable, verified
@@ -412,39 +371,8 @@ class TestParityWithLegacyEntryPoints:
 
 
 class TestDeprecationShims:
-    def test_every_legacy_entry_point_warns(self):
-        from repro import clients
-
-        pta = pta_of(CAST_SAFE)
-        with pytest.warns(DeprecationWarning, match="check_casts"):
-            reports = clients.check_casts(pta)
-        with pytest.warns(DeprecationWarning, match="unsafe_casts"):
-            clients.unsafe_casts(reports)
-        pta_i = pta_of(IMMUTABLE_SRC)
-        with pytest.warns(DeprecationWarning, match="check_immutable"):
-            clients.check_immutable(pta_i, "Point")
-        pta_e = pta_of(LEAKED_REP_SRC)
-        with pytest.warns(DeprecationWarning, match="check_encapsulation"):
-            results = clients.check_encapsulation(pta_e, "Owner", "rep")
-        with pytest.warns(DeprecationWarning, match="encapsulated"):
-            clients.encapsulated(results)
-
-    def test_refute_reachability_shim_warns_and_works(self):
-        from repro.clients import refute_reachability
-        from repro.pointsto import StaticFieldNode, find_heap_path
-        from repro.symbolic import Engine
-
-        pta = pta_of(REACH_VERIFIED_SRC)
-        root = StaticFieldNode("M", "pub")
-        target = next(
-            loc
-            for loc in pta.graph.all_abs_locs()
-            if loc.class_name == "Secret"
-        )
-        assert find_heap_path(pta.graph, root, target) is not None
-        with pytest.warns(DeprecationWarning, match="refute_reachability"):
-            result = refute_reachability(pta, Engine(pta), root, target)
-        assert result.status == "holds"
+    """The deprecated per-client entry points are gone; what replaced them
+    must not warn."""
 
     def test_normalized_entry_points_do_not_warn(self):
         pta = pta_of(CAST_SAFE)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.android.harness import build_full_source
+from repro.api import frontend_app
 from repro.bench import APPS, app_by_name, branchy_app, chain_app, container_app
-from repro.lang import frontend
 from repro.reporting import (
     Table1Row,
     Table2Row,
@@ -28,7 +27,7 @@ class TestBenchApps:
 
     @pytest.mark.parametrize("app", APPS, ids=lambda a: a.name)
     def test_every_app_compiles_with_harness(self, app):
-        frontend(build_full_source(app.source))
+        frontend_app(app.source)
 
     def test_app_lookup(self):
         assert app_by_name("k9mail").name == "K9Mail"
@@ -48,16 +47,16 @@ class TestBenchApps:
 class TestWorkloadGenerators:
     @pytest.mark.parametrize("depth", [0, 1, 5])
     def test_chain_app_compiles(self, depth):
-        frontend(build_full_source(chain_app(depth)))
+        frontend_app(chain_app(depth))
 
     @pytest.mark.parametrize("branches,leaky", [(1, True), (3, False)])
     def test_branchy_app_compiles(self, branches, leaky):
-        frontend(build_full_source(branchy_app(branches, leaky)))
+        frontend_app(branchy_app(branches, leaky))
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_container_app_compiles(self, n):
         source = container_app(n)
-        frontend(build_full_source(source))
+        frontend_app(source)
         assert source.count("class LocalAct") == n
 
 

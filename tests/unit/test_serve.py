@@ -362,6 +362,16 @@ class TestStaleness:
 # ---------------------------------------------------------------------------
 
 
+_TRICKY_SRC = """// the class Helper below keeps a brace in a string
+class Helper {
+    static String open = "{";
+}
+class Tail {
+    static int n = 1; /* } */
+}
+"""
+
+
 class TestSplicing:
     def test_split_finds_every_class(self):
         classes = split_classes(BASE_SRC)
@@ -379,6 +389,22 @@ class TestSplicing:
         # Everything else untouched.
         assert split_classes(spliced)["M"] == split_classes(BASE_SRC)["M"]
         # And the spliced source still compiles.
+        compile_program(spliced)
+
+    def test_split_ignores_comments_and_string_braces(self):
+        # "class" inside a comment and a "{" string literal once made the
+        # splitter start Helper at the comment and run it to the end of
+        # the source, swallowing Tail.
+        classes = split_classes(_TRICKY_SRC)
+        assert classes == {
+            "Helper": 'class Helper {\n    static String open = "{";\n}',
+            "Tail": "class Tail {\n    static int n = 1; /* } */\n}",
+        }
+        spliced = splice_classes(
+            _TRICKY_SRC, {"Tail": "class Tail {\n    static int n = 2;\n}"}
+        )
+        assert "static int n = 2;" in spliced
+        assert split_classes(spliced)["Helper"] == classes["Helper"]
         compile_program(spliced)
 
     def test_splice_unknown_class_raises(self):
