@@ -82,7 +82,6 @@ _WIRE_FIELDS = (
     "journal",
     "schedule",
     "portfolio",
-    "steal",
     "slow_query_ms",
     "cache_dir",
 )
@@ -133,11 +132,9 @@ class AnalysisRequest:
     #: Scheduling knobs (repro.engine.schedule): ``None``/``False`` keep
     #: the config's values. ``schedule`` selects the worklist/dispatch
     #: policy ("lifo" or "priority"), ``portfolio`` enables cheap-first
-    #: budget rungs (CLI --portfolio), ``steal`` enables path-level work
-    #: stealing on the thread backend (CLI --steal).
+    #: budget rungs (CLI --portfolio).
     schedule: Optional[str] = None
     portfolio: bool = False
-    steal: bool = False
     #: Slow-query flight-recorder threshold override in milliseconds
     #: (CLI --slow-query-ms); ``None`` keeps the config's default.
     slow_query_ms: Optional[float] = None
@@ -301,8 +298,6 @@ def _resolve_config(request: AnalysisRequest) -> SearchConfig:
         config = config.copy(schedule=request.schedule)
     if request.portfolio:
         config = config.copy(portfolio=True)
-    if request.steal:
-        config = config.copy(work_stealing=True)
     if request.slow_query_ms is not None:
         config = config.copy(slow_query_ms=request.slow_query_ms)
     if request.cache_dir is not None:

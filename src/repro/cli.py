@@ -188,14 +188,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--steal",
-        action="store_true",
-        help=(
-            "path-level work stealing (--jobs N, thread backend): drained"
-            " workers steal unexplored subtrees from in-flight searches"
-        ),
-    )
-    parser.add_argument(
         "--slow-query-ms",
         type=float,
         default=None,
@@ -227,8 +219,6 @@ def _search_config(args, **overrides):
         overrides.setdefault("schedule", args.schedule)
     if getattr(args, "portfolio", False):
         overrides.setdefault("portfolio", True)
-    if getattr(args, "steal", False):
-        overrides.setdefault("work_stealing", True)
     slow_ms = getattr(args, "slow_query_ms", None)
     if slow_ms is not None:
         overrides.setdefault(
@@ -739,7 +729,6 @@ def _render_top(status: dict) -> str:
                 "timeout",
                 "cached",
                 "escalated",
-                "stolen",
             )
         )
     )
@@ -748,7 +737,6 @@ def _render_top(status: dict) -> str:
     for entry in in_flight[:10]:
         lines.append(
             f"  rung {entry.get('rung', 0)}"
-            f"  steals {entry.get('steals', 0)}"
             f"  {entry.get('description', '?')}"
         )
     if len(in_flight) > 10:
@@ -790,7 +778,6 @@ def _render_top(status: dict) -> str:
     lines.append(
         f"serve: {counters.get('serve.requests', 0)} request(s),"
         f" {counters.get('serve.verdicts_reused', 0)} verdict(s) reused,"
-        f" {counters.get('driver.steals', 0)} steal(s),"
         f" {counters.get('driver.priority_inversions', 0)} inversion(s)"
     )
     return "\n".join(lines)
@@ -1048,14 +1035,13 @@ def _cmd_cache(args) -> int:
 def _print_sched_table(schedule: dict) -> None:
     """The run's scheduling behavior, from the report's ``schedule``
     section: active policy/toggles, one row per portfolio rung (jobs
-    scheduled / resolved / carried over at each budget), and the steal /
-    priority-inversion counters."""
+    scheduled / resolved / carried over at each budget), and the
+    priority-inversion counter."""
     if not schedule:
         return
     print(
         f"scheduling: policy={schedule.get('policy', 'lifo')}"
         f" portfolio={'on' if schedule.get('portfolio') else 'off'}"
-        f" stealing={'on' if schedule.get('work_stealing') else 'off'}"
     )
     rungs = schedule.get("rungs") or []
     if rungs:
@@ -1070,10 +1056,9 @@ def _print_sched_table(schedule: dict) -> None:
                 f"  {row.get('resolved', 0):>8}"
                 f"  {row.get('carryover', 0):>9}"
             )
-    steals = schedule.get("steals", 0)
     inversions = schedule.get("priority_inversions", 0)
-    if steals or inversions or schedule.get("work_stealing"):
-        print(f"  steals {steals}, priority inversions {inversions}")
+    if inversions:
+        print(f"  priority inversions {inversions}")
 
 
 def _pick_record(report, edge: str | None, status: str | None):

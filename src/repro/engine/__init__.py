@@ -13,7 +13,6 @@ from .events import (
     EdgeEscalated,
     EdgeFinished,
     EdgeScheduled,
-    EdgeStolen,
     EventBus,
     ProgressPrinter,
     RunFinished,
@@ -30,7 +29,6 @@ __all__ = [
     "EdgeEscalated",
     "EdgeFinished",
     "EdgeScheduled",
-    "EdgeStolen",
     "EventBus",
     "ProgressPrinter",
     "RunFinished",

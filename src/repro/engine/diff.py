@@ -11,7 +11,7 @@ attributed:
 * run-level: total wall, the solver answer-tier mix (per-edge solver
   calls are not recorded, so solver-call deltas are attributed at the
   tier level), kill-reason attribution, and scheduler efficacy
-  (steals, priority inversions).
+  (priority inversions).
 
 Used by ``repro explain --diff A.json B.json``.
 """
@@ -88,12 +88,10 @@ def diff_reports(a: RunReport, b: RunReport) -> dict:
         ),
         "schedule": _counts(
             {
-                "steals": sched_a.get("steals", 0) or 0,
                 "priority_inversions": sched_a.get("priority_inversions", 0)
                 or 0,
             },
             {
-                "steals": sched_b.get("steals", 0) or 0,
                 "priority_inversions": sched_b.get("priority_inversions", 0)
                 or 0,
             },

@@ -5,9 +5,9 @@ parallel: each points-to edge on an alarm's heap path is refuted (or
 witnessed) *independently* — a refutation is a fact about the whole
 program, never about the alarm that asked. This module exploits that:
 
-* :class:`RefutationDriver` schedules edge-refutation jobs across a
-  ``concurrent.futures`` worker pool (``--jobs N``), thread- or
-  process-backed;
+* :class:`RefutationDriver` runs refutation jobs — an edge, or a
+  ``(label, bindings)`` fact — across a ``concurrent.futures`` worker
+  pool (``--jobs N``), thread- or process-backed;
 * a per-edge **wall-clock deadline** (``--deadline S``) is enforced by the
   cooperative cancellation checks inside
   :class:`repro.symbolic.executor.Engine` (deadline exceeded ⇒ the edge is
@@ -16,6 +16,12 @@ program, never about the alarm that asked. This module exploits that:
 * every job's outcome is recorded for the structured JSON
   :class:`repro.engine.report.RunReport`, and live
   :mod:`repro.engine.events` are emitted as jobs are scheduled and finish.
+
+Every entry point funnels into one path: a batch of :class:`Job`\\ s
+climbs the rung ladder (:meth:`RefutationDriver._run_ladder`; a plain
+run is the single full-budget rung), each rung runs on one runner
+(:meth:`RefutationDriver._run_rung`, serial or on the pool), and each
+final result passes one finish step (:meth:`RefutationDriver._finish`).
 
 ``jobs=1`` runs every job inline on one :class:`Engine` in submission
 order — bit-identical to the sequential seed behavior, which keeps the
@@ -32,9 +38,11 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures import BrokenExecutor, Future, as_completed
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .. import perf
@@ -45,26 +53,19 @@ from ..pointsto import PointsToResult
 from ..pointsto.graph import HeapEdge
 from ..pointsto.producers import EdgeKey, edge_key
 from ..symbolic import Engine, SearchConfig
-from ..symbolic.stats import EdgeResult
+from ..symbolic.stats import TIMEOUT, EdgeResult
 from ..symbolic.symvar import private_ids
 from .events import (
     EdgeEscalated,
     EdgeFinished,
     EdgeScheduled,
-    EdgeStolen,
     EventBus,
     RunFinished,
     RunStarted,
     SpanFinished,
 )
 from .report import EdgeRecord, RunReport
-from .schedule import (
-    PRIORITY,
-    CostModel,
-    InversionMeter,
-    StealRegistry,
-    rung_ladder,
-)
+from .schedule import PRIORITY, CostModel, InversionMeter, rung_ladder
 
 _CACHE_HITS = metrics.counter("driver.cache_hits")
 _JOBS_DONE = metrics.counter("driver.jobs_completed")
@@ -74,10 +75,57 @@ _BATCH_SECONDS = metrics.histogram("driver.batch_seconds")
 SERIAL = "serial"
 THREAD = "thread"
 PROCESS = "process"
+#: The worker name of a job whose process worker died mid-job: its result
+#: is a TIMEOUT that no search produced, so it is never cached.
+LOST = "lost"
 
 #: A fact-refutation request: (label, bindings, description) — the
 #: arguments of :meth:`Engine.refute_fact_at` plus a display name.
 FactJob = tuple  # (int, list[tuple[str, Optional[frozenset]]], str)
+
+
+@dataclass(frozen=True)
+class Job:
+    """One refutation job: a points-to edge, or a fact query (the
+    ``label``/``bindings`` of :meth:`Engine.refute_fact_at`).
+
+    ``key`` identifies the job within its batch — the edge key for edges
+    (shared with the result cache), the request position for facts."""
+
+    key: object
+    description: str
+    edge: Optional[HeapEdge] = None
+    label: Optional[int] = None
+    bindings: Sequence = ()
+
+    @classmethod
+    def of_edge(cls, edge: HeapEdge) -> "Job":
+        return cls(edge_key(edge), str(edge), edge=edge)
+
+    @property
+    def kind(self) -> str:
+        return "edge" if self.edge is not None else "fact"
+
+    def run(
+        self,
+        engine: Engine,
+        budget: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> EdgeResult:
+        if self.edge is not None:
+            return engine.refute_edge(self.edge, budget=budget, deadline=deadline)
+        return engine.refute_fact_at(
+            self.label,
+            self.bindings,
+            budget=budget,
+            description=self.description,
+            deadline=deadline,
+        )
+
+    def cost(self, model: CostModel) -> int:
+        if self.edge is not None:
+            return model.edge_cost(self.edge)
+        return model.fact_cost(self.label, self.bindings)
 
 
 def _isolated_replay(search: Callable[[], object]) -> Callable[[], object]:
@@ -183,20 +231,11 @@ class RefutationDriver:
         #: flows into RunReport.phase_seconds and SpanFinished bus events.
         self._phase_seconds: dict[str, float] = {}
         #: Scheduling state (repro.engine.schedule): the lazily-built cost
-        #: model for priority ordering, per-rung portfolio stats, the
-        #: priority-inversion count, and — thread backend with
-        #: ``config.work_stealing`` — the steal registry idle workers use
-        #: to assist in-flight searches.
+        #: model for priority ordering, per-rung portfolio stats, and the
+        #: priority-inversion count.
         self._cost: Optional[CostModel] = None
         self._rungs: dict[int, dict] = {}
         self._inversions = 0
-        self._steal_registry: Optional[StealRegistry] = (
-            StealRegistry()
-            if config.work_stealing and jobs > 1 and self.backend == THREAD
-            else None
-        )
-        if self._steal_registry is not None:
-            self._steal_registry.on_steal = self._on_steal
         self._tracer = trace.get_tracer()
         if self._tracer is not None:
             self._tracer.add_sink(self._on_span)
@@ -290,8 +329,8 @@ class RefutationDriver:
     def _on_span(self, record) -> None:
         """Tracer sink: fold every finished span into the per-phase rollup
         and forward it onto the event bus (progress printer, collectors).
-        Instant records (rung escalations, steals) are point events, not
-        phases — they already reach the bus as typed lifecycle events."""
+        Instant records (rung escalations) are point events, not phases —
+        they already reach the bus as typed lifecycle events."""
         if getattr(record, "kind", "span") == "instant":
             return
         with self._lock:
@@ -307,53 +346,10 @@ class RefutationDriver:
             )
         )
 
-    def _on_steal(self, shard) -> None:
-        """Steal observer (thread backend, ``config.work_stealing``): one
-        call per stolen subtree, from the stealing thread, outside the
-        worklist's lock. Emits the lifecycle event and drops an instant
-        into the stealing worker's trace lane."""
-        thread = threading.current_thread().name
-        trace.instant(
-            "driver.steal", description=shard.description, thread=thread
-        )
-        self.events.emit(
-            EdgeStolen(
-                description=shard.description,
-                thread=thread,
-                queued=shard.queued(),
-            )
-        )
-
-    def _flight(
-        self,
-        kind: str,
-        description: str,
-        result: EdgeResult,
-        worker: str,
-        estimate: Optional[int] = None,
-        replay: Optional[Callable[[], object]] = None,
-    ) -> None:
-        """Feed one finally-recorded search into the always-on flight
-        recorder, capturing its journal when it crossed the slow-query
-        threshold (``config.slow_query_ms``)."""
-        summary = telemetry.search_summary(
-            kind, description, result, worker=worker, estimate=estimate
-        )
-        telemetry.RECORDER.record(summary)
-        threshold = self.config.slow_query_ms
-        if threshold is not None and result.seconds * 1000.0 >= threshold:
-            telemetry.RECORDER.capture(
-                description,
-                summary,
-                replay=None if replay is None else _isolated_replay(replay),
-            )
-
     @contextmanager
-    def _timed_batch(self, total: int, jobs: int, backend: str, kind: str):
+    def _timed_batch(self, total: int, kind: str):
         """One batch of refutation jobs: RunStarted/RunFinished bracketing,
-        wall-clock accounting, and the batch's root span — the single
-        replacement for what used to be four copy-pasted
-        ``perf_counter`` start/elapsed blocks.
+        wall-clock accounting, and the batch's root span.
 
         Yields the list the caller must append each job's
         :class:`EdgeResult` to; RunFinished aggregates are computed from
@@ -362,14 +358,16 @@ class RefutationDriver:
         self.events.emit(
             RunStarted(
                 total_jobs=total,
-                jobs=jobs,
-                backend=backend,
+                jobs=self.jobs,
+                backend=self.backend,
                 deadline=self.config.deadline_seconds,
             )
         )
         outcomes: list[EdgeResult] = []
         start = time.perf_counter()
-        with trace.span("driver.batch", kind=kind, total=total, backend=backend):
+        with trace.span(
+            "driver.batch", kind=kind, total=total, backend=self.backend
+        ):
             yield outcomes
         elapsed = time.perf_counter() - start
         with self._lock:
@@ -384,12 +382,6 @@ class RefutationDriver:
             )
         )
 
-    @staticmethod
-    def _job_span(kind: str, description: str):
-        """The root span of one refutation job (``driver.job``); the
-        engine's ``executor.search`` span nests directly under it."""
-        return trace.span("driver.job", kind=kind, description=description)
-
     def _worker_engine(self) -> tuple[Engine, str]:
         """The calling thread's private engine (threads only)."""
         engine = getattr(self._tls, "engine", None)
@@ -400,8 +392,6 @@ class RefutationDriver:
             engine = Engine(
                 self.pta, self.config, refuted_cache=self.refuted_states
             )
-            if self._steal_registry is not None:
-                engine.steal_registry = self._steal_registry
             self._tls.engine = engine
             self._tls.name = f"thread-{worker_id}"
         return engine, self._tls.name
@@ -415,24 +405,13 @@ class RefutationDriver:
             self._cost = CostModel(self.pta)
         return self._cost
 
-    def _priority_order_edges(self, todo: list) -> list:
+    def _by_priority(self, jobs: list[Job]) -> list[Job]:
         """Cheapest-first dispatch order under ``schedule == "priority"``
-        (stable, with the edge token as tiebreak); input order otherwise."""
-        if self.config.schedule != PRIORITY or len(todo) < 2:
-            return todo
+        (stable, with the description as tiebreak); input order otherwise."""
+        if self.config.schedule != PRIORITY or len(jobs) < 2:
+            return jobs
         model = self._cost_model()
-        return sorted(
-            todo, key=lambda kv: (model.edge_cost(kv[1]), str(kv[1]))
-        )
-
-    def _edge_meter(self, todo: list) -> Optional[InversionMeter]:
-        """Inversion accounting for one parallel batch (priority only)."""
-        if self.config.schedule != PRIORITY or len(todo) < 2:
-            return None
-        model = self._cost_model()
-        return InversionMeter(
-            {key: model.edge_cost(edge) for key, edge in todo}
-        )
+        return sorted(jobs, key=lambda job: (job.cost(model), job.description))
 
     def _rung_entry(self, rung_index: int, budget, deadline) -> dict:
         """The (run-cumulative) stats row for one portfolio rung."""
@@ -456,72 +435,6 @@ class RefutationDriver:
                 self._rungs[rung_index] = entry
             return entry
 
-    def _rung_scheduled(self, stats: dict) -> None:
-        """One job entered a rung. Mirrored into the metrics registry
-        (``driver.rung.scheduled.<rung>``) so rung occupancy is visible to
-        scrapes and merges across process-pool workers."""
-        stats["scheduled"] += 1
-        metrics.counter(f"driver.rung.scheduled.{stats['rung']}").inc()
-
-    def _rung_carryover(
-        self, stats: dict, description: str, ladder: list, rung_index: int
-    ) -> None:
-        """One job timed out at a non-final rung and escalates: count it,
-        emit the lifecycle event, and drop a trace instant."""
-        stats["carryover"] += 1
-        metrics.counter(f"driver.rung.carryover.{stats['rung']}").inc()
-        next_budget, next_deadline = ladder[rung_index + 1]
-        trace.instant(
-            "driver.rung_escalated", description=description, rung=rung_index
-        )
-        self.events.emit(
-            EdgeEscalated(
-                description=description,
-                rung=rung_index,
-                next_budget=next_budget,
-                next_deadline=next_deadline,
-            )
-        )
-
-    def _rung_resolved(
-        self, stats: dict, result: EdgeResult, rung_index: int
-    ) -> None:
-        """One job got its final verdict at this rung."""
-        result.rung = rung_index
-        stats["resolved"] += 1
-        stats[result.status] = stats.get(result.status, 0) + 1
-        metrics.counter(f"driver.rung.resolved.{stats['rung']}").inc()
-
-    def _submit_helpers(self) -> list:
-        """Queue one steal-helper loop per pool slot *behind* the batch's
-        edge jobs: a worker only picks a helper up once no queued job
-        remains, i.e. exactly when it would otherwise idle through the
-        batch's tail. No-op unless work stealing is active."""
-        if self._steal_registry is None:
-            return []
-        self._steal_registry.reopen()
-        pool = self._get_pool()
-        return [pool.submit(self._steal_helper) for _ in range(self.jobs)]
-
-    def _drain_helpers(self, helpers: list) -> None:
-        if not helpers:
-            return
-        self._steal_registry.close()
-        for fut in helpers:
-            fut.result()
-
-    def _steal_helper(self) -> None:
-        """The idle-worker loop: assist the heaviest in-flight search
-        (stealing unexplored path-state subtrees from its shared
-        worklist) until the batch ends."""
-        engine, _worker = self._worker_engine()
-        registry = self._steal_registry
-        while True:
-            shard = registry.pick()
-            if shard is None:
-                return
-            engine.assist(shard)
-
     def _schedule_section(self) -> dict:
         """The run report's ``schedule`` section (see RunReport)."""
         with self._lock:
@@ -530,21 +443,15 @@ class RefutationDriver:
         return {
             "policy": self.config.schedule,
             "portfolio": self.config.portfolio,
-            "work_stealing": self.config.work_stealing,
             "rungs": rungs,
             "resolved_at_rung": {
                 str(r["rung"]): r["resolved"] for r in rungs
             },
-            "steals": (
-                self._steal_registry.steals
-                if self._steal_registry is not None
-                else 0
-            ),
             "priority_inversions": inversions,
         }
 
     # ------------------------------------------------------------------
-    # Edge refutation
+    # Public entry points
     # ------------------------------------------------------------------
 
     def refute_edge(self, edge: HeapEdge) -> EdgeResult:
@@ -555,44 +462,13 @@ class RefutationDriver:
         Section 2 loop) stage their budgets too; the final rung is the
         full configured budget, so the verdict is unchanged.
         """
-        key = edge_key(edge)
-        cached = self._cached(key)
+        job = Job.of_edge(edge)
+        cached = self._hit(job)
         if cached is not None:
-            _CACHE_HITS.inc()
-            with self._lock:
-                self.cache_hits += 1
             return cached
-        if self.config.portfolio:
-            result = self._refute_edge_ladder(edge)
-        else:
-            with self._job_span("edge", str(edge)):
-                result = self.engine.refute_edge(edge)
-            _JOBS_DONE.inc()
-            _JOB_SECONDS.observe(result.seconds)
-        self._store(key, edge, result, SERIAL)
-        return result
-
-    def _refute_edge_ladder(self, edge: HeapEdge) -> EdgeResult:
-        """One inline edge through the portfolio rungs (see
-        :meth:`_run_portfolio_edges` for the batch variant)."""
-        ladder = rung_ladder(self.config)
-        result = None
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            stats = self._rung_entry(rung_index, budget, deadline)
-            self._rung_scheduled(stats)
-            with self._job_span("edge", str(edge)):
-                result = self.engine.refute_edge(
-                    edge, budget=budget, deadline=deadline
-                )
-            _JOBS_DONE.inc()
-            _JOB_SECONDS.observe(result.seconds)
-            if result.timed_out and not final_rung:
-                self._rung_carryover(stats, str(edge), ladder, rung_index)
-                continue
-            self._rung_resolved(stats, result, rung_index)
-            break
-        return result
+        results: dict = {}
+        self._run_ladder([job], results, total=1, emit=False)
+        return results[job.key]
 
     def refute_edges(
         self, edges: Sequence[HeapEdge]
@@ -603,191 +479,7 @@ class RefutationDriver:
         cache; the rest run on the pool (or inline when ``jobs == 1``).
         Returns every requested edge's result keyed by its edge key.
         """
-        ordered: list[tuple[EdgeKey, HeapEdge]] = []
-        seen: set[EdgeKey] = set()
-        for edge in edges:
-            key = edge_key(edge)
-            if key not in seen:
-                seen.add(key)
-                ordered.append((key, edge))
-        results: dict[EdgeKey, EdgeResult] = {}
-        todo: list[tuple[EdgeKey, HeapEdge]] = []
-        for key, edge in ordered:
-            cached = self._cached(key)
-            if cached is not None:
-                _CACHE_HITS.inc()
-                with self._lock:
-                    self.cache_hits += 1
-                results[key] = cached
-            else:
-                todo.append((key, edge))
-        todo = self._priority_order_edges(todo)
-        total = len(ordered)
-        with self._timed_batch(total, self.jobs, self.backend, "edges") as outcomes:
-            done = 0
-            for index, (key, edge) in enumerate(ordered):
-                if key in results:
-                    self._emit_finished(
-                        str(edge), results[key], SERIAL, done, total, cached=True
-                    )
-                    done += 1
-            if self.config.portfolio and todo:
-                done = self._run_portfolio_edges(todo, results, done, total)
-            elif self.jobs == 1 or len(todo) <= 1:
-                for key, edge in todo:
-                    with self._job_span("edge", str(edge)):
-                        result = self.engine.refute_edge(edge)
-                    _JOBS_DONE.inc()
-                    _JOB_SECONDS.observe(result.seconds)
-                    self._store(key, edge, result, SERIAL)
-                    results[key] = result
-                    self._emit_finished(str(edge), result, SERIAL, done, total)
-                    done += 1
-            else:
-                done = self._run_parallel_edges(todo, results, done, total)
-            outcomes.extend(results.values())
-        return results
-
-    def _run_parallel_edges(
-        self,
-        todo: list[tuple[EdgeKey, HeapEdge]],
-        results: dict[EdgeKey, EdgeResult],
-        done: int,
-        total: int,
-    ) -> int:
-        from concurrent.futures import as_completed
-
-        pool = self._get_pool()
-        meter = self._edge_meter(todo)
-        futures = {}
-        for index, (key, edge) in enumerate(todo):
-            self.events.emit(
-                EdgeScheduled(description=str(edge), index=index, total=total)
-            )
-            if self.backend == PROCESS:
-                fut = pool.submit(_process_refute_edge, edge)
-            else:
-                fut = pool.submit(self._thread_refute_edge, edge)
-            futures[fut] = (key, edge)
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                key, edge = futures[fut]
-                result, worker = self._unpack(fut.result())
-                if meter is not None:
-                    meter.complete(key)
-                self._store(key, edge, result, worker)
-                results[key] = result
-                self._emit_finished(str(edge), result, worker, done, total)
-                done += 1
-        finally:
-            self._drain_helpers(helpers)
-        if meter is not None:
-            with self._lock:
-                self._inversions += meter.inversions
-        return done
-
-    def _run_portfolio_edges(
-        self,
-        todo: list[tuple[EdgeKey, HeapEdge]],
-        results: dict[EdgeKey, EdgeResult],
-        done: int,
-        total: int,
-    ) -> int:
-        """Cheap-first portfolio dispatch: run the batch at the first
-        (small) budget/deadline rung, then re-run only the TIMEOUT
-        survivors at each escalating rung. Re-runs are warm — the
-        refuted-state cache and solver memos persist across rungs. The
-        final rung is the full configured budget/deadline, so every edge
-        ends with exactly the verdict the fixed schedule would produce;
-        only the final verdict is recorded (with the rung that resolved
-        it), never the provisional carryover timeouts."""
-        ladder = rung_ladder(self.config)
-        pending = list(todo)
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            attempts = self._run_rung_edges(
-                pending, budget, deadline, total
-            )
-            stats = self._rung_entry(rung_index, budget, deadline)
-            survivors: list[tuple[EdgeKey, HeapEdge]] = []
-            for (key, edge), (result, worker) in zip(pending, attempts):
-                self._rung_scheduled(stats)
-                if result.timed_out and not final_rung:
-                    self._rung_carryover(stats, str(edge), ladder, rung_index)
-                    survivors.append((key, edge))
-                    continue
-                self._rung_resolved(stats, result, rung_index)
-                self._store(key, edge, result, worker)
-                results[key] = result
-                self._emit_finished(str(edge), result, worker, done, total)
-                done += 1
-            pending = survivors
-            if not pending:
-                break
-        return done
-
-    def _run_rung_edges(
-        self,
-        pending: list[tuple[EdgeKey, HeapEdge]],
-        budget: Optional[int],
-        deadline: Optional[float],
-        total: int,
-    ) -> list[tuple[EdgeResult, str]]:
-        """One portfolio rung over ``pending``; results aligned with it."""
-        out: list = [None] * len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
-            for slot, (key, edge) in enumerate(pending):
-                with self._job_span("edge", str(edge)):
-                    result = self.engine.refute_edge(
-                        edge, budget=budget, deadline=deadline
-                    )
-                _JOBS_DONE.inc()
-                _JOB_SECONDS.observe(result.seconds)
-                out[slot] = (result, SERIAL)
-            return out
-        from concurrent.futures import as_completed
-
-        pool = self._get_pool()
-        meter = self._edge_meter(pending)
-        futures = {}
-        for slot, (key, edge) in enumerate(pending):
-            self.events.emit(
-                EdgeScheduled(description=str(edge), index=slot, total=total)
-            )
-            if self.backend == PROCESS:
-                fut = pool.submit(_process_refute_edge, edge, budget, deadline)
-            else:
-                fut = pool.submit(
-                    self._thread_refute_edge, edge, budget, deadline
-                )
-            futures[fut] = slot
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                slot = futures[fut]
-                out[slot] = self._unpack(fut.result())
-                if meter is not None:
-                    meter.complete(pending[slot][0])
-        finally:
-            self._drain_helpers(helpers)
-        if meter is not None:
-            with self._lock:
-                self._inversions += meter.inversions
-        return out
-
-    def _thread_refute_edge(
-        self,
-        edge: HeapEdge,
-        budget: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> tuple[EdgeResult, str]:
-        engine, worker = self._worker_engine()
-        with self._job_span("edge", str(edge)):
-            result = engine.refute_edge(edge, budget=budget, deadline=deadline)
-        _JOBS_DONE.inc()
-        _JOB_SECONDS.observe(result.seconds)
-        return result, worker
+        return self._run_batch(self._edge_jobs(edges), "edges")
 
     def refute_path(
         self, path: Sequence[HeapEdge]
@@ -811,94 +503,12 @@ class RefutationDriver:
         returned with their provisional TIMEOUT results and are neither
         cached nor recorded (a later path can still resolve them).
         """
-        if self.config.portfolio:
-            return self._refute_path_portfolio(path)
-        if self.jobs == 1:
-            total = len(path)
-            out = []
-            with self._timed_batch(total, 1, SERIAL, "path") as outcomes:
-                for index, edge in enumerate(path):
-                    cached = self._cached(edge_key(edge)) is not None
-                    result = self.refute_edge(edge)
-                    out.append((edge, result))
-                    self._emit_finished(
-                        str(edge), result, SERIAL, index, total, cached=cached
-                    )
-                    if result.refuted:
-                        break
-                outcomes.extend(r for _, r in out)
-            return out
-        results = self.refute_edges(path)
-        return [(edge, results[edge_key(edge)]) for edge in path]
-
-    def _refute_path_portfolio(
-        self, path: Sequence[HeapEdge]
-    ) -> list[tuple[HeapEdge, EdgeResult]]:
-        """The cheap-first rung ladder across one path's edges (see
-        :meth:`refute_path`); works at any worker count — each rung's
-        batch fans out over the pool when ``jobs > 1``."""
-        ordered: list[tuple[EdgeKey, HeapEdge]] = []
-        seen: set[EdgeKey] = set()
-        for edge in path:
-            key = edge_key(edge)
-            if key not in seen:
-                seen.add(key)
-                ordered.append((key, edge))
-        results: dict[EdgeKey, EdgeResult] = {}
-        pending: list[tuple[EdgeKey, HeapEdge]] = []
-        for key, edge in ordered:
-            cached = self._cached(key)
-            if cached is not None:
-                _CACHE_HITS.inc()
-                with self._lock:
-                    self.cache_hits += 1
-                results[key] = cached
-            else:
-                pending.append((key, edge))
-        if self.config.schedule == PRIORITY:
-            pending = self._priority_order_edges(pending)
-        total = len(ordered)
-        ladder = rung_ladder(self.config)
-        provisional: dict[EdgeKey, EdgeResult] = {}
-        with self._timed_batch(total, self.jobs, self.backend, "path") as outcomes:
-            done = 0
-            broken = any(r.refuted for r in results.values())
-            for rung_index, (budget, deadline) in enumerate(ladder):
-                if broken or not pending:
-                    break
-                final_rung = rung_index == len(ladder) - 1
-                attempts = self._run_rung_edges(pending, budget, deadline, total)
-                stats = self._rung_entry(rung_index, budget, deadline)
-                survivors: list[tuple[EdgeKey, HeapEdge]] = []
-                for (key, edge), (result, worker) in zip(pending, attempts):
-                    self._rung_scheduled(stats)
-                    if result.timed_out and not final_rung:
-                        self._rung_carryover(
-                            stats, str(edge), ladder, rung_index
-                        )
-                        provisional[key] = result
-                        survivors.append((key, edge))
-                        continue
-                    self._rung_resolved(stats, result, rung_index)
-                    self._store(key, edge, result, worker)
-                    results[key] = result
-                    provisional.pop(key, None)
-                    self._emit_finished(str(edge), result, worker, done, total)
-                    done += 1
-                    if result.refuted:
-                        broken = True
-                pending = survivors
-            out = []
-            for key, edge in ordered:
-                result = results.get(key) or provisional.get(key)
-                if result is not None:
-                    out.append((edge, result))
-            outcomes.extend(r for _, r in out)
-        return out
-
-    # ------------------------------------------------------------------
-    # Fact refutation (the casts / immutability clients)
-    # ------------------------------------------------------------------
+        jobs = self._edge_jobs(path)
+        walk = self.jobs == 1 and not self.config.portfolio
+        results = self._run_batch(
+            jobs, "path", stop_on_refute=walk or self.config.portfolio, walk=walk
+        )
+        return [(job.edge, results[job.key]) for job in jobs if job.key in results]
 
     def refute_facts(self, requests: Sequence[FactJob]) -> list[EdgeResult]:
         """Run a batch of :meth:`Engine.refute_fact_at` queries.
@@ -908,191 +518,219 @@ class RefutationDriver:
         dispatch order (priority scheduling) or completion order on the
         pool.
         """
-        total = len(requests)
-        order = list(range(total))
-        if self.config.schedule == PRIORITY and total > 1:
-            model = self._cost_model()
-            costs = {
-                i: model.fact_cost(requests[i][0], requests[i][1])
-                for i in order
-            }
-            order.sort(key=lambda i: (costs[i], requests[i][2]))
-        results: list[Optional[EdgeResult]] = [None] * total
-        with self._timed_batch(total, self.jobs, self.backend, "facts") as outcomes:
-            if self.config.portfolio and requests:
-                self._run_portfolio_facts(requests, order, results, total)
-            elif self.jobs == 1 or total <= 1:
-                done = 0
-                for i in order:
-                    label, bindings, description = requests[i]
-                    with self._job_span("fact", description):
-                        result = self.engine.refute_fact_at(
-                            label, bindings, description=description
-                        )
-                    _JOBS_DONE.inc()
-                    _JOB_SECONDS.observe(result.seconds)
-                    results[i] = result
-                    self._record_fact(
-                        description, result, SERIAL, job=requests[i]
-                    )
-                    self._emit_finished(description, result, SERIAL, done, total)
-                    done += 1
-            else:
-                from concurrent.futures import as_completed
+        jobs = [
+            Job(("fact", i), description, label=label, bindings=bindings)
+            for i, (label, bindings, description) in enumerate(requests)
+        ]
+        results = self._run_batch(jobs, "facts")
+        return [results[job.key] for job in jobs]
 
-                pool = self._get_pool()
-                futures = {}
-                for i in order:
-                    label, bindings, description = requests[i]
-                    self.events.emit(
-                        EdgeScheduled(description=description, index=i, total=total)
-                    )
-                    if self.backend == PROCESS:
-                        fut = pool.submit(
-                            _process_refute_fact, label, bindings, description
-                        )
-                    else:
-                        fut = pool.submit(
-                            self._thread_refute_fact, label, bindings, description
-                        )
-                    futures[fut] = i
-                helpers = self._submit_helpers()
-                done = 0
-                try:
-                    for fut in as_completed(futures):
-                        i = futures[fut]
-                        result, worker = self._unpack(fut.result())
-                        results[i] = result
-                        description = requests[i][2]
-                        self._record_fact(
-                            description, result, worker, job=requests[i]
-                        )
-                        self._emit_finished(description, result, worker, done, total)
-                        done += 1
-                finally:
-                    self._drain_helpers(helpers)
-            final = [r for r in results if r is not None]
-            outcomes.extend(final)
-        return final
+    # ------------------------------------------------------------------
+    # The one job path: batch -> ladder -> rung runner -> finish
+    # ------------------------------------------------------------------
 
-    def _run_portfolio_facts(
+    @staticmethod
+    def _edge_jobs(edges: Sequence[HeapEdge]) -> list[Job]:
+        """One job per distinct edge, in first-occurrence order."""
+        jobs: dict = {}
+        for edge in edges:
+            job = Job.of_edge(edge)
+            jobs.setdefault(job.key, job)
+        return list(jobs.values())
+
+    def _run_batch(
         self,
-        requests: Sequence[FactJob],
-        order: list[int],
-        results: list[Optional[EdgeResult]],
+        jobs: list[Job],
+        kind: str,
+        stop_on_refute: bool = False,
+        walk: bool = False,
+    ) -> dict:
+        """Run one batch of jobs; results keyed by job key.
+
+        Jobs answered from the shared edge cache finish first; the rest
+        climb the rung ladder, cheapest first under priority scheduling.
+        ``walk`` takes the jobs one at a time in order instead (the serial
+        Section 2 path walk). With ``stop_on_refute`` (a path), the batch
+        ends once any result refutes; jobs left unresolved then keep their
+        provisional TIMEOUT results."""
+        total = len(jobs)
+        results: dict = {}
+        with self._timed_batch(total, kind) as outcomes:
+            for group in [[job] for job in jobs] if walk else [jobs]:
+                if stop_on_refute and any(r.refuted for r in results.values()):
+                    break
+                todo = []
+                for job in group:
+                    cached = self._hit(job)
+                    if cached is None:
+                        todo.append(job)
+                        continue
+                    results[job.key] = cached
+                    self._finish(
+                        job, cached, SERIAL, len(results) - 1, total, cached=True
+                    )
+                self._run_ladder(
+                    self._by_priority(todo), results, total, stop_on_refute
+                )
+            outcomes.extend(results.values())
+        return results
+
+    def _run_ladder(
+        self,
+        jobs: list[Job],
+        results: dict,
         total: int,
+        stop_on_refute: bool = False,
+        emit: bool = True,
     ) -> None:
-        """Portfolio rung loop over fact jobs (see
-        :meth:`_run_portfolio_edges`); fills ``results`` in place."""
-        ladder = rung_ladder(self.config)
-        pending = list(order)
-        done = 0
-        for rung_index, (budget, deadline) in enumerate(ladder):
-            final_rung = rung_index == len(ladder) - 1
-            attempts = self._run_rung_facts(
-                requests, pending, budget, deadline, total
-            )
-            stats = self._rung_entry(rung_index, budget, deadline)
-            survivors: list[int] = []
-            for i, (result, worker) in zip(pending, attempts):
-                self._rung_scheduled(stats)
-                if result.timed_out and not final_rung:
-                    self._rung_carryover(
-                        stats, requests[i][2], ladder, rung_index
-                    )
-                    survivors.append(i)
-                    continue
-                self._rung_resolved(stats, result, rung_index)
-                results[i] = result
-                description = requests[i][2]
-                self._record_fact(description, result, worker, job=requests[i])
-                self._emit_finished(description, result, worker, done, total)
-                done += 1
-            pending = survivors
-            if not pending:
-                break
+        """Run ``jobs`` to their final results, filling ``results``.
 
-    def _run_rung_facts(
+        Under ``config.portfolio`` the jobs climb the cheap-first rung
+        ladder: each rung re-runs only the previous rung's TIMEOUT
+        survivors, warm (the refuted-state cache and solver memos persist
+        across rungs). The final rung is the full configured
+        budget/deadline, so every job ends with exactly the verdict the
+        fixed schedule would produce; only final verdicts are finished
+        (with the rung that resolved them), never provisional carryover
+        timeouts. A plain run is the single full-budget rung, without
+        rung bookkeeping. ``stop_on_refute`` ends the climb once any
+        result — cached ones included — refutes."""
+        portfolio = self.config.portfolio
+        ladder = rung_ladder(self.config) if portfolio else [(None, None)]
+        last = len(ladder) - 1
+        broken = stop_on_refute and any(r.refuted for r in results.values())
+        done = len(results)
+        pending = jobs
+        for rung, (budget, deadline) in enumerate(ladder):
+            if broken or not pending:
+                break
+            stats = self._rung_entry(rung, budget, deadline) if portfolio else None
+            carried: set = set()
+
+            def settle(job: Job, result: EdgeResult, worker: str) -> None:
+                nonlocal broken, done
+                if stats is not None:
+                    stats["scheduled"] += 1
+                    metrics.counter(f"driver.rung.scheduled.{rung}").inc()
+                    if result.timed_out and rung < last:
+                        self._carry_over(stats, job, ladder, rung)
+                        carried.add(job.key)
+                        results[job.key] = result
+                        return
+                    result.rung = rung
+                    stats["resolved"] += 1
+                    stats[result.status] = stats.get(result.status, 0) + 1
+                    metrics.counter(f"driver.rung.resolved.{rung}").inc()
+                results[job.key] = result
+                self._finish(job, result, worker, done if emit else None, total)
+                done += 1
+                broken = broken or (stop_on_refute and result.refuted)
+
+            self._run_rung(pending, budget, deadline, total, settle)
+            pending = [job for job in pending if job.key in carried]
+
+    def _carry_over(
+        self, stats: dict, job: Job, ladder: list, rung: int
+    ) -> None:
+        """One job timed out at a non-final rung and escalates: count it,
+        emit the lifecycle event, and drop a trace instant."""
+        stats["carryover"] += 1
+        metrics.counter(f"driver.rung.carryover.{rung}").inc()
+        next_budget, next_deadline = ladder[rung + 1]
+        trace.instant(
+            "driver.rung_escalated", description=job.description, rung=rung
+        )
+        self.events.emit(
+            EdgeEscalated(
+                description=job.description,
+                rung=rung,
+                next_budget=next_budget,
+                next_deadline=next_deadline,
+            )
+        )
+
+    def _run_rung(
         self,
-        requests: Sequence[FactJob],
-        pending: list[int],
+        jobs: list[Job],
         budget: Optional[int],
         deadline: Optional[float],
         total: int,
-    ) -> list[tuple[EdgeResult, str]]:
-        out: list = [None] * len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
-            for slot, i in enumerate(pending):
-                label, bindings, description = requests[i]
-                with self._job_span("fact", description):
-                    result = self.engine.refute_fact_at(
-                        label,
-                        bindings,
-                        budget=budget,
-                        description=description,
-                        deadline=deadline,
-                    )
-                _JOBS_DONE.inc()
-                _JOB_SECONDS.observe(result.seconds)
-                out[slot] = (result, SERIAL)
-            return out
-        from concurrent.futures import as_completed
+        settle: Callable[[Job, EdgeResult, str], None],
+    ) -> None:
+        """Run every job once at ``budget``/``deadline`` and hand each
+        result to ``settle``: inline on the serial engine when ``jobs ==
+        1`` or only one job is left, else on the pool in completion order.
 
+        A pool whose process worker dies breaks for every job still in
+        flight: those jobs settle as :data:`LOST` TIMEOUTs (never
+        REFUTED), and the pool is dropped so the next rung or batch gets
+        a fresh one."""
+        if self.jobs == 1 or len(jobs) <= 1:
+            for job in jobs:
+                settle(job, self._run_job(self.engine, job, budget, deadline), SERIAL)
+            return
         pool = self._get_pool()
-        futures = {}
-        for slot, i in enumerate(pending):
-            label, bindings, description = requests[i]
-            self.events.emit(
-                EdgeScheduled(description=description, index=slot, total=total)
+        meter = None
+        if self.config.schedule == PRIORITY:
+            model = self._cost_model()
+            meter = InversionMeter(
+                {slot: job.cost(model) for slot, job in enumerate(jobs)}
             )
-            if self.backend == PROCESS:
-                fut = pool.submit(
-                    _process_refute_fact,
-                    label,
-                    bindings,
-                    description,
-                    budget,
-                    deadline,
-                )
-            else:
-                fut = pool.submit(
-                    self._thread_refute_fact,
-                    label,
-                    bindings,
-                    description,
-                    budget,
-                    deadline,
-                )
+        futures = {}
+        for slot, job in enumerate(jobs):
+            self.events.emit(
+                EdgeScheduled(description=job.description, index=slot, total=total)
+            )
+            try:
+                if self.backend == PROCESS:
+                    fut = pool.submit(_process_run, job, budget, deadline)
+                else:
+                    fut = pool.submit(self._thread_run, job, budget, deadline)
+            except BrokenExecutor as exc:
+                # The pool died while this batch was still being queued.
+                fut = Future()
+                fut.set_exception(exc)
             futures[fut] = slot
-        helpers = self._submit_helpers()
-        try:
-            for fut in as_completed(futures):
-                slot = futures[fut]
-                out[slot] = self._unpack(fut.result())
-        finally:
-            self._drain_helpers(helpers)
-        return out
+        lost = False
+        for fut in as_completed(futures):
+            slot = futures[fut]
+            job = jobs[slot]
+            try:
+                result, worker = self._unpack(fut.result())
+            except BrokenExecutor:
+                lost = True
+                result = EdgeResult(edge=job.edge, status=TIMEOUT)
+                worker = LOST
+            if meter is not None:
+                meter.complete(slot)
+            settle(job, result, worker)
+        if meter is not None:
+            with self._lock:
+                self._inversions += meter.inversions
+        if lost:
+            pool.shutdown(wait=True)
+            self._pool = None
 
-    def _thread_refute_fact(
+    def _run_job(
         self,
-        label,
-        bindings,
-        description: str = "<fact>",
+        engine: Engine,
+        job: Job,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> tuple[EdgeResult, str]:
-        engine, worker = self._worker_engine()
-        with self._job_span("fact", description):
-            result = engine.refute_fact_at(
-                label,
-                bindings,
-                budget=budget,
-                description=description,
-                deadline=deadline,
-            )
+    ) -> EdgeResult:
+        """One search on ``engine`` under the job's root span
+        (``driver.job``; the engine's ``executor.search`` nests under it)."""
+        with trace.span("driver.job", kind=job.kind, description=job.description):
+            result = job.run(engine, budget, deadline)
         _JOBS_DONE.inc()
         _JOB_SECONDS.observe(result.seconds)
-        return result, worker
+        return result
+
+    def _thread_run(
+        self, job: Job, budget: Optional[int], deadline: Optional[float]
+    ) -> tuple[EdgeResult, str]:
+        engine, worker = self._worker_engine()
+        return self._run_job(engine, job, budget, deadline), worker
 
     # ------------------------------------------------------------------
     # Results, records, reports
@@ -1131,86 +769,89 @@ class RefutationDriver:
         with self._lock:
             return self.engine._edge_cache.get(key)
 
-    def _store(
-        self, key: EdgeKey, edge: HeapEdge, result: EdgeResult, worker: str
-    ) -> None:
-        with self._lock:
-            # Merge into the serial engine's cache so every consumer —
-            # including direct Engine users like witness rendering — sees
-            # one coherent result set.
-            if key not in self.engine._edge_cache:
-                self.engine._edge_cache[key] = result
-            fresh = key not in self._records
-            if fresh:
-                self._records[key] = EdgeRecord.from_result(
-                    result, worker=worker, description=str(edge), kind="edge"
-                )
-        if fresh:
-            # Outside the lock: a slow-query capture may replay the search.
-            self._flight(
-                "edge",
-                str(edge),
-                result,
-                worker,
-                estimate=(
-                    self._cost.edge_cost(edge)
-                    if self._cost is not None
-                    else None
-                ),
-                replay=lambda: Engine(self.pta, self.config).refute_edge(edge),
-            )
+    def _hit(self, job: Job) -> Optional[EdgeResult]:
+        """The shared edge cache's answer for ``job``, counted as a cache
+        hit; ``None`` for a miss and for every fact job."""
+        if job.edge is None:
+            return None
+        cached = self._cached(job.key)
+        if cached is not None:
+            _CACHE_HITS.inc()
+            with self._lock:
+                self.cache_hits += 1
+        return cached
 
-    def _record_fact(
+    def _finish(
         self,
-        description: str,
+        job: Job,
         result: EdgeResult,
         worker: str,
-        job: Optional[FactJob] = None,
-    ) -> None:
-        with self._lock:
-            key = ("fact", description, len(self._records))
-            self._records[key] = EdgeRecord.from_result(
-                result, worker=worker, description=description, kind="fact"
-            )
-        if worker == "cache":
-            # A reused verdict (serve session's fact-table hit): no search
-            # ran, so there is nothing for the flight recorder to time.
-            return
-        estimate = None
-        replay = None
-        if job is not None:
-            label, bindings = job[0], job[1]
-            if self._cost is not None:
-                estimate = self._cost.fact_cost(label, bindings)
-            replay = lambda: Engine(self.pta, self.config).refute_fact_at(
-                label, bindings, description=description
-            )
-        self._flight(
-            "fact", description, result, worker, estimate=estimate,
-            replay=replay,
-        )
-
-    def _emit_finished(
-        self,
-        description: str,
-        result: EdgeResult,
-        worker: str,
-        index: int,
-        total: int,
+        index: Optional[int] = None,
+        total: int = 0,
         cached: bool = False,
     ) -> None:
-        self.events.emit(
-            EdgeFinished(
-                description=description,
-                status=result.status,
-                seconds=result.seconds,
-                path_programs=result.path_programs,
+        """The one finish step for a final result.
+
+        A fresh edge result joins the shared edge cache (unless its worker
+        was lost) and the run records; a fact result is recorded. A search
+        that ran also feeds the flight recorder, which captures its
+        journal when it crossed the slow-query threshold
+        (``config.slow_query_ms``). With an ``index`` the result is
+        announced as ``EdgeFinished``. ``cached`` results were finished
+        when first computed; ``worker == "cache"`` marks a verdict reused
+        from outside the driver, recorded but never searched."""
+        fresh = False
+        if not cached:
+            with self._lock:
+                if job.edge is None:
+                    key = ("fact", job.description, len(self._records))
+                    fresh = True
+                else:
+                    # Merge into the serial engine's cache so every
+                    # consumer — including direct Engine users like
+                    # witness rendering — sees one coherent result set.
+                    key = job.key
+                    if worker != LOST:
+                        self.engine._edge_cache.setdefault(key, result)
+                    previous = self._records.get(key)
+                    fresh = previous is None or previous.worker == LOST
+                if fresh:
+                    self._records[key] = EdgeRecord.from_result(
+                        result, worker=worker, description=job.description,
+                        kind=job.kind,
+                    )
+        if fresh and worker not in (LOST, "cache"):
+            # Outside the lock: a slow-query capture may replay the search.
+            summary = telemetry.search_summary(
+                job.kind,
+                job.description,
+                result,
                 worker=worker,
-                index=index,
-                total=total,
-                cached=cached,
+                estimate=None if self._cost is None else job.cost(self._cost),
             )
-        )
+            telemetry.RECORDER.record(summary)
+            threshold = self.config.slow_query_ms
+            if threshold is not None and result.seconds * 1000.0 >= threshold:
+                telemetry.RECORDER.capture(
+                    job.description,
+                    summary,
+                    replay=_isolated_replay(
+                        lambda: job.run(Engine(self.pta, self.config))
+                    ),
+                )
+        if index is not None:
+            self.events.emit(
+                EdgeFinished(
+                    description=job.description,
+                    status=result.status,
+                    seconds=result.seconds,
+                    path_programs=result.path_programs,
+                    worker=worker,
+                    index=index,
+                    total=total,
+                    cached=cached,
+                )
+            )
 
     def edge_results(self) -> dict:
         """All per-edge outcomes so far, keyed by edge key."""
@@ -1343,27 +984,10 @@ def _worker_obs_payload() -> dict:
     return obs
 
 
-def _process_refute_edge(
-    edge: HeapEdge,
-    budget: Optional[int] = None,
-    deadline: Optional[float] = None,
+def _process_run(
+    job: Job, budget: Optional[int], deadline: Optional[float]
 ) -> tuple[EdgeResult, str, dict, dict]:
     assert _PROCESS_ENGINE is not None
-    result = _PROCESS_ENGINE.refute_edge(edge, budget=budget, deadline=deadline)
-    worker = f"process-{os.getpid()}"
-    return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()
-
-
-def _process_refute_fact(
-    label,
-    bindings,
-    description: str = "<fact>",
-    budget: Optional[int] = None,
-    deadline: Optional[float] = None,
-) -> tuple[EdgeResult, str, dict, dict]:
-    assert _PROCESS_ENGINE is not None
-    result = _PROCESS_ENGINE.refute_fact_at(
-        label, bindings, budget=budget, description=description, deadline=deadline
-    )
+    result = job.run(_PROCESS_ENGINE, budget, deadline)
     worker = f"process-{os.getpid()}"
     return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()

@@ -53,17 +53,6 @@ class EdgeEscalated:
 
 
 @dataclass(frozen=True)
-class EdgeStolen:
-    """An idle worker stole a path-state subtree from an in-flight
-    search's shared worklist (``config.work_stealing``). One event per
-    steal, attributed to the stealing thread."""
-
-    description: str  # the assisted search
-    thread: str  # the stealing worker thread's name
-    queued: int = 0  # states left on the shared worklist after the steal
-
-
-@dataclass(frozen=True)
 class EdgeFinished:
     """One edge job completed (in completion order, not schedule order)."""
 

@@ -86,9 +86,9 @@ class RunReport:
     #: See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)
     #: Scheduling behavior for the run: the active policy (``lifo`` /
-    #: ``priority``), portfolio/work-stealing toggles, per-rung resolution
+    #: ``priority``), the portfolio toggle, per-rung resolution
     #: stats (``rungs``: scheduled/resolved/carryover and verdict counts
-    #: per rung), ``resolved_at_rung`` rollup, ``steals``, and
+    #: per rung), ``resolved_at_rung`` rollup, and
     #: ``priority_inversions``. See :mod:`repro.engine.schedule`.
     schedule: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION

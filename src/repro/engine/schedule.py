@@ -1,10 +1,10 @@
-"""Adaptive search scheduling: cost-model priorities, cheap-first
-portfolio budgets, and path-level work stealing.
+"""Adaptive search scheduling: cost-model priorities and cheap-first
+portfolio budgets.
 
 Thresher's practicality rests on refuting the easy alarms fast so the
 expensive backwards searches don't dominate wall clock (the paper's own
 filter-then-refute pipeline is the same shape at the alarm level). This
-module holds the three cooperating pieces the driver and executor share:
+module holds the pieces the driver and executor share:
 
 * :class:`CostModel` — a static, cheap estimate of how expensive one
   refutation job (edge or fact) will be, computed from the solved
@@ -19,33 +19,23 @@ module holds the three cooperating pieces the driver and executor share:
   runs at a small budget/deadline rung first and only survivors re-run
   at escalating rungs (``SearchConfig.portfolio``), re-using the
   refuted-state cache and solver memos across rungs so re-runs are warm.
-* :class:`SharedWorklist` / :class:`StealRegistry` — path-level work
-  stealing for the thread backend (``SearchConfig.work_stealing``): when
-  a worker's edge queue drains it joins the heaviest in-flight search,
-  stealing unexplored path-state subtrees from the shallow end of the
-  owner's deque while the owner keeps popping newest-first (its usual
-  DFS order).
+* :class:`InversionMeter` — how often a pool batch under priority
+  scheduling completed a job while a cheaper one was still pending.
 
 Nothing here decides verdicts: priorities and rungs only reorder and
 stage the same deterministic searches, and the final portfolio rung
 always runs at the full configured budget/deadline, so verdicts are
-bit-identical to the fixed-schedule run. Work stealing shares one
-budget across thieves, which can resolve searches that would otherwise
-time out (strictly more precise) — it is therefore its own toggle, off
-by default.
+bit-identical to the fixed-schedule run.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from typing import Optional
 
 from ..ir.stmts import Choice, Loop, walk_statements
 from ..obs import metrics
 from ..symbolic.config import SearchConfig
 
-_STEALS = metrics.counter("driver.steals")
 _INVERSIONS = metrics.counter("driver.priority_inversions")
 
 #: ``SearchConfig.schedule`` values.
@@ -192,207 +182,11 @@ class InversionMeter:
             _INVERSIONS.inc()
 
 
-# ---------------------------------------------------------------------------
-# Path-level work stealing (thread backend)
-# ---------------------------------------------------------------------------
-
-
-class SharedWorklist:
-    """One in-flight search's worklist, opened to helper threads.
-
-    The owner pops newest-first (the engine's usual DFS order); helpers
-    steal oldest-first — the shallowest, largest unexplored subtrees —
-    from the other end of the deque. The path-program budget and the
-    wall-clock deadline are shared: helper work is charged to the same
-    search, so total effort accounting matches the serial semantics.
-    """
-
-    def __init__(
-        self,
-        states,
-        budget: int,
-        deadline_at: Optional[float],
-        description: str = "",
-    ) -> None:
-        self._dq: deque = deque(states)
-        self._cv = threading.Condition()
-        self._in_flight = 0
-        self._budget_left = budget
-        self.deadline_at = deadline_at
-        #: The owning search's display token (its edge/fact description),
-        #: so steal telemetry can say *whose* subtree was taken.
-        self.description = description
-        self.witness = None
-        self.timed_out = False
-        self.done = False
-        self.steals = 0
-        #: Optional steal observer ``(shard) -> None``, attached by the
-        #: registry; invoked outside the condition lock, one call per
-        #: successful helper pop.
-        self.on_steal = None
-
-    # -- introspection (racy reads are fine: scheduling hints only) --------
-
-    def queued(self) -> int:
-        return len(self._dq)
-
-    @property
-    def budget_left(self) -> int:
-        with self._cv:
-            return self._budget_left
-
-    @property
-    def refuted(self) -> bool:
-        """True once the search completed with every path state killed."""
-        return self.done and self.witness is None and not self.timed_out
-
-    # -- the work protocol --------------------------------------------------
-
-    def get(self, owner: bool):
-        """Take one state to step, or ``None`` when the search is over
-        (owner) / there is nothing stealable right now (helper). The
-        owner blocks while helpers still hold in-flight states — their
-        successors may refill the deque."""
-        stolen = False
-        state = None
-        with self._cv:
-            while True:
-                if self.done:
-                    return None
-                if self._dq:
-                    if owner:
-                        state = self._dq.pop()
-                    else:
-                        state = self._dq.popleft()
-                        self.steals += 1
-                        stolen = True
-                        _STEALS.inc()
-                    self._in_flight += 1
-                    break
-                if self._in_flight == 0:
-                    self.done = True
-                    self._cv.notify_all()
-                    return None
-                if not owner:
-                    return None
-                self._cv.wait(0.02)
-        if stolen and self.on_steal is not None:
-            # Outside the condition lock: the observer may emit events /
-            # take other locks, and must never stall the work protocol.
-            try:
-                self.on_steal(self)
-            except Exception:
-                pass
-        return state
-
-    def put_results(self, successors) -> None:
-        """Return one stepped state's successors and release its
-        in-flight slot."""
-        with self._cv:
-            if successors and not self.done:
-                self._dq.extend(successors)
-            self._in_flight -= 1
-            self._cv.notify_all()
-
-    def found_witness(self, state) -> None:
-        with self._cv:
-            if self.witness is None:
-                self.witness = state
-            self.done = True
-            self._in_flight -= 1
-            self._cv.notify_all()
-
-    def mark_timeout(self) -> None:
-        with self._cv:
-            self.timed_out = True
-            self.done = True
-            self._in_flight -= 1
-            self._cv.notify_all()
-
-    def spend(self, n: int = 1) -> bool:
-        """Charge ``n`` path programs to the shared budget; ``False``
-        once it is exhausted (the caller raises ``SearchTimeout``)."""
-        with self._cv:
-            self._budget_left -= n
-            return self._budget_left >= 0
-
-    def drain(self) -> list:
-        """Empty the deque (owner-side, after the search ended): the
-        abandoned states, for journal attribution."""
-        with self._cv:
-            leftover = list(self._dq)
-            self._dq.clear()
-            return leftover
-
-
-class StealRegistry:
-    """Directory of in-flight :class:`SharedWorklist`\\ s.
-
-    Worker engines register their search's worklist for the duration of
-    the search; drained pool threads loop on :meth:`pick`, assisting the
-    heaviest search that has stealable states, until the driver
-    :meth:`close`\\ s the registry at the end of the batch.
-    """
-
-    def __init__(self) -> None:
-        self._cv = threading.Condition()
-        self._active: list[SharedWorklist] = []
-        self._closed = False
-        #: Lifetime steal count, rolled up as searches unregister.
-        self.steals = 0
-        #: Optional steal observer ``(shard) -> None``, propagated onto
-        #: every registered worklist (the driver wires its event bus here).
-        self.on_steal = None
-
-    def register(self, shard: SharedWorklist) -> None:
-        if self.on_steal is not None and shard.on_steal is None:
-            shard.on_steal = self.on_steal
-        with self._cv:
-            self._active.append(shard)
-            self._cv.notify_all()
-
-    def unregister(self, shard: SharedWorklist) -> None:
-        with self._cv:
-            try:
-                self._active.remove(shard)
-            except ValueError:
-                pass
-            self.steals += shard.steals
-            self._cv.notify_all()
-
-    def reopen(self) -> None:
-        with self._cv:
-            self._closed = False
-
-    def close(self) -> None:
-        """End the batch: helpers blocked in :meth:`pick` return None."""
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
-
-    def pick(self) -> Optional[SharedWorklist]:
-        """The heaviest in-flight search with stealable states; blocks
-        (polling) while searches are active but momentarily empty, and
-        returns ``None`` once the registry is closed."""
-        with self._cv:
-            while True:
-                if self._closed:
-                    return None
-                candidates = [
-                    s for s in self._active if not s.done and s.queued() > 0
-                ]
-                if candidates:
-                    return max(candidates, key=lambda s: s.queued())
-                self._cv.wait(0.01)
-
-
 __all__ = [
     "LIFO",
     "PRIORITY",
     "CostModel",
     "InversionMeter",
-    "SharedWorklist",
-    "StealRegistry",
     "rung_ladder",
     "state_cost",
 ]

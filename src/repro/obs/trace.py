@@ -73,7 +73,7 @@ class SpanRecord:
         #: process; None means "this process".
         self.pid = pid
         #: ``"span"`` (a timed interval) or ``"instant"`` (a point event —
-        #: rung escalations, steal handoffs; Chrome ``ph: i``).
+        #: rung escalations; Chrome ``ph: i``).
         self.kind = kind
 
     def to_chrome_event(self, pid: int) -> dict:
@@ -231,7 +231,7 @@ class Tracer:
 
     def instant(self, name: str, **attrs) -> None:
         """Record a zero-duration point event in the calling thread's lane
-        (Chrome ``ph: i``): rung escalations, work-steal handoffs. Routes
+        (Chrome ``ph: i``): rung escalations. Routes
         through :meth:`_record`, so sinks observe it — sinks that roll up
         durations must skip ``kind == "instant"`` records."""
         state = self._tls

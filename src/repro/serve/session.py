@@ -47,6 +47,7 @@ from ..api import (
     validate_selectors,
 )
 from ..engine import RefutationDriver
+from ..engine.driver import Job
 from ..ir import build_program
 from ..lang import frontend, tokenize
 from .. import perf
@@ -131,7 +132,11 @@ class _SessionDriver(RefutationDriver):
                 results[i] = hit
                 with self._lock:
                     self.cache_hits += 1
-                self._record_fact(job[2], hit, "cache")
+                self._finish(
+                    Job(("fact", i), job[2], label=job[0], bindings=job[1]),
+                    hit,
+                    "cache",
+                )
             else:
                 misses.append(job)
                 miss_indices.append(i)
@@ -476,7 +481,6 @@ class ProgramSession:
                         "serve.verdicts_reused",
                         "pointsto.incremental_solves",
                         "pointsto.incremental_new_points",
-                        "driver.steals",
                         "driver.priority_inversions",
                     )
                 )
@@ -493,7 +497,7 @@ class ProgramSession:
                     "journal": self._journal is not None,
                     "metrics": counters,
                     #: Scheduling efficacy without a full report: the
-                    #: per-rung table plus steal/inversion counts.
+                    #: per-rung table plus the inversion count.
                     "schedule": self._driver._schedule_section(),
                     "cache_tiers": cache.get("tiers", {}),
                     #: The persistent verdict store this session shares

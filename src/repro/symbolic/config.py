@@ -102,13 +102,6 @@ class SearchConfig:
     #: full-budget rung is always appended. See
     #: :func:`repro.engine.schedule.rung_ladder`.
     portfolio_rungs: tuple = (16, 4)
-    #: Path-level work stealing (CLI ``--steal``, thread backend only):
-    #: drained pool threads steal unexplored path-state subtrees from the
-    #: heaviest in-flight search. Shares one budget across thieves, which
-    #: can resolve searches that would otherwise time out — strictly more
-    #: precise, but not bit-identical near the budget boundary, hence its
-    #: own toggle.
-    work_stealing: bool = False
 
     #: Persistent cross-run verdict store directory (CLI ``--cache-dir``,
     #: env ``REPRO_CACHE_DIR``): solver verdicts and refuted states are

@@ -19,10 +19,7 @@ path-level ladder may resolve a *different set* of edges than the
 serial Section 2 walk (a cheap path-mate can break the path before an
 expensive edge is escalated — the same latitude the jobs>1 contract
 already grants), so for the portfolio the record check is agreement:
-any job recorded by both runs must carry the same status. Work
-stealing is excluded: its shared budget can resolve searches that
-would otherwise time out (strictly more precise, not bit-identical
-near the budget boundary), which is why it has its own toggle.
+any job recorded by both runs must carry the same status.
 """
 
 from hypothesis import HealthCheck, given, seed, settings

@@ -270,7 +270,8 @@ class TestTop:
         frame = _render_top(
             {
                 "program": {"methods": 12, "commands": 80},
-                "metrics": {"serve.requests": 3, "driver.steals": 1},
+                "metrics": {"serve.requests": 3,
+                            "driver.priority_inversions": 1},
                 "schedule": {
                     "rungs": [
                         {"rung": 0, "budget": 1000, "scheduled": 6,
@@ -281,10 +282,10 @@ class TestTop:
                 "telemetry": {
                     "run": {"total_jobs": 6, "jobs": 2, "backend": "thread",
                             "finished": None},
-                    "totals": {"scheduled": 6, "refuted": 3, "stolen": 1},
+                    "totals": {"scheduled": 6, "refuted": 3},
                     "in_flight": [
                         {"description": "Registry.hold -> it", "rung": 1,
-                         "steals": 1, "since": 0.0}
+                         "since": 0.0}
                     ],
                     "workers": {"w0": 2, "w1": 1},
                 },
@@ -292,11 +293,11 @@ class TestTop:
         )
         assert "12 methods" in frame
         assert "running" in frame
-        assert "rung 1  steals 1  Registry.hold -> it" in frame
+        assert "rung 1  Registry.hold -> it" in frame
         assert "rung 0 @ 1000: 6/4/2" in frame
         assert "w0: 2 (67%)" in frame
         assert "6/8 solver questions answered from cache (75%)" in frame
-        assert "1 steal(s)" in frame
+        assert "1 inversion(s)" in frame
 
     def test_render_top_empty_payload(self):
         from repro.cli import _render_top

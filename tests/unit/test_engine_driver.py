@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import repro.engine.driver as driver_module
+
 import pytest
 
 from repro.android.leaks import LeakChecker
@@ -128,6 +130,68 @@ class TestParallelDriver:
             driver.refute_edges(edges)
         finished = [e for e in events if isinstance(e, EdgeFinished)]
         assert all(e.cached for e in finished)
+
+
+def _exit_worker(job, budget, deadline):
+    """A process-pool job that kills its worker mid-job."""
+    os._exit(1)
+
+
+def _box_facts(pta):
+    """Fact jobs on ``b.v = o``: one per object ``o`` may hold."""
+    cmd = next(
+        c for c in pta.program.commands.values() if type(c).__name__ == "FieldWrite"
+    )
+    var = getattr(cmd.rhs, "name", cmd.rhs)
+    locs = sorted(pta.pt_local("Main.main", var), key=str)
+    return [(cmd.label, [(var, frozenset({loc}))], f"fact {loc}") for loc in locs]
+
+
+class TestBrokenPool:
+    """A process worker dying mid-job must not crash the run: its
+    in-flight jobs come back TIMEOUT (never REFUTED), stay out of the
+    shared edge cache, and the dead pool is replaced for the next batch."""
+
+    def _kill_workers(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "_process_run", _exit_worker)
+
+    def test_edge_batch_then_recovery(self, pta, edges, monkeypatch):
+        serial = RefutationDriver(pta, jobs=1).refute_edges(edges)
+        with RefutationDriver(pta, jobs=2, backend="process") as driver:
+            self._kill_workers(monkeypatch)
+            lost = driver.refute_edges(edges)
+            assert {r.status for r in lost.values()} == {TIMEOUT}
+            assert all(driver._cached(key) is None for key in lost)
+            assert driver._pool is None
+            report = driver.build_report(command="check")
+            assert {(r.status, r.worker) for r in report.records} == {
+                (TIMEOUT, "lost")
+            }
+            monkeypatch.undo()
+            again = driver.refute_edges(edges)
+            report = driver.build_report(command="check")
+        assert {k: r.status for k, r in again.items()} == {
+            k: r.status for k, r in serial.items()
+        }
+        assert {r.status for r in report.records} == {REFUTED, WITNESSED}
+
+    def test_fact_batch_then_recovery(self, pta, monkeypatch):
+        requests = _box_facts(pta)
+        assert len(requests) == 2
+        serial = RefutationDriver(pta, jobs=1).refute_facts(requests)
+        with RefutationDriver(pta, jobs=2, backend="process") as driver:
+            self._kill_workers(monkeypatch)
+            lost = driver.refute_facts(requests)
+            assert [r.status for r in lost] == [TIMEOUT, TIMEOUT]
+            assert driver._pool is None
+            monkeypatch.undo()
+            again = driver.refute_facts(requests)
+            report = driver.build_report(command="casts")
+        assert [r.status for r in again] == [r.status for r in serial]
+        assert {REFUTED, WITNESSED} == {r.status for r in again}
+        assert sorted(r.worker == "lost" for r in report.records) == [
+            False, False, True, True
+        ]
 
 
 class TestDeadline:

@@ -1,16 +1,15 @@
 """Unit tests for the adaptive scheduling layer (``repro.engine.schedule``):
-cost-model priorities, cheap-first portfolio rungs, path-level work
-stealing, and the cooperative per-rung deadlines that tie them together."""
+cost-model priorities, cheap-first portfolio rungs, and the cooperative
+per-rung deadlines that tie them together."""
 
 import pytest
 
+import repro.engine.driver as driver_module
 from repro.bench.workloads import layered_app, mixed_app
-from repro.engine import RefutationDriver, RunReport
+from repro.engine import EdgeFinished, EdgeScheduled, RefutationDriver, RunReport
 from repro.engine.schedule import (
     CostModel,
     InversionMeter,
-    SharedWorklist,
-    StealRegistry,
     rung_ladder,
 )
 from repro.ir import compile_program
@@ -120,51 +119,6 @@ class TestInversionMeter:
 
 
 # ---------------------------------------------------------------------------
-# SharedWorklist / StealRegistry
-# ---------------------------------------------------------------------------
-
-
-class TestSharedWorklist:
-    def test_owner_pops_newest_helper_steals_oldest(self):
-        shard = SharedWorklist(["s0", "s1", "s2"], budget=100, deadline_at=None)
-        assert shard.get(owner=True) == "s2"  # owner: LIFO
-        shard.put_results([])
-        assert shard.get(owner=False) == "s0"  # helper: steals the tail
-        assert shard.steals == 1
-        shard.put_results([])
-        assert shard.get(owner=True) == "s1"
-        shard.put_results([])
-        # Worklist empty, nothing in flight: both sides see completion.
-        assert shard.get(owner=True) is None
-        assert shard.get(owner=False) is None
-        assert shard.refuted
-
-    def test_witness_ends_the_search_unrefuted(self):
-        shard = SharedWorklist(["s0"], budget=100, deadline_at=None)
-        assert shard.get(owner=True) == "s0"
-        shard.found_witness("s0")
-        assert shard.witness == "s0"
-        assert not shard.refuted
-
-    def test_shared_budget_exhaustion(self):
-        shard = SharedWorklist(["s0"], budget=3, deadline_at=None)
-        assert shard.spend(2)
-        assert not shard.spend(2)  # 4 > 3: the shared budget ran dry
-
-    def test_registry_picks_heaviest_and_closes(self):
-        registry = StealRegistry()
-        light = SharedWorklist(["a"], budget=10, deadline_at=None)
-        heavy = SharedWorklist(["a", "b", "c"], budget=10, deadline_at=None)
-        registry.register(light)
-        registry.register(heavy)
-        assert registry.pick() is heavy
-        registry.close()
-        assert registry.pick() is None
-        registry.unregister(light)
-        registry.unregister(heavy)
-
-
-# ---------------------------------------------------------------------------
 # Priority scheduling
 # ---------------------------------------------------------------------------
 
@@ -182,6 +136,52 @@ class TestPrioritySchedule:
         assert statuses == baseline
         assert report.schedule["policy"] == "priority"
         assert report.schedule["priority_inversions"] >= 0
+
+    def test_fact_pool_batch_feeds_the_inversion_meter(
+        self, pta, monkeypatch
+    ):
+        """A fact batch on the pool meters priority inversions from the
+        cost model's fact costs, and numbers ``EdgeScheduled`` by dispatch
+        slot, as edge batches do."""
+        meters = []
+
+        class RecordingMeter(driver_module.InversionMeter):
+            def __init__(self, costs):
+                super().__init__(costs)
+                self.costs = dict(costs)
+                self.completed = []
+                meters.append(self)
+
+            def complete(self, key):
+                self.completed.append(key)
+                super().complete(key)
+
+        monkeypatch.setattr(driver_module, "InversionMeter", RecordingMeter)
+        stores = [
+            c
+            for c in pta.program.commands.values()
+            if type(c).__name__ == "StaticWrite"
+        ]
+        loc = next(iter(pta.graph.all_abs_locs()))
+        # Request order puts the expensive 6-branch job first.
+        requests = [
+            (c.label, [(c.rhs.name, frozenset({loc}))], f"fact@L{c.label}")
+            for c in sorted(stores, key=lambda c: -c.label)
+        ]
+        events = []
+        config = SearchConfig(schedule="priority")
+        with RefutationDriver(pta, config, jobs=3, on_event=events.append) as driver:
+            driver.refute_facts(requests)
+        assert len(meters) == 1
+        meter = meters[0]
+        model = driver._cost_model()
+        assert sorted(meter.costs.values()) == sorted(
+            model.fact_cost(label, bindings) for label, bindings, _ in requests
+        )
+        assert sorted(meter.completed) == sorted(meter.costs)
+        scheduled = [e for e in events if isinstance(e, EdgeScheduled)]
+        assert [e.index for e in scheduled] == list(range(len(requests)))
+        assert scheduled[-1].description == requests[0][2]
 
     def test_report_records_policy(self, pta, edges):
         driver = RefutationDriver(pta, SearchConfig(schedule="priority"), jobs=1)
@@ -301,6 +301,22 @@ class TestPathPortfolio:
         assert rung0["resolved"] == 1
         assert rung0["carryover"] == 1
 
+    def test_cached_path_edge_emits_finished(self, layered):
+        """A path edge served from the cache still reports
+        ``EdgeFinished(cached=True)``, as refute_edges does."""
+        pta, path = layered
+        driver = RefutationDriver(pta, SearchConfig(**PORTFOLIO), jobs=1)
+        cached = driver.refute_edge(path[0])
+        events = []
+        driver.events.subscribe(events.append)
+        pairs = dict(driver.refute_path(path))
+        finished = [e for e in events if isinstance(e, EdgeFinished)]
+        assert [(e.description, e.cached) for e in finished][0] == (
+            str(path[0]),
+            True,
+        )
+        assert pairs[path[0]] is cached
+
     def test_fixed_walk_refutes_the_expensive_edge_instead(self, layered):
         # The serial Section 2 walk stops at the first refuted edge, so
         # it pays the expensive search in full — the record-set latitude
@@ -311,35 +327,6 @@ class TestPathPortfolio:
         assert len(pairs) == 1
         assert pairs[0][0] == path[0]
         assert pairs[0][1].status == REFUTED
-
-
-# ---------------------------------------------------------------------------
-# Work stealing
-# ---------------------------------------------------------------------------
-
-
-class TestWorkStealing:
-    def test_thread_backend_steals_and_verdicts_hold(self, pta, edges, baseline):
-        config = SearchConfig(work_stealing=True)
-        with RefutationDriver(pta, config, jobs=4) as driver:
-            statuses = _statuses(driver.refute_edges(edges), edges)
-            report = driver.build_report(command="check")
-        # All edges refutable well under budget: the shared budget cannot
-        # flip a verdict here, so stealing must agree with the baseline.
-        assert statuses == baseline
-        assert report.schedule["work_stealing"]
-        # The hard tail job is in flight while three workers drain: at
-        # least one subtree must actually get stolen.
-        assert report.schedule["steals"] > 0
-
-    def test_serial_and_process_ignore_the_toggle(self, pta, edges, baseline):
-        serial = RefutationDriver(pta, SearchConfig(work_stealing=True), jobs=1)
-        assert serial._steal_registry is None
-        assert _statuses(serial.refute_edges(edges), edges) == baseline
-        config = SearchConfig(work_stealing=True)
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            assert driver._steal_registry is None
-            assert _statuses(driver.refute_edges(edges), edges) == baseline
 
 
 # ---------------------------------------------------------------------------
