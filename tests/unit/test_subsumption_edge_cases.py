@@ -85,6 +85,42 @@ class TestEqualityElimination:
         assert query_entails(q, fork)
 
 
+class TestSeparatingConjunction:
+    """Two weak cells over one field assert distinct bases, so the cell
+    matching must be injective: one strong cell cannot stand for both."""
+
+    def test_two_weak_cells_cannot_share_one_strong_cell(self):
+        # strong: local ↦ t12 * this ↦ t12 * t12.sz ↦ n
+        strong = Query("M.m")
+        t12 = strong.new_ref(frozenset({A}), hint="this")
+        n = strong.new_data(hint="sz")
+        strong.set_local("local", t12)
+        strong.set_local("this", t12)
+        strong.set_field(t12, "sz", n)
+
+        # weak: local ↦ t12 * this ↦ t17 * t12.sz ↦ a * t17.sz ↦ b, where
+        # the two sz cells force t12 ≠ t17 — which the strong query denies.
+        weak = Query("M.m")
+        t17 = weak.new_ref(frozenset({A, B}), hint="this")
+        weak.set_local("local", t12)
+        weak.set_local("this", t17)
+        weak.narrow(t12, frozenset({A}))
+        weak.set_field(t12, "sz", weak.new_data(hint="sz"))
+        weak.set_field(t17, "sz", weak.new_data(hint="sz"))
+
+        assert not query_entails(strong, weak)
+        assert not query_entails(weak, strong)
+
+    def test_distinct_strong_cells_still_match(self):
+        strong = Query("M.m")
+        x, y = strong.new_ref(frozenset({A})), strong.new_ref(frozenset({A}))
+        strong.set_local("local", x)
+        strong.set_local("this", y)
+        strong.set_field(x, "sz", strong.new_data())
+        strong.set_field(y, "sz", strong.new_data())
+        assert query_entails(strong, strong.copy())
+
+
 class TestEmptyConstraintSets:
     def test_empty_query_is_weakest(self):
         empty = Query("M.m")
