@@ -107,7 +107,10 @@ class PointsToGraph:
     def __init__(self) -> None:
         self.pts: dict[Node, set[AbsLoc]] = {}
         # Local pt sets collapsed over contexts: (method, var) -> set.
-        self._local_union: dict[tuple[str, str], set[AbsLoc]] = {}
+        self._local_union: dict[tuple[str, str], frozenset[AbsLoc]] = {}
+        # pt_field_of_set answers; every solve ends in seal(), which
+        # clears them.
+        self._field_of_set: dict[tuple[frozenset, str], frozenset[AbsLoc]] = {}
 
     # -- construction (used by the solver) -----------------------------------
 
@@ -116,17 +119,18 @@ class PointsToGraph:
 
     def seal(self) -> None:
         """Precompute the per-variable unions over contexts."""
-        self._local_union.clear()
+        self._field_of_set.clear()
+        unions: dict[tuple[str, str], set[AbsLoc]] = {}
         for node, locs in self.pts.items():
             if isinstance(node, VarNode):
-                key = (node.method, node.var)
-                self._local_union.setdefault(key, set()).update(locs)
+                unions.setdefault((node.method, node.var), set()).update(locs)
+        self._local_union = {key: frozenset(locs) for key, locs in unions.items()}
 
     # -- queries ----------------------------------------------------------------
 
     def pt_local(self, method: str, var: str) -> frozenset[AbsLoc]:
         """pt(x): the context-collapsed points-to set of a local."""
-        return frozenset(self._local_union.get((method, var), frozenset()))
+        return self._local_union.get((method, var), frozenset())
 
     def pt_static(self, class_name: str, field: str) -> frozenset[AbsLoc]:
         return frozenset(self.pts.get(StaticFieldNode(class_name, field), frozenset()))
@@ -136,10 +140,14 @@ class PointsToGraph:
 
     def pt_field_of_set(self, locs: frozenset[AbsLoc], field: str) -> frozenset[AbsLoc]:
         """pt(y.f) for y with points-to set ``locs``: the union over the set."""
-        result: set[AbsLoc] = set()
-        for loc in locs:
-            result.update(self.pt_field(loc, field))
-        return frozenset(result)
+        key = (locs, field)
+        cached = self._field_of_set.get(key)
+        if cached is None:
+            result: set[AbsLoc] = set()
+            for loc in locs:
+                result.update(self.pts.get(FieldNode(loc, field), ()))
+            cached = self._field_of_set[key] = frozenset(result)
+        return cached
 
     def heap_edges(self) -> Iterator[HeapEdge]:
         """All ``a.f ↪ b`` edges."""

@@ -18,12 +18,18 @@ variables intersects their regions; an empty intersection refutes the query
 (axiom (1) of Section 3.2: ``v from ∅ ⇔ false``). Separation is enforced
 when checking satisfiability: distinct field cells over the same field
 imply their bases are distinct instances.
+
+The memory is written only through the methods below, because each of them
+also keeps what the transfer layer would otherwise re-derive from the whole
+heap after every command: the roots that must denote real objects, the
+separation disequalities, and the roots whose cells
+:meth:`repro.symbolic.transfer.TransferContext.renarrow` has to revisit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ..perf.memo import SOLVER_PARTITION
 from ..pointsto.graph import AbsLoc
@@ -34,6 +40,11 @@ from ..solver.unionfind import UnionFind
 from .symvar import DATA, REF, SymVar, fresh_data, fresh_ref
 
 Region = Optional[frozenset]  # frozenset[AbsLoc]; None = unconstrained
+Selector = Union[Callable[..., bool], bool, None]  # see Query.drop_memory
+
+
+def _select_all(*_) -> bool:
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +56,10 @@ class Frame:
     invoke_label: int  # the call-site label inside the caller
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ArrayCell:
+    """Immutable, so copies of a query share their cells."""
+
     base: SymVar
     index: SymVar
     value: SymVar
@@ -74,6 +87,13 @@ class Query:
         "_sat_version",
         "_sat_result",
         "sat_basis",
+        "dirty_roots",
+        "_anchors",
+        "_nonnull",
+        "_separation",
+        "_shape",
+        "_shape_version",
+        "_canon",
     )
 
     def __init__(self, current_method: str) -> None:
@@ -97,6 +117,23 @@ class Query:
         # (atom set, nonnull roots) of the last SAT check on the
         # partitioned path; the solver decides only what changed since.
         self.sat_basis: Optional[SatBasis] = None
+        # Roots whose region or identity changed, or that gained a heap
+        # cell, since the last renarrow: only their cells can break its
+        # invariant.
+        self.dirty_roots: set[SymVar] = set()
+        # REF roots anchored in memory -> number of memory slots (local or
+        # static value, cell base or value) that name them.
+        self._anchors: dict[SymVar, int] = {}
+        # The anchored roots that must denote real objects.
+        self._nonnull: set[SymVar] = set()
+        # The separation disequalities; None once a cell or a unification
+        # may have changed them. Never mutated in place, so copies share it.
+        self._separation: Optional[list[Atom]] = []
+        # The entailment shape (see shape()) and the version it is for.
+        self._shape: Optional[tuple] = None
+        self._shape_version = -1
+        # (pure list, union count, canonical atoms) of canonical_pure().
+        self._canon: Optional[tuple] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -108,7 +145,7 @@ class Query:
         q.locals = dict(self.locals)
         q.statics = dict(self.statics)
         q.field_cells = dict(self.field_cells)
-        q.array_cells = [ArrayCell(c.base, c.index, c.value) for c in self.array_cells]
+        q.array_cells = list(self.array_cells)
         q.pure = list(self.pure)
         q.stack = list(self.stack)
         q.current_frame = self.current_frame
@@ -120,7 +157,59 @@ class Query:
         q._sat_version = self._sat_version
         q._sat_result = self._sat_result
         q.sat_basis = self.sat_basis
+        q.dirty_roots = set(self.dirty_roots)
+        q._anchors = dict(self._anchors)
+        q._nonnull = set(self._nonnull)
+        q._separation = self._separation
+        q._shape = self._shape
+        q._shape_version = self._shape_version
+        canon = self._canon
+        q._canon = None if canon is None or canon[0] is not self.pure else (q.pure,) + canon[1:]
         return q
+
+    # Pickled (the persistent refuted-state store) without the derived
+    # structures, which are rebuilt on load; this also reads states
+    # pickled before those structures existed.
+    _DERIVED = frozenset(
+        (
+            "dirty_roots",
+            "_anchors",
+            "_nonnull",
+            "_separation",
+            "_shape",
+            "_shape_version",
+            "_canon",
+        )
+    )
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in Query.__slots__
+            if name not in Query._DERIVED
+        }
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # default slots pickling: (None, slots)
+            state = state[1]
+        for name, value in state.items():
+            if name not in Query._DERIVED:
+                setattr(self, name, value)
+        self._anchors = {}
+        self._nonnull = set()
+        for value in list(self.locals.values()) + list(self.statics.values()):
+            self._anchor(value)
+        for (base, _), value in self.field_cells.items():
+            self._anchor(base)
+            self._anchor(value)
+        for cell in self.array_cells:
+            self._anchor(cell.base)
+            self._anchor(cell.value)
+        self.dirty_roots = set(self._anchors)
+        self._separation = None
+        self._shape = None
+        self._shape_version = -1
+        self._canon = None
 
     def touch(self) -> None:
         self.version += 1
@@ -172,6 +261,8 @@ class Query:
         root = self.find(v)
         if root in self.maybe_null:
             self.maybe_null.discard(root)
+            if root in self._anchors:
+                self._nonnull.add(root)
             region = self.regions.get(root)
             if region is not None and not region:
                 self.fail(f"instance constraint: {v} from ∅")
@@ -187,6 +278,7 @@ class Query:
         if new == current:
             return True
         self.regions[root] = new
+        self.dirty_roots.add(root)
         self.touch()
         if not new:
             self._empty_region(root)
@@ -223,6 +315,17 @@ class Query:
             self.maybe_null.discard(new_root)
             if old_mn and new_mn:
                 self.maybe_null.add(new_root)
+            count = self._anchors.pop(old_root, 0)
+            if count:
+                self._anchors[new_root] = self._anchors.get(new_root, 0) + count
+            self._nonnull.discard(old_root)
+            if new_root in self._anchors and new_root not in self.maybe_null:
+                self._nonnull.add(new_root)
+            self.dirty_roots.add(new_root)
+            if self._separation or len(self.array_cells) > 1:
+                # A renamed pair, or two array cells now on one base; with
+                # no pairs and at most one array cell there is still none.
+                self._separation = None
             self.touch()
             if merged is not None and not merged and new_root.kind == REF:
                 self._empty_region(new_root)
@@ -241,6 +344,8 @@ class Query:
             key = (root, field_name)
             if key in rebuilt:
                 pending.append((rebuilt[key], value))
+                self._unanchor(root)
+                self._unanchor(value)
             else:
                 rebuilt[key] = value
         self.field_cells = rebuilt
@@ -253,12 +358,52 @@ class Query:
                     other.index
                 ) is self.find(cell.index):
                     pending.append((other.value, cell.value))
+                    self._unanchor(cell.base)
+                    self._unanchor(cell.value)
                     duplicate = True
                     break
             if not duplicate:
                 merged.append(cell)
         self.array_cells = merged
         return pending
+
+    # -- derived structures ------------------------------------------------------------
+
+    def _anchor(self, v: SymVar) -> None:
+        """One more memory slot names ``v``'s root."""
+        root = self.find(v)
+        if not root.is_ref:
+            return
+        count = self._anchors.get(root, 0)
+        self._anchors[root] = count + 1
+        if not count and root not in self.maybe_null:
+            self._nonnull.add(root)
+
+    def _unanchor(self, v: SymVar) -> None:
+        """One memory slot naming ``v``'s root is gone."""
+        root = self.find(v)
+        count = self._anchors.get(root)
+        if count is None:
+            return
+        if count == 1:
+            del self._anchors[root]
+            self._nonnull.discard(root)
+        else:
+            self._anchors[root] = count - 1
+
+    def _drop_pairs(self) -> None:
+        """Cells were removed: separation loses pairs, if it had any."""
+        if self._separation:
+            self._separation = None
+
+    def take_dirty(self) -> set[SymVar]:
+        """Hand over the roots dirtied since the last call (see
+        :attr:`dirty_roots`); the query starts a fresh set if there were
+        any. Test the result for emptiness only."""
+        dirty = self.dirty_roots
+        if dirty:
+            self.dirty_roots = set()
+        return dirty
 
     # -- memory constraints ----------------------------------------------------------
 
@@ -274,13 +419,14 @@ class Query:
         if existing is not None:
             return self.unify(existing, value)
         self.locals[(frame, var)] = value
+        self._anchor(value)
         self.touch()
         return True
 
     def del_local(self, var: str, frame: Optional[int] = None) -> None:
         frame = self.current_frame if frame is None else frame
         if (frame, var) in self.locals:
-            del self.locals[(frame, var)]
+            self._unanchor(self.locals.pop((frame, var)))
             self.touch()
 
     def get_static(self, class_name: str, field_name: str) -> Optional[SymVar]:
@@ -291,12 +437,13 @@ class Query:
         if existing is not None:
             return self.unify(existing, value)
         self.statics[(class_name, field_name)] = value
+        self._anchor(value)
         self.touch()
         return True
 
     def del_static(self, class_name: str, field_name: str) -> None:
         if (class_name, field_name) in self.statics:
-            del self.statics[(class_name, field_name)]
+            self._unanchor(self.statics.pop((class_name, field_name)))
             self.touch()
 
     def get_field(self, base: SymVar, field_name: str) -> Optional[SymVar]:
@@ -308,29 +455,97 @@ class Query:
         existing = self.field_cells.get((root, field_name))
         if existing is not None:
             return self.unify(existing, value)
+        if self._separation is not None and any(
+            name == field_name for _, name in self.field_cells
+        ):
+            self._separation = None  # a new pair of bases
         self.field_cells[(root, field_name)] = value
+        self._anchor(root)
+        self._anchor(value)
+        if value.is_ref:
+            self.dirty_roots.add(self.find(value))
         self.touch()
         return True
 
     def del_field(self, base: SymVar, field_name: str) -> None:
         key = (self.find(base), field_name)
         if key in self.field_cells:
-            del self.field_cells[key]
+            self._unanchor(key[0])
+            self._unanchor(self.field_cells.pop(key))
+            self._drop_pairs()
             self.touch()
 
     def add_array_cell(self, base: SymVar, index: SymVar, value: SymVar) -> bool:
         self.mark_nonnull(base)
+        root = self.find(base)
         for cell in self.array_cells:
-            if self.find(cell.base) is self.find(base) and self.find(
-                cell.index
-            ) is self.find(index):
-                return self.unify(cell.value, value)
+            if self.find(cell.base) is root:
+                if self.find(cell.index) is self.find(index):
+                    return self.unify(cell.value, value)
+                self._separation = None  # a new pair of indices
         self.array_cells.append(ArrayCell(base, index, value))
+        self._anchor(base)
+        self._anchor(value)
+        if value.is_ref:
+            self.dirty_roots.add(self.find(value))
         self.touch()
         return True
 
     def remove_array_cell(self, cell: ArrayCell) -> None:
-        self.array_cells = [c for c in self.array_cells if c is not cell]
+        self.drop_memory(array=lambda c: c is cell)
+
+    def drop_memory(
+        self,
+        local: Selector = None,
+        static: Selector = None,
+        field: Selector = None,
+        array: Selector = None,
+    ) -> None:
+        """Drop the memory constraints each selector picks — a predicate
+        (``local``, ``static`` and ``field`` get ``(key, value)``, ``array``
+        the cell), ``True`` for all, ``None``/``False`` for none — keeping
+        the rest in order; always touches."""
+        local, static, field, array = (
+            _select_all if s is True else s or None
+            for s in (local, static, field, array)
+        )
+        if local is not None:
+            for key in [k for k, v in self.locals.items() if local(k, v)]:
+                self._unanchor(self.locals.pop(key))
+        if static is not None:
+            for key in [k for k, v in self.statics.items() if static(k, v)]:
+                self._unanchor(self.statics.pop(key))
+        if field is not None:
+            doomed = [k for k, v in self.field_cells.items() if field(k, v)]
+            for key in doomed:
+                self._unanchor(key[0])
+                self._unanchor(self.field_cells.pop(key))
+            if doomed:
+                self._drop_pairs()
+        if array is not None:
+            kept = []
+            for cell in self.array_cells:
+                if array(cell):
+                    self._unanchor(cell.base)
+                    self._unanchor(cell.value)
+                else:
+                    kept.append(cell)
+            if len(kept) != len(self.array_cells):
+                self.array_cells = kept
+                self._drop_pairs()
+        self.touch()
+
+    def clear_constraints(self) -> None:
+        """Weaken to ``any``: drop every memory and pure constraint."""
+        self.locals.clear()
+        self.statics.clear()
+        self.field_cells.clear()
+        self.array_cells = []
+        self.pure = []
+        self.dirty_roots.clear()
+        self._anchors.clear()
+        self._nonnull.clear()
+        self._separation = []
         self.touch()
 
     # -- pure constraints -------------------------------------------------------------
@@ -357,18 +572,34 @@ class Query:
 
     def canonical_pure(self) -> list[Atom]:
         """The pure atoms with every variable replaced by its union-find
-        root, in order.
+        root, in order. The list is shared: callers must not mutate it.
 
-        Runs on every satisfiability check, so it only rebuilds atoms that
-        mention a merged (non-root) variable. Every other atom is returned
-        as is: terms are interned in canonical form, so a full rename
-        would only rebuild an equal term."""
+        Runs on every satisfiability check, so it is kept from one call to
+        the next: while no unification happened in between, only atoms
+        appended to the pure list since are canonicalized."""
+        pure = self.pure
+        merges = len(self.uf._parent)  # unions only ever add keys
+        cached = self._canon
+        if cached is not None and cached[0] is pure and cached[1] == merges:
+            canon = cached[2]
+            if len(canon) == len(pure):
+                return canon
+            canon = canon + self._canonicalize(pure[len(canon):])
+        else:
+            canon = self._canonicalize(pure)
+        self._canon = (pure, merges, canon)
+        return canon
+
+    def _canonicalize(self, pure: list[tuple[Atom, bool]]) -> list[Atom]:
+        """Rebuild only atoms that mention a merged (non-root) variable.
+        Every other atom is kept as is: terms are interned in canonical
+        form, so a full rename would only rebuild an equal term."""
         parent = self.uf._parent  # keys are exactly the non-root variables
         if not parent:
-            return [atom for atom, _ in self.pure]
+            return [atom for atom, _ in pure]
         find = self.uf.find
         out: list[Atom] = []
-        for atom, _ in self.pure:
+        for atom, _ in pure:
             if isinstance(atom, LinAtom):
                 moved = [v for v, _ in atom.expr.coeffs if v in parent]
             else:
@@ -381,38 +612,33 @@ class Query:
     # -- satisfiability ---------------------------------------------------------------
 
     def nonnull_roots(self) -> frozenset[SymVar]:
-        roots: set[SymVar] = set()
-        for value in list(self.locals.values()) + list(self.statics.values()):
-            root = self.find(value)
-            if root.is_ref and root not in self.maybe_null:
-                roots.add(root)
-        for (base, _), value in self.field_cells.items():
-            roots.add(self.find(base))
-            root = self.find(value)
-            if root.is_ref and root not in self.maybe_null:
-                roots.add(root)
-        for cell in self.array_cells:
-            roots.add(self.find(cell.base))
-            root = self.find(cell.value)
-            if root.is_ref and root not in self.maybe_null:
-                roots.add(root)
-        return frozenset(roots)
+        """The roots that must denote real objects: every REF root named by
+        a local, a static or a cell value, unless it may be null, and every
+        cell base."""
+        return frozenset(self._nonnull)
 
     def separation_atoms(self) -> list[Atom]:
-        """Disequalities implied by the separating conjunction."""
+        """Disequalities implied by the separating conjunction: distinct
+        cells over one field have distinct bases, and distinct array cells
+        on one instance have distinct indices. Rebuilt only after a cell
+        was added or removed, or a unification renamed one of them."""
+        if self._separation is None:
+            self._separation = self._build_separation()
+        return self._separation
+
+    def _build_separation(self) -> list[Atom]:
         atoms: list[Atom] = []
         by_field: dict[str, list[SymVar]] = {}
-        for (base, field_name), _ in self.field_cells.items():
-            by_field.setdefault(field_name, []).append(self.find(base))
+        for base, field_name in self.field_cells:
+            by_field.setdefault(field_name, []).append(base)  # keys are roots
         for bases in by_field.values():
             for i in range(len(bases)):
                 for j in range(i + 1, len(bases)):
-                    if bases[i] is not bases[j]:
-                        atoms.append(ref_ne(bases[i], bases[j]))
-        # Distinct array cells on the same instance have distinct indices.
-        for i in range(len(self.array_cells)):
-            for j in range(i + 1, len(self.array_cells)):
-                ci, cj = self.array_cells[i], self.array_cells[j]
+                    atoms.append(ref_ne(bases[i], bases[j]))
+        cells = self.array_cells
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                ci, cj = cells[i], cells[j]
                 if self.find(ci.base) is self.find(cj.base):
                     expr = LinExpr.var(self.find(ci.index)).sub(
                         LinExpr.var(self.find(cj.index))
@@ -426,7 +652,7 @@ class Query:
         if self._sat_version == self.version:
             return self._sat_result
         atoms = self.canonical_pure() + self.separation_atoms()
-        nonnull = self.nonnull_roots()
+        nonnull = frozenset(self._nonnull)
         atom_set = frozenset(atoms) if SOLVER_PARTITION.enabled else None
         ok = check_sat(
             atoms,
@@ -455,6 +681,28 @@ class Query:
             + len(self.field_cells)
             + len(self.array_cells)
         )
+
+    def shape(self) -> tuple:
+        """``(stack signature, local keys by frame position, static keys,
+        field-name counts, array-cell count)``, cached per version.
+        Entailment needs equal stack signatures, maps frames by position (0
+        is the current frame) and heap cells injectively, so a weak query's
+        shape must be contained in its strong query's."""
+        if self._shape_version != self.version:
+            frames = [self.current_frame] + [f.frame_id for f in reversed(self.stack)]
+            position = {frame: i for i, frame in enumerate(frames)}
+            fields: dict[str, int] = {}
+            for _, field_name in self.field_cells:
+                fields[field_name] = fields.get(field_name, 0) + 1
+            self._shape = (
+                (self.current_method, tuple((f.method, f.invoke_label) for f in self.stack)),
+                frozenset((position.get(frame), var) for frame, var in self.locals),
+                frozenset(self.statics),
+                fields,
+                len(self.array_cells),
+            )
+            self._shape_version = self.version
+        return self._shape  # type: ignore[return-value]
 
     def all_memory_vars(self) -> set[SymVar]:
         out: set[SymVar] = set()
@@ -526,10 +774,8 @@ class Query:
         ]
 
     def stack_signature(self) -> tuple:
-        return (
-            self.current_method,
-            tuple((f.method, f.invoke_label) for f in self.stack),
-        )
+        """The current method and each pending caller's call site."""
+        return self.shape()[0]
 
     # -- rendering -------------------------------------------------------------------
 

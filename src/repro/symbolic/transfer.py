@@ -106,38 +106,46 @@ class TransferContext:
         is within pt of its base's region — sound because the up-front
         points-to sets over-approximate every reachable heap. Without this,
         narrowing a cell's *base* (e.g. binding a receiver at a method
-        entry) would leave the stale wider region on the value."""
+        entry) would leave the stale wider region on the value.
+
+        Only a cell over a root in ``q.dirty_roots`` (a region narrowed, a
+        unification, a new cell) can break the invariant, so only those
+        cells are checked: pass after pass in ``field_cells`` then
+        ``array_cells`` order, which makes exactly the narrowings, in
+        exactly the order, of a rescan of every cell."""
+        pending = q.take_dirty()
         if not self.narrowing:
             return
-        changed = True
-        while changed and not q.failed:
-            changed = False
-            for (base, field_name), value in list(q.field_cells.items()):
-                if field_name.startswith("@") and field_name != "@elems":
-                    continue
+        find = q.find
+        regions = q.regions
+        pt_field_of_set = self.pta.pt_field_of_set
+        while pending and not q.failed:
+            fresh = q.dirty_roots  # what this pass's narrowings dirty
+            cells = [
+                (base, field_name, value)
+                for (base, field_name), value in q.field_cells.items()
+                if not field_name.startswith("@") or field_name == ELEMS
+            ]
+            cells += [(cell.base, ELEMS, cell.value) for cell in q.array_cells]
+            for base, field_name, value in cells:
                 if not value.is_ref:
                     continue
-                breg = q.region_of(base)
-                vreg = q.region_of(value)
+                broot, vroot = find(base), find(value)
+                if not (
+                    broot in pending or vroot in pending
+                    or broot in fresh or vroot in fresh
+                ):
+                    continue
+                breg = regions.get(broot)
+                vreg = regions.get(vroot)
                 if breg is None or vreg is None:
                     continue
-                target = self.pta.pt_field_of_set(breg, field_name)
+                target = pt_field_of_set(breg, field_name)
                 if not vreg <= target:
                     q.narrow(value, target)
-                    changed = True
                     if q.failed:
                         return
-            for cell in list(q.array_cells):
-                breg = q.region_of(cell.base)
-                vreg = q.region_of(cell.value)
-                if breg is None or vreg is None or not cell.value.is_ref:
-                    continue
-                target = self.pta.pt_field_of_set(breg, ELEMS)
-                if not vreg <= target:
-                    q.narrow(cell.value, target)
-                    changed = True
-                    if q.failed:
-                        return
+            pending = q.take_dirty()
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,38 @@ class TestBasicFlow:
         assert res.pt_local("A.main", "o") == frozenset()
 
 
+class TestFieldOfSet:
+    SOURCE = (
+        "class Box { Object v; } class A { static void main() {"
+        " Box b = new Box(); Box c = new Box(); b.v = new Object();"
+        " c.v = new String(); } }"
+    )
+
+    def test_union_over_the_set(self):
+        res = pta(self.SOURCE)
+        boxes = res.pt_local("A.main", "b") | res.pt_local("A.main", "c")
+        union = frozenset().union(*(res.pt_field(box, "v") for box in boxes))
+        assert loc_names(union) == {"object0", "string0"}
+        assert res.pt_field_of_set(boxes, "v") == union
+        assert res.pt_field_of_set(boxes, "v") is res.pt_field_of_set(boxes, "v")
+        assert res.pt_field_of_set(frozenset(), "v") == frozenset()
+
+    def test_seal_forgets_answers(self):
+        # A re-solve (serve's incremental update) grows the graph and ends
+        # in seal(), which must drop every remembered answer.
+        from repro.pointsto.graph import FieldNode
+
+        res = pta(self.SOURCE)
+        (b,) = res.pt_local("A.main", "b")
+        (c,) = res.pt_local("A.main", "c")
+        before = res.pt_field_of_set(frozenset({b}), "v")
+        res.graph.points_to(FieldNode(b, "v")).update(res.pt_field(c, "v"))
+        res.graph.seal()
+        after = res.pt_field_of_set(frozenset({b}), "v")
+        assert after == before | res.pt_field(c, "v")
+        assert after != before
+
+
 class TestCallsAndCallGraph:
     def test_param_and_return_flow(self):
         res = pta(
