@@ -77,7 +77,6 @@ _WIRE_FIELDS = (
     "budget",
     "memoize",
     "subsumption",
-    "partition",
     "backend",
     "journal",
     "schedule",
@@ -118,11 +117,9 @@ class AnalysisRequest:
     deadline: Optional[float] = None
     budget: Optional[int] = None  # path_budget override
     #: Cache toggles (repro.perf): ``None`` keeps the config's value,
-    #: ``False`` ablates the layer (CLI --no-memo / --no-subsumption /
-    #: --no-partition).
+    #: ``False`` ablates the layer (CLI --no-memo / --no-subsumption).
     memoize: Optional[bool] = None
     subsumption: Optional[bool] = None
-    partition: Optional[bool] = None
     #: Worker pool flavor for ``jobs > 1``: "thread" (default) or "process".
     backend: Optional[str] = None
     #: Record a per-query search journal for the run and attach it to the
@@ -292,8 +289,6 @@ def _resolve_config(request: AnalysisRequest) -> SearchConfig:
         config = config.copy(memoize_solver=request.memoize)
     if request.subsumption is not None:
         config = config.copy(state_subsumption=request.subsumption)
-    if request.partition is not None:
-        config = config.copy(partition_solver=request.partition)
     if request.schedule is not None:
         config = config.copy(schedule=request.schedule)
     if request.portfolio:

@@ -32,12 +32,10 @@ share the parallel-driver flags:
     Write the structured per-edge run report (JSON) to PATH.
 ``--progress``
     Stream per-edge progress lines to stderr as jobs finish.
-``--no-memo`` / ``--no-subsumption`` / ``--no-partition``
+``--no-memo`` / ``--no-subsumption``
     Ablation switches for the :mod:`repro.perf` caches: disable solver
-    verdict memoization, the refuted-state cache plus worklist
-    subsumption, or relevance-partitioned incremental solving
-    (restoring the monolithic decision-procedure path), respectively
-    (see ``docs/performance.md``).
+    verdict memoization, or the refuted-state cache plus worklist
+    subsumption, respectively (see ``docs/performance.md``).
 ``--backend {thread,process}``
     Worker pool flavor for ``--jobs N > 1`` (default thread). The process
     backend ships per-worker metrics/span/journal payloads back to the
@@ -150,14 +148,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         help="disable the refuted-state cache and worklist subsumption (ablation)",
     )
     parser.add_argument(
-        "--no-partition",
-        action="store_true",
-        help=(
-            "disable relevance-partitioned incremental solving and use the"
-            " monolithic decision procedure (ablation)"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         choices=["thread", "process"],
         default=None,
@@ -229,7 +219,6 @@ def _search_config(args, **overrides):
     return SearchConfig(
         memoize_solver=not getattr(args, "no_memo", False),
         state_subsumption=not getattr(args, "no_subsumption", False),
-        partition_solver=not getattr(args, "no_partition", False),
         **overrides,
     )
 
@@ -914,19 +903,11 @@ def _print_cache_tiers(cache: dict) -> None:
     if not cache:
         return
     tiers = cache.get("tiers") or {}
-    partitioned = cache.get("partition_solver")
-    if not tiers and partitioned is not False:
+    if not tiers:
         return
     print("cache tiers (answered without deciding):")
-    if partitioned is False:
-        # The context/component tiers only exist under relevance
-        # partitioning; say so instead of showing misleading zeros.
-        print("  partitioning disabled   (--no-partition)")
-    else:
-        print(f"  solver context hits    {tiers.get('context_hits', 0):>8}")
-        print(
-            f"  component memo hits    {tiers.get('component_memo_hits', 0):>8}"
-        )
+    print(f"  solver context hits    {tiers.get('context_hits', 0):>8}")
+    print(f"  component memo hits    {tiers.get('component_memo_hits', 0):>8}")
     print(f"  whole-query memo hits  {tiers.get('whole_query_memo_hits', 0):>8}")
     print(f"  syntactic UNSAT        {tiers.get('fastpath_unsat', 0):>8}")
     store = cache.get("store") or {}

@@ -903,7 +903,6 @@ class RefutationDriver:
             cache["refuted_store"] = None
         cache["memoize_solver"] = self.config.memoize_solver
         cache["state_subsumption"] = self.config.state_subsumption
-        cache["partition_solver"] = self.config.partition_solver
         schedule = self._schedule_section()
         with self._lock:
             return RunReport(

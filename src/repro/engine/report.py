@@ -81,7 +81,7 @@ class RunReport:
     #: from the span stream when tracing is enabled; empty otherwise.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Cache behavior for the run: per-cache hit/miss counts and rates
-    #: (solver memo, entailment memo, refuted-state cache, term interning)
+    #: (SAT basis, component memo, refuted-state cache, term interning)
     #: merged across process-pool workers, plus the active toggle values.
     #: See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)

@@ -63,6 +63,7 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _TIER_LABELS = {
     "solver.context_hits": "context",
     "solver.component_memo_hits": "component_memo",
+    # Whole queries the SAT basis answered (a stable name).
     "solver.memo_hits": "whole_query_memo",
     "solver.fastpath_unsat": "fastpath_unsat",
     "solver.checks": "decision",

@@ -4,14 +4,12 @@ Thresher's value proposition is pruning infeasible paths early; this
 package makes the pruning itself cheap by never paying for the same work
 twice:
 
-* :mod:`repro.perf.memo` — LRU-bounded memo tables in front of the
-  decision procedure: ``check_sat``/``entails`` verdicts keyed on the
-  canonical frozen constraint set (terms are hash-consed by
-  :mod:`repro.solver.terms`, so key construction is cheap), plus the
-  per-component verdict table of the relevance-partitioned solver path
-  (:mod:`repro.solver.partition`), where verdicts are cached per
-  variable-connected constraint fragment and each query re-decides only
-  the fragments changed since its lineage's last SAT check;
+* :mod:`repro.perf.memo` — the LRU-bounded per-component verdict table
+  in front of the decision procedure: ``check_sat`` splits each query
+  into variable-connected constraint fragments
+  (:mod:`repro.solver.partition`), caches verdicts per fragment on its
+  canonical signature, and re-decides only the fragments changed since
+  its lineage's last SAT check;
 * :mod:`repro.perf.cache` — a lock-striped **refuted-state cache** shared
   across refutation jobs: once a whole search completes REFUTED, every
   query it recorded at loop heads and procedure boundaries is a proven
@@ -22,27 +20,24 @@ twice:
 Every layer reports hit/miss counters into :mod:`repro.obs.metrics`
 (``--metrics``) and the aggregate :func:`cache_report` is rolled into the
 driver's JSON run report. Every layer is toggleable (``--no-memo``,
-``--no-subsumption``, ``--no-partition`` / ``SearchConfig.memoize_solver``
-/ ``SearchConfig.state_subsumption`` / ``SearchConfig.partition_solver``)
-so ablation benchmarks can quantify each one.
+``--no-subsumption`` / ``SearchConfig.memoize_solver`` /
+``SearchConfig.state_subsumption``) so ablation benchmarks can quantify
+each one.
 """
 
 from __future__ import annotations
 
 from ..obs import metrics
 from .cache import RefutedStateCache
-from .memo import SOLVER_MEMO, SOLVER_PARTITION, LRUCache, SolverMemo, SolverPartition
+from .memo import SOLVER_MEMO, LRUCache, SolverMemo
 
 #: Counters that describe cache behavior; snapshotted per process so the
 #: driver can merge process-pool workers' tallies into one report.
 CACHE_METRIC_NAMES = (
     "solver.checks",
     "solver.unsat",
-    "solver.entails",
     "solver.memo_hits",
     "solver.memo_misses",
-    "solver.entails_memo_hits",
-    "solver.entails_memo_misses",
     "solver.partitions",
     "solver.context_hits",
     "solver.component_memo_hits",
@@ -75,9 +70,7 @@ def refresh_intern_gauges() -> None:
     metrics.gauge("solver.intern_misses").set(stats["misses"])
     metrics.gauge("solver.intern_size").set(stats["size"])
     sizes = SOLVER_MEMO.sizes()
-    metrics.gauge("solver.memo_check_size").set(sizes["check"])
     metrics.gauge("solver.memo_component_size").set(sizes["component"])
-    metrics.gauge("solver.memo_entailment_size").set(sizes["entailment"])
     metrics.gauge("solver.memo_capacity").set(sizes["capacity"])
 
 
@@ -109,20 +102,14 @@ def cache_report(extra_snapshots: list | None = None) -> dict:
             merged[name] = merged.get(name, 0) + value
     return {
         "counters": merged,
+        # Whole queries the SAT basis answered; the name is kept from the
+        # whole-query memo it replaced.
         "solver_memo": {
             "hits": merged.get("solver.memo_hits", 0),
             "misses": merged.get("solver.memo_misses", 0),
             "hit_rate": _rate(
                 merged.get("solver.memo_hits", 0),
                 merged.get("solver.memo_misses", 0),
-            ),
-        },
-        "entails_memo": {
-            "hits": merged.get("solver.entails_memo_hits", 0),
-            "misses": merged.get("solver.entails_memo_misses", 0),
-            "hit_rate": _rate(
-                merged.get("solver.entails_memo_hits", 0),
-                merged.get("solver.entails_memo_misses", 0),
             ),
         },
         "refuted_states": {
@@ -200,9 +187,7 @@ def _store_section(merged: dict) -> dict:
 
 __all__ = [
     "SOLVER_MEMO",
-    "SOLVER_PARTITION",
     "SolverMemo",
-    "SolverPartition",
     "LRUCache",
     "RefutedStateCache",
     "CACHE_METRIC_NAMES",

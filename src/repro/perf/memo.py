@@ -1,16 +1,17 @@
-"""LRU-bounded memo tables for the pure-constraint decision procedure.
+"""LRU-bounded memo table for the pure-constraint decision procedure.
 
-The backwards executor re-issues the same satisfiability queries
+The backwards executor re-issues the same constraint fragments
 constantly: branch siblings share all constraints but the guard, loop
 saturation re-checks a shrinking fixed point pass after pass, and
-parallel edge jobs traverse the same callees. With terms hash-consed
-(:mod:`repro.solver.terms`) the canonical key — the *frozen set* of atoms
-plus the non-null root set — costs one frozenset build, so a table lookup
-is far cheaper than even our small Fourier–Motzkin runs.
+parallel edge jobs traverse the same callees. The relevance-partitioned
+``check_sat`` splits each query into variable-connected components and
+keys each component's verdict on its canonical alpha-renamed signature
+(:func:`repro.solver.partition.canonical_key`), so a table lookup is far
+cheaper than even our small Fourier–Motzkin runs.
 
-Both tables are pure-function caches: ``check_sat`` and ``entails`` depend
-only on their arguments, so there is no invalidation story — only an LRU
-bound to keep memory flat on long runs. The process-wide instance
+The table is a pure-function cache: a component's verdict depends only on
+its atoms and non-null facts, so there is no invalidation story — only an
+LRU bound to keep memory flat on long runs. The process-wide instance
 :data:`SOLVER_MEMO` is switched off by ``SearchConfig.memoize_solver=False``
 (CLI ``--no-memo``); hit/miss tallies are reported by the callers in
 :mod:`repro.solver.core` into ``repro.obs.metrics``.
@@ -79,71 +80,40 @@ class LRUCache:
 
 
 class SolverMemo:
-    """The solver front-end's memo tables (+ master switch).
+    """The solver's per-component verdict table (+ master switch).
 
     ``enabled`` is process-wide: the :class:`~repro.symbolic.executor.Engine`
     sets it from ``SearchConfig.memoize_solver`` at construction, and the
     process-pool initializer replays the same config in workers, so one
     flag consistently governs a whole run.
 
-    ``check`` keys whole-query verdicts and is used only by the
-    monolithic (``--no-partition``) solver path; the partitioned path
-    answers repeated queries from each query's SAT basis instead.
-    ``component`` keys per-component verdicts (the relevance-partitioned
-    path of :mod:`repro.solver.partition`, where the key space collapses
-    from "every distinct path constraint" to "every distinct constraint
-    fragment"); ``entailment`` keys :func:`repro.solver.core.entails`.
+    ``component`` keys per-component verdicts on canonical signatures
+    (:mod:`repro.solver.partition`), where the key space collapses from
+    "every distinct path constraint" to "every distinct constraint
+    fragment". Repeated whole queries never reach it: each query's SAT
+    basis answers them.
     """
 
-    __slots__ = ("enabled", "check", "entailment", "component")
+    __slots__ = ("enabled", "component")
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is None:
             capacity = _configured_capacity()
         self.enabled = True
-        self.check = LRUCache(capacity)
-        self.entailment = LRUCache(capacity)
         self.component = LRUCache(capacity)
 
     def set_enabled(self, enabled: bool) -> None:
         self.enabled = bool(enabled)
 
     def clear(self) -> None:
-        self.check.clear()
-        self.entailment.clear()
         self.component.clear()
 
     def sizes(self) -> dict:
         return {
-            "check": len(self.check),
-            "entailment": len(self.entailment),
             "component": len(self.component),
             "capacity": self.component.capacity,
         }
 
 
-#: Process-wide instance consulted by :func:`repro.solver.core.check_sat`
-#: and :func:`repro.solver.core.entails`.
-SOLVER_MEMO = SolverMemo()
-
-
-class SolverPartition:
-    """Process-wide switch for relevance-partitioned incremental solving
-    (:mod:`repro.solver.partition`): component decomposition, per-component
-    verdict caching, SAT-basis delta checks, and the syntactic UNSAT fast
-    path. Governed by ``SearchConfig.partition_solver`` (CLI
-    ``--no-partition``) exactly like :data:`SOLVER_MEMO`; disabling it
-    restores the monolithic pre-partitioning solver path bit-for-bit.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-    def set_enabled(self, enabled: bool) -> None:
-        self.enabled = bool(enabled)
-
-
 #: Process-wide instance consulted by :func:`repro.solver.core.check_sat`.
-SOLVER_PARTITION = SolverPartition()
+SOLVER_MEMO = SolverMemo()

@@ -9,13 +9,17 @@ one ``repro`` invocation answers the identical fragment in the next one,
 which is what turns warm CI re-runs and restarted ``repro serve`` daemons
 from cold starts into cache hits.
 
-Three verdict kinds are stored, mirroring the in-memory tiers:
+Two verdict kinds are stored, mirroring the solver's tiers:
 
-* ``comp`` — per-component verdicts (the partitioned path's tier-2 memo);
-* ``part`` — whole-query verdicts on the partitioned path;
-* ``mono`` — whole-query verdicts on the monolithic (``--no-partition``)
-  path. Kinds never mix: per-component FM give-ups can differ from
-  whole-query ones, exactly like the in-memory ``"part"`` marker.
+* ``comp`` — per-component verdicts (the in-memory component memo's
+  persistent twin);
+* ``part`` — whole-query verdicts. Kinds never mix: per-component FM
+  give-ups can differ from whole-query ones.
+
+Rows of any other kind (such as ``mono`` rows from stores written when a
+monolithic solver path still existed) are never loaded or served; they
+stay on disk until LRU eviction, ``repro cache prune`` or ``clear``
+removes them.
 
 Alongside verdicts, the store persists the :class:`RefutedStateCache`'s
 proven dead ends (pickled ``(point key, query)`` snapshots), scoped by a
@@ -85,7 +89,7 @@ _WRITES = metrics.counter("store.writes")
 _EVICTIONS = metrics.counter("store.evictions")
 _ERRORS = metrics.counter("store.errors")
 
-_VERDICT_KINDS = ("comp", "part", "mono")
+_VERDICT_KINDS = ("comp", "part")
 
 
 def solver_fingerprint() -> str:
@@ -504,7 +508,7 @@ class VerdictStore:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide activation (mirrors SOLVER_MEMO / SOLVER_PARTITION)
+# Process-wide activation (mirrors SOLVER_MEMO)
 # ---------------------------------------------------------------------------
 
 #: The store consulted by :mod:`repro.solver.core`; ``None`` when no cache

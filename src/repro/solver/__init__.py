@@ -1,6 +1,6 @@
 """Pure-constraint decision procedure (the offline stand-in for Z3)."""
 
-from .core import FM_ATOM_BUDGET, GLOBAL_STATS, SolverStats, check_sat, entails
+from .core import FM_ATOM_BUDGET, GLOBAL_STATS, SolverStats, check_sat
 from .partition import canonical_key, split_components, syntactic_unsat
 from .terms import (
     NULL,
@@ -24,7 +24,6 @@ __all__ = [
     "GLOBAL_STATS",
     "SolverStats",
     "check_sat",
-    "entails",
     "canonical_key",
     "split_components",
     "syntactic_unsat",

@@ -24,9 +24,9 @@ from typing import Iterable, Optional
 
 from ..obs import metrics, provenance, trace
 from ..perf import store as perf_store
-from ..perf.memo import SOLVER_MEMO, SOLVER_PARTITION
+from ..perf.memo import SOLVER_MEMO
 from . import partition
-from .terms import NULL, Atom, LinAtom, LinExpr, RefAtom, Var, _NullConst, tighten
+from .terms import NULL, Atom, LinAtom, LinExpr, RefAtom, Var, tighten
 from .unionfind import UnionFind
 
 # Beyond this many ≤-atoms during elimination we give up and report SAT.
@@ -35,24 +35,23 @@ FM_ATOM_BUDGET = 400
 # Process-wide mirrors of the per-context SolverStats counters; the
 # canonical cross-run aggregate (dumped by --metrics) lives in the
 # repro.obs registry, while SolverStats instances stay around as the
-# per-search compatibility view. ``solver.checks``/``solver.unsat`` count
-# *actual decision-procedure runs* — a memo hit increments only the
-# memo-hit counters, which is what makes the cached-vs-uncached solver
-# call reduction measurable.
+# per-search compatibility view. ``solver.checks`` counts *actual
+# decision-procedure runs* (one per component decided) — a cache tier's
+# answer increments only that tier's counter, which is what makes the
+# cached-vs-uncached solver call reduction measurable. ``solver.unsat``
+# counts UNSAT verdicts, whichever tier answered them, so it reads the
+# same cold or warm.
 _CHECKS = metrics.counter("solver.checks")
 _UNSAT = metrics.counter("solver.unsat")
 _GIVEUPS = metrics.counter("solver.fm_giveups")
-_ENTAILS = metrics.counter("solver.entails")
 _CHECK_ATOMS = metrics.histogram("solver.check_atoms")
+# Queries partitioned, components per query, atoms per component, and the
+# ways a component can be answered without an actual decision-procedure
+# run. The names ``memo_hits``/``context_hits`` are kept for the queries
+# and components the SAT basis answers (they also name the Prometheus
+# ``tier`` labels).
 _MEMO_HITS = metrics.counter("solver.memo_hits")
 _MEMO_MISSES = metrics.counter("solver.memo_misses")
-_ENTAILS_MEMO_HITS = metrics.counter("solver.entails_memo_hits")
-_ENTAILS_MEMO_MISSES = metrics.counter("solver.entails_memo_misses")
-# Relevance-partitioned path (repro.solver.partition): queries partitioned,
-# components per query, atoms per component, and the ways a component can
-# be answered without an actual decision-procedure run. There the names
-# ``memo_hits``/``context_hits`` are kept for the queries and components
-# the SAT basis answers (they also name the Prometheus ``tier`` labels).
 _PARTITIONS = metrics.counter("solver.partitions")
 _COMPONENTS = metrics.histogram("solver.components")
 _COMPONENT_SIZE = metrics.histogram("solver.component_size")
@@ -66,21 +65,19 @@ class SolverStats:
     """Per-search counters (compatibility view over the repro.obs registry:
     the process-wide totals live in ``solver.*`` metrics).
 
-    ``checks``/``unsat``/``entails`` count *queries asked and their
-    verdicts* — they are memoization-invariant, so per-search accounting
-    (and tests pinning exact counts) reads the same with caches on or off.
-    ``memo_hits``/``memo_misses`` say how many of those queries were
-    answered whole without a decision (the memo table on the monolithic
-    path, the SAT basis on the partitioned one) vs. not; on the
-    partitioned path ``context_hits``/``component_hits`` count components
-    answered by the SAT basis and by the per-component memo table.
+    ``checks``/``unsat`` count *queries asked and their verdicts* — they
+    are memoization-invariant, so per-search accounting (and tests
+    pinning exact counts) reads the same with caches on or off.
+    ``memo_hits``/``memo_misses`` say how many of those queries the SAT
+    basis answered whole without a decision vs. not;
+    ``context_hits``/``component_hits`` count components answered by the
+    SAT basis and by the per-component memo table.
     """
 
     def __init__(self) -> None:
         self.checks = 0
         self.unsat = 0
         self.fm_giveups = 0
-        self.entails = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.context_hits = 0
@@ -89,7 +86,7 @@ class SolverStats:
     def __repr__(self) -> str:
         return (
             f"SolverStats(checks={self.checks}, unsat={self.unsat},"
-            f" giveups={self.fm_giveups}, entails={self.entails},"
+            f" giveups={self.fm_giveups},"
             f" memo_hits={self.memo_hits}, memo_misses={self.memo_misses},"
             f" context_hits={self.context_hits},"
             f" component_hits={self.component_hits})"
@@ -117,102 +114,10 @@ def check_sat(
     (e.g. instances that appear as the source of an exact points-to
     constraint); equating one of those with NULL is a contradiction.
 
-    Two interchangeable strategies, selected by
-    :data:`repro.perf.SOLVER_PARTITION`:
-
-    * **monolithic** (``--no-partition``): decide the whole conjunction
-      in one union-find + Fourier–Motzkin run, memoizing the verdict on
-      the canonical frozen atom set (terms are hash-consed, so the key is
-      cheap); the memo is a pure-function cache with no invalidation,
-      toggled via :data:`repro.perf.SOLVER_MEMO`;
-    * **relevance-partitioned** (the default): decide only what changed
-      since ``basis`` — the ``(atom set, nonnull)`` of the caller's last
-      SAT check (:attr:`repro.symbolic.query.Query.sat_basis`) — then
-      screen for syntactic contradictions, split the conjunction into
-      connected components over shared variables, and decide each
-      changed component independently, answering from the per-component
-      memo table or the persistent store whenever the fragment was
-      already decided. UNSAT in any component is UNSAT overall; SAT in
-      every component is SAT overall (the components share no
-      variables, so models compose).
-
-    ``atom_set`` is ``frozenset(atoms)`` when the caller already has it
-    (the basis it keeps is built from the same set).
-    """
-    stats = stats or GLOBAL_STATS
-    stats.checks += 1
-    atoms = list(atoms)
-    nonnull = nonnull or frozenset()
-
-    if SOLVER_PARTITION.enabled:
-        return _check_sat_partitioned(atoms, nonnull, stats, basis, atom_set)
-
-    memo_key = None
-    if SOLVER_MEMO.enabled:
-        memo_key = (frozenset(atoms), frozenset(nonnull))
-        cached = SOLVER_MEMO.check.get(memo_key)
-        if cached is not None:
-            stats.memo_hits += 1
-            _MEMO_HITS.inc()
-            if not cached:
-                stats.unsat += 1
-                if provenance.enabled():
-                    provenance.note_unsat(atoms)
-            return cached
-        stats.memo_misses += 1
-        _MEMO_MISSES.inc()
-
-    # Persistent store probe (only ever after an in-memory memo miss):
-    # monolithic whole-query verdicts persist under their canonical
-    # signature, kind "mono" — kept apart from partitioned verdicts
-    # because per-component FM give-ups can differ from whole-query ones.
-    store = perf_store.ACTIVE
-    canon = None
-    if store is not None:
-        canon = partition.canonical_key(atoms, nonnull)
-        cached = store.get("mono", canon)
-        if cached is not None:
-            if memo_key is not None:
-                SOLVER_MEMO.check.put(memo_key, cached)
-            if not cached:
-                stats.unsat += 1
-                if provenance.enabled():
-                    provenance.note_unsat(atoms)
-            return cached
-
-    _CHECKS.inc()
-    _CHECK_ATOMS.observe(len(atoms))
-    with trace.span("solver.check_sat"):
-        ref_atoms = [a for a in atoms if isinstance(a, RefAtom)]
-        lin_atoms = [a for a in atoms if isinstance(a, LinAtom)]
-
-        result = True
-        if not _check_refs(ref_atoms, nonnull):
-            result = False
-        elif not _check_linear(lin_atoms, stats):
-            result = False
-        if not result:
-            stats.unsat += 1
-            _UNSAT.inc()
-            if provenance.enabled():
-                provenance.note_unsat(atoms)
-    if memo_key is not None:
-        SOLVER_MEMO.check.put(memo_key, result)
-    if canon is not None and store is not None:
-        store.put("mono", canon, result)
-    return result
-
-
-def _check_sat_partitioned(
-    atoms: list[Atom],
-    nonnull: frozenset[Var],
-    stats: SolverStats,
-    basis: Optional[SatBasis],
-    atom_set: Optional[frozenset[Atom]],
-) -> bool:
-    """Relevance-partitioned ``check_sat`` (delta satisfiability).
-
-    Against the lineage's SAT ``basis`` a query is answered three ways:
+    The check is relevance-partitioned and incremental (delta
+    satisfiability). Against ``basis`` — the ``(atom set, nonnull)`` of
+    the caller's last SAT check (:attr:`repro.symbolic.query.Query.sat_basis`)
+    — a query is answered three ways:
 
     * **same atoms**, no new non-null fact: SAT at once — the basis
       conjunction was SAT and this one is no stronger;
@@ -224,9 +129,22 @@ def _check_sat_partitioned(
     * **anything else** (unify renames, dropped atoms, no basis): decide
       every component.
 
-    A component that needs a verdict is answered from the component memo,
-    then the persistent store, then the decision procedure. See
-    :mod:`repro.solver.partition` for the soundness of splitting."""
+    Before splitting, the conjunction is screened for syntactic
+    contradictions. It is then split into connected components over
+    shared variables, and each component that needs a verdict is answered
+    from the component memo (:data:`repro.perf.SOLVER_MEMO`), then the
+    persistent store, then the decision procedure. UNSAT in any component
+    is UNSAT overall; SAT in every component is SAT overall (the
+    components share no variables, so models compose). See
+    :mod:`repro.solver.partition` for the soundness of splitting.
+
+    ``atom_set`` is ``frozenset(atoms)`` when the caller already has it
+    (the basis it keeps is built from the same set).
+    """
+    stats = stats or GLOBAL_STATS
+    stats.checks += 1
+    atoms = list(atoms)
+    nonnull = nonnull or frozenset()
     _PARTITIONS.inc()
     store = perf_store.ACTIVE
     if atom_set is None:
@@ -245,27 +163,20 @@ def _check_sat_partitioned(
     _MEMO_MISSES.inc()
 
     # The persistent store's whole-query tier, on the canonical
-    # alpha-renamed signature (run- and process-independent). Its "part"
-    # kind keeps partitioned verdicts apart from monolithic ones —
-    # per-component FM give-ups can differ from whole-query ones.
+    # alpha-renamed signature (run- and process-independent), kind "part".
     wcanon = None
     if store is not None:
         wcanon = partition.canonical_key(atoms, nonnull)
         cached = store.get("part", wcanon)
         if cached is not None:
             if not cached:
-                stats.unsat += 1
-                if provenance.enabled():
-                    provenance.note_unsat(atoms)
+                _note_unsat(stats, atoms)
             return cached
 
     bad = partition.syntactic_unsat(atoms, nonnull)
     if bad is not None:
         _FASTPATH_UNSAT.inc()
-        stats.unsat += 1
-        _UNSAT.inc()
-        if provenance.enabled():
-            provenance.note_unsat([bad])
+        _note_unsat(stats, [bad])
         return False
 
     dirty = None
@@ -315,16 +226,22 @@ def _check_sat_partitioned(
             if canon is not None and store is not None:
                 store.put("comp", canon, verdict)
         if not verdict:
-            stats.unsat += 1
-            _UNSAT.inc()
-            if provenance.enabled():
-                provenance.note_unsat(catoms)
+            _note_unsat(stats, catoms)
             if wcanon is not None and store is not None:
                 store.put("part", wcanon, False)
             return False
     if wcanon is not None and store is not None:
         store.put("part", wcanon, True)
     return True
+
+
+def _note_unsat(stats: SolverStats, atoms: list[Atom]) -> None:
+    """Count one UNSAT verdict, whichever tier answered it, and record
+    the refuting atoms for provenance."""
+    stats.unsat += 1
+    _UNSAT.inc()
+    if provenance.enabled():
+        provenance.note_unsat(atoms)
 
 
 def _decide_component(
@@ -345,42 +262,6 @@ def _decide_component(
         if not _check_refs(ref_atoms, nonnull):
             return False
         return _check_linear(lin_atoms, stats)
-
-
-def entails(
-    stronger: Iterable[Atom],
-    weaker: Iterable[Atom],
-    stats: Optional[SolverStats] = None,
-) -> bool:
-    """Conservative syntactic entailment: every atom of ``weaker`` appears
-    in ``stronger`` (after normalization). Used by query subsumption, where
-    a miss only costs re-exploration, never soundness. Memoized like
-    :func:`check_sat` on the pair of normalized frozen atom sets."""
-    stats = stats or GLOBAL_STATS
-    stats.entails += 1
-    _ENTAILS.inc()
-    with trace.span("solver.entails"):
-        have = frozenset(_normalize(a) for a in stronger)
-        want = frozenset(_normalize(a) for a in weaker)
-        if SOLVER_MEMO.enabled:
-            memo_key = (have, want)
-            cached = SOLVER_MEMO.entailment.get(memo_key)
-            if cached is not None:
-                stats.memo_hits += 1
-                _ENTAILS_MEMO_HITS.inc()
-                return cached
-            stats.memo_misses += 1
-            _ENTAILS_MEMO_MISSES.inc()
-            result = want <= have
-            SOLVER_MEMO.entailment.put(memo_key, result)
-            return result
-        return want <= have
-
-
-def _normalize(atom: Atom) -> Atom:
-    if isinstance(atom, RefAtom):
-        return atom.normalized()
-    return atom
 
 
 # ---------------------------------------------------------------------------

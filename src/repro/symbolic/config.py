@@ -60,19 +60,13 @@ class SearchConfig:
     max_loop_passes: int = 10
     #: Query-history subsumption at loop heads and procedure boundaries.
     simplify_queries: bool = True
-    #: Memoize solver verdicts (check_sat/entails) on canonical frozen
-    #: constraint sets (CLI ``--no-memo`` disables). Process-wide: the
-    #: engine applies it to :data:`repro.perf.SOLVER_MEMO` at construction.
+    #: Memoize per-component solver verdicts on canonical constraint
+    #: signatures (CLI ``--no-memo`` disables). Process-wide: the engine
+    #: applies it to :data:`repro.perf.SOLVER_MEMO` at construction.
     memoize_solver: bool = True
     #: Cross-search refuted-state cache + entailment-based worklist
     #: subsumption (CLI ``--no-subsumption`` disables).
     state_subsumption: bool = True
-    #: Relevance-partitioned incremental solving: decompose each pure
-    #: conjunction into variable-connected components, cache verdicts per
-    #: component, and re-decide only the components changed since a
-    #: query's last SAT check (CLI ``--no-partition`` restores the
-    #: monolithic solver path). Process-wide like ``memoize_solver``.
-    partition_solver: bool = True
     loop_inference: LoopInference = LoopInference.FULL
     #: Upper bound on disjuncts produced by one array-write case split
     #: before falling back to dropping disaliasing constraints.

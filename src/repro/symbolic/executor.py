@@ -37,7 +37,7 @@ from ..pointsto import ELEMS, PointsToResult
 from ..pointsto.graph import HeapEdge
 from ..perf import store as perf_store
 from ..perf.cache import RefutedStateCache
-from ..perf.memo import SOLVER_MEMO, SOLVER_PARTITION
+from ..perf.memo import SOLVER_MEMO
 from ..pointsto.modref import ModSet
 from . import loops
 from .config import Representation, SearchConfig
@@ -117,7 +117,6 @@ class Engine:
         # The solver memo is process-wide; the engine's config governs it
         # for the whole run (the driver replays the same config in workers).
         SOLVER_MEMO.set_enabled(self.config.memoize_solver)
-        SOLVER_PARTITION.set_enabled(self.config.partition_solver)
         # The persistent verdict store follows the same discipline: one
         # engine construction (re)binds the process-wide store to the
         # configured cache directory, or detaches it when none is set.

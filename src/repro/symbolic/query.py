@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from ..perf.memo import SOLVER_PARTITION
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, check_sat, ref_eq, ref_ne
 from ..solver.core import SatBasis, SolverStats
@@ -653,7 +652,7 @@ class Query:
             return self._sat_result
         atoms = self.canonical_pure() + self.separation_atoms()
         nonnull = frozenset(self._nonnull)
-        atom_set = frozenset(atoms) if SOLVER_PARTITION.enabled else None
+        atom_set = frozenset(atoms)
         ok = check_sat(
             atoms,
             nonnull=nonnull,
@@ -665,7 +664,7 @@ class Query:
         self._sat_result = ok
         if not ok:
             self.fail("pure constraints unsatisfiable")
-        elif atom_set is not None:
+        else:
             self.sat_basis = (atom_set, nonnull)
         return ok
 

@@ -29,8 +29,7 @@ from .query import Query
 from .symvar import SymVar
 
 # Structural query-entailment calls (worklist subsumption, refuted-state
-# cache, query histories). This — not the dead ``solver.entails`` atom-set
-# check — is what the ablation grid's ``entails_calls`` column reports.
+# cache, query histories): the ablation grid's ``entails_calls`` column.
 _ENTAILS_CALLS = metrics.counter("executor.entails_calls")
 
 

@@ -8,7 +8,7 @@ three verdicts must agree:
 
 * the basis verdict (the lineage's basis, memo on and warm across steps);
 * the no-basis verdict (every component decided, memo off);
-* the monolithic verdict (``--no-partition``, memo off).
+* the monolithic verdict (the whole-conjunction oracle).
 
 As in ``Query.check_sat``, a SAT verdict moves the basis to the current
 atoms and non-null facts; an UNSAT one leaves it where it was.
@@ -17,10 +17,16 @@ atoms and non-null facts; an UNSAT one leaves it where it was.
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.perf.memo import SOLVER_MEMO, SOLVER_PARTITION
+from repro.perf.memo import SOLVER_MEMO
 from repro.solver import NULL, check_sat, ref_eq
 
-from .test_partition_parity import INT_VARS, REF_VARS, lin_atoms, ref_atoms
+from .test_partition_parity import (
+    INT_VARS,
+    REF_VARS,
+    lin_atoms,
+    monolithic,
+    ref_atoms,
+)
 
 add_step = st.tuples(st.just("add"), st.one_of(lin_atoms(), ref_atoms()))
 grow_step = st.tuples(st.just("grow"), st.sampled_from(REF_VARS))
@@ -59,14 +65,11 @@ def apply(step, atoms: list, nonnull: frozenset) -> tuple[list, frozenset]:
 
 
 def verdicts(atoms: list, nonnull: frozenset, basis) -> tuple[bool, bool, bool]:
-    SOLVER_PARTITION.set_enabled(True)
     SOLVER_MEMO.set_enabled(True)
     delta = check_sat(atoms, nonnull=nonnull, basis=basis)
     SOLVER_MEMO.set_enabled(False)
     full = check_sat(atoms, nonnull=nonnull)
-    SOLVER_PARTITION.set_enabled(False)
-    mono = check_sat(atoms, nonnull=nonnull)
-    return delta, full, mono
+    return delta, full, monolithic(atoms, nonnull)
 
 
 @seed(20130613)
@@ -80,7 +83,7 @@ def verdicts(atoms: list, nonnull: frozenset, basis) -> tuple[bool, bool, bool]:
 # A newly non-null variable refutes through an old reference chain.
 @example([("add", ref_eq("r0", "r1")), ("add", ref_eq("r1", NULL)), ("grow", "r0")])
 def test_basis_verdict_agrees_at_every_step(script):
-    memo_was, part_was = SOLVER_MEMO.enabled, SOLVER_PARTITION.enabled
+    memo_was = SOLVER_MEMO.enabled
     SOLVER_MEMO.clear()
     try:
         atoms: list = []
@@ -97,5 +100,4 @@ def test_basis_verdict_agrees_at_every_step(script):
                 basis = (frozenset(atoms), nonnull)
     finally:
         SOLVER_MEMO.set_enabled(memo_was)
-        SOLVER_PARTITION.set_enabled(part_was)
         SOLVER_MEMO.clear()

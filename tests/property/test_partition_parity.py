@@ -1,34 +1,50 @@
 """Partitioned vs monolithic solver parity (the repro.solver.partition
 soundness contract).
 
-Two layers of evidence that relevance partitioning never changes an
-answer, only skips work:
+The oracle is the whole-conjunction decider: union-find plus
+Fourier–Motzkin over every atom at once (``_decide_component`` on the
+full atom list), with no splitting, basis or cache. Two layers of
+evidence that relevance partitioning never changes an answer, only skips
+work:
 
 * **atom-level** — Hypothesis generates random mixed ``RefAtom`` /
   ``LinAtom`` conjunctions (shared variables, NULL operands, nonnull
-  facts, ground contradictions); ``check_sat`` must agree between the
-  monolithic path and every partitioned flavor (cold, memo-warmed,
-  basis-warmed, memo-disabled);
+  facts, ground contradictions); ``check_sat`` must agree with the
+  oracle in every flavor (cold, memo-warmed, basis-warmed,
+  memo-disabled);
 * **client-level** — Hypothesis generates small mini-Java programs (same
   universe as the refutation-soundness suite) and all four analysis
-  clients run end to end with partitioning on and off; verdicts, per-item
-  outcomes, and per-job record statuses must be bit-identical
-  (``--no-partition`` restores the exact pre-partitioning solver path).
+  clients run end to end on ``check_sat`` and on the oracle; verdicts,
+  per-item outcomes, and per-job record statuses must be bit-identical.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.api import AnalysisRequest, analyze
-from repro.perf.memo import SOLVER_MEMO, SOLVER_PARTITION
+from repro.perf.memo import SOLVER_MEMO
 from repro.solver import (
     NULL,
     LinAtom,
     LinExpr,
+    SolverStats,
     check_sat,
 )
+from repro.solver import core
+from repro.symbolic import query as query_mod
 
 from .test_refutation_soundness import programs
+
+
+
+def monolithic(atoms, nonnull=None, stats=None, basis=None, atom_set=None):
+    """The whole-conjunction oracle, with ``check_sat``'s signature."""
+    return core._decide_component(
+        list(atoms), nonnull or frozenset(), stats or SolverStats()
+    )
+
 
 REF_VARS = ["r0", "r1", "r2", "r3"]
 INT_VARS = ["x0", "x1", "x2", "x3", "x4"]
@@ -79,14 +95,11 @@ def conjunctions(draw):
 @given(conjunctions())
 def test_partitioned_check_sat_agrees_with_monolithic(case):
     atoms, nonnull = case
-    memo_was, part_was = SOLVER_MEMO.enabled, SOLVER_PARTITION.enabled
+    memo_was = SOLVER_MEMO.enabled
     try:
-        SOLVER_MEMO.set_enabled(True)
-        SOLVER_MEMO.clear()
-        SOLVER_PARTITION.set_enabled(False)
-        mono = check_sat(atoms, nonnull=nonnull)
+        mono = monolithic(atoms, nonnull)
 
-        SOLVER_PARTITION.set_enabled(True)
+        SOLVER_MEMO.set_enabled(True)
         SOLVER_MEMO.clear()
         cold = check_sat(atoms, nonnull=nonnull)
         warm = check_sat(atoms, nonnull=nonnull)  # component memo hits
@@ -113,7 +126,6 @@ def test_partitioned_check_sat_agrees_with_monolithic(case):
         )
     finally:
         SOLVER_MEMO.set_enabled(memo_was)
-        SOLVER_PARTITION.set_enabled(part_was)
         SOLVER_MEMO.clear()
 
 
@@ -130,15 +142,15 @@ CLIENT_REQUESTS = (
 
 
 def _outcome(source: str, partition: bool) -> list:
-    """Deterministic fingerprint of all four clients' results."""
+    """Deterministic fingerprint of all four clients' results, solved by
+    ``check_sat`` (``partition``) or by the whole-conjunction oracle."""
+    if not partition:
+        with mock.patch.object(query_mod, "check_sat", monolithic):
+            return _outcome(source, partition=True)
     out = []
     for req in CLIENT_REQUESTS:
         SOLVER_MEMO.clear()
-        result = analyze(
-            AnalysisRequest(
-                source=source, budget=3_000, partition=partition, **req
-            )
-        )
+        result = analyze(AnalysisRequest(source=source, budget=3_000, **req))
         records = (
             tuple(
                 (record.description, record.status)

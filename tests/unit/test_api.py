@@ -259,6 +259,13 @@ class TestWireSchema:
             )
         # The error teaches the accepted schema.
         assert "source" in str(err.value) and "budget" in str(err.value)
+        # The retired solver-partitioning toggle is an unknown field too.
+        with pytest.raises(
+            ValueError, match=r"unknown AnalysisRequest field\(s\) partition"
+        ):
+            AnalysisRequest.from_dict(
+                {"client": "casts", "source": CAST_SAFE, "partition": False}
+            )
 
     def test_from_dict_rejects_wrong_schema_version(self):
         with pytest.raises(ValueError, match="unsupported schema_version 99"):

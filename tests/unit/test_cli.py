@@ -200,17 +200,6 @@ class TestExplainDiff:
 
 
 class TestExplainStatusTiers:
-    def test_no_partition_report_says_so(self, clean_file, tmp_path, capsys):
-        report = str(tmp_path / "r.json")
-        assert main(
-            ["check", clean_file, "--no-partition", "--json-report", report]
-        ) == 0
-        capsys.readouterr()
-        assert main(["explain", "--report", report, "--status"]) == 0
-        out = capsys.readouterr().out
-        assert "partitioning disabled" in out
-        assert "solver context hits" not in out
-
     def test_partitioned_report_prints_tier_rows(
         self, clean_file, tmp_path, capsys
     ):
@@ -220,7 +209,6 @@ class TestExplainStatusTiers:
         assert main(["explain", "--report", report, "--status"]) == 0
         out = capsys.readouterr().out
         assert "solver context hits" in out
-        assert "partitioning disabled" not in out
 
 
 class TestExplainSlow:

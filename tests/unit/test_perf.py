@@ -8,7 +8,7 @@ from repro import perf
 from repro.ir.instructions import AllocSite
 from repro.obs import metrics
 from repro.perf.cache import RefutedStateCache
-from repro.perf.memo import SOLVER_MEMO, SOLVER_PARTITION, LRUCache, SolverMemo
+from repro.perf.memo import SOLVER_MEMO, LRUCache, SolverMemo
 from repro.pointsto.graph import AbsLoc
 from repro.solver import (
     NULL,
@@ -46,12 +46,10 @@ def query_with_region(region):
 def fresh_memo():
     SOLVER_MEMO.clear()
     enabled = SOLVER_MEMO.enabled
-    partition = SOLVER_PARTITION.enabled
     SOLVER_MEMO.set_enabled(True)
     yield
     SOLVER_MEMO.clear()
     SOLVER_MEMO.set_enabled(enabled)
-    SOLVER_PARTITION.set_enabled(partition)
 
 
 class TestLRUCache:
@@ -100,22 +98,22 @@ class TestLRUCache:
 
 
 class TestSolverMemo:
-    @pytest.fixture(autouse=True)
-    def monolithic(self):
-        # These tests pin the whole-query memo, which only the monolithic
-        # (--no-partition) solver path consults.
-        SOLVER_PARTITION.set_enabled(False)
-        yield
+    """The per-component verdict table (``SOLVER_MEMO.component``)."""
 
     def test_check_sat_memoizes_verdict(self):
         d = LinExpr.var("d")
         atoms = [le(d, LinExpr.constant(3)), le(LinExpr.constant(1), d)]
         stats = SolverStats()
         assert check_sat(atoms, stats=stats)
-        assert check_sat(list(reversed(atoms)), stats=stats)  # order-insensitive key
+        assert check_sat(atoms, stats=stats)
         assert stats.checks == 2
-        assert stats.memo_misses == 1
-        assert stats.memo_hits == 1
+        assert stats.component_hits == 1
+        assert len(SOLVER_MEMO.component) == 1
+        # A component's signature lists its atoms in caller order; the
+        # order-insensitive whole-query key is the SAT basis (a frozenset).
+        basis = (frozenset(atoms), frozenset())
+        assert check_sat(list(reversed(atoms)), stats=stats, basis=basis)
+        assert stats.memo_hits == 1 and stats.component_hits == 1
 
     def test_unsat_verdict_memoized_and_counted(self):
         d = LinExpr.var("d")
@@ -125,7 +123,7 @@ class TestSolverMemo:
         assert not check_sat(atoms, stats=stats)
         # The unsat tally counts *verdicts*, so it is memoization-invariant.
         assert stats.unsat == 2
-        assert stats.memo_hits == 1
+        assert stats.component_hits == 1
 
     def test_disabled_memo_always_misses_table(self):
         SOLVER_MEMO.set_enabled(False)
@@ -134,8 +132,8 @@ class TestSolverMemo:
         stats = SolverStats()
         check_sat(atoms, stats=stats)
         check_sat(atoms, stats=stats)
-        assert stats.memo_hits == 0 and stats.memo_misses == 0
-        assert len(SOLVER_MEMO.check) == 0
+        assert stats.component_hits == 0
+        assert len(SOLVER_MEMO.component) == 0
 
     def test_registry_counts_only_real_runs(self):
         checks = metrics.counter("solver.checks")
@@ -148,34 +146,22 @@ class TestSolverMemo:
         assert checks.value == before + 1
 
     def test_nonnull_set_is_part_of_the_key(self):
-        # Same atoms, different nonnull roots must not share a verdict.
-        q1 = Query("M.m")
-        v1 = q1.new_ref(frozenset({A}), maybe_null=False)
-        q1.set_local("x", v1)
-        q2 = Query("M.m")
-        v2 = q2.new_ref(frozenset({A}), maybe_null=True)
-        q2.set_local("x", v2)
-        assert q1.nonnull_roots() != q2.nonnull_roots()
-        assert check_sat([], nonnull=q1.nonnull_roots())
-        assert check_sat([], nonnull=q2.nonnull_roots())
-        assert len(SOLVER_MEMO.check) == 2
+        # Same atoms, different nonnull facts must not share a verdict.
+        atoms = [ref_eq("v", "w")]
+        assert check_sat(atoms)
+        assert check_sat(atoms, nonnull=frozenset({"v"}))
+        assert len(SOLVER_MEMO.component) == 2
 
     def test_set_enabled_and_clear(self):
         memo = SolverMemo(capacity=4)
-        memo.check.put("k", True)
-        memo.entailment.put("k", False)
+        memo.component.put("k", True)
         memo.clear()
-        assert len(memo.check) == 0 and len(memo.entailment) == 0
+        assert len(memo.component) == 0
         memo.set_enabled(False)
         assert memo.enabled is False
 
 
 class TestPartitionedSolver:
-    @pytest.fixture(autouse=True)
-    def partitioned(self):
-        SOLVER_PARTITION.set_enabled(True)
-        yield
-
     def _xy_atoms(self):
         # Two variable-disjoint fragments: x-chain and y-chain.
         x, y = LinExpr.var("x"), LinExpr.var("y")
@@ -268,12 +254,10 @@ class TestPartitionedSolver:
             ([ref_eq("a", "b"), le(x, LinExpr.constant(3))], frozenset()),
         ]
         for atoms, nonnull in cases:
-            SOLVER_PARTITION.set_enabled(True)
             SOLVER_MEMO.clear()
             part = check_sat(atoms, nonnull=nonnull)
-            SOLVER_PARTITION.set_enabled(False)
-            SOLVER_MEMO.clear()
-            mono = check_sat(atoms, nonnull=nonnull)
+            # The whole-conjunction decider is the oracle.
+            mono = core._decide_component(atoms, nonnull, SolverStats())
             assert part == mono, (atoms, nonnull)
 
     def test_partitioning_works_with_memo_disabled(self):
@@ -326,7 +310,6 @@ class TestSatBasis:
     def partitioned_no_memo(self, monkeypatch):
         # With the component memo off, every component that needs a
         # verdict runs the decision procedure, so decisions are countable.
-        SOLVER_PARTITION.set_enabled(True)
         SOLVER_MEMO.set_enabled(False)
         self.splits = 0
         real_split = partition_mod.split_components

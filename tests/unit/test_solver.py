@@ -12,7 +12,6 @@ from repro.solver import (
     LinExpr,
     UnionFind,
     check_sat,
-    entails,
     eq,
     le,
     lt,
@@ -204,20 +203,6 @@ class TestRefSat:
         assert terms.intern_stats()["misses"] - before == 1
         assert (atom.left, atom.right) == (b, a)
         assert atom is make(b, a) is atom.normalized()
-
-
-class TestEntailment:
-    def test_superset_entails(self):
-        strong = [le(v(X), k(0)), le(v(Y), k(0))]
-        weak = [le(v(X), k(0))]
-        assert entails(strong, weak)
-        assert not entails(weak, strong)
-
-    def test_ref_atom_orientation_irrelevant(self):
-        assert entails([ref_eq("a", "b")], [ref_eq("b", "a")])
-
-    def test_empty_is_weakest(self):
-        assert entails([le(v(X), k(0))], [])
 
 
 # ---------------------------------------------------------------------------

@@ -82,18 +82,17 @@ class TestPersistence:
     def test_verdicts_survive_close_and_reopen(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, False)
-        store.put("mono", CANON_B, True)
+        store.put("part", CANON_B, True)
         store.close()
 
         reopened = open_store(tmp_path)
         assert reopened.get("comp", CANON_A) is False
-        assert reopened.get("mono", CANON_B) is True
+        assert reopened.get("part", CANON_B) is True
         reopened.close()
 
     def test_kinds_are_separate_namespaces(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, False)
-        assert store.get("mono", CANON_A) is None
         assert store.get("part", CANON_A) is None
         store.close()
 
@@ -181,6 +180,75 @@ class TestEviction:
         assert stats["entries"] == 0 and stats["refuted_entries"] == 0
         assert store.get("comp", CANON_A) is None
         store.close()
+
+
+class TestLegacyKinds:
+    """A store written while the monolithic solver path still existed
+    holds ``mono`` rows: it opens warm, serves its ``comp``/``part`` rows,
+    never loads the ``mono`` ones, and prune/clear still handle it."""
+
+    def _legacy_store(self, tmp_path):
+        store = open_store(tmp_path)
+        store.put("comp", CANON_A, False)
+        store.put("part", CANON_B, True)
+        store.close()
+        db = sqlite3.connect(str(tmp_path / "verdicts.sqlite"))
+        with db:
+            db.execute(
+                "INSERT INTO verdicts VALUES (?, ?, ?, 0, 0.0)",
+                ("mono", encode_key(CANON_A), 1),
+            )
+        db.close()
+
+    def test_opens_warm_and_serves_live_kinds(self, tmp_path):
+        self._legacy_store(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = open_store(tmp_path)
+        assert store.get("comp", CANON_A) is False
+        assert store.get("part", CANON_B) is True
+        assert "mono" not in store._mem
+        assert store.stats()["entries"] == 3
+        store.close()
+
+    def test_prune_and_clear_cover_legacy_rows(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self._legacy_store(tmp_path)
+        cache_dir = str(tmp_path)
+        args = ["--cache-dir", cache_dir, "--max-entries", "1"]
+        assert main(["cache", "prune", *args]) == 0
+        assert "pruned 2 row(s)" in capsys.readouterr().out
+        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        assert perf_store.stats_for_dir(cache_dir)["entries"] == 0
+
+
+class TestWarmthInvariance:
+    def test_cold_and_warm_runs_report_the_same_unsat_tally(self, tmp_path):
+        """``solver.unsat`` counts UNSAT verdicts whichever tier answered
+        them, so a warm run that answers from the store reads the same as
+        the cold run that decided."""
+        from repro.android.leaks import LeakChecker
+        from repro.bench import APPS
+        from repro.obs import metrics
+        from repro.perf.memo import SOLVER_MEMO
+        from repro.symbolic import SearchConfig
+
+        app = next(a for a in APPS if a.name == "DroidLife")
+        config = SearchConfig(cache_dir=str(tmp_path))
+
+        def run():
+            SOLVER_MEMO.clear()
+            counters = [metrics.counter(n) for n in ("solver.unsat", "solver.checks")]
+            before = [c.value for c in counters]
+            LeakChecker(app.source, app.name, config=config).run()
+            perf_store.deactivate()  # flush; the next run reloads from disk
+            return [c.value - b for c, b in zip(counters, before)]
+
+        (cold_unsat, cold_checks), (warm_unsat, warm_checks) = run(), run()
+        assert cold_checks > 0 and warm_checks == 0  # warm answered from disk
+        assert cold_unsat > 0
+        assert warm_unsat == cold_unsat
 
 
 class TestValidation:

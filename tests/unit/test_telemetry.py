@@ -506,15 +506,15 @@ class TestDiffReports:
         assert "-> timeout" in rendered
         assert "wall delta" in rendered
 
-    def test_tier_deltas_attributed_for_no_partition(self, pta, edges, report_a):
-        config = SearchConfig(partition_solver=False)
+    def test_tier_deltas_attributed_for_no_memo(self, pta, edges, report_a):
+        config = SearchConfig(memoize_solver=False)
         with RefutationDriver(pta, config, jobs=1) as driver:
             driver.refute_edges(edges)
             report_b = driver.build_report(app="app.mj", command="check")
         diff = diff_reports(report_a, report_b)
         assert diff["verdict_changes"] == []
-        # Partitioning off: the context tier cannot have grown.
-        assert diff["tiers"]["context_hits"]["delta"] <= 0
+        # Memo off: the component-memo tier cannot have grown.
+        assert diff["tiers"]["component_memo_hits"]["delta"] <= 0
         assert "decisions" in diff["tiers"]
 
     def test_disjoint_reports_listed_not_joined(self, report_a):
