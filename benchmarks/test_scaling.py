@@ -136,8 +136,6 @@ _ABLATION_METRICS = (
     "solver.component_memo_hits",
     "solver.component_memo_misses",
     "solver.fastpath_unsat",
-    "executor.refuted_cache_hits",
-    "executor.refuted_cache_misses",
     "executor.worklist_subsumed",
 )
 
@@ -172,7 +170,7 @@ def _ablation_run(source: str, name: str, budget: int, **toggles) -> dict:
         # incrementing it.
         "solver_calls": delta["solver.checks"],
         # Structural query-entailment checks (worklist subsumption +
-        # refuted-state cache).
+        # query histories).
         "entails_calls": delta["executor.entails_calls"],
         "states_explored": delta["executor.states_explored"],
         "memo_hit_rate": round(
@@ -187,13 +185,6 @@ def _ablation_run(source: str, name: str, budget: int, **toggles) -> dict:
         ),
         "context_hits": delta["solver.context_hits"],
         "fastpath_unsat": delta["solver.fastpath_unsat"],
-        "refuted_cache_hit_rate": round(
-            _rate(
-                delta["executor.refuted_cache_hits"],
-                delta["executor.refuted_cache_misses"],
-            ),
-            4,
-        ),
         "worklist_subsumed": delta["executor.worklist_subsumed"],
         "alarms": report.num_alarms,
         "refuted": report.refuted_alarms,

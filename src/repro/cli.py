@@ -33,8 +33,7 @@ share the parallel-driver flags:
 ``--progress``
     Stream per-edge progress lines to stderr as jobs finish.
 ``--no-memo`` / ``--no-subsumption``
-    Ablation switches for the :mod:`repro.perf` caches: disable solver
-    verdict memoization, or the refuted-state cache plus worklist
+    Ablation switches: disable solver verdict memoization, or worklist
     subsumption, respectively (see ``docs/performance.md``).
 ``--backend {thread,process}``
     Worker pool flavor for ``--jobs N > 1`` (default thread). The process
@@ -145,7 +144,7 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-subsumption",
         action="store_true",
-        help="disable the refuted-state cache and worklist subsumption (ablation)",
+        help="disable worklist subsumption (ablation)",
     )
     parser.add_argument(
         "--backend",
@@ -195,8 +194,8 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help=(
             "persistent cross-run verdict store: read/write solver"
-            " verdicts and refuted states in DIR/verdicts.sqlite (env"
-            " REPRO_CACHE_DIR; default: no persistence)"
+            " verdicts in DIR/verdicts.sqlite (env REPRO_CACHE_DIR;"
+            " default: no persistence)"
         ),
     )
 
@@ -370,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "stats: print store contents and session counters; prune:"
             " LRU-evict down to --max-entries; clear: drop every stored"
-            " verdict and refuted state"
+            " verdict, and any refuted-state rows older builds wrote"
         ),
     )
     p_cache.add_argument(

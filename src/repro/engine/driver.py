@@ -48,7 +48,6 @@ from typing import Callable, Optional, Sequence
 from .. import perf
 from ..obs import metrics, provenance, telemetry, trace
 from ..perf import store as perf_store
-from ..perf.cache import RefutedStateCache
 from ..pointsto import PointsToResult
 from ..pointsto.graph import HeapEdge
 from ..pointsto.producers import EdgeKey, edge_key
@@ -187,31 +186,11 @@ class RefutationDriver:
         self.jobs = jobs
         self.backend = self._resolve_backend(backend)
         self.events = EventBus([on_event] if on_event is not None else None)
-        #: The run-scoped refuted-state cache: serial and thread-pool
-        #: engines share one lock-striped store, so a dead end proven by
-        #: any job prunes every other job's search. Process workers keep
-        #: per-worker stores; their hit/miss tallies are merged into the
-        #: run report instead (see :meth:`build_report`).
-        self.refuted_states: Optional[RefutedStateCache] = (
-            RefutedStateCache() if config.state_subsumption else None
-        )
         #: The serial engine: runs every job when ``jobs == 1`` and serves
         #: as the shared result cache that parallel results merge into.
         #: Its construction also (re)binds the process-wide persistent
         #: verdict store to ``config.cache_dir``.
-        self.engine = Engine(pta, config, refuted_cache=self.refuted_states)
-        #: Persistent-store binding for the refuted-state cache: seed the
-        #: dead ends earlier runs proved over this exact program
-        #: fingerprint, and write-through everything this run proves.
-        self._refuted_scope: Optional[str] = None
-        if self.refuted_states is not None and perf_store.ACTIVE is not None:
-            scope = perf_store.refuted_scope(pta, config)
-            if scope is not None:
-                self._refuted_scope = scope
-                self.refuted_states.bind_store(perf_store.ACTIVE, scope)
-        #: Latest refuted-state tallies per process worker (cumulative,
-        #: latest wins); folded into :attr:`refuted_states` at close.
-        self._worker_refuted: dict[str, dict] = {}
+        self.engine = Engine(pta, config)
         self._lock = threading.Lock()
         self._records: dict = {}  # job key -> EdgeRecord, insertion-ordered
         #: Driver-lifetime count of jobs answered from the shared result
@@ -298,18 +277,8 @@ class RefutationDriver:
             # The cache section of any later build_report must not re-add
             # counters that the registry merge below already folded in.
             self._worker_snapshots = {}
-            worker_refuted = list(self._worker_refuted.values())
-            self._worker_refuted = {}
         for snap in worker_metrics:
             metrics.REGISTRY.merge_snapshot(snap)
-        if self.refuted_states is not None:
-            # Fold process workers' refuted-state tallies in (summed, so
-            # per-entry hit counts survive the pool), then hand the
-            # accumulated per-point hits to the persistent store as its
-            # cross-run LRU signal.
-            for snap in worker_refuted:
-                self.refuted_states.merge_snapshot(snap)
-            self.refuted_states.flush_store_tallies()
         if perf_store.ACTIVE is not None:
             perf_store.ACTIVE.flush()
         if self._tracer is not None:
@@ -389,9 +358,7 @@ class RefutationDriver:
             with self._lock:
                 worker_id = self._worker_counter
                 self._worker_counter += 1
-            engine = Engine(
-                self.pta, self.config, refuted_cache=self.refuted_states
-            )
+            engine = Engine(self.pta, self.config)
             self._tls.engine = engine
             self._tls.name = f"thread-{worker_id}"
         return engine, self._tls.name
@@ -587,13 +554,12 @@ class RefutationDriver:
 
         Under ``config.portfolio`` the jobs climb the cheap-first rung
         ladder: each rung re-runs only the previous rung's TIMEOUT
-        survivors, warm (the refuted-state cache and solver memos persist
-        across rungs). The final rung is the full configured
-        budget/deadline, so every job ends with exactly the verdict the
-        fixed schedule would produce; only final verdicts are finished
-        (with the rung that resolved them), never provisional carryover
-        timeouts. A plain run is the single full-budget rung, without
-        rung bookkeeping. ``stop_on_refute`` ends the climb once any
+        survivors, warm (the solver memos persist across rungs). The final
+        rung is the full configured budget/deadline, so every job ends with
+        exactly the verdict the fixed schedule would produce; only final
+        verdicts are finished (with the rung that resolved them), never
+        provisional carryover timeouts. A plain run is the single
+        full-budget rung, without rung bookkeeping. ``stop_on_refute`` ends the climb once any
         result — cached ones included — refutes."""
         portfolio = self.config.portfolio
         ladder = rung_ladder(self.config) if portfolio else [(None, None)]
@@ -751,8 +717,6 @@ class RefutationDriver:
                 self._worker_snapshots[worker] = snapshot
                 if "metrics" in obs:
                     self._worker_metrics[worker] = obs["metrics"]
-                if "refuted" in obs:
-                    self._worker_refuted[worker] = obs["refuted"]
             spans = obs.get("spans")
             if spans and self._tracer is not None:
                 self._tracer.absorb(spans, obs["pid"], obs["wall_epoch"])
@@ -881,26 +845,13 @@ class RefutationDriver:
         """Snapshot the run so far as a structured :class:`RunReport`.
 
         The ``cache`` section merges this process's cache counters with the
-        latest snapshot from each process-pool worker, and adds the shared
-        refuted-state store's size/hit statistics. Records are sorted by a
-        stable job token (kind, then description) so reports are
+        latest snapshot from each process-pool worker. Records are sorted
+        by a stable job token (kind, then description) so reports are
         byte-stable across ``--jobs``, backend, and schedule
         permutations."""
         with self._lock:
             snapshots = list(self._worker_snapshots.values())
-            worker_refuted = list(self._worker_refuted.values())
         cache = perf.cache_report(snapshots)
-        if self.refuted_states is not None:
-            # Sum in any process-worker tallies not yet folded in at close
-            # — worker hit counts add to the parent's, they never replace
-            # them (per-entry history must survive the process pool).
-            stats = self.refuted_states.stats()
-            for snap in worker_refuted:
-                stats["hits"] += snap.get("hits", 0)
-                stats["misses"] += snap.get("misses", 0)
-            cache["refuted_store"] = stats
-        else:
-            cache["refuted_store"] = None
         cache["memoize_solver"] = self.config.memoize_solver
         cache["state_subsumption"] = self.config.state_subsumption
         schedule = self._schedule_section()
@@ -934,17 +885,6 @@ def _process_init(payload: bytes) -> None:
     global _PROCESS_ENGINE
     pta, config, trace_on, journal_on = pickle.loads(payload)
     _PROCESS_ENGINE = Engine(pta, config)
-    # Bind the worker's private refuted-state cache to the shared on-disk
-    # store (the engine construction above attached it): the worker seeds
-    # the same proven dead ends as the parent and write-through-persists
-    # its own — sqlite's locking makes the concurrent writers safe.
-    if (
-        perf_store.ACTIVE is not None
-        and _PROCESS_ENGINE._refuted_cache is not None
-    ):
-        scope = perf_store.refuted_scope(pta, config)
-        if scope is not None:
-            _PROCESS_ENGINE._refuted_cache.bind_store(perf_store.ACTIVE, scope)
     # A forked worker inherits the parent's registry values; zero them in
     # place so the snapshot shipped back carries only this worker's own
     # increments — the parent merge would otherwise re-add its own
@@ -966,13 +906,6 @@ def _worker_obs_payload() -> dict:
         "metrics": metrics.REGISTRY.snapshot(),
         "pid": os.getpid(),
     }
-    if (
-        _PROCESS_ENGINE is not None
-        and _PROCESS_ENGINE._refuted_cache is not None
-    ):
-        # Cumulative like the metrics snapshot: the parent keeps the
-        # latest per worker and *sums* them in, never replaces.
-        obs["refuted"] = _PROCESS_ENGINE._refuted_cache.snapshot()
     tracer = trace.get_tracer()
     if tracer is not None:
         obs["spans"] = [r.to_dict() for r in tracer.drain()]

@@ -18,7 +18,7 @@ module holds the pieces the driver and executor share:
 * :func:`rung_ladder` — the cheap-first portfolio schedule: every edge
   runs at a small budget/deadline rung first and only survivors re-run
   at escalating rungs (``SearchConfig.portfolio``), re-using the
-  refuted-state cache and solver memos across rungs so re-runs are warm.
+  solver memos across rungs so re-runs are warm.
 * :class:`InversionMeter` — how often a pool batch under priority
   scheduling completed a job while a cheaper one was still pending.
 

@@ -37,7 +37,7 @@ Journals survive worker pools: thread workers share the process-wide
 :class:`RunJournal` (``open_search`` is the only synchronized point; each
 search's events are single-writer); process workers journal locally and
 the driver merges their :meth:`RunJournal.drain` payloads back with
-:meth:`RunJournal.absorb`, like the refuted-state cache snapshots.
+:meth:`RunJournal.absorb`.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ LOOP_INVARIANT_DROP = "loop-invariant-drop"
 #: Dropped before expansion: an entailment-weaker sibling in the same
 #: successor batch subsumes it (Section 3.3 worklist subsumption).
 WORKLIST_SUBSUMED = "worklist-subsumed"
-#: Dropped by the cross-search refuted-state cache: an earlier REFUTED
-#: search already proved this state a dead end.
-REFUTED_CACHE_HIT = "refuted-cache-hit"
 #: Died crossing a call boundary that had to be skipped or could not be
 #: bound (parameter/argument mismatch at an entry).
 CALLEE_SKIP_DROP = "callee-skip-drop"
@@ -86,7 +83,6 @@ KILL_REASONS = (
     SOLVER_UNSAT,
     LOOP_INVARIANT_DROP,
     WORKLIST_SUBSUMED,
-    REFUTED_CACHE_HIT,
     CALLEE_SKIP_DROP,
     BUDGET_TIMEOUT,
     CONTROL_UNREACHABLE,
@@ -429,7 +425,6 @@ _DOT_KILL_COLORS = {
     SOLVER_UNSAT: "salmon",
     LOOP_INVARIANT_DROP: "goldenrod1",
     WORKLIST_SUBSUMED: "khaki",
-    REFUTED_CACHE_HIT: "lightsteelblue",
     CALLEE_SKIP_DROP: "plum",
     BUDGET_TIMEOUT: "gray70",
     CONTROL_UNREACHABLE: "darkseagreen3",

@@ -1,4 +1,4 @@
-"""Cross-cutting memoization & subsumption layer.
+"""Cross-cutting memoization layer.
 
 Thresher's value proposition is pruning infeasible paths early; this
 package makes the pruning itself cheap by never paying for the same work
@@ -10,25 +10,19 @@ twice:
   (:mod:`repro.solver.partition`), caches verdicts per fragment on its
   canonical signature, and re-decides only the fragments changed since
   its lineage's last SAT check;
-* :mod:`repro.perf.cache` — a lock-striped **refuted-state cache** shared
-  across refutation jobs: once a whole search completes REFUTED, every
-  query it recorded at loop heads and procedure boundaries is a proven
-  dead end, and any later state that entails one of them can be dropped
-  before expansion — across branches, loop iterations, edges, and
-  concurrent driver jobs.
+* :mod:`repro.perf.store` — the persistent cross-run verdict store that
+  backs the memo's tiers on disk (``--cache-dir``).
 
 Every layer reports hit/miss counters into :mod:`repro.obs.metrics`
 (``--metrics``) and the aggregate :func:`cache_report` is rolled into the
-driver's JSON run report. Every layer is toggleable (``--no-memo``,
-``--no-subsumption`` / ``SearchConfig.memoize_solver`` /
-``SearchConfig.state_subsumption``) so ablation benchmarks can quantify
-each one.
+driver's JSON run report, next to the search's own worklist-subsumption
+counters. The memo is toggleable (``--no-memo`` /
+``SearchConfig.memoize_solver``) so ablation benchmarks can quantify it.
 """
 
 from __future__ import annotations
 
 from ..obs import metrics
-from .cache import RefutedStateCache
 from .memo import SOLVER_MEMO, LRUCache, SolverMemo
 
 #: Counters that describe cache behavior; snapshotted per process so the
@@ -43,8 +37,6 @@ CACHE_METRIC_NAMES = (
     "solver.component_memo_hits",
     "solver.component_memo_misses",
     "solver.fastpath_unsat",
-    "executor.refuted_cache_hits",
-    "executor.refuted_cache_misses",
     "executor.worklist_subsumed",
     "executor.entails_calls",
     "executor.states_explored",
@@ -110,14 +102,6 @@ def cache_report(extra_snapshots: list | None = None) -> dict:
             "hit_rate": _rate(
                 merged.get("solver.memo_hits", 0),
                 merged.get("solver.memo_misses", 0),
-            ),
-        },
-        "refuted_states": {
-            "hits": merged.get("executor.refuted_cache_hits", 0),
-            "misses": merged.get("executor.refuted_cache_misses", 0),
-            "hit_rate": _rate(
-                merged.get("executor.refuted_cache_hits", 0),
-                merged.get("executor.refuted_cache_misses", 0),
             ),
         },
         "component_memo": {
@@ -189,7 +173,6 @@ __all__ = [
     "SOLVER_MEMO",
     "SolverMemo",
     "LRUCache",
-    "RefutedStateCache",
     "CACHE_METRIC_NAMES",
     "cache_stats_snapshot",
     "cache_report",

@@ -21,11 +21,11 @@ monolithic solver path still existed) are never loaded or served; they
 stay on disk until LRU eviction, ``repro cache prune`` or ``clear``
 removes them.
 
-Alongside verdicts, the store persists the :class:`RefutedStateCache`'s
-proven dead ends (pickled ``(point key, query)`` snapshots), scoped by a
-program fingerprint — queries reference program labels and allocation
-sites, so an entry is only ever replayed into a run over the *same*
-program, points-to policy, and search semantics.
+The ``refuted`` table holds pickled ``(point key, query)`` rows that
+older builds wrote from a cross-search refuted-state cache. Nothing
+writes it any more; it keeps its layout (so old and new builds share one
+file), its eviction and its ``clear``, and :meth:`VerdictStore.load_refuted`
+still reads it.
 
 Concurrency and crash safety:
 
@@ -62,7 +62,7 @@ import sqlite3
 import threading
 import time
 import warnings
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..obs import metrics
 
@@ -118,43 +118,6 @@ def encode_key(canon) -> bytes:
     return repr((sig, tuple(sorted(nonnull)))).encode()
 
 
-def refuted_scope(pta, config) -> Optional[str]:
-    """Fingerprint scoping persisted refuted states to one (program,
-    points-to policy, search semantics) triple.
-
-    Refuted-state entries embed program labels, allocation sites, and
-    call-stack signatures, so unlike canonical solver signatures they are
-    only meaningful for the exact program they were proven on. The scope
-    covers the position-free declarations, every method body fingerprint,
-    the label→method map (two programs with identical bodies but shifted
-    labels must not share entries), the context policy, and the
-    ``SearchConfig`` fields that affect which states are explored."""
-    from ..serve.invalidation import method_fingerprints, program_signature
-
-    program = getattr(pta, "program", None)
-    if program is None:
-        return None
-    try:
-        basis = (
-            SCHEMA_VERSION,
-            program_signature(program),
-            tuple(sorted(method_fingerprints(program).items())),
-            tuple(sorted(program.command_method.items())),
-            repr(getattr(pta, "policy", None)),
-            repr(config.representation),
-            config.max_call_depth,
-            config.max_path_constraints,
-            config.materialization_bound,
-            config.max_loop_passes,
-            repr(config.loop_inference),
-            config.max_array_case_splits,
-        )
-    except Exception:
-        _ERRORS.inc()
-        return None
-    return hashlib.sha256(repr(basis).encode()).hexdigest()
-
-
 class StoreInvalid(Exception):
     """The on-disk file cannot back this run (corrupt / wrong schema /
     wrong solver fingerprint). Callers fall back to cold in-memory
@@ -184,8 +147,6 @@ class VerdictStore:
         self._plock = threading.Lock()
         self._pending_verdicts: list[tuple[str, bytes, bool]] = []
         self._pending_hits: dict[tuple[str, bytes], int] = {}
-        self._pending_refuted: list[tuple[str, bytes, str, bytes]] = []
-        self._pending_refuted_hits: dict[tuple[str, bytes], int] = {}
         self._db_lock = threading.Lock()
         self._db = self._open_db(path)
         self._load_mirrors()
@@ -308,6 +269,7 @@ class VerdictStore:
 
     # -- refuted states ----------------------------------------------------
 
+    # Reader for rows older builds wrote; kept for the ledger's perf.store hook.
     def load_refuted(self, scope: str) -> list[tuple[tuple, object]]:
         """Unpickle every persisted refuted state for ``scope``. Rows that
         fail to unpickle (e.g. written by an incompatible build that
@@ -323,40 +285,6 @@ class VerdictStore:
             except Exception:
                 _ERRORS.inc()
         return out
-
-    def put_refuted(
-        self, scope: str, entries: Iterable[tuple[tuple, object]]
-    ) -> int:
-        """Queue proven dead ends for persistence. Entries must be private
-        query snapshots; they are pickled immediately (before any later
-        path compression can race the serializer). Unpicklable entries are
-        skipped. Returns the number queued."""
-        queued = 0
-        for key, query in entries:
-            try:
-                blob = pickle.dumps((key, query))
-            except Exception:
-                _ERRORS.inc()
-                continue
-            digest = hashlib.sha256(blob).hexdigest()
-            point = repr(key).encode()
-            with self._plock:
-                self._pending_refuted.append((scope, point, digest, blob))
-            queued += 1
-            self.writes += 1
-            _WRITES.inc()
-        return queued
-
-    def note_refuted_hits(self, scope: str, point_hits: dict) -> None:
-        """Queue per-point hit tallies against persisted refuted rows (the
-        cross-run half of the LRU signal)."""
-        if not point_hits:
-            return
-        with self._plock:
-            pending = self._pending_refuted_hits
-            for key, count in point_hits.items():
-                pk = (scope, repr(key).encode())
-                pending[pk] = pending.get(pk, 0) + count
 
     # -- write-behind ------------------------------------------------------
 
@@ -375,13 +303,9 @@ class VerdictStore:
         with self._plock:
             verdicts = self._pending_verdicts
             hits = self._pending_hits
-            refuted = self._pending_refuted
-            refuted_hits = self._pending_refuted_hits
             self._pending_verdicts = []
             self._pending_hits = {}
-            self._pending_refuted = []
-            self._pending_refuted_hits = {}
-        if not (verdicts or hits or refuted or refuted_hits):
+        if not (verdicts or hits):
             return
         now = time.time()
         with self._db_lock, self._db:
@@ -395,17 +319,6 @@ class VerdictStore:
                     "UPDATE verdicts SET hits = hits + ?, last_hit = ?"
                     " WHERE kind=? AND key=?",
                     [(n, now, k, e) for (k, e), n in hits.items()],
-                )
-            if refuted:
-                self._db.executemany(
-                    "INSERT OR IGNORE INTO refuted VALUES (?, ?, ?, ?, 0, ?)",
-                    [(s, p, d, b, now) for s, p, d, b in refuted],
-                )
-            if refuted_hits:
-                self._db.executemany(
-                    "UPDATE refuted SET hits = hits + ?, last_hit = ?"
-                    " WHERE scope=? AND point=?",
-                    [(n, now, s, p) for (s, p), n in refuted_hits.items()],
                 )
             self._evict_locked()
 
@@ -486,8 +399,6 @@ class VerdictStore:
         with self._plock:
             self._pending_verdicts = []
             self._pending_hits = {}
-            self._pending_refuted = []
-            self._pending_refuted_hits = {}
         for mirror in self._mem.values():
             mirror.clear()
         with self._db_lock, self._db:

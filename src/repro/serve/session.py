@@ -23,8 +23,8 @@ Andersen delta worklist (:func:`repro.pointsto.reanalyze`); only verdicts
 whose footprint intersects the change — per
 :func:`repro.serve.invalidation.verdict_is_stale` — are dropped. Anything
 non-additive falls back to a cold rebuild, which conservatively clears
-both tables. The pta-scoped :class:`RefutedStateCache` lives and dies
-with the driver, i.e. with the pta, never across an update.
+both tables. The driver, whose engines are bound to one pta, lives and
+dies with that pta, never across an update.
 
 Concurrency: many concurrent readers (``analyze``/``explain``/``status``),
 updates serialized and exclusive (:class:`_RWLock`).
@@ -408,9 +408,9 @@ class ProgramSession:
                 del self._facts[key]
                 facts_dropped += 1
         _INVALIDATED.inc(invalidated)
-        # The driver is pta-scoped (its RefutedStateCache must not outlive
-        # the solution it pruned against): retire it and seed a fresh one
-        # with the surviving verdicts.
+        # The driver is pta-scoped (its engines search against one
+        # solution): retire it and seed a fresh one with the surviving
+        # verdicts.
         self._driver.close()
         self._verdicts = surviving
         self._driver = self._new_driver()

@@ -64,8 +64,8 @@ class SearchConfig:
     #: signatures (CLI ``--no-memo`` disables). Process-wide: the engine
     #: applies it to :data:`repro.perf.SOLVER_MEMO` at construction.
     memoize_solver: bool = True
-    #: Cross-search refuted-state cache + entailment-based worklist
-    #: subsumption (CLI ``--no-subsumption`` disables).
+    #: Entailment-based worklist subsumption over each successor batch
+    #: (CLI ``--no-subsumption`` disables).
     state_subsumption: bool = True
     loop_inference: LoopInference = LoopInference.FULL
     #: Upper bound on disjuncts produced by one array-write case split
@@ -86,8 +86,8 @@ class SearchConfig:
     schedule: str = "lifo"
     #: Cheap-first portfolio (CLI ``--portfolio``): run every job at a
     #: small budget/deadline rung first and re-run only the survivors at
-    #: escalating rungs, re-using the refuted-state cache and solver
-    #: memos across rungs. The final rung always runs at the full
+    #: escalating rungs, re-using the solver memos across rungs. The
+    #: final rung always runs at the full
     #: configured budget/deadline, so verdicts are bit-identical to the
     #: fixed-schedule run.
     portfolio: bool = False
@@ -98,9 +98,9 @@ class SearchConfig:
     portfolio_rungs: tuple = (16, 4)
 
     #: Persistent cross-run verdict store directory (CLI ``--cache-dir``,
-    #: env ``REPRO_CACHE_DIR``): solver verdicts and refuted states are
-    #: read from and written back to ``<dir>/verdicts.sqlite``, shared
-    #: across runs, process-pool workers, and ``repro serve`` restarts.
+    #: env ``REPRO_CACHE_DIR``): solver verdicts are read from and
+    #: written back to ``<dir>/verdicts.sqlite``, shared across runs,
+    #: process-pool workers, and ``repro serve`` restarts.
     #: ``None`` (the default) disables persistence entirely.
     cache_dir: Optional[str] = None
 

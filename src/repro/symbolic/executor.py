@@ -36,7 +36,6 @@ from ..obs import metrics, provenance, trace
 from ..pointsto import ELEMS, PointsToResult
 from ..pointsto.graph import HeapEdge
 from ..perf import store as perf_store
-from ..perf.cache import RefutedStateCache
 from ..perf.memo import SOLVER_MEMO
 from ..pointsto.modref import ModSet
 from . import loops
@@ -109,7 +108,6 @@ class Engine:
         pta: PointsToResult,
         config: Optional[SearchConfig] = None,
         root: Optional[str] = None,
-        refuted_cache: Optional[RefutedStateCache] = None,
     ) -> None:
         self.pta = pta
         self.program: IRProgram = pta.program
@@ -130,17 +128,7 @@ class Engine:
         self._budget_left = 0
         self._deadline_at: Optional[float] = None
         self._deadline_step = 0
-        # Cross-search refuted-state cache: pass one in to share across
-        # engines (driver thread pool); a private store otherwise. Must
-        # never be shared across different pta/root pairs.
-        self._refuted_cache: Optional[RefutedStateCache] = None
-        if self.config.state_subsumption:
-            self._refuted_cache = (
-                refuted_cache if refuted_cache is not None else RefutedStateCache()
-            )
-        self._history = QueryHistory(
-            enabled=self.config.simplify_queries, shared=self._refuted_cache
-        )
+        self._history = QueryHistory(enabled=self.config.simplify_queries)
         self._edge_cache: dict = {}
         self._branch_mods: dict[int, ModSet] = {}
         self._branch_throw: dict[int, bool] = {}
@@ -183,9 +171,7 @@ class Engine:
         baseline = budget if budget is not None else self.config.path_budget
         self._budget_left = baseline
         self._arm_deadline(start, deadline)
-        self._history = QueryHistory(
-            enabled=self.config.simplify_queries, shared=self._refuted_cache
-        )
+        self._history = QueryHistory(enabled=self.config.simplify_queries)
         book = provenance.get_journal()
         self._sj = (
             book.open_search(str(edge), kind="edge") if book is not None else None
@@ -216,14 +202,9 @@ class Engine:
                     if result_state is not None:
                         status = WITNESSED
                         witness_trace = _materialize(result_state.trace)
-                        self._history.discard_pending()
                         break
-                    # This producer's search completed REFUTED: every state
-                    # it recorded is a proven dead end — share them.
-                    self._flush_refuted()
             except SearchTimeout:
                 status = TIMEOUT
-                self._history.discard_pending()
             explored = baseline - self._budget_left
             sp.set(status=status, path_programs=explored)
         result = EdgeResult(
@@ -244,7 +225,6 @@ class Engine:
         if not (partial and status == TIMEOUT):
             self.stats.record(result)
             self._edge_cache[key] = result
-        self.stats.history_drops = self._history.drops
         _observe_search(result, self.ctx.solver_stats.checks - checks_before)
         return result
 
@@ -274,9 +254,7 @@ class Engine:
         baseline = budget if budget is not None else self.config.path_budget
         self._budget_left = baseline
         self._arm_deadline(start, deadline)
-        self._history = QueryHistory(
-            enabled=self.config.simplify_queries, shared=self._refuted_cache
-        )
+        self._history = QueryHistory(enabled=self.config.simplify_queries)
         book = provenance.get_journal()
         self._sj = (
             book.open_search(description or f"fact@L{label}", kind="fact")
@@ -306,7 +284,6 @@ class Engine:
                     # Root-level exhaustion: _search never ran, so journal
                     # the kill ourselves (it sweeps its own frontier).
                     status = TIMEOUT
-                    self._history.discard_pending()
                     if self._sj is not None:
                         self._sj.kill(
                             state.sid,
@@ -320,12 +297,8 @@ class Engine:
                         if found is not None:
                             status = WITNESSED
                             witness_trace = _materialize(found.trace)
-                            self._history.discard_pending()
-                        else:
-                            self._flush_refuted()
                     except SearchTimeout:
                         status = TIMEOUT
-                        self._history.discard_pending()
             elif self._sj is not None:
                 sid = self._sj.new_state(0, label, detail="fact root")
                 self._sj.kill(
@@ -502,13 +475,6 @@ class Engine:
                 detail = f"{detail} [{unsat}]" if detail else unsat
         self._jkill(state, reason, detail, label)
 
-    def _flush_refuted(self) -> None:
-        """Publish the just-refuted search's recorded states to the shared
-        refuted-state cache."""
-        pending = self._history.take_pending()
-        if pending and self._refuted_cache is not None:
-            self._refuted_cache.add_many(pending)
-
     def _prune_batch(self, states: list["PathState"]) -> list["PathState"]:
         """Entailment-based worklist subsumption over one state's successor
         batch (paper Section 3.3: ``Q1 ∨ Q2 = Q2`` when ``Q1 ⊨ Q2``).
@@ -592,26 +558,12 @@ class Engine:
                 )
             return out
         if isinstance(stmt, Loop):
-            key = ("loop", stmt.label)
-            # Subwalk states have a truncated continuation (the loop body
-            # only), so they must not consult or feed the cross-search cache.
-            dropped = self._history.should_drop(
-                key, state.query, flushable=not in_subwalk
-            )
-            if dropped:
+            if self._history.should_drop(("loop", stmt.label), state.query):
                 self._jkill(
                     state,
-                    provenance.REFUTED_CACHE_HIT
-                    if dropped == "shared"
-                    else provenance.LOOP_INVARIANT_DROP,
-                    f"loop L{stmt.label}: "
-                    + (
-                        "an earlier refuted search already proved this"
-                        " state a dead end"
-                        if dropped == "shared"
-                        else "the loop-head history holds an"
-                        " already-explored weaker query"
-                    ),
+                    provenance.LOOP_INVARIANT_DROP,
+                    f"loop L{stmt.label}: the loop-head history holds an"
+                    " already-explored weaker query",
                     label=stmt.label,
                 )
                 return []
@@ -922,21 +874,14 @@ class Engine:
         q = state.query
         if self._fp is not None:
             self._fp.add(task.qname)
-        if not in_subwalk:
-            dropped = self._history.should_drop(("entry", task.qname), q)
-            if dropped:
-                self._jkill(
-                    state,
-                    provenance.REFUTED_CACHE_HIT
-                    if dropped == "shared"
-                    else provenance.HISTORY_SUBSUMED,
-                    f"entry of {task.qname}: an already-refuted query"
-                    " entails this one"
-                    if dropped == "shared"
-                    else f"entry of {task.qname}: subsumed by a query already"
-                    " visited on this search",
-                )
-                return []
+        if not in_subwalk and self._history.should_drop(("entry", task.qname), q):
+            self._jkill(
+                state,
+                provenance.HISTORY_SUBSUMED,
+                f"entry of {task.qname}: subsumed by a query already"
+                " visited on this search",
+            )
+            return []
         method = self.program.methods[task.qname]
         if q.stack:
             frame = q.stack[-1]

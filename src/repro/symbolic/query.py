@@ -166,9 +166,10 @@ class Query:
         q._canon = None if canon is None or canon[0] is not self.pure else (q.pure,) + canon[1:]
         return q
 
-    # Pickled (the persistent refuted-state store) without the derived
-    # structures, which are rebuilt on load; this also reads states
-    # pickled before those structures existed.
+    # Pickled (the store's refuted rows that older builds wrote, read by
+    # ``VerdictStore.load_refuted``) without the derived structures, which
+    # are rebuilt on load; this also reads states pickled before those
+    # structures existed.
     _DERIVED = frozenset(
         (
             "dirty_roots",

@@ -20,16 +20,14 @@ one strong cell.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..obs import metrics
 from ..solver import Atom
 from ..solver.terms import RefAtom
 from .query import Query
 from .symvar import SymVar
 
-# Structural query-entailment calls (worklist subsumption, refuted-state
-# cache, query histories): the ablation grid's ``entails_calls`` column.
+# Structural query-entailment calls (worklist subsumption, query
+# histories): the ablation grid's ``entails_calls`` column.
 _ENTAILS_CALLS = metrics.counter("executor.entails_calls")
 
 
@@ -168,68 +166,25 @@ def _frame_map(weak: Query, strong: Query) -> dict[int, int]:
 
 
 class QueryHistory:
-    """Per-program-point histories with subsumption-based dropping.
+    """Per-program-point histories with subsumption-based dropping, kept
+    for one search (Section 3.3: drop ``Q1`` when ``Q1 ⊨ Q2`` for an
+    already-explored ``Q2`` at the same point and stack signature)."""
 
-    Optionally backed by a cross-search
-    :class:`~repro.perf.cache.RefutedStateCache` (``shared``): states the
-    cache already proved refuted are dropped immediately, and states this
-    search records are staged in ``pending`` so the engine can flush them
-    into the shared cache once the search completes REFUTED (and discard
-    them on WITNESSED/TIMEOUT, where nothing is proven). Subwalk states
-    — whose continuation is truncated to the loop body — are never staged
-    and never consult the shared cache (``flushable=False``).
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_per_point: int = 64,
-        shared: Optional["object"] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True, max_per_point: int = 64) -> None:
         self.enabled = enabled
         self.max_per_point = max_per_point
-        self.shared = shared
         self._seen: dict[tuple, list[Query]] = {}
-        self.drops = 0
-        self.pending: list[tuple[tuple, Query]] = []
 
-    def should_drop(
-        self, point_key: tuple, query: Query, flushable: bool = True
-    ):
-        """Truthy if an already-explored weaker query (this search) or an
-        already-refuted query (shared cache) subsumes this one; otherwise
-        records the query for future checks and returns ``False``. The
-        truthy values distinguish the source for provenance: ``"history"``
-        for the per-search visit history, ``"shared"`` for the cross-search
-        refuted-state cache."""
+    def should_drop(self, point_key: tuple, query: Query) -> bool:
+        """True if an already-explored weaker query at this point subsumes
+        this one; otherwise records the query for future checks."""
         if not self.enabled:
             return False
         key = (point_key, query.stack_signature())
         history = self._seen.setdefault(key, [])
         for old in history:
             if query_entails(query, old):
-                self.drops += 1
-                return "history"
-        if self.shared is not None and flushable and self.shared.subsumes(key, query):
-            self.drops += 1
-            return "shared"
+                return True
         if len(history) < self.max_per_point:
-            snapshot = query.copy()
-            history.append(snapshot)
-            if self.shared is not None and flushable:
-                self.pending.append((key, snapshot))
+            history.append(query.copy())
         return False
-
-    def take_pending(self) -> list[tuple[tuple, Query]]:
-        """Hand over (and reset) the states staged for the shared cache.
-        Call only when the search they came from completed REFUTED."""
-        out = self.pending
-        self.pending = []
-        return out
-
-    def discard_pending(self) -> None:
-        self.pending = []
-
-    def clear(self) -> None:
-        self._seen.clear()
-        self.pending = []

@@ -58,7 +58,6 @@ class SearchStats:
     edges_timeout: int = 0
     path_programs: int = 0
     seconds: float = 0.0
-    history_drops: int = 0
     #: Run-wide prune attribution: kill reason -> dead branches, summed
     #: over every recorded edge result.
     kill_reasons: dict[str, int] = field(default_factory=dict)

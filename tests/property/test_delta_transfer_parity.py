@@ -331,7 +331,7 @@ def test_delta_transfer_matches_full_rescans(prelude, script):
 
 
 def test_pickled_state_renarrows_every_cell():
-    # A state read back from the refuted-state store has no dirty history:
+    # A state read back from the store's refuted rows has no dirty history:
     # every cell must be checked once, as the full rescan would.
     q = Query("M.m")
     base = q.new_ref(_locs(0b0001))

@@ -2,10 +2,10 @@
 
 Hypothesis generates small mini-Java programs (same universe as the
 refutation-soundness suite); every heap/static edge is refuted twice —
-once with all caches on (solver memoization + refuted-state cache +
-worklist subsumption), once with everything ablated — and the verdicts
-and witness traces must be identical. The caches may only skip work whose
-outcome is already proven, never change an answer.
+once with all caches on (solver memoization + worklist subsumption),
+once with everything ablated — and the verdicts and witness traces must
+be identical. The caches may only skip work whose outcome is already
+proven, never change an answer.
 
 Budgets are generous on purpose: with caches on, the same path budget
 stretches further, so a tight budget could flip a TIMEOUT to a verdict

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.perf memoization & subsumption layer."""
+"""Unit tests for the repro.perf memoization layer."""
 
 import pickle
 
@@ -7,7 +7,6 @@ import pytest
 from repro import perf
 from repro.ir.instructions import AllocSite
 from repro.obs import metrics
-from repro.perf.cache import RefutedStateCache
 from repro.perf.memo import SOLVER_MEMO, LRUCache, SolverMemo
 from repro.pointsto.graph import AbsLoc
 from repro.solver import (
@@ -32,14 +31,7 @@ def loc(name):
     return AbsLoc(AllocSite(hash(name) % 99_991, "Object", "M.m", hint=name))
 
 
-A, B = loc("a0"), loc("b0")
-
-
-def query_with_region(region):
-    q = Query("M.m")
-    v = q.new_ref(region)
-    q.set_local("x", v)
-    return q
+A = loc("a0")
 
 
 @pytest.fixture(autouse=True)
@@ -405,106 +397,6 @@ class TestSatBasis:
         assert fresh.sat_basis is None
 
 
-class TestRefutedStateCache:
-    def test_empty_cache_never_subsumes(self):
-        cache = RefutedStateCache()
-        q = query_with_region(frozenset({A}))
-        assert not cache.subsumes(("loop", 1), q)
-        assert cache.stats()["misses"] == 1
-
-    def test_stronger_state_subsumed_by_cached_refutation(self):
-        cache = RefutedStateCache()
-        weak = query_with_region(frozenset({A, B}))
-        cache.add_many([(("loop", 1), weak)])
-        strong = query_with_region(frozenset({A}))
-        assert cache.subsumes(("loop", 1), strong)
-        assert cache.stats()["hits"] == 1
-
-    def test_weaker_state_not_subsumed(self):
-        cache = RefutedStateCache()
-        strong = query_with_region(frozenset({A}))
-        cache.add_many([(("loop", 1), strong)])
-        weak = query_with_region(frozenset({A, B}))
-        assert not cache.subsumes(("loop", 1), weak)
-
-    def test_points_are_isolated(self):
-        cache = RefutedStateCache()
-        q = query_with_region(frozenset({A}))
-        cache.add_many([(("loop", 1), q)])
-        assert not cache.subsumes(("loop", 2), query_with_region(frozenset({A})))
-
-    def test_per_point_cap(self):
-        cache = RefutedStateCache(max_per_point=3)
-        entries = [
-            (("loop", 1), query_with_region(frozenset({loc(f"s{i}")})))
-            for i in range(10)
-        ]
-        cache.add_many(entries)
-        assert cache.stats()["states"] == 3
-
-    def test_clear_and_len(self):
-        cache = RefutedStateCache()
-        cache.add_many([(("loop", i), query_with_region(frozenset({A}))) for i in range(4)])
-        assert len(cache) == 4
-        assert cache.stats()["points"] == 4
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_rejects_nonpositive_stripes(self):
-        with pytest.raises(ValueError):
-            RefutedStateCache(stripes=0)
-
-
-class TestRefutedCacheSnapshotMerge:
-    def test_snapshot_carries_per_entry_hit_counts(self):
-        cache = RefutedStateCache()
-        weak = query_with_region(frozenset({A, B}))
-        cache.add_many([(("loop", 1), weak)])
-        cache.subsumes(("loop", 1), query_with_region(frozenset({A})))
-        cache.subsumes(("loop", 1), query_with_region(frozenset({A})))
-        cache.subsumes(("loop", 2), query_with_region(frozenset({A})))
-        snap = cache.snapshot()
-        assert snap["hits"] == 2 and snap["misses"] == 1
-        assert snap["point_hits"] == {("loop", 1): 2}
-
-    def test_merge_sums_tallies_never_resets(self):
-        """The process-pool invariant: folding a worker snapshot into the
-        parent must *add* to the parent's per-entry hit counts — a merge
-        that replaced them would silently lose the cross-run LRU signal
-        every time ``--backend process`` is used."""
-        parent = RefutedStateCache()
-        weak = query_with_region(frozenset({A, B}))
-        parent.add_many([(("loop", 1), weak)])
-        parent.subsumes(("loop", 1), query_with_region(frozenset({A})))
-        before = parent.snapshot()
-        assert before["point_hits"] == {("loop", 1): 1}
-
-        worker = {"hits": 3, "misses": 2,
-                  "point_hits": {("loop", 1): 2, ("entry", "m"): 1}}
-        parent.merge_snapshot(worker)
-        after = parent.snapshot()
-        assert after["hits"] == before["hits"] + 3
-        assert after["misses"] == before["misses"] + 2
-        assert after["point_hits"] == {("loop", 1): 3, ("entry", "m"): 1}
-
-    def test_merge_accumulates_across_workers(self):
-        parent = RefutedStateCache()
-        for _ in range(3):
-            parent.merge_snapshot(
-                {"hits": 1, "misses": 1, "point_hits": {("loop", 7): 4}}
-            )
-        snap = parent.snapshot()
-        assert snap["hits"] == 3 and snap["misses"] == 3
-        assert snap["point_hits"] == {("loop", 7): 12}
-
-    def test_clear_resets_point_hits(self):
-        cache = RefutedStateCache()
-        cache.merge_snapshot({"hits": 1, "misses": 0,
-                              "point_hits": {("loop", 1): 1}})
-        cache.clear()
-        assert cache.snapshot()["point_hits"] == {}
-
-
 class TestMemoCapacity:
     def test_component_table_is_bounded(self):
         memo = SolverMemo(capacity=4)
@@ -553,9 +445,9 @@ class TestFacade:
 
     def test_hit_rate_zero_when_untouched(self):
         report = perf.cache_report(
-            [{"executor.refuted_cache_hits": 0, "executor.refuted_cache_misses": 0}]
+            [{"solver.component_memo_hits": 0, "solver.component_memo_misses": 0}]
         )
-        assert isinstance(report["refuted_states"]["hit_rate"], float)
+        assert isinstance(report["component_memo"]["hit_rate"], float)
 
     def test_intern_gauges_refresh(self):
         perf.refresh_intern_gauges()

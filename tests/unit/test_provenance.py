@@ -16,7 +16,6 @@ from repro.obs.provenance import (
     INSTANCE_CONSTRAINT,
     KILL_REASONS,
     LOOP_INVARIANT_DROP,
-    REFUTED_CACHE_HIT,
     SOLVER_UNSAT,
     WORKLIST_SUBSUMED,
     RunJournal,
@@ -116,7 +115,6 @@ class TestClassifyKill:
             SOLVER_UNSAT,
             LOOP_INVARIANT_DROP,
             WORKLIST_SUBSUMED,
-            REFUTED_CACHE_HIT,
             CALLEE_SKIP_DROP,
             BUDGET_TIMEOUT,
             CONTROL_UNREACHABLE,
@@ -230,6 +228,31 @@ class TestRunJournal:
         back = RunJournal.read_jsonl(str(path))
         assert back.attribution() == book.attribution()
         assert [s.description for s in back.searches] == ["edge a"]
+
+    def test_reads_journal_with_retired_kill_reason(self, tmp_path):
+        # Written by a build that still had the cross-search refuted-state
+        # cache, whose drops carried the ``refuted-cache-hit`` reason.
+        path = tmp_path / "old.jsonl"
+        path.write_text(OLD_JOURNAL)
+        back = RunJournal.read_jsonl(str(path))
+        assert "refuted-cache-hit" not in KILL_REASONS
+        assert back.attribution() == {"refuted-cache-hit": 1, SOLVER_UNSAT: 1}
+        dot = to_dot(back.searches)
+        assert dot.startswith("digraph")
+        assert "refuted-cache-hit" in dot
+
+
+OLD_JOURNAL = (
+    '{"attribution": {"refuted-cache-hit": 1, "solver-unsat": 1},'
+    ' "journal": "repro.obs.provenance", "schema_version": 1, "searches": 1}\n'
+    '{"description": "box0.v -> object0", "dropped_events": 0, "events":'
+    ' [["spawned", 1, 0, 4, null, "producer"], ["spawned", 2, 1, 9, null, ""],'
+    ' ["killed", 2, null, 9, "refuted-cache-hit", "loop L9: an earlier refuted'
+    ' search already proved this state a dead end"], ["killed", 1, null, 4,'
+    ' "solver-unsat", "pure constraints unsatisfiable"]], "kill_counts":'
+    ' {"refuted-cache-hit": 1, "solver-unsat": 1}, "kind": "edge", "states": 2,'
+    ' "status": "refuted", "witness_sid": null}\n'
+)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Unit tests for the persistent verdict store (:mod:`repro.perf.store`):
-key canonicalization, write-behind persistence, LRU eviction, refuted-state
-round-trips, and the corruption/versioning fallback ("any doubt about the
-file means a cold run, one warning, never an error")."""
+key canonicalization, write-behind persistence, LRU eviction, stores
+written by older builds, and the corruption/versioning fallback ("any
+doubt about the file means a cold run, one warning, never an error")."""
 
+import hashlib
 import os
+import pickle
 import sqlite3
+import time
 import warnings
 
 import pytest
@@ -46,6 +49,22 @@ def query_with_region(region):
 
 def open_store(tmp_path, **kwargs) -> VerdictStore:
     return VerdictStore(str(tmp_path / "verdicts.sqlite"), **kwargs)
+
+
+def insert_refuted_row(path, scope, point_key, query):
+    """Write one ``refuted`` row the way builds with a cross-search
+    refuted-state cache did: a pickled ``(key, query)`` entry keyed by
+    its digest, ``key`` being the point plus the query's stack signature."""
+    key = (point_key, query.stack_signature())
+    blob = pickle.dumps((key, query))
+    db = sqlite3.connect(str(path))
+    with db:
+        db.execute(
+            "INSERT OR IGNORE INTO refuted VALUES (?, ?, ?, ?, 0, ?)",
+            (scope, repr(key).encode(), hashlib.sha256(blob).hexdigest(), blob,
+             time.time()),
+        )
+    db.close()
 
 
 CANON_A = ((("le", (1, 2)),), frozenset({0}))
@@ -109,33 +128,6 @@ class TestPersistence:
         store.close()
         assert rows == [("comp", 1, 1)]
 
-    def test_refuted_roundtrip_and_hit_tallies(self, tmp_path):
-        store = open_store(tmp_path)
-        key = ("loop", 1)
-        entry = (key, query_with_region(frozenset({loc("a0")})))
-        assert store.put_refuted("scope-1", [entry]) == 1
-        store.flush()
-        loaded = store.load_refuted("scope-1")
-        assert len(loaded) == 1 and loaded[0][0] == key
-        assert store.load_refuted("other-scope") == []
-
-        store.note_refuted_hits("scope-1", {key: 5})
-        store.flush()
-        db = sqlite3.connect(store.path)
-        (hits,) = db.execute("SELECT hits FROM refuted").fetchone()
-        db.close()
-        store.close()
-        assert hits == 5
-
-    def test_duplicate_refuted_entries_dedup_by_digest(self, tmp_path):
-        store = open_store(tmp_path)
-        entry = (("loop", 1), query_with_region(frozenset({loc("a0")})))
-        store.put_refuted("s", [entry])
-        store.put_refuted("s", [entry])
-        store.flush()
-        assert len(store.load_refuted("s")) == 1
-        store.close()
-
 
 class TestEviction:
     def test_lru_eviction_keeps_recently_hit_rows(self, tmp_path):
@@ -172,9 +164,10 @@ class TestEviction:
     def test_clear_drops_everything(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, True)
-        store.put_refuted(
-            "s", [(("loop", 1), query_with_region(frozenset({loc("a0")})))]
+        insert_refuted_row(
+            store.path, "s", ("loop", 1), query_with_region(frozenset({loc("a0")}))
         )
+        assert store.stats()["refuted_entries"] == 1
         store.clear()
         stats = store.stats()
         assert stats["entries"] == 0 and stats["refuted_entries"] == 0
@@ -183,22 +176,29 @@ class TestEviction:
 
 
 class TestLegacyKinds:
-    """A store written while the monolithic solver path still existed
-    holds ``mono`` rows: it opens warm, serves its ``comp``/``part`` rows,
-    never loads the ``mono`` ones, and prune/clear still handle it."""
+    """A store written by older builds holds ``mono`` verdict rows (from
+    the monolithic solver path) and ``refuted`` rows (from the cross-search
+    refuted-state cache): it opens warm, serves its ``comp``/``part`` rows,
+    never loads the ``mono`` ones, still reads the ``refuted`` ones, and
+    prune/clear still handle both."""
 
     def _legacy_store(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, False)
         store.put("part", CANON_B, True)
         store.close()
-        db = sqlite3.connect(str(tmp_path / "verdicts.sqlite"))
+        path = tmp_path / "verdicts.sqlite"
+        db = sqlite3.connect(str(path))
         with db:
             db.execute(
                 "INSERT INTO verdicts VALUES (?, ?, ?, 0, 0.0)",
                 ("mono", encode_key(CANON_A), 1),
             )
         db.close()
+        for name in ("a0", "b0"):
+            insert_refuted_row(
+                path, "scope-1", ("loop", 1), query_with_region(frozenset({loc(name)}))
+            )
 
     def test_opens_warm_and_serves_live_kinds(self, tmp_path):
         self._legacy_store(tmp_path)
@@ -208,7 +208,13 @@ class TestLegacyKinds:
         assert store.get("comp", CANON_A) is False
         assert store.get("part", CANON_B) is True
         assert "mono" not in store._mem
-        assert store.stats()["entries"] == 3
+        stats = store.stats()
+        assert stats["entries"] == 3 and stats["refuted_entries"] == 2
+        loaded = store.load_refuted("scope-1")
+        assert len(loaded) == 2
+        for (point, _sig), query in loaded:
+            assert point == ("loop", 1) and isinstance(query, Query)
+        assert store.load_refuted("other-scope") == []
         store.close()
 
     def test_prune_and_clear_cover_legacy_rows(self, tmp_path, capsys):
@@ -218,9 +224,26 @@ class TestLegacyKinds:
         cache_dir = str(tmp_path)
         args = ["--cache-dir", cache_dir, "--max-entries", "1"]
         assert main(["cache", "prune", *args]) == 0
-        assert "pruned 2 row(s)" in capsys.readouterr().out
+        # Two of three verdict rows and one of two refuted rows.
+        assert "pruned 3 row(s)" in capsys.readouterr().out
+        assert perf_store.stats_for_dir(cache_dir)["refuted_entries"] == 1
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        assert perf_store.stats_for_dir(cache_dir)["entries"] == 0
+        stats = perf_store.stats_for_dir(cache_dir)
+        assert stats["entries"] == 0 and stats["refuted_entries"] == 0
+
+    def test_run_writes_no_refuted_rows(self, tmp_path):
+        from repro.android.leaks import LeakChecker
+        from repro.bench import APPS
+        from repro.symbolic import SearchConfig
+
+        app = next(a for a in APPS if a.name == "DroidLife")
+        report = LeakChecker(
+            app.source, app.name, config=SearchConfig(cache_dir=str(tmp_path))
+        ).run()
+        perf_store.deactivate()  # flush before reading the file
+        assert report.refuted_alarms > 0
+        stats = perf_store.stats_for_dir(str(tmp_path))
+        assert stats["entries"] > 0 and stats["refuted_entries"] == 0
 
 
 class TestWarmthInvariance:

@@ -1,7 +1,7 @@
 """Edge cases of state subsumption: equality elimination, empty constraint
 sets, mod/ref-dropped facts, and the worklist batch pruner.
 
-These pin the soundness-critical corners of the repro.perf layer: queries
+These pin the soundness-critical corners of query subsumption: queries
 that *look* different after equality elimination must still compare, the
 empty query must behave as bottom-strength "true", and facts the executor
 dropped via mod/ref reasoning must make a state strictly weaker (so the
@@ -10,7 +10,6 @@ retaining state is prunable against it, never the reverse).
 
 from repro.ir import compile_program
 from repro.ir.instructions import AllocSite
-from repro.perf.cache import RefutedStateCache
 from repro.pointsto import analyze
 from repro.pointsto.graph import AbsLoc
 from repro.solver import LinExpr, eq, le
@@ -141,16 +140,14 @@ class TestEmptyConstraintSets:
         assert not query_entails(other, failed)
 
     def test_cached_empty_query_subsumes_everything_at_point(self):
-        # A refuted *empty* query means the point itself is dead: every
-        # later state there must hit the cache.
-        cache = RefutedStateCache()
-        empty = Query("M.m")
-        key = (("loop", 7), empty.stack_signature())
-        cache.add_many([(key, empty)])
+        # Once the empty query is recorded at a point, every later state
+        # there is at least as strong and must be dropped.
+        history = QueryHistory()
+        assert not history.should_drop(("loop", 7), Query("M.m"))
         strong = Query("M.m")
         strong.set_local("x", strong.new_ref(frozenset({A, B})))
-        assert cache.subsumes(key, strong)
-        assert cache.subsumes(key, Query("M.m"))
+        assert history.should_drop(("loop", 7), strong)
+        assert history.should_drop(("loop", 7), Query("M.m"))
 
     def test_history_drops_empty_after_empty(self):
         history = QueryHistory()
@@ -248,30 +245,3 @@ class TestWorklistPruner:
         engine = self._engine()
         states = [self._state((StmtTask(None), ()), {A})]
         assert engine._prune_batch(states) == states
-
-
-class TestFlushDiscipline:
-    """Pending states reach the shared cache only after a REFUTED search."""
-
-    def test_refuted_search_populates_shared_cache(self):
-        source = (
-            "class Box { Object v; }"
-            "class M { static Box s; static void main() {"
-            " Box b = new Box();"
-            " int i = 0;"
-            " while (i < 3) { Box t = new Box(); t.v = new Object(); i = i + 1; }"
-            " M.s = b; } }"
-        )
-        program = compile_program(source)
-        pta = analyze(program)
-        cache = RefutedStateCache()
-        engine = Engine(pta, SearchConfig(), refuted_cache=cache)
-        refuted = [
-            e
-            for e in list(pta.graph.heap_edges()) + list(pta.graph.static_edges())
-            if engine.refute_edge(e).status == "refuted"
-        ]
-        if refuted:  # flushed states are only guaranteed given a refutation
-            assert cache.stats()["states"] >= 0
-        # Either way nothing pending leaks across searches.
-        assert engine._history.pending == []
