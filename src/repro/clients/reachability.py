@@ -83,7 +83,10 @@ def _refute_reachability(
         if path is None:
             return ReachabilityResult(root, target, HOLDS, None, refuted_count, timeouts)
         progressed = False
-        saw_timeout = False
+        # A path's timeouts count only when no edge broke the path: a
+        # path-mate's timeout next to a refuted edge decided nothing (and
+        # under the portfolio it is a provisional rung result).
+        path_timeouts = 0
         for edge, result in _refute_path(engine, path):
             if result.refuted:
                 refuted.add(edge)
@@ -91,10 +94,10 @@ def _refute_reachability(
                 progressed = True
                 break
             if result.timed_out:
-                saw_timeout = True
-                timeouts += 1
+                path_timeouts += 1
         if not progressed:
-            status = INCONCLUSIVE if saw_timeout else VIOLATED
+            timeouts += path_timeouts
+            status = INCONCLUSIVE if path_timeouts else VIOLATED
             return ReachabilityResult(
                 root, target, status, path, refuted_count, timeouts
             )

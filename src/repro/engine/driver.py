@@ -42,7 +42,7 @@ from concurrent.futures import BrokenExecutor, Future, as_completed
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .. import perf
@@ -64,7 +64,13 @@ from .events import (
     SpanFinished,
 )
 from .report import EdgeRecord, RunReport
-from .schedule import PRIORITY, CostModel, InversionMeter, rung_ladder
+from .schedule import (
+    PRIORITY,
+    CostModel,
+    InversionMeter,
+    RungCeiling,
+    rung_ladder,
+)
 
 _CACHE_HITS = metrics.counter("driver.cache_hits")
 _JOBS_DONE = metrics.counter("driver.jobs_completed")
@@ -110,9 +116,12 @@ class Job:
         engine: Engine,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
+        ceiling: Optional[RungCeiling] = None,
     ) -> EdgeResult:
         if self.edge is not None:
-            return engine.refute_edge(self.edge, budget=budget, deadline=deadline)
+            return engine.refute_edge(
+                self.edge, budget=budget, deadline=deadline, ceiling=ceiling
+            )
         return engine.refute_fact_at(
             self.label,
             self.bindings,
@@ -466,9 +475,12 @@ class RefutationDriver:
         refuted edge, so every edge tries the small budget rung first
         and escalation stops as soon as any edge refutes — an expensive
         edge is never run at full budget when a cheap path-mate already
-        broke the path. Edges left unresolved when the path breaks are
-        returned with their provisional TIMEOUT results and are neither
-        cached nor recorded (a later path can still resolve them).
+        broke the path. Within a rung, no edge spends more path programs
+        than the cheapest path-mate that refuted at that rung (the rung
+        ceiling, see :meth:`_run_ladder`). Edges left unresolved when the
+        path breaks are returned with their provisional TIMEOUT results
+        and are neither cached nor recorded (a later path can still
+        resolve them).
         """
         jobs = self._edge_jobs(path)
         walk = self.jobs == 1 and not self.config.portfolio
@@ -559,8 +571,19 @@ class RefutationDriver:
         exactly the verdict the fixed schedule would produce; only final
         verdicts are finished (with the rung that resolved them), never
         provisional carryover timeouts. A plain run is the single
-        full-budget rung, without rung bookkeeping. ``stop_on_refute`` ends the climb once any
-        result — cached ones included — refutes."""
+        full-budget rung, without rung bookkeeping. ``stop_on_refute``
+        ends the climb once any result — cached ones included — refutes.
+
+        A portfolio path batch (``stop_on_refute``) runs each rung under
+        one :class:`RungCeiling`. Let p* be the fewest path programs any
+        job refuted in at this rung: no job may spend more than p*. The
+        serial and thread runners cut a search live once it passes the
+        ceiling settled so far; process workers run uncut. Results are
+        held until the rung ends and then committed in settle order;
+        every result above p* becomes a provisional TIMEOUT and is carried
+        over, whether it was cut or finished before p* was known. Records,
+        verdicts and the ``schedule`` section therefore depend only on
+        each job's (status, path programs), never on timing or backend."""
         portfolio = self.config.portfolio
         ladder = rung_ladder(self.config) if portfolio else [(None, None)]
         last = len(ladder) - 1
@@ -571,14 +594,19 @@ class RefutationDriver:
             if broken or not pending:
                 break
             stats = self._rung_entry(rung, budget, deadline) if portfolio else None
+            ceiling = RungCeiling() if portfolio and stop_on_refute else None
             carried: set = set()
+            held: list = []
 
-            def settle(job: Job, result: EdgeResult, worker: str) -> None:
+            def commit(job: Job, result: EdgeResult, worker: str) -> None:
                 nonlocal broken, done
                 if stats is not None:
                     stats["scheduled"] += 1
                     metrics.counter(f"driver.rung.scheduled.{rung}").inc()
-                    if result.timed_out and rung < last:
+                    cut = ceiling is not None and not ceiling.admits(result)
+                    if cut and not result.timed_out:
+                        result = replace(result, status=TIMEOUT, witness_trace=None)
+                    if cut or (result.timed_out and rung < last):
                         self._carry_over(stats, job, ladder, rung)
                         carried.add(job.key)
                         results[job.key] = result
@@ -592,16 +620,30 @@ class RefutationDriver:
                 done += 1
                 broken = broken or (stop_on_refute and result.refuted)
 
-            self._run_rung(pending, budget, deadline, total, settle)
+            def settle(job: Job, result: EdgeResult, worker: str) -> None:
+                if ceiling is None:
+                    commit(job, result, worker)
+                    return
+                if result.refuted:
+                    ceiling.lower(result.path_programs)
+                held.append((job, result, worker))
+
+            self._run_rung(pending, budget, deadline, total, settle, ceiling)
+            for job, result, worker in held:
+                commit(job, result, worker)
             pending = [job for job in pending if job.key in carried]
 
     def _carry_over(
         self, stats: dict, job: Job, ladder: list, rung: int
     ) -> None:
-        """One job timed out at a non-final rung and escalates: count it,
-        emit the lifecycle event, and drop a trace instant."""
+        """One job ended its rung provisional and carries over: count it,
+        and when a later rung exists, emit the escalation event and drop
+        a trace instant. (At the final rung only a ceiling cut carries
+        over, and its path is already broken.)"""
         stats["carryover"] += 1
         metrics.counter(f"driver.rung.carryover.{rung}").inc()
+        if rung + 1 == len(ladder):
+            return
         next_budget, next_deadline = ladder[rung + 1]
         trace.instant(
             "driver.rung_escalated", description=job.description, rung=rung
@@ -622,10 +664,13 @@ class RefutationDriver:
         deadline: Optional[float],
         total: int,
         settle: Callable[[Job, EdgeResult, str], None],
+        ceiling: Optional[RungCeiling] = None,
     ) -> None:
         """Run every job once at ``budget``/``deadline`` and hand each
         result to ``settle``: inline on the serial engine when ``jobs ==
         1`` or only one job is left, else on the pool in completion order.
+        Inline and thread-pool searches run under ``ceiling`` (read live);
+        process workers cannot share it and run uncut.
 
         A pool whose process worker dies breaks for every job still in
         flight: those jobs settle as :data:`LOST` TIMEOUTs (never
@@ -633,7 +678,8 @@ class RefutationDriver:
         a fresh one."""
         if self.jobs == 1 or len(jobs) <= 1:
             for job in jobs:
-                settle(job, self._run_job(self.engine, job, budget, deadline), SERIAL)
+                result = self._run_job(self.engine, job, budget, deadline, ceiling)
+                settle(job, result, SERIAL)
             return
         pool = self._get_pool()
         meter = None
@@ -651,7 +697,9 @@ class RefutationDriver:
                 if self.backend == PROCESS:
                     fut = pool.submit(_process_run, job, budget, deadline)
                 else:
-                    fut = pool.submit(self._thread_run, job, budget, deadline)
+                    fut = pool.submit(
+                        self._thread_run, job, budget, deadline, ceiling
+                    )
             except BrokenExecutor as exc:
                 # The pool died while this batch was still being queued.
                 fut = Future()
@@ -683,20 +731,25 @@ class RefutationDriver:
         job: Job,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
+        ceiling: Optional[RungCeiling] = None,
     ) -> EdgeResult:
         """One search on ``engine`` under the job's root span
         (``driver.job``; the engine's ``executor.search`` nests under it)."""
         with trace.span("driver.job", kind=job.kind, description=job.description):
-            result = job.run(engine, budget, deadline)
+            result = job.run(engine, budget, deadline, ceiling)
         _JOBS_DONE.inc()
         _JOB_SECONDS.observe(result.seconds)
         return result
 
     def _thread_run(
-        self, job: Job, budget: Optional[int], deadline: Optional[float]
+        self,
+        job: Job,
+        budget: Optional[int],
+        deadline: Optional[float],
+        ceiling: Optional[RungCeiling],
     ) -> tuple[EdgeResult, str]:
         engine, worker = self._worker_engine()
-        return self._run_job(engine, job, budget, deadline), worker
+        return self._run_job(engine, job, budget, deadline, ceiling), worker
 
     # ------------------------------------------------------------------
     # Results, records, reports

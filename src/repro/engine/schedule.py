@@ -19,17 +19,23 @@ module holds the pieces the driver and executor share:
   runs at a small budget/deadline rung first and only survivors re-run
   at escalating rungs (``SearchConfig.portfolio``), re-using the
   solver memos across rungs so re-runs are warm.
+* :class:`RungCeiling` — the rung rule of a portfolio path batch: one
+  refuted edge breaks the path, so no path-mate may spend more path
+  programs at a rung than the cheapest edge that refuted there.
 * :class:`InversionMeter` — how often a pool batch under priority
   scheduling completed a job while a cheaper one was still pending.
 
 Nothing here decides verdicts: priorities and rungs only reorder and
 stage the same deterministic searches, and the final portfolio rung
-always runs at the full configured budget/deadline, so verdicts are
-bit-identical to the fixed-schedule run.
+always runs at the full configured budget/deadline, so client verdicts
+are identical to the fixed-schedule run. The ceiling only turns a
+path-mate's search into a provisional TIMEOUT on a path that is already
+broken; it never makes a search REFUTED.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..ir.stmts import Choice, Loop, walk_statements
@@ -121,15 +127,10 @@ class CostModel:
     def _fan_in(self, edge) -> int:
         from ..pointsto.graph import StaticFieldNode
 
-        try:
-            if isinstance(edge.src, StaticFieldNode):
-                region = self.pta.pt_static(
-                    edge.src.class_name, edge.src.field_name
-                )
-            else:
-                region = self.pta.pt_field(edge.src, edge.field)
-        except Exception:
-            return 0
+        if isinstance(edge.src, StaticFieldNode):
+            region = self.pta.pt_static(edge.src.class_name, edge.src.field)
+        else:
+            region = self.pta.pt_field(edge.src, edge.field)
         return len(region)
 
 
@@ -162,6 +163,33 @@ def rung_ladder(
     return ladder
 
 
+class RungCeiling:
+    """The shared path-program ceiling of one rung of a portfolio path
+    batch.
+
+    One refuted edge breaks a heap path, so once a path-mate refutes
+    after ``p`` path programs no job of the rung needs to spend more. The
+    driver lowers :attr:`limit` to the smallest refuting ``p`` it has
+    settled; :meth:`repro.symbolic.executor.Engine.refute_edge` cuts a
+    search that spends past it (a provisional TIMEOUT, never cached).
+    Serial and thread runners read the limit live. At the end of the rung
+    the driver commits only the results :meth:`admits`, so what is
+    committed depends on each job's (status, path programs) alone, never
+    on when the limit dropped or which backend ran the job."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self) -> None:
+        self.limit: float = math.inf
+
+    def lower(self, path_programs: int) -> None:
+        if path_programs < self.limit:
+            self.limit = path_programs
+
+    def admits(self, result) -> bool:
+        return result.path_programs <= self.limit
+
+
 class InversionMeter:
     """Counts priority inversions in one dispatch batch: completions of
     a job while a strictly cheaper job is still unfinished — the
@@ -187,6 +215,7 @@ __all__ = [
     "PRIORITY",
     "CostModel",
     "InversionMeter",
+    "RungCeiling",
     "rung_ladder",
     "state_cost",
 ]

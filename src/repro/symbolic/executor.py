@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..ir import instructions as ins
 from ..ir.program import IRProgram
@@ -45,6 +45,9 @@ from .simplification import QueryHistory, query_entails
 from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult, SearchStats
 from .symvar import SymVar
 from .transfer import TransferContext, transfer_command
+
+if TYPE_CHECKING:
+    from ..engine.schedule import RungCeiling
 
 # Continuation: a cons-list of tasks; () is the empty continuation.
 Cons = tuple  # (Task, Cons) | ()
@@ -126,6 +129,10 @@ class Engine:
         self.stats = SearchStats()
         self._parents: dict[str, dict[int, tuple[Stmt, int]]] = {}
         self._budget_left = 0
+        self._baseline = 0
+        #: The driver's shared path-program ceiling for the edge search in
+        #: flight (repro.engine.schedule.RungCeiling), or None.
+        self._ceiling: Optional["RungCeiling"] = None
         self._deadline_at: Optional[float] = None
         self._deadline_step = 0
         self._history = QueryHistory(enabled=self.config.simplify_queries)
@@ -149,6 +156,7 @@ class Engine:
         edge: HeapEdge,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
+        ceiling: Optional["RungCeiling"] = None,
     ) -> EdgeResult:
         """Try to refute ``edge``: search for a path program witness from
         every producing statement; refuted iff all searches are refuted.
@@ -159,7 +167,14 @@ class Engine:
         the edge — so it is not cached or counted in :attr:`stats`;
         REFUTED/WITNESSED verdicts are final at any rung (a deterministic
         search that completes under a smaller cap returns the same verdict
-        under a larger one) and are cached normally."""
+        under a larger one) and are cached normally.
+
+        ``ceiling`` is a path batch's shared
+        :class:`~repro.engine.schedule.RungCeiling`: the search is cut (a
+        TIMEOUT) as soon as it has spent more path programs than the
+        ceiling's live limit. A result computed under a ceiling is never
+        cached or counted here — the driver decides at the end of the
+        rung whether it is final, and caches it then."""
         from ..pointsto.producers import edge_key
 
         key = edge_key(edge)
@@ -169,7 +184,8 @@ class Engine:
         start = time.perf_counter()
         checks_before = self.ctx.solver_stats.checks
         baseline = budget if budget is not None else self.config.path_budget
-        self._budget_left = baseline
+        self._budget_left = self._baseline = baseline
+        self._ceiling = ceiling
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
         book = provenance.get_journal()
@@ -222,7 +238,7 @@ class Engine:
             self._sj.close(status)
             result.kill_reasons = dict(self._sj.kill_counts)
             self._sj = None
-        if not (partial and status == TIMEOUT):
+        if ceiling is None and not (partial and status == TIMEOUT):
             self.stats.record(result)
             self._edge_cache[key] = result
         _observe_search(result, self.ctx.solver_stats.checks - checks_before)
@@ -252,7 +268,8 @@ class Engine:
         start = time.perf_counter()
         checks_before = self.ctx.solver_stats.checks
         baseline = budget if budget is not None else self.config.path_budget
-        self._budget_left = baseline
+        self._budget_left = self._baseline = baseline
+        self._ceiling = None
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
         book = provenance.get_journal()
@@ -359,6 +376,12 @@ class Engine:
     def _spend(self, n: int = 1) -> None:
         self._budget_left -= n
         if self._budget_left < 0:
+            raise SearchTimeout()
+        ceiling = self._ceiling
+        if (
+            ceiling is not None
+            and self._baseline - self._budget_left > ceiling.limit
+        ):
             raise SearchTimeout()
         self._check_deadline()
 

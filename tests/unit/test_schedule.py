@@ -6,10 +6,12 @@ import pytest
 
 import repro.engine.driver as driver_module
 from repro.bench.workloads import layered_app, mixed_app
+from repro.clients.reachability import assert_unreachable
 from repro.engine import EdgeFinished, EdgeScheduled, RefutationDriver, RunReport
 from repro.engine.schedule import (
     CostModel,
     InversionMeter,
+    RungCeiling,
     rung_ladder,
 )
 from repro.ir import compile_program
@@ -20,6 +22,8 @@ from repro.pointsto.heappaths import find_heap_path
 from repro.pointsto.producers import edge_key
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED, TIMEOUT
+
+from .test_engine_driver import SOURCE as BOX_SOURCE
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,23 @@ class TestCostModel:
         label = next(iter(pta.program.commands))
         loc = next(iter(pta.graph.all_abs_locs()))
         assert CostModel(pta).fact_cost(label, [("b", frozenset({loc}))]) >= 1
+
+    def test_static_edge_fan_in_is_the_static_region(self, pta, edges):
+        model = CostModel(pta)
+        for edge in edges:
+            region = pta.pt_static(edge.src.class_name, edge.src.field)
+            assert model._fan_in(edge) == len(region) > 1
+
+    def test_priority_puts_the_cheap_layered_edge_first(self):
+        # Registry.hold points to both holders (fan-in 2), so its
+        # 10-branch edge must sort after the constant-false guard's.
+        pta = analyze(compile_program(layered_app(2, hard_branches=10)))
+        graph = pta.graph
+        edges = {str(e): e for e in [*graph.static_edges(), *graph.heap_edges()]}
+        path = [edges["Registry.hold -> holder0"], edges["holder0.item -> item0"]]
+        driver = RefutationDriver(pta, SearchConfig(schedule="priority"))
+        jobs = driver._by_priority(driver._edge_jobs(path))
+        assert [job.edge for job in jobs] == path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +281,28 @@ class TestPortfolio:
 # ---------------------------------------------------------------------------
 
 
+def _layered_path(hard_branches: int):
+    """One two-edge path whose expensive refutable edge comes first and
+    whose cheap refutable edge comes second — the shape where the
+    path-level ladder wins."""
+    pta = analyze(compile_program(layered_app(1, hard_branches=hard_branches)))
+    table = pta.program.class_table
+    target = next(
+        loc
+        for loc in pta.graph.all_abs_locs()
+        if not loc.is_array
+        and loc.site.kind == "object"
+        and table.site_is_instance(loc.site, "Item")
+    )
+    path = find_heap_path(pta.graph, StaticFieldNode("Registry", "hold"), target)
+    assert path is not None and len(path) == 2
+    return pta, path
+
+
 class TestPathPortfolio:
     @pytest.fixture(scope="class")
     def layered(self):
-        # One two-edge path whose expensive refutable edge comes first and
-        # whose cheap refutable edge comes second — the shape where the
-        # path-level ladder wins.
-        pta = analyze(compile_program(layered_app(1, hard_branches=8)))
-        table = pta.program.class_table
-        target = next(
-            loc
-            for loc in pta.graph.all_abs_locs()
-            if not loc.is_array
-            and loc.site.kind == "object"
-            and table.site_is_instance(loc.site, "Item")
-        )
-        path = find_heap_path(
-            pta.graph, StaticFieldNode("Registry", "hold"), target
-        )
-        assert path is not None and len(path) == 2
-        return pta, path
+        return _layered_path(hard_branches=8)
 
     def test_cheap_path_mate_stops_escalation(self, layered):
         pta, path = layered
@@ -327,6 +350,105 @@ class TestPathPortfolio:
         assert len(pairs) == 1
         assert pairs[0][0] == path[0]
         assert pairs[0][1].status == REFUTED
+
+
+# ---------------------------------------------------------------------------
+# The rung ceiling (no path-mate spends more than the cheapest refutation)
+# ---------------------------------------------------------------------------
+
+PATH_BACKENDS = (("serial", 1, None), ("thread", 3, None), ("process", 2, "process"))
+
+
+def _path_run(pta, path, policy, jobs, backend):
+    """Verdicts, records and schedule section of one portfolio path batch,
+    minus the two fields that legitimately vary (the policy's own name
+    and the completion-order inversion count)."""
+    config = SearchConfig(schedule=policy, **PORTFOLIO)
+    with RefutationDriver(pta, config, jobs=jobs, backend=backend) as driver:
+        pairs = driver.refute_path(path)
+        report = driver.build_report(command="check")
+    schedule = {
+        k: v
+        for k, v in report.schedule.items()
+        if k not in ("policy", "priority_inversions")
+    }
+    return (
+        [(str(edge), result.status) for edge, result in pairs],
+        [(r.description, r.status, r.rung, r.path_programs) for r in report.records],
+        schedule,
+    )
+
+
+class TestRungCeiling:
+    def test_cut_search_times_out_and_is_not_cached(self, pta, edges):
+        """Theorem 1 under a ceiling: a search cut below the path programs
+        it needs is a TIMEOUT, never REFUTED, and the engine neither
+        caches nor counts it; at the ceiling it still refutes, uncached."""
+        for edge in edges:
+            full = Engine(pta, SearchConfig()).refute_edge(edge)
+            assert full.status == REFUTED
+            p = full.path_programs
+            for limit in sorted({0, p // 2, p - 1, p}):
+                engine = Engine(pta, SearchConfig())
+                ceiling = RungCeiling()
+                ceiling.lower(limit)
+                result = engine.refute_edge(edge, ceiling=ceiling)
+                if limit < p:
+                    assert result.status == TIMEOUT
+                    assert result.path_programs == limit + 1
+                else:
+                    assert result.status == REFUTED
+                    assert result.path_programs == p
+                assert edge_key(edge) not in engine._edge_cache
+                assert engine.stats.path_programs == 0
+
+    @pytest.mark.parametrize("fixture", ["box", "mixed"])
+    def test_records_identical_across_backends_and_policies(
+        self, fixture, pta, edges
+    ):
+        if fixture == "box":
+            pta = analyze(compile_program(BOX_SOURCE))
+            edges = sorted(pta.graph.heap_edges(), key=str)
+        runs = {
+            (name, policy): _path_run(pta, edges, policy, jobs, backend)
+            for name, jobs, backend in PATH_BACKENDS
+            for policy in ("lifo", "priority")
+        }
+        expected = runs["serial", "lifo"]
+        assert all(run == expected for run in runs.values()), runs
+        # The live cut lands at a timing-dependent point on the pool; what
+        # is committed must not.
+        for _ in range(20):
+            assert _path_run(pta, edges, "priority", 3, None) == expected
+
+    def test_thread_pool_cuts_the_expensive_mate_early(self):
+        # 10 branches: the expensive edge needs more than rung 0's 625.
+        pta, path = _layered_path(hard_branches=10)
+        expensive, cheap = path
+        config = SearchConfig(portfolio=True)
+        budget = rung_ladder(config)[0][0]
+        with RefutationDriver(pta, config, jobs=2) as driver:
+            pairs = dict(driver.refute_path(path))
+            report = driver.build_report(command="check")
+        assert pairs[cheap].status == REFUTED
+        assert pairs[expensive].status == TIMEOUT
+        assert pairs[expensive].path_programs < budget
+        assert [r.description for r in report.records] == [str(cheap)]
+
+    def test_reachability_timeouts_match_the_fixed_schedule(self):
+        """A path-mate's provisional TIMEOUT on a path that a refuted edge
+        broke is not an inconclusive timeout of the assertion."""
+        pta = analyze(compile_program(layered_app(2, hard_branches=10)))
+        outcomes = [
+            [
+                (r.status, r.timeouts)
+                for r in assert_unreachable(
+                    pta, "Registry", "hold", "Item", config=SearchConfig(**knobs)
+                )
+            ]
+            for knobs in ({}, {"portfolio": True})
+        ]
+        assert outcomes[0] == outcomes[1] == [("holds", 0), ("holds", 0)]
 
 
 # ---------------------------------------------------------------------------
