@@ -20,7 +20,7 @@ conservatively reports SAT when the FM elimination exceeds its size budget
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..obs import metrics, provenance, trace
 from ..perf import store as perf_store
@@ -44,12 +44,11 @@ FM_ATOM_BUDGET = 400
 _CHECKS = metrics.counter("solver.checks")
 _UNSAT = metrics.counter("solver.unsat")
 _GIVEUPS = metrics.counter("solver.fm_giveups")
-_CHECK_ATOMS = metrics.histogram("solver.check_atoms")
 # Queries partitioned, components per query, atoms per component, and the
 # ways a component can be answered without an actual decision-procedure
 # run. The names ``memo_hits``/``context_hits`` are kept for the queries
-# and components the SAT basis answers (they also name the Prometheus
-# ``tier`` labels).
+# and components the lineage's component record answers (they also name
+# the Prometheus ``tier`` labels).
 _MEMO_HITS = metrics.counter("solver.memo_hits")
 _MEMO_MISSES = metrics.counter("solver.memo_misses")
 _PARTITIONS = metrics.counter("solver.partitions")
@@ -68,10 +67,10 @@ class SolverStats:
     ``checks``/``unsat`` count *queries asked and their verdicts* — they
     are memoization-invariant, so per-search accounting (and tests
     pinning exact counts) reads the same with caches on or off.
-    ``memo_hits``/``memo_misses`` say how many of those queries the SAT
-    basis answered whole without a decision vs. not;
-    ``context_hits``/``component_hits`` count components answered by the
-    SAT basis and by the per-component memo table.
+    ``memo_hits``/``memo_misses`` say how many of those queries the
+    lineage's component record answered whole without a decision vs. not;
+    ``context_hits``/``component_hits`` count components answered by that
+    record and by the per-component memo table.
     """
 
     def __init__(self) -> None:
@@ -96,118 +95,129 @@ class SolverStats:
 GLOBAL_STATS = SolverStats()
 
 
-#: A query lineage's *SAT basis*: the ``(frozenset of atoms, non-null
-#: vars)`` of its last satisfiable check (see :func:`check_sat`).
-SatBasis = tuple
-
-
 def check_sat(
     atoms: Iterable[Atom],
     nonnull: Optional[frozenset[Var]] = None,
     stats: Optional[SolverStats] = None,
-    basis: Optional[SatBasis] = None,
-    atom_set: Optional[frozenset[Atom]] = None,
+    separation: Sequence[Atom] = (),
+    lineage=None,
 ) -> bool:
     """True if the conjunction may be satisfiable, False if definitely not.
 
-    ``nonnull`` lists instance variables known to denote real objects
-    (e.g. instances that appear as the source of an exact points-to
-    constraint); equating one of those with NULL is a contradiction.
+    The conjunction is ``atoms`` (the pure constraints) followed by
+    ``separation`` (the disequalities the heap's separating conjunction
+    implies); repeated atoms count once. ``nonnull`` lists instance
+    variables known to denote real objects (e.g. instances that appear as
+    the source of an exact points-to constraint); equating one of those
+    with NULL is a contradiction.
 
     The check is relevance-partitioned and incremental (delta
-    satisfiability). Against ``basis`` — the ``(atom set, nonnull)`` of
-    the caller's last SAT check (:attr:`repro.symbolic.query.Query.sat_basis`)
-    — a query is answered three ways:
+    satisfiability). ``lineage`` is the asking query
+    (:class:`repro.symbolic.query.Query`) or any object with a
+    ``components`` attribute: the :class:`~repro.solver.partition.Components`
+    record of its last SAT check, or ``None``. :func:`partition.advance`
+    derives this conjunction's record from it, and a SAT verdict stores
+    the new record back; an UNSAT one leaves the old record. Against that
+    record a query is answered three ways:
 
-    * **same atoms**, no new non-null fact: SAT at once — the basis
+    * **same atoms**, no new non-null fact: SAT at once — the recorded
       conjunction was SAT and this one is no stronger;
-    * **atoms grew**: split as usual, but decide only the components that
-      hold a new atom or a newly non-null variable. Adding atoms only
-      merges components, so any other component is exactly a component
-      of the basis's SAT conjunction with the same or fewer non-null
-      facts, and the decision procedure is monotone in those facts;
-    * **anything else** (unify renames, dropped atoms, no basis): decide
-      every component.
+    * **atoms grew** (appended since, or a superset after a rebuild):
+      decide only the components that hold a new atom or a newly
+      non-null variable. Adding atoms only merges components, so any
+      other component is exactly a component of the recorded SAT
+      conjunction with the same or fewer non-null facts, and the decision
+      procedure is monotone in those facts. Only the new atoms, and the
+      atoms of newly non-null variables, are screened;
+    * **anything else** (unify renames, dropped atoms, no record): the
+      record is rebuilt, and every component is screened and decided.
 
-    Before splitting, the conjunction is screened for syntactic
-    contradictions. It is then split into connected components over
-    shared variables, and each component that needs a verdict is answered
-    from the component memo (:data:`repro.perf.SOLVER_MEMO`), then the
-    persistent store, then the decision procedure. UNSAT in any component
-    is UNSAT overall; SAT in every component is SAT overall (the
-    components share no variables, so models compose). See
+    With a persistent store open, "same atoms" is told apart on the atom
+    set, and the store's whole-query tier answers before the record is
+    advanced; a check it answers keeps an unsplit record
+    (:func:`partition.unsplit`), which the next check that needs
+    components rebuilds.
+
+    The syntactic screen runs first: a conjunction with an atom
+    contradictory on its own is UNSAT without a decision. Each component
+    that needs a verdict is then answered from the component memo
+    (:data:`repro.perf.SOLVER_MEMO`), then the persistent store, then the
+    decision procedure, in conjunction order. UNSAT in any component is
+    UNSAT overall; SAT in every component is SAT overall (the components
+    share no variables, so models compose). See
     :mod:`repro.solver.partition` for the soundness of splitting.
-
-    ``atom_set`` is ``frozenset(atoms)`` when the caller already has it
-    (the basis it keeps is built from the same set).
     """
     stats = stats or GLOBAL_STATS
     stats.checks += 1
-    atoms = list(atoms)
+    if not isinstance(atoms, list):
+        atoms = list(atoms)
+    if not isinstance(separation, list):
+        separation = list(separation)
     nonnull = nonnull or frozenset()
     _PARTITIONS.inc()
     store = perf_store.ACTIVE
-    if atom_set is None:
-        atom_set = frozenset(atoms)
-
-    grew = False
-    if basis is not None:
-        basis_atoms, basis_nonnull = basis
-        if atom_set >= basis_atoms:
-            if len(atom_set) == len(basis_atoms) and nonnull <= basis_nonnull:
-                stats.memo_hits += 1
-                _MEMO_HITS.inc()
-                return True
-            grew = True
-    stats.memo_misses += 1
-    _MEMO_MISSES.inc()
+    old = None if lineage is None else lineage.components
 
     # The persistent store's whole-query tier, on the canonical
-    # alpha-renamed signature (run- and process-independent), kind "part".
+    # alpha-renamed signature of the de-duplicated conjunction (run- and
+    # process-independent), kind "part". It answers most checks of a warm
+    # run, so they are told apart from "same atoms" on the atom set alone
+    # and split only when the store misses.
     wcanon = None
     if store is not None:
-        wcanon = partition.canonical_key(atoms, nonnull)
+        conj = dict.fromkeys(atoms + separation)
+        if old is not None and nonnull <= old.nonnull and conj.keys() == old.pos.keys():
+            _same(stats)
+            if lineage is not None and (
+                nonnull != old.nonnull or atoms is not old.pure or separation is not old.sep
+            ):
+                lineage.components = partition.unsplit(atoms, separation, nonnull, conj)
+            return True
+        stats.memo_misses += 1
+        _MEMO_MISSES.inc()
+        wcanon = partition.canonical_key(list(conj), nonnull)
         cached = store.get("part", wcanon)
         if cached is not None:
             if not cached:
-                _note_unsat(stats, atoms)
+                _note_unsat(stats, atoms + separation)
+            elif lineage is not None:
+                lineage.components = partition.unsplit(atoms, separation, nonnull, conj)
             return cached
 
-    bad = partition.syntactic_unsat(atoms, nonnull)
+    record, new, newly = partition.advance(old, atoms, separation, nonnull)
+    if store is None:
+        if new is not None and not new and not newly:
+            _same(stats)
+            if lineage is not None:
+                lineage.components = record
+            return True
+        stats.memo_misses += 1
+        _MEMO_MISSES.inc()
+
+    if new is None:
+        bad = partition.syntactic_unsat(atoms + separation, nonnull)
+    else:
+        bad = partition.syntactic_unsat(new, nonnull)
+        if bad is None and newly:
+            bad = record.screen(newly)
+        if bad is not None:  # report the first, as a full screen would
+            bad = partition.syntactic_unsat(atoms + separation, nonnull)
     if bad is not None:
         _FASTPATH_UNSAT.inc()
         _note_unsat(stats, [bad])
         return False
 
-    dirty = None
-    if grew:
-        # Only the components of new atoms and newly non-null variables
-        # need a verdict.
-        dirty = set(nonnull - basis_nonnull)
-        for atom in atom_set - basis_atoms:
-            dirty.update(atom.vars())
-    if len(atom_set) != len(atoms):
-        # Repeated atoms (one separation disequality per shared field)
-        # would give one component two signatures.
-        atoms = list(dict.fromkeys(atoms))
-    components = partition.split_components(atoms, nonnull, dirty)
-    _COMPONENTS.observe(len(components))
-
+    _COMPONENTS.observe(len(record.groups))
     memo_on = SOLVER_MEMO.enabled
-    for catoms, cnonnull, changed in components:
-        if not changed:
-            stats.context_hits += 1
-            _CONTEXT_HITS.inc()
-            continue
+    for _, group, cnonnull in record.to_decide():
+        catoms = group.atoms
         # The component memo, on canonical signatures (alpha-equivalent
         # fragments collapse); then the persistent store's component tier
         # (fragments decided by earlier runs); then decide the fragment.
         verdict: Optional[bool] = None
-        canon = (
-            partition.canonical_key(catoms, cnonnull)
-            if (memo_on or store is not None)
-            else None
-        )
+        canon = None
+        if memo_on or store is not None:
+            canon = group.key(cnonnull)
         if canon is not None and memo_on:
             verdict = SOLVER_MEMO.component.get(canon)
             if verdict is not None:
@@ -226,13 +236,30 @@ def check_sat(
             if canon is not None and store is not None:
                 store.put("comp", canon, verdict)
         if not verdict:
+            _count_clean(stats, record.clean_before(group))
             _note_unsat(stats, catoms)
-            if wcanon is not None and store is not None:
+            if wcanon is not None:
                 store.put("part", wcanon, False)
             return False
-    if wcanon is not None and store is not None:
+    _count_clean(stats, len(record.groups) - len(record.dirty))
+    if wcanon is not None:
         store.put("part", wcanon, True)
+    if lineage is not None:
+        lineage.components = record
     return True
+
+
+def _same(stats: SolverStats) -> None:
+    """Count one query answered whole by its lineage's record."""
+    stats.memo_hits += 1
+    _MEMO_HITS.inc()
+
+
+def _count_clean(stats: SolverStats, n: int) -> None:
+    """Count ``n`` components answered by the lineage's record."""
+    if n:
+        stats.context_hits += n
+        _CONTEXT_HITS.inc(n)
 
 
 def _note_unsat(stats: SolverStats, atoms: list[Atom]) -> None:
@@ -254,7 +281,6 @@ def _decide_component(
     Counts toward ``solver.checks`` — the "actual runs" metric the
     ablation grid compares against the answering tiers."""
     _CHECKS.inc()
-    _CHECK_ATOMS.observe(len(catoms))
     _COMPONENT_SIZE.observe(len(catoms))
     with trace.span("solver.check_sat"):
         ref_atoms = [a for a in catoms if isinstance(a, RefAtom)]

@@ -24,29 +24,37 @@ Soundness is the easy direction of variable-disjoint conjunction:
   refutation soundness (Theorem 1) is preserved exactly as in the
   monolithic procedure.
 
-Two pieces live here:
+Three pieces live here:
 
 * :func:`syntactic_unsat` — an O(n) screen for atoms contradictory on
   their own (constant-infeasible linear atoms, ``x != x``, ``v == NULL``
   for a known-non-null ``v``) that skips union-find and FM entirely;
-* :func:`split_components` — union-find over the atoms' variables,
-  producing per-component atom lists and sliced non-null facts in the
-  caller's own variable names, each flagged *dirty* when it holds one of
-  the caller's dirty variables, while :func:`canonical_key` derives — on
-  the cache path only — the plain-data *signature* with variables
-  replaced by first-occurrence indices. Satisfiability is invariant
-  under injective renaming, so the signature fully determines the
-  verdict — and it is what makes the key space collapse: the executor
+* :class:`Components` — a query lineage's *component record*: a
+  variable-to-component map, each component's atoms in conjunction order,
+  and the components a check must decide. :func:`advance` derives the
+  record of a conjunction from the record of the lineage's last SAT
+  check by appending only the atoms added since, and rebuilds it with
+  the same append loop when the conjunction is not an extension. Groups
+  come out in conjunction order (by their first atom), everything in the
+  caller's own variable names; :func:`canonical_key` derives — for the
+  components that need a verdict only — the plain-data *signature* with
+  variables replaced by first-occurrence indices. Satisfiability is
+  invariant under injective renaming, so the signature fully determines
+  the verdict — and it is what makes the key space collapse: the executor
   mints globally fresh symbolic variables per path and per search, so
   variable names never recur across searches, while signatures recur
   for every structurally identical fragment across sibling paths and
-  across searches.
+  across searches;
+* :func:`split_components` — the from-scratch union-find split of an
+  atom list. The solver no longer calls it; it is the reference the
+  record is tested against.
 
-The dirty flag is how :func:`repro.solver.core.check_sat` decides only
-what a transfer changed (*delta satisfiability*): when a query's atoms
-are a superset of its lineage's last SAT check, a component holding no
-new atom and no newly non-null variable is exactly a component of that
-SAT conjunction, with the same or fewer non-null facts, so it is SAT.
+The dirty set is how :func:`repro.solver.core.check_sat` decides only
+what a transfer changed (*delta satisfiability*): when a conjunction's
+atoms are a superset of the lineage's last SAT check, a component
+holding no new atom and no newly non-null variable is exactly a
+component of that SAT conjunction, with the same or fewer non-null
+facts, so it is SAT.
 """
 
 from __future__ import annotations
@@ -215,6 +223,20 @@ def canonical_key(catoms: list, nonnull: Iterable[Var]) -> CanonicalKey:
     replacement is injective, and satisfiability is invariant under
     injective renaming, so the signature fully determines the verdict."""
     mapping: dict = {}
+    rows = _rows(catoms, mapping)
+    return (rows, _sliced_key(nonnull, mapping))
+
+
+def _sliced_key(nonnull: Iterable[Var], mapping: dict) -> frozenset:
+    """The signature's non-null part: the indices of the ``nonnull``
+    variables that ``mapping`` numbers."""
+    return frozenset([mapping[v] for v in nonnull if v in mapping]) if nonnull else _NO_VARS
+
+
+def _rows(catoms: list, mapping: dict) -> tuple:
+    """The signature rows of ``catoms``, numbering each variable that
+    ``mapping`` (variable -> index, in first-occurrence order) does not
+    hold yet with the next index."""
     sig = []
     for atom in catoms:
         if isinstance(atom, LinAtom):
@@ -236,7 +258,344 @@ def canonical_key(catoms: list, nonnull: Iterable[Var]) -> CanonicalKey:
                         i = mapping[side] = len(mapping)
                     row.append(i)
             sig.append(tuple(row))
-    return (
-        tuple(sig),
-        frozenset(mapping[v] for v in nonnull if v in mapping),
-    )
+    return tuple(sig)
+
+
+# -- the component record --------------------------------------------------------
+
+#: Where separation atom ``j`` stands in a lineage's conjunction
+#: ``canonical_pure() + separation_atoms()``: at ``_SEP + j``, after every
+#: pure atom (pure atom ``i`` stands at ``i``).
+_SEP = 1 << 62
+
+_NO_VARS: frozenset = frozenset()
+
+
+def _atom_vars(atom: Atom) -> list:
+    """The atom's variables, each once, in term order."""
+    if isinstance(atom, LinAtom):
+        return [v for v, _ in atom.expr.coeffs]
+    left, right = atom.left, atom.right
+    if isinstance(left, _NullConst):
+        return [] if isinstance(right, _NullConst) else [right]
+    if isinstance(right, _NullConst) or right == left:
+        return [left]
+    return [left, right]
+
+
+class Group:
+    """One component of a :class:`Components` record: its atoms in
+    conjunction order, its variables, and the positions of its first and
+    last atom. A check that changes a component makes a new group, so a
+    published record's groups change only in the check that made them,
+    which may key them (:meth:`key`).
+
+    ``sig`` is the signature the group was keyed by (``None`` until then);
+    keying also puts ``vars`` in signature index order. ``prior`` is a
+    keyed group whose atoms begin this group's atoms, or ``None``: keying
+    then extends its signature by the appended atoms' rows alone."""
+
+    __slots__ = ("atoms", "vars", "first", "last", "sig", "prior")
+
+    def __init__(
+        self,
+        atoms: list,
+        vars_: list,
+        first: int,
+        last: int,
+        prior: Optional["Group"] = None,
+    ) -> None:
+        self.atoms = atoms
+        self.vars = vars_
+        self.first = first
+        self.last = last
+        self.sig: Optional[CanonicalKey] = None
+        self.prior = prior
+
+    def extend(self) -> Optional["Group"]:
+        """The ``prior`` of a group that appends atoms to this one."""
+        return self if self.sig is not None else self.prior
+
+    def key(self, nonnull: Iterable[Var]) -> CanonicalKey:
+        """This group's :func:`canonical_key` under the sliced
+        ``nonnull`` facts, kept as ``sig``."""
+        prior = self.prior
+        if prior is None:
+            mapping: dict = {}
+            rows = _rows(self.atoms, mapping)
+        else:
+            self.prior = None
+            order = prior.vars
+            mapping = dict(zip(order, range(len(order))))
+            rows = prior.sig[0] + _rows(self.atoms[len(prior.atoms) :], mapping)
+        self.sig = sig = (rows, _sliced_key(nonnull, mapping))
+        self.vars = list(mapping)
+        return sig
+
+
+class Components:
+    """A query lineage's *component record*: how the last SAT check split
+    the lineage's conjunction, kept so the next check handles only the
+    atoms appended since (see :func:`advance`).
+
+    * ``pure``, ``sep``: the pure and separation atom lists it was made
+      from (the caller's lists, never mutated);
+    * ``nonnull``: the non-null facts it was made under;
+    * ``pos``: each distinct atom's position in ``pure + sep`` (its first
+      occurrence; separation atoms count from ``_SEP``; no positions in
+      an unsplit record);
+    * ``root``: each atom variable's component, named by a root variable;
+    * ``groups``: root -> :class:`Group` (``None`` in an unsplit record,
+      see :func:`unsplit`);
+    * ``dirty``: the roots of the groups the check that made the record
+      had to decide.
+
+    A record is shared by every copy of the query that made it and is
+    never changed once published: :func:`advance` copies what it changes.
+    """
+
+    __slots__ = ("pure", "sep", "nonnull", "pos", "root", "groups", "dirty")
+
+    def __init__(
+        self, pure: list, sep: list, nonnull: frozenset, pos: dict, root: dict, groups: dict
+    ) -> None:
+        self.pure = pure
+        self.sep = sep
+        self.nonnull = nonnull
+        self.pos = pos
+        self.root = root
+        self.groups = groups
+        self.dirty: frozenset | set = _NO_VARS
+
+    def to_decide(self) -> list[tuple[int, Group, list]]:
+        """``(first position, group, sliced non-null facts)`` for each
+        dirty group, in conjunction order (by first atom), the order
+        :func:`split_components` gives."""
+        groups, dirty, nonnull = self.groups, self.dirty, self.nonnull
+        find = self.root.get
+        if len(dirty) == 1:
+            for root in dirty:
+                g = groups[root]
+                return [(g.first, g, [v for v in nonnull if find(v) is root])]
+        slices: dict = {root: [] for root in dirty}
+        for v in nonnull:
+            facts = slices.get(find(v))
+            if facts is not None:
+                facts.append(v)
+        out = []
+        for root, facts in slices.items():
+            g = groups[root]
+            out.append((g.first, g, facts))
+        out.sort()  # positions are distinct: groups are never compared
+        return out
+
+    def clean_before(self, group: Group) -> int:
+        """How many clean groups come before ``group``."""
+        dirty = self.dirty
+        return sum(
+            1
+            for root, g in self.groups.items()
+            if g.first < group.first and root not in dirty
+        )
+
+    def screen(self, newly: Iterable[Var]) -> Optional[Atom]:
+        """An atom of a newly non-null variable's component that
+        :func:`syntactic_unsat` rejects against the ``newly`` facts."""
+        for v in newly:
+            r = self.root.get(v)
+            if r is not None:
+                bad = syntactic_unsat(self.groups[r].atoms, newly)
+                if bad is not None:
+                    return bad
+        return None
+
+    def _add(self, atom: Atom, p: int, shared: dict) -> bool:
+        """Append ``atom`` at position ``p``: merge only its variables'
+        components. A repeated atom keeps its first position; returns
+        whether the atom is new. ``shared`` holds the groups of the last
+        record, which are copied before they change; groups made since
+        grow in place."""
+        pos = self.pos
+        q = pos.setdefault(atom, p)
+        if q != p:
+            if p < q:
+                # A pure atom that so far stood only among the separation
+                # atoms: its first occurrence moves up.
+                pos[atom] = p
+                self._regroup(atom)
+            return False
+        vs = _atom_vars(atom)
+        if not vs:
+            return True  # ground: the screen's business, a tautology if it passed
+        root, groups = self.root, self.groups
+        hit: list = []
+        fresh: list = []
+        for v in vs:
+            r = root.get(v)
+            if r is None:
+                fresh.append(v)
+            elif r not in hit:
+                hit.append(r)
+        if not hit:
+            r = fresh[0]
+            for v in fresh:
+                root[v] = r
+            groups[r] = Group([atom], fresh, p, p)
+            return True
+        if len(hit) == 1:
+            r = hit[0]
+            g = groups[r]
+            if shared.get(r) is not g:
+                g.atoms.append(atom)
+                if p > g.last:
+                    g.last = p
+                else:
+                    g.atoms.sort(key=pos.__getitem__)
+                    g.first = min(g.first, p)
+                if fresh:
+                    g.vars = g.vars + fresh
+                    for v in fresh:
+                        root[v] = r
+                return True
+            atoms = g.atoms + [atom]
+            if p > g.last:
+                first, last, prior = g.first, p, g.extend()
+            else:  # lands before the component's separation atoms
+                atoms.sort(key=pos.__getitem__)
+                first, last, prior = min(g.first, p), g.last, None
+            vars_ = g.vars + fresh if fresh else g.vars
+        else:
+            # Merge into the component with the most variables; relabel
+            # the others.
+            parts = [groups.pop(h) for h in hit]
+            big = max(range(len(parts)), key=lambda i: len(parts[i].vars))
+            r = hit[big]
+            atoms = [atom]
+            vars_ = []
+            first = last = p
+            for h, g in zip(hit, parts):
+                atoms += g.atoms
+                vars_ += g.vars
+                first = min(first, g.first)
+                last = max(last, g.last)
+                if h is not r:
+                    for v in g.vars:
+                        root[v] = r
+            atoms.sort(key=pos.__getitem__)
+            vars_ += fresh
+            prior = None
+        for v in fresh:
+            root[v] = r
+        groups[r] = Group(atoms, vars_, first, last, prior)
+        return True
+
+    def _regroup(self, atom: Atom) -> None:
+        """Re-sort the component of an atom whose position moved."""
+        vs = _atom_vars(atom)
+        if not vs:
+            return
+        r = self.root[vs[0]]
+        g = self.groups[r]
+        pos = self.pos
+        atoms = sorted(g.atoms, key=pos.__getitem__)
+        self.groups[r] = Group(atoms, g.vars, pos[atoms[0]], pos[atoms[-1]])
+
+    def _mark(self, new: list, newly: Iterable[Var], prior: dict) -> None:
+        """Dirty the components of the ``new`` atoms and of the ``newly``
+        non-null variables; a dirty group still shared with ``prior`` (the
+        last record's groups) is copied before a check keys it."""
+        root, groups = self.root, self.groups
+        dirty = set()
+        for atom in new:
+            vs = _atom_vars(atom)
+            if vs:
+                dirty.add(root[vs[0]])
+        for v in newly:
+            r = root.get(v)
+            if r is not None:
+                dirty.add(r)
+        for r in dirty:
+            g = groups[r]
+            if prior.get(r) is g:
+                groups[r] = Group(g.atoms, g.vars, g.first, g.last, g.extend())
+        self.dirty = dirty
+
+
+def unsplit(pure: list, sep: list, nonnull: frozenset, atoms: dict) -> Components:
+    """A record of ``pure + sep`` that holds its distinct ``atoms`` (the
+    keys) but no split: what a check answered whole keeps for the next
+    one, which splits it if it needs components."""
+    return Components(pure, sep, nonnull, atoms, {}, None)
+
+
+def _tail(done: list, now: list) -> Optional[list]:
+    """The atoms of ``now`` after the list ``done``, or ``None`` when
+    ``now`` does not extend ``done``."""
+    k = len(done)
+    if len(now) < k or now[:k] != done:
+        return None
+    return now[k:]
+
+
+def advance(
+    old: Optional[Components], pure: list, sep: list, nonnull: frozenset
+) -> tuple[Components, Optional[list], frozenset]:
+    """The component record of the conjunction ``pure + sep`` (repeated
+    atoms dropped) under ``nonnull``, derived from ``old``, the record of
+    the lineage's last SAT check (``None`` if there is none). ``old`` is
+    never changed.
+
+    Returns ``(record, new, newly)``. ``record.dirty`` holds the roots of
+    the components that need a verdict. ``new`` lists, in order, the atoms
+    ``old``'s conjunction lacks, or is ``None`` when ``old`` is no basis
+    (there is none, or atoms were renamed or dropped) and every component
+    is dirty. ``newly`` is the non-null facts ``old`` lacks. ``new == []``
+    with no ``newly`` means the conjunction is no stronger than ``old``'s.
+
+    When ``pure`` and ``sep`` extend ``old``'s lists, only their new tails
+    are appended. Otherwise the record is rebuilt with the same append
+    loop; if its atoms still include ``old``'s, only the components of
+    the new atoms and non-null facts are dirty, as on an extension.
+    """
+    if old is not None and old.groups is not None:
+        ptail = () if pure is old.pure else _tail(old.pure, pure)
+        stail = () if sep is old.sep or ptail is None else _tail(old.sep, sep)
+        if ptail is not None and stail is not None:
+            if not ptail and not stail and nonnull == old.nonnull:
+                return old, [], _NO_VARS
+            newly = nonnull - old.nonnull
+            new: list = []
+            if not ptail and not stail:
+                groups = dict(old.groups) if newly else old.groups
+                rec = Components(pure, sep, nonnull, old.pos, old.root, groups)
+            else:
+                rec = Components(
+                    pure, sep, nonnull, dict(old.pos), dict(old.root), dict(old.groups)
+                )
+                shared = old.groups
+                for i, atom in enumerate(ptail, len(old.pure)):
+                    if rec._add(atom, i, shared):
+                        new.append(atom)
+                for j, atom in enumerate(stail, _SEP + len(old.sep)):
+                    if rec._add(atom, j, shared):
+                        new.append(atom)
+            rec._mark(new, newly, old.groups)
+            return rec, new, newly
+        if nonnull == old.nonnull and old.pos.keys() == set(pure).union(sep):
+            # The same atoms, reordered: no stronger than ``old``'s, which
+            # stays the record (its lists are what its positions index).
+            return old, [], _NO_VARS
+    rec = Components(pure, sep, nonnull, {}, {}, {})
+    shared: dict = {}
+    for i, atom in enumerate(pure):
+        rec._add(atom, i, shared)
+    for j, atom in enumerate(sep, _SEP):
+        rec._add(atom, j, shared)
+    if old is not None and old.pos.keys() <= rec.pos.keys():
+        known = old.pos
+        newly = nonnull - old.nonnull
+        new = [atom for atom in rec.pos if atom not in known]
+        rec._mark(new, newly, {})
+        return rec, new, newly
+    rec.dirty = set(rec.groups)
+    return rec, None, nonnull

@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Optional, Union
 
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, check_sat, ref_eq, ref_ne
-from ..solver.core import SatBasis, SolverStats
+from ..solver.core import SolverStats
+from ..solver.partition import Components
 from ..solver.terms import LinAtom, LinExpr, RefAtom
 from ..solver.unionfind import UnionFind
 from .symvar import DATA, REF, SymVar, fresh_data, fresh_ref
@@ -85,7 +86,7 @@ class Query:
         "fail_reason",
         "_sat_version",
         "_sat_result",
-        "sat_basis",
+        "components",
         "dirty_roots",
         "_anchors",
         "_nonnull",
@@ -113,9 +114,10 @@ class Query:
         self.fail_reason = ""
         self._sat_version = -1
         self._sat_result = True
-        # (atom set, nonnull roots) of the last SAT check on the
-        # partitioned path; the solver decides only what changed since.
-        self.sat_basis: Optional[SatBasis] = None
+        # The component record of the last SAT check (see
+        # repro.solver.partition.Components), kept and replaced by the
+        # solver, which decides only what changed since. Copies share it.
+        self.components: Optional[Components] = None
         # Roots whose region or identity changed, or that gained a heap
         # cell, since the last renarrow: only their cells can break its
         # invariant.
@@ -155,7 +157,7 @@ class Query:
         q.fail_reason = self.fail_reason
         q._sat_version = self._sat_version
         q._sat_result = self._sat_result
-        q.sat_basis = self.sat_basis
+        q.components = self.components
         q.dirty_roots = set(self.dirty_roots)
         q._anchors = dict(self._anchors)
         q._nonnull = set(self._nonnull)
@@ -169,9 +171,12 @@ class Query:
     # Pickled (the store's refuted rows that older builds wrote, read by
     # ``VerdictStore.load_refuted``) without the derived structures, which
     # are rebuilt on load; this also reads states pickled before those
-    # structures existed.
+    # structures existed, and skips ``sat_basis``, the slot older builds
+    # kept where ``components`` is now.
     _DERIVED = frozenset(
         (
+            "components",
+            "sat_basis",
             "dirty_roots",
             "_anchors",
             "_nonnull",
@@ -206,6 +211,7 @@ class Query:
             self._anchor(cell.base)
             self._anchor(cell.value)
         self.dirty_roots = set(self._anchors)
+        self.components = None
         self._separation = None
         self._shape = None
         self._shape_version = -1
@@ -651,22 +657,17 @@ class Query:
             return False
         if self._sat_version == self.version:
             return self._sat_result
-        atoms = self.canonical_pure() + self.separation_atoms()
-        nonnull = frozenset(self._nonnull)
-        atom_set = frozenset(atoms)
         ok = check_sat(
-            atoms,
-            nonnull=nonnull,
+            self.canonical_pure(),
+            nonnull=frozenset(self._nonnull),
             stats=stats,
-            basis=self.sat_basis,
-            atom_set=atom_set,
+            separation=self.separation_atoms(),
+            lineage=self,
         )
         self._sat_version = self.version
         self._sat_result = ok
         if not ok:
             self.fail("pure constraints unsatisfiable")
-        else:
-            self.sat_basis = (atom_set, nonnull)
         return ok
 
     # -- structure queries --------------------------------------------------------------

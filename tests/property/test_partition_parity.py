@@ -3,14 +3,14 @@ soundness contract).
 
 The oracle is the whole-conjunction decider: union-find plus
 Fourier–Motzkin over every atom at once (``_decide_component`` on the
-full atom list), with no splitting, basis or cache. Two layers of
+full atom list), with no splitting, record or cache. Two layers of
 evidence that relevance partitioning never changes an answer, only skips
 work:
 
 * **atom-level** — Hypothesis generates random mixed ``RefAtom`` /
   ``LinAtom`` conjunctions (shared variables, NULL operands, nonnull
   facts, ground contradictions); ``check_sat`` must agree with the
-  oracle in every flavor (cold, memo-warmed, basis-warmed,
+  oracle in every flavor (cold, memo-warmed, record-warmed,
   memo-disabled);
 * **client-level** — Hypothesis generates small mini-Java programs (same
   universe as the refutation-soundness suite) and all four analysis
@@ -18,6 +18,7 @@ work:
   per-item outcomes, and per-job record statuses must be bit-identical.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import HealthCheck, given, seed, settings
@@ -39,10 +40,10 @@ from .test_refutation_soundness import programs
 
 
 
-def monolithic(atoms, nonnull=None, stats=None, basis=None, atom_set=None):
+def monolithic(atoms, nonnull=None, stats=None, separation=(), lineage=None):
     """The whole-conjunction oracle, with ``check_sat``'s signature."""
     return core._decide_component(
-        list(atoms), nonnull or frozenset(), stats or SolverStats()
+        list(atoms) + list(separation), nonnull or frozenset(), stats or SolverStats()
     )
 
 
@@ -103,19 +104,20 @@ def test_partitioned_check_sat_agrees_with_monolithic(case):
         SOLVER_MEMO.clear()
         cold = check_sat(atoms, nonnull=nonnull)
         warm = check_sat(atoms, nonnull=nonnull)  # component memo hits
-        # Basis-warmed: grown from a SAT prefix with fewer non-null
+        # Record-warmed: grown from a SAT prefix with fewer non-null
         # facts (only the changed components are decided), and answered
-        # whole from a basis equal to the query.
+        # whole from a record of the same query.
         got = [cold, warm]
         half = len(atoms) // 2
         prefix, fewer = atoms[:half], frozenset(sorted(nonnull)[1:])
         SOLVER_MEMO.clear()
-        if check_sat(prefix, nonnull=fewer):
-            basis = (frozenset(prefix), fewer)
-            got.append(check_sat(atoms, nonnull=nonnull, basis=basis))
+        lineage = SimpleNamespace(components=None)
+        if check_sat(prefix, nonnull=fewer, lineage=lineage):
+            got.append(check_sat(atoms, nonnull=nonnull, lineage=lineage))
         if cold:
-            basis = (frozenset(atoms), nonnull)
-            got.append(check_sat(atoms, nonnull=nonnull, basis=basis))
+            lineage = SimpleNamespace(components=None)
+            check_sat(atoms, nonnull=nonnull, lineage=lineage)
+            got.append(check_sat(atoms, nonnull=nonnull, lineage=lineage))
 
         SOLVER_MEMO.set_enabled(False)
         got.append(check_sat(atoms, nonnull=nonnull))  # memo disabled

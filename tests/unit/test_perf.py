@@ -1,6 +1,7 @@
 """Unit tests for the repro.perf memoization layer."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,15 +97,16 @@ class TestSolverMemo:
         d = LinExpr.var("d")
         atoms = [le(d, LinExpr.constant(3)), le(LinExpr.constant(1), d)]
         stats = SolverStats()
+        lineage = SimpleNamespace(components=None)
         assert check_sat(atoms, stats=stats)
-        assert check_sat(atoms, stats=stats)
+        assert check_sat(atoms, stats=stats, lineage=lineage)
         assert stats.checks == 2
         assert stats.component_hits == 1
         assert len(SOLVER_MEMO.component) == 1
         # A component's signature lists its atoms in caller order; the
-        # order-insensitive whole-query key is the SAT basis (a frozenset).
-        basis = (frozenset(atoms), frozenset())
-        assert check_sat(list(reversed(atoms)), stats=stats, basis=basis)
+        # lineage's component record answers a reordering of its own
+        # atoms whole.
+        assert check_sat(list(reversed(atoms)), stats=stats, lineage=lineage)
         assert stats.memo_hits == 1 and stats.component_hits == 1
 
     def test_unsat_verdict_memoized_and_counted(self):
@@ -296,7 +298,8 @@ class TestPartitionedSolver:
 
 class TestSatBasis:
     """Delta satisfiability: a query is decided only where it differs
-    from its lineage's last SAT check (``Query.sat_basis``)."""
+    from its lineage's last SAT check, read off the component record
+    ``Query.components`` — never by re-splitting the conjunction."""
 
     @pytest.fixture(autouse=True)
     def partitioned_no_memo(self, monkeypatch):
@@ -331,16 +334,18 @@ class TestSatBasis:
     def test_query_equal_to_its_basis_needs_no_split(self):
         q, *_ = self.two_component_query()
         assert q.check_sat()
-        assert q.sat_basis is not None and self.splits == 1
+        assert q.components is not None and self.splits == 0
+        assert len(q.components.groups) == 2
         child = q.copy()
-        assert child.sat_basis is q.sat_basis
+        assert child.components is q.components
         child.touch()  # a transfer that left the pure part alone
         stats = SolverStats()
         before = self.decisions()
         assert child.check_sat(stats)
-        assert self.splits == 1
+        assert self.splits == 0
         assert self.decisions() == before
         assert stats.memo_hits == 1 and stats.context_hits == 0
+        assert child.components is q.components
 
     def test_one_new_atom_decides_only_its_component(self):
         q, x1, _, _ = self.two_component_query()
@@ -351,22 +356,32 @@ class TestSatBasis:
         before = self.decisions()
         assert child.check_sat(stats)
         assert self.decisions() == before + 1  # the x chain only
-        assert stats.context_hits == 1  # the y bound, from the basis
-        # The parent's basis is its own; the child's moved on.
-        assert child.sat_basis != q.sat_basis
+        assert stats.context_hits == 1  # the y bound, from the record
+        assert self.splits == 0
+        # The parent's record is its own; the child's moved on.
+        assert child.components is not q.components
+        def sizes(record):
+            groups = sorted(record.groups.values(), key=lambda g: g.first)
+            return [len(g.atoms) for g in groups]
+
+        assert sizes(q.components) == [2, 1]
+        assert sizes(child.components) == [3, 1]
 
     def test_new_nonnull_variable_dirties_exactly_its_component(self):
         atoms = [ref_ne("a", "b"), ref_ne("c", "d")]
-        basis = (frozenset(atoms), frozenset())
+        lineage = SimpleNamespace(components=None)
+        assert check_sat(atoms, frozenset(), SolverStats(), lineage=lineage)
         stats = SolverStats()
         before = self.decisions()
-        assert check_sat(atoms, frozenset({"a"}), stats, basis=basis)
+        assert check_sat(atoms, frozenset({"a"}), stats, lineage=lineage)
         assert self.decisions() == before + 1
         assert stats.context_hits == 1
-        # Fewer non-null facts than the basis: answered whole.
-        basis = (frozenset(atoms), frozenset({"a", "c"}))
-        assert check_sat(atoms, frozenset({"c"}), stats, basis=basis)
-        assert self.decisions() == before + 1
+        assert check_sat(atoms, frozenset({"a", "c"}), stats, lineage=lineage)
+        assert self.decisions() == before + 2
+        assert stats.context_hits == 2
+        # Fewer non-null facts than the record: answered whole.
+        assert check_sat(atoms, frozenset({"c"}), stats, lineage=lineage)
+        assert self.decisions() == before + 2
         assert stats.memo_hits == 1
 
     def test_child_renamed_by_unify_takes_full_path(self):
@@ -374,7 +389,7 @@ class TestSatBasis:
         assert q.check_sat()
         child = q.copy()
         assert child.unify(x1, x2)  # renames an atom of the x chain
-        assert not frozenset(child.canonical_pure()) >= q.sat_basis[0]
+        assert not set(q.components.pos) <= set(child.canonical_pure())
         stats = SolverStats()
         before = self.decisions()
         assert child.check_sat(stats)
@@ -384,17 +399,17 @@ class TestSatBasis:
     def test_unsat_check_sets_no_basis(self):
         q, x1, _, _ = self.two_component_query()
         assert q.check_sat()
-        basis = q.sat_basis
+        record = q.components
         child = q.copy()
         child.add_pure(le(LinExpr.constant(4), LinExpr.var(x1)))  # x1 > 3
         assert not child.check_sat()
-        assert child.sat_basis is basis
+        assert child.components is record
         fresh = Query("M.m")
         d = fresh.new_data()
         fresh.add_pure(eq(LinExpr.var(d), LinExpr.constant(1)))
         fresh.add_pure(eq(LinExpr.var(d), LinExpr.constant(2)))
         assert not fresh.check_sat()
-        assert fresh.sat_basis is None
+        assert fresh.components is None
 
 
 class TestMemoCapacity:

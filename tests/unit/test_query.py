@@ -1,8 +1,11 @@
 """Unit tests for the mixed symbolic-explicit query structure."""
 
+import base64
+import pickle
+
 from repro.ir.instructions import AllocSite
 from repro.pointsto.graph import AbsLoc
-from repro.solver import NULL, LinExpr, eq, ref_eq
+from repro.solver import NULL, LinExpr, eq, le, ref_eq, ref_ne
 from repro.symbolic import Query, query_entails
 
 
@@ -243,3 +246,86 @@ class TestEntailment:
         q1, q2 = fresh_query(), fresh_query()
         q1.fail("test")
         assert query_entails(q1, q2)
+
+
+#: A query pickled by a build that kept a ``sat_basis`` slot where the
+#: component record is now: ``pickled_query()``'s steps, pickled after its
+#: second ("grew") check.
+SAT_BASIS_PICKLE = """
+gASV3QIAAAAAAACMFHJlcHJvLnN5bWJvbGljLnF1ZXJ5lIwFUXVlcnmUk5QpgZR9lCiMAnVm
+lIwWcmVwcm8uc29sdmVyLnVuaW9uZmluZJSMCVVuaW9uRmluZJSTlCmBlH2UjAdfcGFyZW50
+lH2Uc2KMB3JlZ2lvbnOUfZSMCm1heWJlX251bGyUj5QojBVyZXByby5zeW1ib2xpYy5zeW12
+YXKUjAZTeW1WYXKUk5QpgZROfZQojAN2aWSUSwKMBGtpbmSUjANyZWaUjARoaW50lIwBY5R1
+hpRikIwGbG9jYWxzlH2UKEsAjAFhlIaUaBMpgZROfZQoaBZLAGgXaBhoGWgedYaUYksAjAFi
+lIaUaBMpgZROfZQoaBZLAWgXaBhoGWgjdYaUYksAjAFplIaUaBMpgZROfZQoaBZLA2gXjARk
+YXRhlGgZaCh1hpRidYwHc3RhdGljc5R9lIwLZmllbGRfY2VsbHOUfZQoaCCMAWaUhpRoFGgl
+aDKGlGgUdYwLYXJyYXlfY2VsbHOUXZSMBHB1cmWUXZQojBJyZXByby5zb2x2ZXIudGVybXOU
+jAdMaW5BdG9tlJOUjAI8PZRoOYwHTGluRXhwcpSTlGgqSwGGlIWUSv3///+GlFKUhpRSlImG
+lGg5jAdSZWZBdG9tlJOUiWg5jApfTnVsbENvbnN0lJOUKYGUaBSHlFKUiIaUaDtoPGg+aCpK
+/////4aUhZRLAIaUUpSGlFKUiIaUZYwFc3RhY2uUXZSMDWN1cnJlbnRfZnJhbWWUSwCMDmN1
+cnJlbnRfbWV0aG9klIwDTS5tlIwLX25leHRfZnJhbWWUSwGMB3ZlcnNpb26USw6MBmZhaWxl
+ZJSJjAtmYWlsX3JlYXNvbpSMAJSMDF9zYXRfdmVyc2lvbpRLDowLX3NhdF9yZXN1bHSUiIwJ
+c2F0X2Jhc2lzlChoR4loIGglh5RSlGhEaExoU5GUKGglaCCRlIaUdWIu
+"""
+
+
+def pickled_query() -> Query:
+    """Two bases share field ``f`` (a separation disequality); ``i <= 3``
+    is checked, then two guards are added and checked (atoms grew)."""
+    q = Query("M.m")
+    a = q.new_ref(None, maybe_null=True, hint="a")
+    b = q.new_ref(None, maybe_null=True, hint="b")
+    c = q.new_ref(None, maybe_null=True, hint="c")
+    i = q.new_data("i")
+    q.set_local("a", a)
+    q.set_local("b", b)
+    q.set_local("i", i)
+    q.set_field(a, "f", c)
+    q.set_field(b, "f", c)
+    q.add_pure(le(LinExpr.var(i), LinExpr.constant(3)))
+    assert q.check_sat()
+    q.add_pure(ref_ne(c, NULL), guard=True)
+    q.add_pure(le(LinExpr.constant(0), LinExpr.var(i)), guard=True)
+    assert q.check_sat()
+    return q
+
+
+def follow_up(q: Query) -> list:
+    """Verdicts of a few checks after ``q``'s last one."""
+    i = q.get_local("i")
+    a, b = q.get_local("a"), q.get_local("b")
+    verdicts = [q.check_sat()]
+    q.touch()
+    verdicts.append(q.check_sat())
+    grew = q.copy()
+    grew.add_pure(le(LinExpr.var(i), LinExpr.constant(2)))
+    verdicts.append(grew.check_sat())
+    unsat = q.copy()
+    unsat.add_pure(le(LinExpr.constant(4), LinExpr.var(i)))
+    verdicts.append(unsat.check_sat())
+    merged = q.copy()
+    merged.unify(a, b)  # one cell now: the separation atom goes
+    verdicts.append(merged.check_sat())
+    return verdicts
+
+
+class TestPickling:
+    """The component record is derived: it is not pickled, a loaded query
+    rebuilds it at its next check, and pickles from builds that kept a
+    ``sat_basis`` slot still load."""
+
+    def test_query_pickled_after_a_grew_check_checks_as_the_original(self):
+        original = pickled_query()
+        assert original.components is not None
+        loaded = pickle.loads(pickle.dumps(pickled_query()))
+        assert loaded.components is None
+        assert "components" not in loaded.__getstate__()
+        assert follow_up(loaded) == follow_up(original) == [
+            True, True, True, False, True
+        ]
+
+    def test_state_with_a_sat_basis_loads(self):
+        loaded = pickle.loads(base64.b64decode(SAT_BASIS_PICKLE))
+        assert isinstance(loaded, Query) and loaded.components is None
+        assert not hasattr(loaded, "sat_basis")
+        assert follow_up(loaded) == follow_up(pickled_query())

@@ -363,3 +363,27 @@ class TestAttach:
         assert stats["fingerprint"] == solver_fingerprint()
         assert stats["bytes"] > 0
         assert stats["writes"] == 1
+
+
+class TestPartKey:
+    def test_repeated_atoms_share_one_part_row(self, tmp_path):
+        """The whole-query ``part`` key is built on the de-duplicated
+        conjunction: a separation disequality stated twice (one per shared
+        field) hits the row of the conjunction that states it once."""
+        from repro.obs import metrics
+        from repro.perf.memo import SOLVER_MEMO
+        from repro.solver import LinExpr, check_sat, le, ref_ne
+
+        store = perf_store.attach(str(tmp_path))
+        pure = [le(LinExpr.var("i"), LinExpr.constant(3))]
+        apart = ref_ne("a", "b")
+        SOLVER_MEMO.clear()
+        assert check_sat(pure, separation=[apart])
+        assert len(store._mem["part"]) == 1
+        hits = store.hits
+        decisions = metrics.counter("solver.checks").value
+        SOLVER_MEMO.clear()
+        assert check_sat(pure, separation=[apart, apart])
+        assert len(store._mem["part"]) == 1
+        assert store.hits == hits + 1  # the part row; no component lookups
+        assert metrics.counter("solver.checks").value == decisions

@@ -54,7 +54,7 @@ def edges(pta):
 
 
 GOLDEN = """\
-# repro-exposition-version 2
+# repro-exposition-version 3
 # HELP repro_driver_job_seconds Distribution of driver.job_seconds.
 # TYPE repro_driver_job_seconds summary
 repro_driver_job_seconds_count 1
