@@ -94,8 +94,8 @@ def cache_report(extra_snapshots: list | None = None) -> dict:
             merged[name] = merged.get(name, 0) + value
     return {
         "counters": merged,
-        # Whole queries the SAT basis answered; the name is kept from the
-        # whole-query memo it replaced.
+        # Whole queries the component record answered; the name is kept
+        # from the whole-query memo it replaced.
         "solver_memo": {
             "hits": merged.get("solver.memo_hits", 0),
             "misses": merged.get("solver.memo_misses", 0),
