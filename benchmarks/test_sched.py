@@ -1,5 +1,5 @@
-"""The adaptive-scheduling perf artifact: fixed schedule vs cost-model
-priorities + cheap-first portfolio, emitting
+"""The adaptive-scheduling perf artifact: the fixed Section 2 walk vs the
+cheap-first portfolio, serial and on a 4-thread pool, emitting
 ``BENCH_sched.json``.
 
 The workload is ``repro.bench.workloads.layered_app``: two-edge heap
@@ -9,7 +9,8 @@ expensive edge on every path; the portfolio's path-level rung ladder
 refutes the cheap edge at the small budget rung and never escalates the
 expensive one. Every verdict is REFUTED by construction, so client
 outcomes are schedule-independent and asserted identical across the
-whole grid.
+whole grid. Both portfolio configs dispatch each rung's jobs cheapest
+first by the cost model, as every batch does.
 
 Deterministic axes (asserted always, smoke and full alike): verdict
 parity, actual decision-procedure runs (the portfolio must cut them by
@@ -98,7 +99,7 @@ def test_adaptive_scheduling_emits_bench_sched():
     grid = {
         "fixed_serial": dict(),
         "portfolio_serial": dict(portfolio=True),
-        "adaptive_jobs4": dict(portfolio=True, schedule="priority", jobs=4),
+        "adaptive_jobs4": dict(portfolio=True, jobs=4),
     }
     results = {
         name: _run(source, **knobs) for name, knobs in grid.items()

@@ -79,7 +79,6 @@ _WIRE_FIELDS = (
     "subsumption",
     "backend",
     "journal",
-    "schedule",
     "portfolio",
     "slow_query_ms",
     "cache_dir",
@@ -126,11 +125,13 @@ class AnalysisRequest:
     #: result (``result.journal``, ``result.certificate(desc)``). If a
     #: journal is already installed process-wide it is reused.
     journal: bool = False
-    #: Scheduling knobs (repro.engine.schedule): ``None``/``False`` keep
-    #: the config's values. ``schedule`` selects the worklist/dispatch
-    #: policy ("lifo" or "priority"), ``portfolio`` enables cheap-first
-    #: budget rungs (CLI --portfolio).
+    #: Ignored: every run keeps the LIFO worklist and dispatches its
+    #: batches cheapest first. It is no longer on the v1 wire schema. It
+    #: goes away once the ledger's ``layered`` child stops passing it
+    #: (ROADMAP item 2's benchmark PR).
     schedule: Optional[str] = None
+    #: Cheap-first budget rungs (CLI --portfolio); ``False`` keeps the
+    #: config's value.
     portfolio: bool = False
     #: Slow-query flight-recorder threshold override in milliseconds
     #: (CLI --slow-query-ms); ``None`` keeps the config's default.
@@ -289,8 +290,6 @@ def _resolve_config(request: AnalysisRequest) -> SearchConfig:
         config = config.copy(memoize_solver=request.memoize)
     if request.subsumption is not None:
         config = config.copy(state_subsumption=request.subsumption)
-    if request.schedule is not None:
-        config = config.copy(schedule=request.schedule)
     if request.portfolio:
         config = config.copy(portfolio=True)
     if request.slow_query_ms is not None:

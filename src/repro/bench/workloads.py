@@ -253,7 +253,7 @@ def mixed_app(
     path-program budget, not wall clock, bounds each search). Putting the
     hard screens at the tail gives naive FIFO dispatch its worst case:
     the tail serializes on the expensive edges exactly when the pool has
-    nothing left to overlap them with — the shape cheap-first priorities
+    nothing left to overlap them with — the shape cost-ordered dispatch
     and portfolio rungs each attack."""
     counts = [easy_branches] * easy + [hard_branches] * hard
     classes = ["class Thing { }", "class Registry { static Thing hold; }"]

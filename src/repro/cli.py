@@ -159,16 +159,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         help="write the per-query search journal (JSONL) for 'thresher explain'",
     )
     parser.add_argument(
-        "--schedule",
-        choices=["lifo", "priority"],
-        default=None,
-        help=(
-            "search scheduling policy: 'lifo' (the paper's DFS, default) or"
-            " 'priority' (cost-model cheapest-first job dispatch and"
-            " best-first worklist)"
-        ),
-    )
-    parser.add_argument(
         "--portfolio",
         action="store_true",
         help=(
@@ -204,8 +194,6 @@ def _search_config(args, **overrides):
     """Build a SearchConfig from the shared perf flags plus overrides."""
     from .symbolic import SearchConfig
 
-    if getattr(args, "schedule", None):
-        overrides.setdefault("schedule", args.schedule)
     if getattr(args, "portfolio", False):
         overrides.setdefault("portfolio", True)
     slow_ms = getattr(args, "slow_query_ms", None)
@@ -765,8 +753,7 @@ def _render_top(status: dict) -> str:
     counters = status.get("metrics") or {}
     lines.append(
         f"serve: {counters.get('serve.requests', 0)} request(s),"
-        f" {counters.get('serve.verdicts_reused', 0)} verdict(s) reused,"
-        f" {counters.get('driver.priority_inversions', 0)} inversion(s)"
+        f" {counters.get('serve.verdicts_reused', 0)} verdict(s) reused"
     )
     return "\n".join(lines)
 
@@ -1014,15 +1001,11 @@ def _cmd_cache(args) -> int:
 
 def _print_sched_table(schedule: dict) -> None:
     """The run's scheduling behavior, from the report's ``schedule``
-    section: active policy/toggles, one row per portfolio rung (jobs
-    scheduled / resolved / carried over at each budget), and the
-    priority-inversion counter."""
+    section: the portfolio toggle and one row per portfolio rung (jobs
+    scheduled / resolved / carried over at each budget)."""
     if not schedule:
         return
-    print(
-        f"scheduling: policy={schedule.get('policy', 'lifo')}"
-        f" portfolio={'on' if schedule.get('portfolio') else 'off'}"
-    )
+    print(f"scheduling: portfolio={'on' if schedule.get('portfolio') else 'off'}")
     rungs = schedule.get("rungs") or []
     if rungs:
         print("  rung   budget  deadline  scheduled  resolved  carryover")
@@ -1036,9 +1019,6 @@ def _print_sched_table(schedule: dict) -> None:
                 f"  {row.get('resolved', 0):>8}"
                 f"  {row.get('carryover', 0):>9}"
             )
-    inversions = schedule.get("priority_inversions", 0)
-    if inversions:
-        print(f"  priority inversions {inversions}")
 
 
 def _pick_record(report, edge: str | None, status: str | None):

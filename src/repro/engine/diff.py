@@ -4,14 +4,14 @@
 this module tells you *where*. Two :class:`~repro.engine.report.RunReport`
 artifacts are joined on the stable job token ``(kind, description)`` —
 the same token the driver sorts records by, so the join is insensitive
-to ``--jobs``, backend, and schedule permutations — and every delta is
+to ``--jobs``, backend, and dispatch order — and every delta is
 attributed:
 
 * per-record: wall seconds, path programs, verdict flips, rung moves;
 * run-level: total wall, the solver answer-tier mix (per-edge solver
   calls are not recorded, so solver-call deltas are attributed at the
-  tier level), kill-reason attribution, and scheduler efficacy
-  (priority inversions).
+  tier level), the persistent-store operations, and kill-reason
+  attribution.
 
 Used by ``repro explain --diff A.json B.json``.
 """
@@ -70,7 +70,6 @@ def diff_reports(a: RunReport, b: RunReport) -> dict:
                 "rung_b": rb.rung,
             }
         )
-    sched_a, sched_b = a.schedule or {}, b.schedule or {}
     return {
         "a": {"app": a.app, "command": a.command, "jobs": a.jobs,
               "wall_seconds": a.wall_seconds},
@@ -85,16 +84,6 @@ def diff_reports(a: RunReport, b: RunReport) -> dict:
         "store": _counts(_store(a), _store(b)),
         "attribution": _counts(
             a.attribution.get("kills", {}), b.attribution.get("kills", {})
-        ),
-        "schedule": _counts(
-            {
-                "priority_inversions": sched_a.get("priority_inversions", 0)
-                or 0,
-            },
-            {
-                "priority_inversions": sched_b.get("priority_inversions", 0)
-                or 0,
-            },
         ),
     }
 
@@ -167,16 +156,6 @@ def render_diff(diff: dict, top: int = 10) -> str:
     if kill_moves:
         lines.append("kill attribution (B - A):")
         for name, d in kill_moves.items():
-            lines.append(
-                f"  {name:20s} {d['a']:>10} -> {d['b']:>10}"
-                f"  ({d['delta']:+})"
-            )
-    sched_moves = {
-        name: d for name, d in diff["schedule"].items() if d["delta"] != 0
-    }
-    if sched_moves:
-        lines.append("scheduler (B - A):")
-        for name, d in sched_moves.items():
             lines.append(
                 f"  {name:20s} {d['a']:>10} -> {d['b']:>10}"
                 f"  ({d['delta']:+})"

@@ -64,13 +64,7 @@ from .events import (
     SpanFinished,
 )
 from .report import EdgeRecord, RunReport
-from .schedule import (
-    PRIORITY,
-    CostModel,
-    InversionMeter,
-    RungCeiling,
-    rung_ladder,
-)
+from .schedule import CostModel, RungCeiling, rung_ladder
 
 _CACHE_HITS = metrics.counter("driver.cache_hits")
 _JOBS_DONE = metrics.counter("driver.jobs_completed")
@@ -219,11 +213,9 @@ class RefutationDriver:
         #: flows into RunReport.phase_seconds and SpanFinished bus events.
         self._phase_seconds: dict[str, float] = {}
         #: Scheduling state (repro.engine.schedule): the lazily-built cost
-        #: model for priority ordering, per-rung portfolio stats, and the
-        #: priority-inversion count.
+        #: model for dispatch order and per-rung portfolio stats.
         self._cost: Optional[CostModel] = None
         self._rungs: dict[int, dict] = {}
-        self._inversions = 0
         self._tracer = trace.get_tracer()
         if self._tracer is not None:
             self._tracer.add_sink(self._on_span)
@@ -381,10 +373,10 @@ class RefutationDriver:
             self._cost = CostModel(self.pta)
         return self._cost
 
-    def _by_priority(self, jobs: list[Job]) -> list[Job]:
-        """Cheapest-first dispatch order under ``schedule == "priority"``
-        (stable, with the description as tiebreak); input order otherwise."""
-        if self.config.schedule != PRIORITY or len(jobs) < 2:
+    def _by_cost(self, jobs: list[Job]) -> list[Job]:
+        """Cheapest-first dispatch order, with the description as
+        tiebreak."""
+        if len(jobs) < 2:
             return jobs
         model = self._cost_model()
         return sorted(jobs, key=lambda job: (job.cost(model), job.description))
@@ -415,15 +407,12 @@ class RefutationDriver:
         """The run report's ``schedule`` section (see RunReport)."""
         with self._lock:
             rungs = [dict(self._rungs[i]) for i in sorted(self._rungs)]
-            inversions = self._inversions
         return {
-            "policy": self.config.schedule,
             "portfolio": self.config.portfolio,
             "rungs": rungs,
             "resolved_at_rung": {
                 str(r["rung"]): r["resolved"] for r in rungs
             },
-            "priority_inversions": inversions,
         }
 
     # ------------------------------------------------------------------
@@ -494,8 +483,7 @@ class RefutationDriver:
 
         ``requests`` is a sequence of ``(label, bindings, description)``
         triples; results come back in request order regardless of the
-        dispatch order (priority scheduling) or completion order on the
-        pool.
+        dispatch order (cheapest first) or completion order on the pool.
         """
         jobs = [
             Job(("fact", i), description, label=label, bindings=bindings)
@@ -527,11 +515,11 @@ class RefutationDriver:
         """Run one batch of jobs; results keyed by job key.
 
         Jobs answered from the shared edge cache finish first; the rest
-        climb the rung ladder, cheapest first under priority scheduling.
-        ``walk`` takes the jobs one at a time in order instead (the serial
-        Section 2 path walk). With ``stop_on_refute`` (a path), the batch
-        ends once any result refutes; jobs left unresolved then keep their
-        provisional TIMEOUT results."""
+        climb the rung ladder, cheapest first. ``walk`` takes the jobs one
+        at a time in order instead (the serial Section 2 path walk). With
+        ``stop_on_refute`` (a path), the batch ends once any result
+        refutes; jobs left unresolved then keep their provisional TIMEOUT
+        results."""
         total = len(jobs)
         results: dict = {}
         with self._timed_batch(total, kind) as outcomes:
@@ -549,7 +537,7 @@ class RefutationDriver:
                         job, cached, SERIAL, len(results) - 1, total, cached=True
                     )
                 self._run_ladder(
-                    self._by_priority(todo), results, total, stop_on_refute
+                    self._by_cost(todo), results, total, stop_on_refute
                 )
             outcomes.extend(results.values())
         return results
@@ -682,12 +670,6 @@ class RefutationDriver:
                 settle(job, result, SERIAL)
             return
         pool = self._get_pool()
-        meter = None
-        if self.config.schedule == PRIORITY:
-            model = self._cost_model()
-            meter = InversionMeter(
-                {slot: job.cost(model) for slot, job in enumerate(jobs)}
-            )
         futures = {}
         for slot, job in enumerate(jobs):
             self.events.emit(
@@ -715,12 +697,7 @@ class RefutationDriver:
                 lost = True
                 result = EdgeResult(edge=job.edge, status=TIMEOUT)
                 worker = LOST
-            if meter is not None:
-                meter.complete(slot)
             settle(job, result, worker)
-        if meter is not None:
-            with self._lock:
-                self._inversions += meter.inversions
         if lost:
             pool.shutdown(wait=True)
             self._pool = None
@@ -900,8 +877,7 @@ class RefutationDriver:
         The ``cache`` section merges this process's cache counters with the
         latest snapshot from each process-pool worker. Records are sorted
         by a stable job token (kind, then description) so reports are
-        byte-stable across ``--jobs``, backend, and schedule
-        permutations."""
+        byte-stable across ``--jobs``, backend and dispatch order."""
         with self._lock:
             snapshots = list(self._worker_snapshots.values())
         cache = perf.cache_report(snapshots)

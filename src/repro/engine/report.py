@@ -85,11 +85,10 @@ class RunReport:
     #: merged across process-pool workers, plus the active toggle values.
     #: See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)
-    #: Scheduling behavior for the run: the active policy (``lifo`` /
-    #: ``priority``), the portfolio toggle, per-rung resolution
-    #: stats (``rungs``: scheduled/resolved/carryover and verdict counts
-    #: per rung), ``resolved_at_rung`` rollup, and
-    #: ``priority_inversions``. See :mod:`repro.engine.schedule`.
+    #: Scheduling behavior for the run: the portfolio toggle, per-rung
+    #: resolution stats (``rungs``: scheduled/resolved/carryover and
+    #: verdict counts per rung) and the ``resolved_at_rung`` rollup. See
+    #: :mod:`repro.engine.schedule`.
     schedule: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 

@@ -1,4 +1,4 @@
-"""Adaptive search scheduling: cost-model priorities and cheap-first
+"""Adaptive search scheduling: cost-ordered dispatch and cheap-first
 portfolio budgets.
 
 Thresher's practicality rests on refuting the easy alarms fast so the
@@ -12,9 +12,8 @@ module holds the pieces the driver and executor share:
   forks are an exponential proxy, ``Loop``s pay invariant inference),
   caller fan-in (backwards call exploration), and points-to fan-in of
   the edge's source region (aliasing case splits). The driver sorts
-  batches cheapest-first under ``SearchConfig.schedule == "priority"``;
-  :func:`state_cost` is the per-path-state analogue the executor's
-  priority worklist uses.
+  every batch cheapest-first; the serial Section 2 path walk takes its
+  edges one at a time, in path order.
 * :func:`rung_ladder` — the cheap-first portfolio schedule: every edge
   runs at a small budget/deadline rung first and only survivors re-run
   at escalating rungs (``SearchConfig.portfolio``), re-using the
@@ -22,10 +21,8 @@ module holds the pieces the driver and executor share:
 * :class:`RungCeiling` — the rung rule of a portfolio path batch: one
   refuted edge breaks the path, so no path-mate may spend more path
   programs at a rung than the cheapest edge that refuted there.
-* :class:`InversionMeter` — how often a pool batch under priority
-  scheduling completed a job while a cheaper one was still pending.
 
-Nothing here decides verdicts: priorities and rungs only reorder and
+Nothing here decides verdicts: dispatch order and rungs only reorder and
 stage the same deterministic searches, and the final portfolio rung
 always runs at the full configured budget/deadline, so client verdicts
 are identical to the fixed-schedule run. The ceiling only turns a
@@ -39,26 +36,7 @@ import math
 from typing import Optional
 
 from ..ir.stmts import Choice, Loop, walk_statements
-from ..obs import metrics
 from ..symbolic.config import SearchConfig
-
-_INVERSIONS = metrics.counter("driver.priority_inversions")
-
-#: ``SearchConfig.schedule`` values.
-LIFO = "lifo"
-PRIORITY = "priority"
-
-
-def state_cost(state) -> int:
-    """Cheap priority key for one path state: smaller = explored first.
-
-    Constraint count plus symbolic-memory size — the two features that
-    track how much solver work and how many materialization case splits
-    a state can still generate. Deliberately O(constraints): the
-    priority worklist pays this on every push.
-    """
-    q = state.query
-    return len(q.pure) + q.memory_size()
 
 
 class CostModel:
@@ -190,32 +168,4 @@ class RungCeiling:
         return result.path_programs <= self.limit
 
 
-class InversionMeter:
-    """Counts priority inversions in one dispatch batch: completions of
-    a job while a strictly cheaper job is still unfinished — the
-    head-of-line blocking the priority order exists to avoid. Inherent
-    under parallelism (a cheap job can start last), so this is a report
-    statistic, not an assertion."""
-
-    def __init__(self, costs: dict) -> None:
-        self._pending = dict(costs)
-        self.inversions = 0
-
-    def complete(self, key) -> None:
-        cost = self._pending.pop(key, None)
-        if cost is None or not self._pending:
-            return
-        if min(self._pending.values()) < cost:
-            self.inversions += 1
-            _INVERSIONS.inc()
-
-
-__all__ = [
-    "LIFO",
-    "PRIORITY",
-    "CostModel",
-    "InversionMeter",
-    "RungCeiling",
-    "rung_ladder",
-    "state_cost",
-]
+__all__ = ["CostModel", "RungCeiling", "rung_ladder"]

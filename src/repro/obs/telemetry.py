@@ -10,7 +10,7 @@ rather than new instrumentation:
 * :func:`render_prometheus` — a versioned Prometheus text exposition of
   the process-wide metrics registry. Families that the registry keeps as
   flat dotted names (``executor.kill.<reason>``, the solver answer
-  tiers, ``driver.rung.<event>.<rung>``, the scheduler counters) are
+  tiers, ``driver.rung.<event>.<rung>``, the store operations) are
   folded into properly *labeled* series so one scrape graphs the kill
   taxonomy, cache-tier mix, and rung ladder without regex gymnastics.
   Served as ``GET /metrics`` and the stdio ``metrics`` verb; batch runs
@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Optional
 from . import metrics, provenance, trace
 
 #: Bumped whenever the exposition's family names/labels change shape.
-EXPOSITION_VERSION = 3
+EXPOSITION_VERSION = 4
 
 #: The scrape Content-Type (the standard Prometheus text format).
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -69,10 +69,6 @@ _TIER_LABELS = {
     "solver.checks": "decision",
 }
 
-_SCHED_LABELS = {
-    "driver.priority_inversions": "priority_inversion",
-}
-
 #: Persistent verdict-store counters (``repro.perf.store``) folded into one
 #: labeled family; the store's size gauges (``store.entries``,
 #: ``store.bytes``) stay generic ``repro_store_*`` gauges.
@@ -90,8 +86,6 @@ _RUNG_RE = re.compile(r"^driver\.rung\.(scheduled|resolved|carryover)\.(\d+)$")
 _FAMILY_HELP = {
     "repro_executor_kills_total": "Path states killed, by kill-taxonomy reason.",
     "repro_solver_answers_total": "Solver queries answered, by cache tier.",
-    "repro_driver_sched_events_total":
-        "Scheduler events: priority inversions.",
     "repro_driver_rung_jobs_total":
         "Portfolio-ladder jobs, by lifecycle event and rung.",
     "repro_store_ops_total":
@@ -154,9 +148,6 @@ def render_prometheus(registry: Optional[metrics.MetricsRegistry] = None) -> str
         elif name in _TIER_LABELS:
             fam_name = "repro_solver_answers_total"
             labels = f'tier="{_TIER_LABELS[name]}"'
-        elif name in _SCHED_LABELS:
-            fam_name = "repro_driver_sched_events_total"
-            labels = f'event="{_SCHED_LABELS[name]}"'
         elif name in _STORE_LABELS:
             fam_name = "repro_store_ops_total"
             labels = f'op="{_STORE_LABELS[name]}"'

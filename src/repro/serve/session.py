@@ -481,7 +481,6 @@ class ProgramSession:
                         "serve.verdicts_reused",
                         "pointsto.incremental_solves",
                         "pointsto.incremental_new_points",
-                        "driver.priority_inversions",
                     )
                 )
                 if inst is not None
@@ -497,7 +496,7 @@ class ProgramSession:
                     "journal": self._journal is not None,
                     "metrics": counters,
                     #: Scheduling efficacy without a full report: the
-                    #: per-rung table plus the inversion count.
+                    #: per-rung table.
                     "schedule": self._driver._schedule_section(),
                     "cache_tiers": cache.get("tiers", {}),
                     #: The persistent verdict store this session shares

@@ -76,14 +76,6 @@ class SearchConfig:
     #: session uses footprints to invalidate only the verdicts an edit can
     #: touch; off by default because one-shot runs never read them.
     record_footprints: bool = False
-    #: Worklist discipline inside one search: ``"lifo"`` (the paper's DFS,
-    #: the default) or ``"priority"`` (cheapest-state-first best-first
-    #: search keyed on constraint count + symbolic-memory size; see
-    #: :func:`repro.engine.schedule.state_cost`). The driver also sorts
-    #: job *batches* cheapest-first under ``"priority"``. Verdicts are
-    #: schedule-independent on budget-ample runs; witness traces and
-    #: near-budget timeout boundaries may differ.
-    schedule: str = "lifo"
     #: Cheap-first portfolio (CLI ``--portfolio``): run every job at a
     #: small budget/deadline rung first and re-run only the survivors at
     #: escalating rungs, re-using the solver memos across rungs. The

@@ -24,7 +24,6 @@ when the budget runs out (treated as not-refuted, like the paper)."""
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
@@ -387,36 +386,15 @@ class Engine:
 
     def _search(self, initial: list[PathState]) -> Optional[PathState]:
         """DFS over path states; returns a witnessing state or None when
-        all paths are refuted.
-
-        Under ``config.schedule == "priority"`` the worklist is a
-        best-first priority queue keyed on
-        :func:`repro.engine.schedule.state_cost` (cheapest state next,
-        newest-first among ties). Verdicts are order-independent on
-        budget-ample searches — every path must be killed either way —
-        but witness traces and near-budget timeout boundaries may differ
-        from the LIFO run."""
-        use_priority = self.config.schedule == "priority"
-        frontier: list
-        seq = 0
-        if use_priority:
-            from ..engine.schedule import state_cost
-
-            frontier = []
-            for s in initial:
-                seq += 1
-                heapq.heappush(frontier, (state_cost(s), -seq, s))
-        else:
-            frontier = list(initial)
+        all paths are refuted."""
+        frontier = list(initial)
         explored = 0
         sj = self._sj
         state: Optional[PathState] = None
         try:
             while frontier:
                 self._check_deadline(every=16)
-                state = (
-                    heapq.heappop(frontier)[2] if use_priority else frontier.pop()
-                )
+                state = frontier.pop()
                 explored += 1
                 successors = self._step(state)
                 if sj is not None:
@@ -424,13 +402,7 @@ class Engine:
                         child.sid = sj.new_state(
                             state.sid, _trace_label(child.trace)
                         )
-                kept = self._prune_batch(successors)
-                if use_priority:
-                    for s in kept:
-                        seq += 1
-                        heapq.heappush(frontier, (state_cost(s), -seq, s))
-                else:
-                    frontier.extend(kept)
+                frontier.extend(self._prune_batch(successors))
         except _Witnessed as w:
             if sj is not None:
                 sj.witness(w.state.sid, _trace_label(w.state.trace))
@@ -444,8 +416,7 @@ class Engine:
                         provenance.BUDGET_TIMEOUT,
                         "path budget or wall-clock deadline exhausted",
                     )
-                for entry in frontier:
-                    s = entry[2] if use_priority else entry
+                for s in frontier:
                     if s.sid:
                         sj.kill(
                             s.sid,

@@ -1,47 +1,56 @@
 """Driver dispatch parity against a committed golden.
 
-``driver_parity_golden.json`` was captured from the refutation driver
-when edge and fact jobs still had separate dispatch paths (inline, pool
-and rung-ladder copies of each). It covers every combination of
+``driver_parity_golden.json`` was first captured from the refutation
+driver when edge and fact jobs still had separate dispatch paths (inline,
+pool and rung-ladder copies of each). It covers every combination of
 
 * operation — edge batch, path, path with one edge already cached, fact
   batch;
 * backend — serial, thread pool, process pool;
 * portfolio off / on;
-* schedule policy — lifo / priority;
+* submission order — ``lifo`` hands the driver the jobs last-listed
+  first, ``priority`` hands them over cheapest first by
+  :class:`~repro.engine.schedule.CostModel` (for the fixtures' edges
+  that is also the listed order; the layered fixture's facts are listed
+  expensive first);
 
 on the ``test_engine_driver`` and ``test_schedule`` fixtures, and records
 the verdicts, the report records ``(kind, description, status, rung)``,
 the ``schedule`` section, and the event stream: ordered for serial runs,
-as a multiset for pool runs (completion order varies there). The
-``priority_inversions`` count is left out for pool runs, where it depends
-on completion order.
+as a multiset for pool runs (completion order varies there).
 
 The single job type must reproduce all of it. The driver fixes made
 alongside the single job type are held by the golden as regenerated
 below: a portfolio ``refute_path`` emits ``EdgeFinished(cached=True)`` for
 a path edge served from the cache (the 18 ``*/path_warm/*/portfolio/*``
-cases); fact pool batches meter priority inversions and number
-``EdgeScheduled`` by dispatch slot (not recorded here — see
-``test_fact_pool_batch_feeds_the_inversion_meter`` in
+cases); fact pool batches number ``EdgeScheduled`` by dispatch slot (not
+recorded here — see ``test_fact_pool_batch_dispatches_in_cost_order`` in
 ``tests/unit/test_schedule.py``); a process worker that dies mid-job
 yields TIMEOUT instead of crashing the batch (no golden case kills a
 worker — see ``TestBrokenPool`` in ``tests/unit/test_engine_driver.py``).
 
-The golden was last regenerated for two deliberate changes:
+The golden was last regenerated for three deliberate changes:
 
+* **one schedule** — the ``lifo``/``priority`` schedule policy is gone:
+  every search keeps the LIFO worklist, and the driver dispatches every
+  batch of two or more jobs cheapest first, so the submission order shows
+  only in the serial Section 2 walk (``*/path*/serial/fixed/*``), which
+  takes the path's edges one at a time in the order given. The last id
+  component, which named the policy, now names the submission order; the
+  ``schedule`` section lost its ``policy`` and ``priority_inversions``
+  fields;
 * **the rung rule** — within one rung of a portfolio path batch no job
   may spend more path programs than the cheapest path-mate that refuted
   at that rung; a job above it is a provisional TIMEOUT, carried over and
   never recorded. On the box fixture the witnessed ``box0.v -> string0``
   needs more path programs than the refuted ``box0.v -> object0``, so the
-  six ``box/path/*/portfolio/*`` cases now record only the refuted edge,
-  return ``timeout`` for its mate, and count it as rung-0 carryover with
-  an ``EdgeEscalated`` event;
-* **the static fan-in fix** — ``CostModel`` now reads a static edge's
-  fan-in from ``pt_static`` (it was always 0). No case moves: every
-  static edge of the mixed fixture shares one source, and the layered
-  fixture's two edges tie and keep their description order.
+  ``box/path/*/portfolio/*`` cases record only the refuted edge, return
+  ``timeout`` for its mate, and count it as rung-0 carryover with an
+  ``EdgeEscalated`` event;
+* **the static fan-in fix** — ``CostModel`` reads a static edge's fan-in
+  from ``pt_static`` (it was always 0). No case moved: every static edge
+  of the mixed fixture shares one source, and the layered fixture's two
+  edges tie and keep their description order.
 
 Regenerate with ``PYTHONPATH=src python -m tests.property.test_driver_parity``
 only when a deliberate behaviour change is made, and name it here.
@@ -55,6 +64,7 @@ import pytest
 
 from repro.bench.workloads import layered_app, mixed_app
 from repro.engine import RefutationDriver
+from repro.engine.schedule import CostModel
 from repro.ir import compile_program
 from repro.pointsto import analyze
 from repro.pointsto.graph import StaticFieldNode
@@ -85,7 +95,7 @@ PORTFOLIO = dict(portfolio=True, portfolio_rungs=(1000,))
 
 BACKENDS = (("serial", 1, None), ("thread", 3, None), ("process", 2, "process"))
 OPERATIONS = ("edges", "path", "path_warm", "facts")
-SCHEDULE_FIELDS = ("policy", "portfolio", "rungs", "resolved_at_rung")
+ORDERS = ("lifo", "priority")
 
 
 def _fact_requests(pta, kinds):
@@ -151,33 +161,44 @@ def _event_row(event) -> list:
     ]
 
 
-def run_case(fixture, operation, backend, portfolio, policy) -> dict:
-    """One grid cell: run the operation on a fresh driver and record it."""
-    pta, edges, facts = fixture
-    name, jobs, backend_arg = backend
-    config = SearchConfig(
-        path_budget=10_000, schedule=policy, **(PORTFOLIO if portfolio else {})
+def _submitted(pta, edges, facts, order):
+    """The fixture's edges and fact requests in submission ``order``."""
+    if order == "lifo":
+        return edges[::-1], facts[::-1]
+    model = CostModel(pta)
+    return (
+        sorted(edges, key=lambda e: (model.edge_cost(e), str(e))),
+        sorted(facts, key=lambda f: (model.fact_cost(f[0], f[1]), f[2])),
     )
+
+
+def run_case(fixture, operation, backend, portfolio, order) -> dict:
+    """One grid cell: run the operation on a fresh driver and record it.
+    Edge and fact verdicts are listed in the fixture's order; path
+    verdicts in the order the driver examined the edges."""
+    pta, edges, facts = fixture
+    sent_edges, sent_facts = _submitted(pta, edges, facts, order)
+    name, jobs, backend_arg = backend
+    config = SearchConfig(path_budget=10_000, **(PORTFOLIO if portfolio else {}))
     events: list = []
     with RefutationDriver(
         pta, config, jobs=jobs, backend=backend_arg, on_event=events.append
     ) as driver:
         if operation == "edges":
-            results = driver.refute_edges(edges)
+            results = driver.refute_edges(sent_edges)
             verdicts = [results[edge_key(e)].status for e in edges]
         elif operation == "facts":
-            verdicts = [r.status for r in driver.refute_facts(facts)]
+            results = driver.refute_facts(sent_facts)
+            status = {f[2]: r.status for f, r in zip(sent_facts, results)}
+            verdicts = [status[f[2]] for f in facts]
         else:
             if operation == "path_warm":
                 # Emits no events: single edges run outside any batch.
                 driver.refute_edge(edges[-1])
-            pairs = driver.refute_path(edges)
+            pairs = driver.refute_path(sent_edges)
             verdicts = [[str(e), r.status] for e, r in pairs]
         report = driver.build_report(command="parity")
         backend_used = driver.backend
-    schedule = {k: report.schedule[k] for k in SCHEDULE_FIELDS}
-    if name == "serial":
-        schedule["priority_inversions"] = report.schedule["priority_inversions"]
     rows = [_event_row(e) for e in events]
     return {
         "backend": backend_used,
@@ -185,7 +206,7 @@ def run_case(fixture, operation, backend, portfolio, policy) -> dict:
         "records": [
             [r.kind, r.description, r.status, r.rung] for r in report.records
         ],
-        "schedule": schedule,
+        "schedule": report.schedule,
         "events": rows if name == "serial" else sorted(rows, key=json.dumps),
     }
 
@@ -195,13 +216,13 @@ def case_ids():
         for operation in OPERATIONS:
             for backend in BACKENDS:
                 for portfolio in (False, True):
-                    for policy in ("lifo", "priority"):
-                        yield fixture, operation, backend, portfolio, policy
+                    for order in ORDERS:
+                        yield fixture, operation, backend, portfolio, order
 
 
-def case_key(fixture, operation, backend, portfolio, policy) -> str:
+def case_key(fixture, operation, backend, portfolio, order) -> str:
     return "/".join(
-        (fixture, operation, backend[0], "portfolio" if portfolio else "fixed", policy)
+        (fixture, operation, backend[0], "portfolio" if portfolio else "fixed", order)
     )
 
 
@@ -218,6 +239,24 @@ def golden():
 
 def test_golden_covers_the_grid(golden):
     assert sorted(golden) == sorted(case_key(*c) for c in case_ids())
+
+
+def test_submission_order_shows_only_in_the_serial_walk(golden):
+    """Every batch but the serial walk dispatches cheapest first, so both
+    submission orders record the same cell there (path verdicts come back
+    in submission order, so they are compared as sets)."""
+    for case in case_ids():
+        if case[-1] != "lifo":
+            continue
+        fixture, operation, backend, portfolio, _ = case
+        if backend[0] == "serial" and not portfolio and operation.startswith("path"):
+            continue
+        lifo = dict(golden[case_key(*case)])
+        cost = dict(golden[case_key(fixture, operation, backend, portfolio, "priority")])
+        if operation.startswith("path"):
+            lifo["verdicts"] = sorted(lifo["verdicts"])
+            cost["verdicts"] = sorted(cost["verdicts"])
+        assert lifo == cost, case_key(*case)
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,11 @@ and is intentionally not asserted here.)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import RefutationDriver
 from repro.ir import Interpreter, Limits, compile_program
 from repro.pointsto import analyze
 from repro.pointsto.graph import HeapEdge, StaticFieldNode
+from repro.pointsto.heappaths import find_heap_path
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED
 
@@ -193,6 +195,47 @@ def test_concretely_produced_edges_never_refuted(source):
                 f"UNSOUND: refuted edge {edge} is produced concretely\n"
                 f"program:\n{source}"
             )
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(programs())
+def test_driver_portfolio_paths_never_refute_produced_edges(source):
+    """Theorem 1 through the driver: the heap paths from ``M.s``/``M.o``
+    run as portfolio path batches on two pool threads, where the jobs
+    dispatch cheapest first and the rung ceiling cuts path-mates. As in
+    the Section 2 loop, each target's paths are re-routed around the
+    edges refuted so far until none is left or one is not broken."""
+    program = compile_program(source)
+    produced = concrete_edge_keys(program)
+    pta = analyze(program)
+    config = SearchConfig(path_budget=3_000, portfolio=True)
+    with RefutationDriver(pta, config, jobs=2, backend="thread") as driver:
+        for field in ("s", "o"):
+            root = StaticFieldNode("M", field)
+            for target in sorted(pta.graph.all_abs_locs(), key=str):
+                refuted: set = set()
+                while True:
+                    path = find_heap_path(pta.graph, root, target, refuted)
+                    if path is None:
+                        break
+                    broken = {
+                        edge
+                        for edge, result in driver.refute_path(path)
+                        if result.status == REFUTED
+                    }
+                    for edge in broken:
+                        assert graph_edge_key(edge) not in produced, (
+                            f"UNSOUND: driver refuted edge {edge} on a path"
+                            f" to {target}, produced concretely\n"
+                            f"program:\n{source}"
+                        )
+                    if not broken:
+                        break
+                    refuted |= broken
 
 
 @settings(

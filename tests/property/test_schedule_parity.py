@@ -1,20 +1,15 @@
 """Scheduling vs verdict parity (the repro.engine.schedule contract).
 
-The scheduling layer reorders and re-budgets *work*, never answers:
-
-* **priority vs LIFO** — the cost-model dispatch order and best-first
-  worklist change which state is expanded next, but on budget-ample runs
-  every search still converges to the same verdict;
-* **portfolio vs single rung** — cheap-first budget rungs re-run only
-  survivors, and the final rung is the full configured budget, so every
-  job ends with exactly the single-rung verdict.
+The scheduling layer re-budgets *work*, never answers: cheap-first
+budget rungs re-run only survivors, and the final rung is the full
+configured budget, so every job ends with exactly the single-rung
+verdict.
 
 Hypothesis generates small mini-Java programs (same universe as the
 refutation-soundness suite) and all four analysis clients run end to end
-under each policy pair; verdicts and per-item outcomes must match, and
-for priority-vs-LIFO the per-job record statuses too. Effort counters
-(path programs, wall clock) are deliberately *not* compared —
-reordering and re-running legitimately change them. The portfolio's
+with the portfolio on and off; verdicts and per-item outcomes must
+match. Effort counters (path programs, wall clock) are deliberately
+*not* compared — re-running legitimately changes them. The portfolio's
 path-level ladder may resolve a *different set* of edges than the
 serial Section 2 walk (a cheap path-mate can break the path before an
 expensive edge is escalated — the same latitude the jobs>1 contract
@@ -72,20 +67,6 @@ def _verdicts(source: str, **knobs) -> list:
     return out
 
 
-@seed(20130613)  # PLDI'13 — fixed so CI failures reproduce locally
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(programs())
-def test_priority_schedule_matches_lifo_for_all_four_clients(source):
-    assert _verdicts(source, schedule="priority") == _verdicts(
-        source, schedule="lifo"
-    ), "priority scheduling changed a client outcome\nprogram:\n" + source
-
-
 def _strip_records(fingerprint: list) -> list:
     return [entry[:-1] for entry in fingerprint]
 
@@ -94,7 +75,7 @@ def _record_maps(fingerprint: list) -> list:
     return [dict(entry[-1] or ()) for entry in fingerprint]
 
 
-@seed(20130613)
+@seed(20130613)  # PLDI'13 — fixed so CI failures reproduce locally
 @settings(
     max_examples=15,
     deadline=None,

@@ -267,6 +267,44 @@ class TestWireSchema:
                 {"client": "casts", "source": CAST_SAFE, "partition": False}
             )
 
+    def test_retired_schedule_field_is_ignored_and_off_the_wire(self):
+        """``schedule`` survives only as an ignored keyword: the request
+        runs exactly as it does without it, and the wire rejects it."""
+        from repro.bench.workloads import layered_app
+
+        def run(**knobs):
+            result = analyze(
+                AnalysisRequest(
+                    client="reachability",
+                    source=layered_app(2, hard_branches=10),
+                    root_class="Registry",
+                    root_field="hold",
+                    target_class="Item",
+                    portfolio=True,
+                    jobs=2,
+                    backend="thread",
+                    **knobs,
+                )
+            )
+            return (
+                result.status,
+                result.stats.verified_items,
+                [
+                    (r.kind, r.description, r.status, r.rung)
+                    for r in result.report.records
+                ],
+                result.report.schedule,
+            )
+
+        assert run(schedule="priority") == run()
+        assert "schedule" not in WIRE_REQUESTS["casts"].to_dict()
+        with pytest.raises(
+            ValueError, match=r"unknown AnalysisRequest field\(s\) schedule"
+        ):
+            AnalysisRequest.from_dict(
+                {"client": "casts", "source": CAST_SAFE, "schedule": "lifo"}
+            )
+
     def test_from_dict_rejects_wrong_schema_version(self):
         with pytest.raises(ValueError, match="unsupported schema_version 99"):
             AnalysisRequest.from_dict(

@@ -193,6 +193,35 @@ class TestExplainDiff:
         assert "verdict changes:" in out
         assert "-> timeout" in out
 
+    def test_report_from_before_the_single_schedule_loads_and_diffs(
+        self, leaky_file, tmp_path, capsys
+    ):
+        """Reports written while the schedule policy existed carry
+        ``policy`` and ``priority_inversions`` in their ``schedule``
+        section; they still load, diff and print, with no scheduler
+        section."""
+        import json
+
+        from repro.engine import RunReport
+
+        a, b = self._reports(leaky_file, tmp_path, capsys)
+        data = json.loads(open(a).read())
+        assert sorted(data["schedule"]) == ["portfolio", "resolved_at_rung", "rungs"]
+        data["schedule"].update(policy="priority", priority_inversions=3)
+        old = str(tmp_path / "old.json")
+        with open(old, "w") as fh:
+            json.dump(data, fh)
+        report = RunReport.from_json(open(old).read())
+        assert report.schedule["priority_inversions"] == 3
+        assert main(["explain", "--diff", old, b]) == 0
+        out = capsys.readouterr().out
+        assert "run diff:" in out and "-> timeout" in out
+        assert "scheduler" not in out and "inversion" not in out
+        assert main(["explain", "--report", old, "--status"]) == 0
+        out = capsys.readouterr().out
+        assert "scheduling: portfolio=off" in out
+        assert "policy" not in out and "inversion" not in out
+
     def test_explain_requires_a_mode(self, capsys):
         assert main(["explain"]) == 2
         err = capsys.readouterr().err
@@ -258,8 +287,7 @@ class TestTop:
         frame = _render_top(
             {
                 "program": {"methods": 12, "commands": 80},
-                "metrics": {"serve.requests": 3,
-                            "driver.priority_inversions": 1},
+                "metrics": {"serve.requests": 3},
                 "schedule": {
                     "rungs": [
                         {"rung": 0, "budget": 1000, "scheduled": 6,
@@ -285,7 +313,8 @@ class TestTop:
         assert "rung 0 @ 1000: 6/4/2" in frame
         assert "w0: 2 (67%)" in frame
         assert "6/8 solver questions answered from cache (75%)" in frame
-        assert "1 inversion(s)" in frame
+        assert "serve: 3 request(s), 0 verdict(s) reused" in frame
+        assert "inversion" not in frame
 
     def test_render_top_empty_payload(self):
         from repro.cli import _render_top

@@ -4,16 +4,10 @@ per-rung deadlines that tie them together."""
 
 import pytest
 
-import repro.engine.driver as driver_module
 from repro.bench.workloads import layered_app, mixed_app
 from repro.clients.reachability import assert_unreachable
 from repro.engine import EdgeFinished, EdgeScheduled, RefutationDriver, RunReport
-from repro.engine.schedule import (
-    CostModel,
-    InversionMeter,
-    RungCeiling,
-    rung_ladder,
-)
+from repro.engine.schedule import CostModel, RungCeiling, rung_ladder
 from repro.ir import compile_program
 from repro.obs import provenance
 from repro.pointsto import analyze
@@ -89,8 +83,8 @@ class TestCostModel:
         graph = pta.graph
         edges = {str(e): e for e in [*graph.static_edges(), *graph.heap_edges()]}
         path = [edges["Registry.hold -> holder0"], edges["holder0.item -> item0"]]
-        driver = RefutationDriver(pta, SearchConfig(schedule="priority"))
-        jobs = driver._by_priority(driver._edge_jobs(path))
+        driver = RefutationDriver(pta, SearchConfig())
+        jobs = driver._by_cost(driver._edge_jobs(path))
         assert [job.edge for job in jobs] == path[::-1]
 
 
@@ -120,64 +114,26 @@ class TestRungLadder:
 
 
 # ---------------------------------------------------------------------------
-# InversionMeter
-# ---------------------------------------------------------------------------
-
-
-class TestInversionMeter:
-    def test_counts_expensive_before_cheap(self):
-        meter = InversionMeter({"a": 1, "b": 5, "c": 10})
-        meter.complete("b")  # "a" (cheaper) still pending -> inversion
-        meter.complete("a")  # cheapest remaining -> fine
-        meter.complete("c")
-        assert meter.inversions == 1
-
-    def test_in_order_completion_counts_none(self):
-        meter = InversionMeter({"a": 1, "b": 5})
-        meter.complete("a")
-        meter.complete("b")
-        assert meter.inversions == 0
-
-
-# ---------------------------------------------------------------------------
-# Priority scheduling
+# Cost-order dispatch (every batch of two or more jobs, cheapest first)
 # ---------------------------------------------------------------------------
 
 
 class TestPrioritySchedule:
     def test_serial_verdicts_match_lifo(self, pta, edges, baseline):
-        driver = RefutationDriver(pta, SearchConfig(schedule="priority"), jobs=1)
+        driver = RefutationDriver(pta, SearchConfig(), jobs=1)
         assert _statuses(driver.refute_edges(edges), edges) == baseline
 
     def test_thread_verdicts_match_lifo(self, pta, edges, baseline):
-        config = SearchConfig(schedule="priority")
-        with RefutationDriver(pta, config, jobs=3) as driver:
+        with RefutationDriver(pta, SearchConfig(), jobs=3) as driver:
             statuses = _statuses(driver.refute_edges(edges), edges)
             report = driver.build_report(command="check")
         assert statuses == baseline
-        assert report.schedule["policy"] == "priority"
-        assert report.schedule["priority_inversions"] >= 0
+        assert sorted(report.schedule) == ["portfolio", "resolved_at_rung", "rungs"]
 
-    def test_fact_pool_batch_feeds_the_inversion_meter(
-        self, pta, monkeypatch
-    ):
-        """A fact batch on the pool meters priority inversions from the
+    def test_fact_pool_batch_dispatches_in_cost_order(self, pta):
+        """A fact batch on the pool is submitted cheapest first by the
         cost model's fact costs, and numbers ``EdgeScheduled`` by dispatch
         slot, as edge batches do."""
-        meters = []
-
-        class RecordingMeter(driver_module.InversionMeter):
-            def __init__(self, costs):
-                super().__init__(costs)
-                self.costs = dict(costs)
-                self.completed = []
-                meters.append(self)
-
-            def complete(self, key):
-                self.completed.append(key)
-                super().complete(key)
-
-        monkeypatch.setattr(driver_module, "InversionMeter", RecordingMeter)
         stores = [
             c
             for c in pta.program.commands.values()
@@ -190,26 +146,17 @@ class TestPrioritySchedule:
             for c in sorted(stores, key=lambda c: -c.label)
         ]
         events = []
-        config = SearchConfig(schedule="priority")
-        with RefutationDriver(pta, config, jobs=3, on_event=events.append) as driver:
-            driver.refute_facts(requests)
-        assert len(meters) == 1
-        meter = meters[0]
+        with RefutationDriver(pta, SearchConfig(), jobs=3, on_event=events.append) as driver:
+            results = driver.refute_facts(requests)
+        assert len(results) == len(requests)
         model = driver._cost_model()
-        assert sorted(meter.costs.values()) == sorted(
-            model.fact_cost(label, bindings) for label, bindings, _ in requests
-        )
-        assert sorted(meter.completed) == sorted(meter.costs)
+        cost = {desc: model.fact_cost(label, b) for label, b, desc in requests}
         scheduled = [e for e in events if isinstance(e, EdgeScheduled)]
         assert [e.index for e in scheduled] == list(range(len(requests)))
+        assert [e.description for e in scheduled] == sorted(
+            cost, key=lambda desc: (cost[desc], desc)
+        )
         assert scheduled[-1].description == requests[0][2]
-
-    def test_report_records_policy(self, pta, edges):
-        driver = RefutationDriver(pta, SearchConfig(schedule="priority"), jobs=1)
-        driver.refute_edges(edges)
-        section = driver.build_report(command="check").schedule
-        assert section["policy"] == "priority"
-        assert not section["portfolio"]
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +306,17 @@ class TestPathPortfolio:
 PATH_BACKENDS = (("serial", 1, None), ("thread", 3, None), ("process", 2, "process"))
 
 
-def _path_run(pta, path, policy, jobs, backend):
-    """Verdicts, records and schedule section of one portfolio path batch,
-    minus the two fields that legitimately vary (the policy's own name
-    and the completion-order inversion count)."""
-    config = SearchConfig(schedule=policy, **PORTFOLIO)
+def _path_run(pta, path, jobs, backend):
+    """Verdicts (sorted, so the submission order does not show), records
+    and schedule section of one portfolio path batch."""
+    config = SearchConfig(**PORTFOLIO)
     with RefutationDriver(pta, config, jobs=jobs, backend=backend) as driver:
         pairs = driver.refute_path(path)
         report = driver.build_report(command="check")
-    schedule = {
-        k: v
-        for k, v in report.schedule.items()
-        if k not in ("policy", "priority_inversions")
-    }
     return (
-        [(str(edge), result.status) for edge, result in pairs],
+        sorted((str(edge), result.status) for edge, result in pairs),
         [(r.description, r.status, r.rung, r.path_programs) for r in report.records],
-        schedule,
+        report.schedule,
     )
 
 
@@ -409,17 +350,19 @@ class TestRungCeiling:
         if fixture == "box":
             pta = analyze(compile_program(BOX_SOURCE))
             edges = sorted(pta.graph.heap_edges(), key=str)
+        # The driver dispatches the batch in cost order, so the order the
+        # path is submitted in must not show either.
         runs = {
-            (name, policy): _path_run(pta, edges, policy, jobs, backend)
+            (name, order): _path_run(pta, path, jobs, backend)
             for name, jobs, backend in PATH_BACKENDS
-            for policy in ("lifo", "priority")
+            for order, path in (("given", edges), ("reversed", edges[::-1]))
         }
-        expected = runs["serial", "lifo"]
+        expected = runs["serial", "given"]
         assert all(run == expected for run in runs.values()), runs
         # The live cut lands at a timing-dependent point on the pool; what
         # is committed must not.
         for _ in range(20):
-            assert _path_run(pta, edges, "priority", 3, None) == expected
+            assert _path_run(pta, edges, 3, None) == expected
 
     def test_thread_pool_cuts_the_expensive_mate_early(self):
         # 10 branches: the expensive edge needs more than rung 0's 625.

@@ -54,7 +54,7 @@ def edges(pta):
 
 
 GOLDEN = """\
-# repro-exposition-version 3
+# repro-exposition-version 4
 # HELP repro_driver_job_seconds Distribution of driver.job_seconds.
 # TYPE repro_driver_job_seconds summary
 repro_driver_job_seconds_count 1
@@ -65,9 +65,6 @@ repro_driver_job_seconds{quantile="0.95"} 2
 # TYPE repro_driver_rung_jobs_total counter
 repro_driver_rung_jobs_total{event="carryover",rung="0"} 1
 repro_driver_rung_jobs_total{event="scheduled",rung="0"} 4
-# HELP repro_driver_sched_events_total Scheduler events: priority inversions.
-# TYPE repro_driver_sched_events_total counter
-repro_driver_sched_events_total{event="priority_inversion"} 1
 # HELP repro_executor_kills_total Path states killed, by kill-taxonomy reason.
 # TYPE repro_executor_kills_total counter
 repro_executor_kills_total{reason="solver-unsat"} 3
@@ -96,7 +93,6 @@ class TestExposition:
         reg.counter("executor.kill.solver-unsat").inc(3)
         reg.counter("solver.context_hits").inc(2)
         reg.counter("solver.checks").inc(5)
-        reg.counter("driver.priority_inversions").inc(1)
         reg.counter("driver.rung.scheduled.0").inc(4)
         reg.counter("driver.rung.carryover.0").inc(1)
         reg.counter("store.hits").inc(6)
@@ -577,7 +573,7 @@ class TestProcessPoolSchedulerMetrics:
         """Counters add, gauges take the max — merged totals must equal
         the per-worker sums for every scheduler family."""
         names = (
-            "driver.priority_inversions",
+            "driver.rung.resolved.1",
             "driver.rung.scheduled.0",
             "driver.rung.resolved.0",
             "driver.rung.carryover.0",
