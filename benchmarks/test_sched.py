@@ -1,5 +1,5 @@
 """The adaptive-scheduling perf artifact: the fixed Section 2 walk vs the
-cheap-first portfolio, serial and on a 4-thread pool, emitting
+cheap-first portfolio, serial and at ``--jobs 4``, emitting
 ``BENCH_sched.json``.
 
 The workload is ``repro.bench.workloads.layered_app``: two-edge heap
@@ -12,12 +12,16 @@ outcomes are schedule-independent and asserted identical across the
 whole grid. Both portfolio configs dispatch each rung's jobs cheapest
 first by the cost model, as every batch does.
 
+``adaptive_jobs4`` asks for ``--jobs 4`` on the default backend, which
+runs every search in-process (only ``--backend process`` starts a pool),
+so it repeats ``portfolio_serial`` exactly.
+
 Deterministic axes (asserted always, smoke and full alike): verdict
 parity, actual decision-procedure runs (the portfolio must cut them by
-the same >= 1.3x bar), and rung-0 resolutions in the report's schedule
-section (``adaptive_jobs4``'s rung-0 row exactly). ``adaptive_jobs4``'s
-``solver_calls`` count is not exact: its pool threads cut the expensive
-edge's search wherever the cheap refutation lands first. Wall-clock ratios are recorded always but asserted only under
+the same >= 1.3x bar), rung-0 resolutions in the report's schedule
+section (``adaptive_jobs4``'s rung-0 row exactly), and ``adaptive_jobs4``
+equal to ``portfolio_serial`` in decisions and schedule. Wall-clock
+ratios are recorded always but asserted only under
 ``REPRO_BENCH_STRICT=1`` at full size — timings need an idle machine to
 mean anything.
 """
@@ -137,11 +141,15 @@ def test_adaptive_scheduling_emits_bench_sched():
     assert rungs[0]["resolved"] >= n, rungs
     assert rungs[0]["carryover"] >= 1, rungs
     # Under the rung rule (no path-mate spends more than the cheapest
-    # refutation) the pool's rung-0 row is exact: every path commits its
-    # cheap edge and carries its expensive one, whatever the timing.
+    # refutation) the rung-0 row is exact: every path commits its cheap
+    # edge and carries its expensive one.
     rung0 = adaptive["schedule"]["rungs"][0]
     assert rung0["scheduled"] == 2 * n, rung0
     assert rung0["resolved"] == rung0["refuted"] == rung0["carryover"] == n, rung0
+    # --jobs 4 on the default backend runs in-process: it is the serial
+    # portfolio, decision for decision.
+    assert adaptive["schedule"] == ladder["schedule"], (adaptive, ladder)
+    assert adaptive["solver_calls"] == ladder["solver_calls"], (adaptive, ladder)
 
     speedup = fixed["wall_seconds"] / max(1e-9, adaptive["wall_seconds"])
     serial_speedup = fixed["wall_seconds"] / max(

@@ -119,7 +119,8 @@ class AnalysisRequest:
     #: ``False`` ablates the layer (CLI --no-memo / --no-subsumption).
     memoize: Optional[bool] = None
     subsumption: Optional[bool] = None
-    #: Worker pool flavor for ``jobs > 1``: "thread" (default) or "process".
+    #: "process" runs ``jobs > 1`` on a process pool; "thread" (default)
+    #: runs every search in-process, whatever ``jobs`` says.
     backend: Optional[str] = None
     #: Record a per-query search journal for the run and attach it to the
     #: result (``result.journal``, ``result.certificate(desc)``). If a

@@ -23,8 +23,10 @@ The refutation subcommands (``check``, ``witness``, ``casts``, ``bench``)
 share the parallel-driver flags:
 
 ``--jobs N``
-    Refute independent edges on N workers (default 1: the deterministic
-    serial mode that reproduces the paper's tables bit-identically).
+    Refute independent edges on N worker processes under ``--backend
+    process``; otherwise every search runs in-process, as with the default
+    1 (the deterministic serial mode that reproduces the paper's tables
+    bit-identically).
 ``--deadline S``
     Per-edge wall-clock deadline in seconds; an edge that exceeds it is
     reported TIMEOUT (not refuted), like the paper's per-edge timeout.
@@ -36,9 +38,11 @@ share the parallel-driver flags:
     Ablation switches: disable solver verdict memoization, or worklist
     subsumption, respectively (see ``docs/performance.md``).
 ``--backend {thread,process}``
-    Worker pool flavor for ``--jobs N > 1`` (default thread). The process
-    backend ships per-worker metrics/span/journal payloads back to the
-    parent and merges them.
+    ``thread`` (the default) runs every search in-process, whatever
+    ``--jobs`` says: under the GIL threads cannot search in parallel.
+    ``process`` runs ``--jobs N > 1`` searches on N worker processes and
+    ships per-worker metrics/span/journal payloads back to the parent to
+    merge.
 ``--journal FILE``
     Record a per-query search journal (every state spawned/killed/
     witnessed, with typed kill reasons) and write it as JSONL; feed it to
@@ -116,7 +120,8 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker count for edge refutation (default 1: deterministic serial)",
+        help="worker processes for edge refutation under --backend process"
+        " (default 1: deterministic serial)",
     )
     parser.add_argument(
         "--deadline",
@@ -150,7 +155,8 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=["thread", "process"],
         default=None,
-        help="worker pool flavor for --jobs N (default: thread)",
+        help="where --jobs N runs: 'process' on N worker processes;"
+        " 'thread' (default) in-process",
     )
     parser.add_argument(
         "--journal",

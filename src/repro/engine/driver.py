@@ -6,8 +6,8 @@ witnessed) *independently* — a refutation is a fact about the whole
 program, never about the alarm that asked. This module exploits that:
 
 * :class:`RefutationDriver` runs refutation jobs — an edge, or a
-  ``(label, bindings)`` fact — across a ``concurrent.futures`` worker
-  pool (``--jobs N``), thread- or process-backed;
+  ``(label, bindings)`` fact — in-process, or across a process pool
+  (``--jobs N --backend process``);
 * a per-edge **wall-clock deadline** (``--deadline S``) is enforced by the
   cooperative cancellation checks inside
   :class:`repro.symbolic.executor.Engine` (deadline exceeded ⇒ the edge is
@@ -20,13 +20,15 @@ program, never about the alarm that asked. This module exploits that:
 Every entry point funnels into one path: a batch of :class:`Job`\\ s
 climbs the rung ladder (:meth:`RefutationDriver._run_ladder`; a plain
 run is the single full-budget rung), each rung runs on one runner
-(:meth:`RefutationDriver._run_rung`, serial or on the pool), and each
+(:meth:`RefutationDriver._run_rung`, inline or on the pool), and each
 final result passes one finish step (:meth:`RefutationDriver._finish`).
 
-``jobs=1`` runs every job inline on one :class:`Engine` in submission
-order — bit-identical to the sequential seed behavior, which keeps the
-Table 1/2 reproduction deterministic. With ``jobs>1`` each worker owns a
-private ``Engine`` (the search engine is single-threaded by design);
+The in-process backend (``jobs=1``, and ``backend="thread"`` at any
+``jobs``) runs every job inline on one :class:`Engine`, so a run is
+deterministic and ``jobs=N, backend="thread"`` behaves exactly like
+``jobs=1``: under CPython's GIL threads cannot run two searches at once,
+so no thread pool is started. Only ``backend="process"`` with ``jobs>1``
+runs searches in parallel: each worker process owns a private ``Engine``;
 verdicts stay deterministic because the search itself is deterministic in
 ``(program, config)``, only completion *order* varies. Results are merged
 into a shared cache so no edge is ever refuted twice.
@@ -39,8 +41,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, as_completed
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -147,7 +148,8 @@ def _isolated_replay(search: Callable[[], object]) -> Callable[[], object]:
 
 
 class RefutationDriver:
-    """Schedules independent refutation jobs over a worker pool.
+    """Schedules independent refutation jobs, in-process or over a
+    process pool.
 
     Parameters
     ----------
@@ -156,16 +158,17 @@ class RefutationDriver:
     config:
         The search configuration shared by every worker engine.
     jobs:
-        Worker count. ``1`` (the default) is the deterministic serial
-        mode; ``N > 1`` fans edge jobs out over ``N`` workers.
+        Worker count. ``1`` (the default) runs in-process; ``N > 1`` fans
+        jobs out over ``N`` worker processes under ``backend="process"``.
     deadline:
         Per-edge wall-clock deadline in seconds (overrides
         ``config.deadline_seconds`` when given).
     backend:
-        ``"thread"`` (default for ``jobs > 1``) or ``"process"``. The
-        process backend re-builds one engine per worker process from a
-        pickled analysis; when the analysis does not pickle it falls back
-        to threads.
+        ``"thread"`` (the default) runs every job in-process on one
+        engine, whatever ``jobs`` says; ``"process"`` re-builds one engine
+        per worker process from a pickled analysis. When the analysis does
+        not pickle, or the pool cannot start, the process backend runs
+        in-process too.
     on_event:
         Optional event sink (see :mod:`repro.engine.events`).
     """
@@ -189,11 +192,15 @@ class RefutationDriver:
         self.jobs = jobs
         self.backend = self._resolve_backend(backend)
         self.events = EventBus([on_event] if on_event is not None else None)
-        #: The serial engine: runs every job when ``jobs == 1`` and serves
-        #: as the shared result cache that parallel results merge into.
+        #: The serial engine: runs every in-process job and serves as the
+        #: shared result cache that process-pool results merge into.
         #: Its construction also (re)binds the process-wide persistent
         #: verdict store to ``config.cache_dir``.
         self.engine = Engine(pta, config)
+        #: Held for each search on :attr:`engine`, which keeps its search
+        #: state (budget, ceiling, query history, journal) on itself:
+        #: concurrent callers (serve's readers) take turns.
+        self._search_lock = threading.Lock()
         self._lock = threading.Lock()
         self._records: dict = {}  # job key -> EdgeRecord, insertion-ordered
         #: Driver-lifetime count of jobs answered from the shared result
@@ -206,9 +213,7 @@ class RefutationDriver:
         #: exactly once, at :meth:`close`.
         self._worker_metrics: dict[str, dict] = {}
         self._wall_seconds = 0.0
-        self._pool: Optional[_FuturesExecutor] = None
-        self._tls = threading.local()
-        self._worker_counter = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
         #: Summed seconds per span name, fed by the active tracer (if any);
         #: flows into RunReport.phase_seconds and SpanFinished bus events.
         self._phase_seconds: dict[str, float] = {}
@@ -219,51 +224,53 @@ class RefutationDriver:
         self._tracer = trace.get_tracer()
         if self._tracer is not None:
             self._tracer.add_sink(self._on_span)
-        metrics.gauge("driver.workers").set(jobs)
+        self._set_workers()
 
     # ------------------------------------------------------------------
     # Backend / pool management
     # ------------------------------------------------------------------
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
-        if self.jobs == 1:
+        if self.jobs == 1 or backend is None or backend == THREAD:
             return SERIAL
-        if backend is None or backend == THREAD:
-            return THREAD
-        if backend == PROCESS:
-            try:
-                pickle.dumps(self.pta)
-            except Exception:
-                return THREAD
-            return PROCESS
-        raise ValueError(f"unknown backend {backend!r}")
+        if backend != PROCESS:
+            raise ValueError(f"unknown backend {backend!r}")
+        try:
+            pickle.dumps(self.pta)
+        except Exception:
+            return SERIAL
+        return PROCESS
 
-    def _get_pool(self) -> _FuturesExecutor:
-        if self._pool is None:
-            if self.backend == PROCESS:
-                try:
-                    payload = pickle.dumps(
-                        (
-                            self.pta,
-                            self.config,
-                            trace.enabled(),
-                            provenance.enabled(),
-                        )
+    def _set_workers(self) -> None:
+        """The ``driver.workers`` gauge: the workers that actually run —
+        one in-process, ``jobs`` on a process pool."""
+        metrics.gauge("driver.workers").set(
+            self.jobs if self.backend == PROCESS else 1
+        )
+
+    def _get_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The process pool, started on first use; ``None`` in-process.
+        A pool that cannot start switches the driver to in-process."""
+        if self._pool is None and self.backend == PROCESS:
+            try:
+                payload = pickle.dumps(
+                    (
+                        self.pta,
+                        self.config,
+                        trace.enabled(),
+                        provenance.enabled(),
                     )
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs,
-                        initializer=_process_init,
-                        initargs=(payload,),
-                    )
-                except Exception:
-                    # The analysis (or platform) does not support process
-                    # workers; degrade to threads rather than failing the run.
-                    self.backend = THREAD
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="refute",
                 )
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_process_init,
+                    initargs=(payload,),
+                )
+            except Exception:
+                # The analysis (or platform) does not support process
+                # workers; run in-process rather than failing the run.
+                self.backend = SERIAL
+                self._set_workers()
         return self._pool
 
     def close(self) -> None:
@@ -352,18 +359,6 @@ class RefutationDriver:
             )
         )
 
-    def _worker_engine(self) -> tuple[Engine, str]:
-        """The calling thread's private engine (threads only)."""
-        engine = getattr(self._tls, "engine", None)
-        if engine is None:
-            with self._lock:
-                worker_id = self._worker_counter
-                self._worker_counter += 1
-            engine = Engine(self.pta, self.config)
-            self._tls.engine = engine
-            self._tls.name = f"thread-{worker_id}"
-        return engine, self._tls.name
-
     # ------------------------------------------------------------------
     # Scheduling (repro.engine.schedule)
     # ------------------------------------------------------------------
@@ -438,10 +433,10 @@ class RefutationDriver:
     def refute_edges(
         self, edges: Sequence[HeapEdge]
     ) -> dict[EdgeKey, EdgeResult]:
-        """Refute a batch of edges, fanning out over the worker pool.
+        """Refute a batch of edges.
 
         Duplicate and already-refuted edges are served from the shared
-        cache; the rest run on the pool (or inline when ``jobs == 1``).
+        cache; the rest run on the process pool, or inline in-process.
         Returns every requested edge's result keyed by its edge key.
         """
         return self._run_batch(self._edge_jobs(edges), "edges")
@@ -451,10 +446,10 @@ class RefutationDriver:
     ) -> list[tuple[HeapEdge, EdgeResult]]:
         """Refute the edges of one heap path.
 
-        Serial mode walks the path in order and stops at the first refuted
-        edge — exactly the sequential Section 2 loop, so ``jobs=1`` runs
-        are bit-identical to the seed. Parallel mode refutes every edge of
-        the path concurrently (the extra edges are not wasted: their
+        In-process mode walks the path in order and stops at the first
+        refuted edge — exactly the sequential Section 2 loop, so in-process
+        runs are bit-identical to the seed. The process pool refutes every
+        edge of the path concurrently (the extra edges are not wasted: their
         verdicts are program-wide facts that later paths and alarms reuse
         from the cache). Returns ``(edge, result)`` pairs for the edges
         actually examined, in path order.
@@ -472,7 +467,7 @@ class RefutationDriver:
         resolve them).
         """
         jobs = self._edge_jobs(path)
-        walk = self.jobs == 1 and not self.config.portfolio
+        walk = self.backend == SERIAL and not self.config.portfolio
         results = self._run_batch(
             jobs, "path", stop_on_refute=walk or self.config.portfolio, walk=walk
         )
@@ -565,8 +560,8 @@ class RefutationDriver:
         A portfolio path batch (``stop_on_refute``) runs each rung under
         one :class:`RungCeiling`. Let p* be the fewest path programs any
         job refuted in at this rung: no job may spend more than p*. The
-        serial and thread runners cut a search live once it passes the
-        ceiling settled so far; process workers run uncut. Results are
+        in-process runner cuts a search live once it passes the ceiling
+        settled so far; process workers run uncut. Results are
         held until the rung ends and then committed in settle order;
         every result above p* becomes a provisional TIMEOUT and is carried
         over, whether it was cut or finished before p* was known. Records,
@@ -655,33 +650,28 @@ class RefutationDriver:
         ceiling: Optional[RungCeiling] = None,
     ) -> None:
         """Run every job once at ``budget``/``deadline`` and hand each
-        result to ``settle``: inline on the serial engine when ``jobs ==
-        1`` or only one job is left, else on the pool in completion order.
-        Inline and thread-pool searches run under ``ceiling`` (read live);
-        process workers cannot share it and run uncut.
+        result to ``settle``: inline on the serial engine in-process or when
+        only one job is left, else on the process pool in completion order.
+        Inline searches run under ``ceiling`` (read live); process workers
+        cannot share it and run uncut.
 
         A pool whose process worker dies breaks for every job still in
         flight: those jobs settle as :data:`LOST` TIMEOUTs (never
         REFUTED), and the pool is dropped so the next rung or batch gets
         a fresh one."""
-        if self.jobs == 1 or len(jobs) <= 1:
+        pool = self._get_pool() if len(jobs) > 1 else None
+        if pool is None:
             for job in jobs:
-                result = self._run_job(self.engine, job, budget, deadline, ceiling)
+                result = self._run_job(job, budget, deadline, ceiling)
                 settle(job, result, SERIAL)
             return
-        pool = self._get_pool()
         futures = {}
         for slot, job in enumerate(jobs):
             self.events.emit(
                 EdgeScheduled(description=job.description, index=slot, total=total)
             )
             try:
-                if self.backend == PROCESS:
-                    fut = pool.submit(_process_run, job, budget, deadline)
-                else:
-                    fut = pool.submit(
-                        self._thread_run, job, budget, deadline, ceiling
-                    )
+                fut = pool.submit(_process_run, job, budget, deadline)
             except BrokenExecutor as exc:
                 # The pool died while this batch was still being queued.
                 fut = Future()
@@ -704,59 +694,46 @@ class RefutationDriver:
 
     def _run_job(
         self,
-        engine: Engine,
         job: Job,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
         ceiling: Optional[RungCeiling] = None,
     ) -> EdgeResult:
-        """One search on ``engine`` under the job's root span
-        (``driver.job``; the engine's ``executor.search`` nests under it)."""
-        with trace.span("driver.job", kind=job.kind, description=job.description):
-            result = job.run(engine, budget, deadline, ceiling)
+        """One in-process search under the job's root span (``driver.job``;
+        the engine's ``executor.search`` nests under it)."""
+        with self._search_lock, trace.span(
+            "driver.job", kind=job.kind, description=job.description
+        ):
+            result = job.run(self.engine, budget, deadline, ceiling)
         _JOBS_DONE.inc()
         _JOB_SECONDS.observe(result.seconds)
         return result
-
-    def _thread_run(
-        self,
-        job: Job,
-        budget: Optional[int],
-        deadline: Optional[float],
-        ceiling: Optional[RungCeiling],
-    ) -> tuple[EdgeResult, str]:
-        engine, worker = self._worker_engine()
-        return self._run_job(engine, job, budget, deadline, ceiling), worker
 
     # ------------------------------------------------------------------
     # Results, records, reports
     # ------------------------------------------------------------------
 
     def _unpack(self, payload: tuple) -> tuple[EdgeResult, str]:
-        """Unpack a worker's return value. Process workers append their
-        process-cumulative cache-counter snapshot (latest snapshot per
-        worker wins — counters are cumulative, so summing per-job values
-        would double-count; merged into the run report) plus an ``obs``
-        dict: a cumulative metrics snapshot (latest wins, merged at
-        :meth:`close`), drained span records (incremental, absorbed into
+        """Unpack a process worker's return value: the result, the worker
+        name, its process-cumulative cache-counter snapshot (latest
+        snapshot per worker wins — counters are cumulative, so summing
+        per-job values would double-count; merged into the run report) and
+        an ``obs`` dict: a cumulative metrics snapshot (latest wins, merged
+        at :meth:`close`), drained span records (incremental, absorbed into
         the parent tracer now), and drained search journals (incremental,
         absorbed into the parent run journal now)."""
-        if len(payload) == 4:
-            result, worker, snapshot, obs = payload
-            with self._lock:
-                self._worker_snapshots[worker] = snapshot
-                if "metrics" in obs:
-                    self._worker_metrics[worker] = obs["metrics"]
-            spans = obs.get("spans")
-            if spans and self._tracer is not None:
-                self._tracer.absorb(spans, obs["pid"], obs["wall_epoch"])
-            journals = obs.get("journals")
-            if journals:
-                book = provenance.get_journal()
-                if book is not None:
-                    book.absorb(journals)
-            return result, worker
-        result, worker = payload
+        result, worker, snapshot, obs = payload
+        with self._lock:
+            self._worker_snapshots[worker] = snapshot
+            self._worker_metrics[worker] = obs["metrics"]
+        spans = obs.get("spans")
+        if spans and self._tracer is not None:
+            self._tracer.absorb(spans, obs["pid"], obs["wall_epoch"])
+        journals = obs.get("journals")
+        if journals:
+            book = provenance.get_journal()
+            if book is not None:
+                book.absorb(journals)
         return result, worker
 
     def _cached(self, key: EdgeKey) -> Optional[EdgeResult]:

@@ -6,8 +6,8 @@ Consumers subscribe a plain callable (``on_event``) — the CLI attaches a
 attach collectors, and tests attach plain lists. Events are immutable
 dataclasses so they can be fanned out to several sinks safely.
 
-Emission is serialized under a lock: worker threads finish edges
-concurrently, but sinks observe a single, totally-ordered stream.
+Emission is serialized under a lock: concurrent serve requests share
+one driver, but sinks observe a single, totally-ordered stream.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class RunStarted:
 
     total_jobs: int
     jobs: int  # worker count
-    backend: str  # "serial" | "thread" | "process"
+    backend: str  # "serial" | "process"
     deadline: Optional[float] = None  # per-edge wall-clock seconds
 
 
@@ -60,7 +60,7 @@ class EdgeFinished:
     status: str  # refuted | witnessed | timeout
     seconds: float
     path_programs: int
-    worker: str  # e.g. "serial", "thread-0", "process-3"
+    worker: str  # e.g. "serial", "process-3"
     index: int
     total: int
     cached: bool = False  # served from the driver's result cache
@@ -112,7 +112,7 @@ class EventBus:
 class ProgressPrinter:
     """An :class:`EventSink` rendering one line per finished edge::
 
-        [  3/ 17] refuted    Vec.table -> activity0  (0.04s, 12 pp, thread-1)
+        [  3/ 17] refuted    Vec.table -> activity0  (0.04s, 12 pp, process-41)
 
     Attach with ``RefutationDriver(..., on_event=ProgressPrinter())``.
     """

@@ -150,7 +150,7 @@ class RungCeiling:
     driver lowers :attr:`limit` to the smallest refuting ``p`` it has
     settled; :meth:`repro.symbolic.executor.Engine.refute_edge` cuts a
     search that spends past it (a provisional TIMEOUT, never cached).
-    Serial and thread runners read the limit live. At the end of the rung
+    The in-process runner reads the limit live. At the end of the rung
     the driver commits only the results :meth:`admits`, so what is
     committed depends on each job's (status, path programs) alone, never
     on when the limit dropped or which backend ran the job."""

@@ -13,7 +13,7 @@ Design constraints, in order:
 1. *cheap* — instruments are plain objects with one lock each; hot loops
    hold a local tally and flush once per phase (see
    :meth:`Counter.inc` callers in :mod:`repro.pointsto.andersen`);
-2. *thread-safe* — driver worker threads write concurrently; every
+2. *thread-safe* — serve's request threads write concurrently; every
    read-modify-write is under the instrument's lock;
 3. *always on* — unlike tracing there is no disabled mode: the registry
    is the single source of truth, and dumping it (``--metrics FILE``)

@@ -33,7 +33,7 @@ On top of the journal sit the consumers:
   prints: every producer's search tree with the constraint that killed
   each branch.
 
-Journals survive worker pools: thread workers share the process-wide
+Journals survive concurrency: threads share the process-wide
 :class:`RunJournal` (``open_search`` is the only synchronized point; each
 search's events are single-writer); process workers journal locally and
 the driver merges their :meth:`RunJournal.drain` payloads back with

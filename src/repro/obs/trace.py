@@ -18,11 +18,11 @@ turns every span into a *Chrome trace event*: the export of
 :meth:`Tracer.to_chrome_trace` loads directly in ``chrome://tracing`` or
 `Perfetto <https://ui.perfetto.dev>`_, showing the per-phase breakdown of
 a run — driver jobs, backwards searches, loop-invariant inference, solver
-calls — one lane per worker thread.
+calls — one lane per thread, and per process worker.
 
 Span identity is thread-aware: each thread keeps its own span stack, so
-spans opened by driver worker threads nest under that worker's lane, never
-under another thread's open span. Sinks subscribed with
+spans opened by concurrent threads (serve's request handlers) nest under
+that thread's lane, never under another thread's open span. Sinks subscribed with
 :meth:`Tracer.add_sink` observe every finished span (the refutation
 driver forwards them onto its :class:`~repro.engine.events.EventBus`).
 """

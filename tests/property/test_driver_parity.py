@@ -6,7 +6,7 @@ pool and rung-ladder copies of each). It covers every combination of
 
 * operation — edge batch, path, path with one edge already cached, fact
   batch;
-* backend — serial, thread pool, process pool;
+* backend — serial, ``backend="thread"`` at ``jobs=3``, process pool;
 * portfolio off / on;
 * submission order — ``lifo`` hands the driver the jobs last-listed
   first, ``priority`` hands them over cheapest first by
@@ -17,7 +17,7 @@ pool and rung-ladder copies of each). It covers every combination of
 on the ``test_engine_driver`` and ``test_schedule`` fixtures, and records
 the verdicts, the report records ``(kind, description, status, rung)``,
 the ``schedule`` section, and the event stream: ordered for serial runs,
-as a multiset for pool runs (completion order varies there).
+as a multiset for the others (completion order varies on a pool).
 
 The single job type must reproduce all of it. The driver fixes made
 alongside the single job type are held by the golden as regenerated
@@ -29,7 +29,18 @@ recorded here — see ``test_fact_pool_batch_dispatches_in_cost_order`` in
 yields TIMEOUT instead of crashing the batch (no golden case kills a
 worker — see ``TestBrokenPool`` in ``tests/unit/test_engine_driver.py``).
 
-The golden was last regenerated for three deliberate changes:
+The golden was last regenerated for one deliberate change:
+
+* **in-process threads** — ``backend="thread"`` no longer starts a
+  thread pool: under the GIL it could never run two searches at once, so
+  it resolves to the serial backend and ``jobs=3, backend="thread"`` runs
+  exactly like ``jobs=1``. Only the 48 ``*/thread/*`` cells changed: each
+  now equals its ``*/serial/*`` cell (events compared as multisets, see
+  ``test_thread_cells_equal_serial_cells``), reports backend ``serial``,
+  schedules no ``EdgeScheduled`` events and, without portfolio, walks a
+  path one edge at a time. The serial and process cells are unchanged.
+
+The regeneration before it was for three deliberate changes:
 
 * **one schedule** — the ``lifo``/``priority`` schedule policy is gone:
   every search keeps the LIFO worklist, and the driver dispatches every
@@ -242,14 +253,15 @@ def test_golden_covers_the_grid(golden):
 
 
 def test_submission_order_shows_only_in_the_serial_walk(golden):
-    """Every batch but the serial walk dispatches cheapest first, so both
+    """Every batch but the in-process walk dispatches cheapest first, so both
     submission orders record the same cell there (path verdicts come back
     in submission order, so they are compared as sets)."""
     for case in case_ids():
         if case[-1] != "lifo":
             continue
         fixture, operation, backend, portfolio, _ = case
-        if backend[0] == "serial" and not portfolio and operation.startswith("path"):
+        in_process = backend[0] in ("serial", "thread")
+        if in_process and not portfolio and operation.startswith("path"):
             continue
         lifo = dict(golden[case_key(*case)])
         cost = dict(golden[case_key(fixture, operation, backend, portfolio, "priority")])
@@ -257,6 +269,24 @@ def test_submission_order_shows_only_in_the_serial_walk(golden):
             lifo["verdicts"] = sorted(lifo["verdicts"])
             cost["verdicts"] = sorted(cost["verdicts"])
         assert lifo == cost, case_key(*case)
+
+
+def test_thread_cells_equal_serial_cells(golden):
+    """``backend="thread"`` runs in-process, so every thread cell is its
+    serial cell; the events are compared as multisets because the golden
+    keeps the serial stream in order."""
+    cells = 0
+    for case in case_ids():
+        fixture, operation, backend, portfolio, order = case
+        if backend[0] != "thread":
+            continue
+        thread = dict(golden[case_key(*case)])
+        serial = dict(golden[case_key(fixture, operation, BACKENDS[0], portfolio, order)])
+        for cell in (thread, serial):
+            cell["events"] = sorted(cell["events"], key=json.dumps)
+        assert thread == serial, case_key(*case)
+        cells += 1
+    assert cells == 48
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ must never refute an edge that some concrete run produced.
 and is intentionally not asserted here.)
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import RefutationDriver
@@ -197,23 +197,16 @@ def test_concretely_produced_edges_never_refuted(source):
             )
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(programs())
-def test_driver_portfolio_paths_never_refute_produced_edges(source):
+def _driver_paths_never_refute_produced_edges(source, **driver_args):
     """Theorem 1 through the driver: the heap paths from ``M.s``/``M.o``
-    run as portfolio path batches on two pool threads, where the jobs
-    dispatch cheapest first and the rung ceiling cuts path-mates. As in
-    the Section 2 loop, each target's paths are re-routed around the
+    run as portfolio path batches, where the jobs dispatch cheapest first.
+    As in the Section 2 loop, each target's paths are re-routed around the
     edges refuted so far until none is left or one is not broken."""
     program = compile_program(source)
     produced = concrete_edge_keys(program)
     pta = analyze(program)
     config = SearchConfig(path_budget=3_000, portfolio=True)
-    with RefutationDriver(pta, config, jobs=2, backend="thread") as driver:
+    with RefutationDriver(pta, config, **driver_args) as driver:
         for field in ("s", "o"):
             root = StaticFieldNode("M", field)
             for target in sorted(pta.graph.all_abs_locs(), key=str):
@@ -236,6 +229,39 @@ def test_driver_portfolio_paths_never_refute_produced_edges(source):
                     if not broken:
                         break
                     refuted |= broken
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(programs())
+def test_driver_portfolio_paths_never_refute_produced_edges(source):
+    """In-process (``backend="thread"``): the rung ceiling cuts path-mates
+    live."""
+    _driver_paths_never_refute_produced_edges(source, jobs=2, backend="thread")
+
+
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(programs())
+@example(
+    # A three-edge path M.s -> box -> box -> object whose middle edge only
+    # a dead branch writes: the pool runs all three mates at once.
+    HEADER
+    + "b0 = new Box(); o0 = new Object(); b0.v = o0; b1 = new Box();"
+    " if (i0 == 1) { b1.next = b0; } M.s = b1; b2 = new Box(); b2.next = b0;"
+    + FOOTER
+)
+def test_driver_process_pool_paths_never_refute_produced_edges(source):
+    """On the process pool: path-mates run uncut and only the commit
+    filter of the rung ceiling applies. Few generated programs have a
+    path of two or more edges, so one explicit example does."""
+    _driver_paths_never_refute_produced_edges(source, jobs=2, backend="process")
 
 
 @settings(

@@ -3,12 +3,15 @@
 import importlib.util
 import json
 import os
+import sys
+import threading
 
 import repro.engine.driver as driver_module
 
 import pytest
 
 from repro.android.leaks import LeakChecker
+from repro.bench.workloads import mixed_app
 from repro.engine import (
     EdgeFinished,
     ProgressPrinter,
@@ -18,6 +21,7 @@ from repro.engine import (
     RunStarted,
 )
 from repro.ir import compile_program
+from repro.obs import metrics
 from repro.pointsto import analyze
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED, TIMEOUT, WITNESSED
@@ -87,10 +91,87 @@ class TestSerialDriver:
         assert len(driver.engine.edge_results()) == len(edges)
 
 
+class TestBackends:
+    """Only ``backend="process"`` with ``jobs > 1`` starts a pool; every
+    other combination, and a process pool that cannot start, runs
+    in-process on the serial engine."""
+
+    @pytest.mark.parametrize(
+        "jobs, backend, resolved, workers",
+        [
+            (1, None, "serial", 1),
+            (1, "process", "serial", 1),
+            (4, None, "serial", 1),
+            (4, "thread", "serial", 1),
+            (3, "process", "process", 3),
+        ],
+    )
+    def test_backend_and_worker_gauge(self, pta, jobs, backend, resolved, workers):
+        """``driver.workers`` reports the workers that actually run."""
+        with RefutationDriver(pta, jobs=jobs, backend=backend) as driver:
+            assert driver.backend == resolved
+            assert metrics.gauge("driver.workers").value == workers
+
+    def test_pool_that_cannot_start_runs_in_process(self, pta, edges, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(driver_module, "ProcessPoolExecutor", unavailable)
+        serial = RefutationDriver(pta, jobs=1).refute_edges(edges)
+        with RefutationDriver(pta, jobs=2, backend="process") as driver:
+            assert driver.backend == "process"
+            results = driver.refute_edges(edges)
+            report = driver.build_report(command="check")
+            assert driver.backend == "serial"
+            assert metrics.gauge("driver.workers").value == 1
+        assert {k: r.status for k, r in results.items()} == {
+            k: r.status for k, r in serial.items()
+        }
+        assert {r.worker for r in report.records} == {"serial"}
+
+
+class TestConcurrentCallers:
+    def test_concurrent_searches_take_turns_on_the_engine(self):
+        """Serve's readers share one driver. Its engine keeps the running
+        search's budget and query history on itself, so two callers that
+        searched at once used to skew each other's path-program counts;
+        each search must spend exactly what it spends alone."""
+        pta = analyze(compile_program(mixed_app(3, 1, easy_branches=1, hard_branches=6)))
+        edges = sorted(pta.graph.static_edges(), key=str)
+        alone = {
+            str(e): (r.status, r.path_programs)
+            for e in edges
+            for r in [RefutationDriver(pta).refute_edge(e)]
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                driver = RefutationDriver(pta)
+                seen = []
+
+                def run(order):
+                    for edge in order:
+                        r = driver.refute_edge(edge)
+                        seen.append((str(edge), (r.status, r.path_programs)))
+
+                threads = [
+                    threading.Thread(target=run, args=(order,))
+                    for order in (edges, edges[::-1])
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert all(alone[edge] == got for edge, got in seen), seen
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestParallelDriver:
     def test_verdicts_match_serial(self, pta, edges):
         serial = RefutationDriver(pta, jobs=1).refute_edges(edges)
-        with RefutationDriver(pta, jobs=4) as driver:
+        with RefutationDriver(pta, jobs=2, backend="process") as driver:
             parallel = driver.refute_edges(edges)
         assert {k: v.status for k, v in serial.items()} == {
             k: v.status for k, v in parallel.items()
@@ -113,7 +194,9 @@ class TestParallelDriver:
 
     def test_events_stream(self, pta, edges):
         events = []
-        with RefutationDriver(pta, jobs=2, on_event=events.append) as driver:
+        with RefutationDriver(
+            pta, jobs=2, backend="process", on_event=events.append
+        ) as driver:
             driver.refute_edges(edges)
         kinds = [type(e).__name__ for e in events]
         assert kinds[0] == "RunStarted"

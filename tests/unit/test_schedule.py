@@ -9,13 +9,15 @@ from repro.clients.reachability import assert_unreachable
 from repro.engine import EdgeFinished, EdgeScheduled, RefutationDriver, RunReport
 from repro.engine.schedule import CostModel, RungCeiling, rung_ladder
 from repro.ir import compile_program
-from repro.obs import provenance
+from repro.obs import metrics, provenance
+from repro.perf.memo import SOLVER_MEMO
 from repro.pointsto import analyze
 from repro.pointsto.graph import StaticFieldNode
 from repro.pointsto.heappaths import find_heap_path
 from repro.pointsto.producers import edge_key
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED, TIMEOUT
+from repro.symbolic.symvar import private_ids
 
 from .test_engine_driver import SOURCE as BOX_SOURCE
 
@@ -131,9 +133,9 @@ class TestPrioritySchedule:
         assert sorted(report.schedule) == ["portfolio", "resolved_at_rung", "rungs"]
 
     def test_fact_pool_batch_dispatches_in_cost_order(self, pta):
-        """A fact batch on the pool is submitted cheapest first by the
-        cost model's fact costs, and numbers ``EdgeScheduled`` by dispatch
-        slot, as edge batches do."""
+        """A fact batch on the process pool is submitted cheapest first by
+        the cost model's fact costs, and numbers ``EdgeScheduled`` by
+        dispatch slot, as edge batches do."""
         stores = [
             c
             for c in pta.program.commands.values()
@@ -146,7 +148,10 @@ class TestPrioritySchedule:
             for c in sorted(stores, key=lambda c: -c.label)
         ]
         events = []
-        with RefutationDriver(pta, SearchConfig(), jobs=3, on_event=events.append) as driver:
+        with RefutationDriver(
+            pta, SearchConfig(), jobs=2, backend="process", on_event=events.append
+        ) as driver:
+            assert driver.backend == "process"
             results = driver.refute_facts(requests)
         assert len(results) == len(requests)
         model = driver._cost_model()
@@ -359,24 +364,44 @@ class TestRungCeiling:
         }
         expected = runs["serial", "given"]
         assert all(run == expected for run in runs.values()), runs
-        # The live cut lands at a timing-dependent point on the pool; what
-        # is committed must not.
+        # The in-process runner cuts live and the process pool does not;
+        # what is committed must not depend on either, run after run.
         for _ in range(20):
             assert _path_run(pta, edges, 3, None) == expected
 
-    def test_thread_pool_cuts_the_expensive_mate_early(self):
+    def test_thread_backend_runs_are_identical(self):
+        """``jobs=2, backend="thread"`` runs in-process, so no search
+        depends on when another settles: records, path programs and
+        solver decisions repeat exactly (with a cold solver memo and
+        private variable numbering per run)."""
         # 10 branches: the expensive edge needs more than rung 0's 625.
         pta, path = _layered_path(hard_branches=10)
         expensive, cheap = path
         config = SearchConfig(portfolio=True)
-        budget = rung_ladder(config)[0][0]
-        with RefutationDriver(pta, config, jobs=2) as driver:
-            pairs = dict(driver.refute_path(path))
-            report = driver.build_report(command="check")
-        assert pairs[cheap].status == REFUTED
-        assert pairs[expensive].status == TIMEOUT
-        assert pairs[expensive].path_programs < budget
-        assert [r.description for r in report.records] == [str(cheap)]
+        decisions = metrics.counter("solver.checks")
+
+        def run():
+            SOLVER_MEMO.clear()
+            before = decisions.value
+            with private_ids(), RefutationDriver(
+                pta, config, jobs=2, backend="thread"
+            ) as driver:
+                pairs = driver.refute_path(path)
+                report = driver.build_report(command="check")
+            return (
+                [(str(edge), r.status, r.path_programs) for edge, r in pairs],
+                [(r.description, r.status, r.rung, r.path_programs) for r in report.records],
+                decisions.value - before,
+            )
+
+        first = run()
+        spent = {edge: (status, pp) for edge, status, pp in first[0]}
+        assert spent[str(cheap)][0] == REFUTED
+        assert spent[str(expensive)][0] == TIMEOUT
+        assert [r[0] for r in first[1]] == [str(cheap)]
+        assert first[2] > 0
+        for _ in range(19):
+            assert run() == first
 
     def test_reachability_timeouts_match_the_fixed_schedule(self):
         """A path-mate's provisional TIMEOUT on a path that a refuted edge
