@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..pointsto import PointsToResult, find_heap_path
+from ..pointsto import PointsToResult, reachable_from, static_roots
 from ..pointsto.graph import AbsLoc, HeapEdge, StaticFieldNode
 from ..symbolic import SearchConfig
 from .reachability import (
@@ -58,19 +58,14 @@ def _check_encapsulation(
             loc.class_name, owner_class
         ):
             rep_locs.update(pta.pt_field(loc, field))
-    roots = sorted(
-        {
-            node
-            for node in pta.graph.pts
-            if isinstance(node, StaticFieldNode) and pta.graph.pts[node]
-        },
-        key=str,
-    )
+    reach = {
+        root: reachable_from(pta.graph, root) for root in static_roots(pta.graph)
+    }
     shared: set[HeapEdge] = set()
     results = []
     for rep in sorted(rep_locs, key=str):
-        for root in roots:
-            if find_heap_path(pta.graph, root, rep) is None:
+        for root, reached in reach.items():
+            if rep not in reached:
                 continue
             inner = _refute_reachability(pta, engine, root, rep, shared)
             results.append(

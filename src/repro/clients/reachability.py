@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from ..engine import RefutationDriver
-from ..pointsto import PointsToResult, find_heap_path
+from ..pointsto import (
+    PointsToResult,
+    find_heap_path,
+    reachable_from,
+    static_roots,
+)
 from ..pointsto.graph import AbsLoc, HeapEdge, StaticFieldNode
 from ..symbolic import Engine, SearchConfig
 from .result import AnalysisResult, AnalysisStats, make_result
@@ -127,10 +132,11 @@ def assert_unreachable(
         and loc.site.kind == "object"
         and table.site_is_instance(loc.site, target_class)
     ]
+    reach = reachable_from(pta.graph, root)
     shared: set[HeapEdge] = set()
     results = []
     for target in sorted(targets, key=str):
-        if find_heap_path(pta.graph, root, target) is None:
+        if target not in reach:
             continue  # not even flow-insensitively reachable
         results.append(_refute_reachability(pta, refuter, root, target, shared))
     return results
@@ -151,19 +157,12 @@ def assert_not_leaked(
     targets = [
         loc for loc in pta.graph.all_abs_locs() if loc.site.hint == site_hint
     ]
-    roots = sorted(
-        {
-            node
-            for node in pta.graph.pts
-            if isinstance(node, StaticFieldNode) and pta.graph.pts[node]
-        },
-        key=str,
-    )
     shared: set[HeapEdge] = set()
     results = []
-    for root in roots:
+    for root in static_roots(pta.graph):
+        reach = reachable_from(pta.graph, root)
         for target in sorted(targets, key=str):
-            if find_heap_path(pta.graph, root, target) is None:
+            if target not in reach:
                 continue
             results.append(_refute_reachability(pta, refuter, root, target, shared))
     return results

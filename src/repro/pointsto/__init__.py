@@ -28,6 +28,7 @@ from .graph import (
 from .heappaths import (
     find_alarms,
     find_heap_path,
+    reachable_from,
     reaches,
     static_roots,
     target_locations,
@@ -198,6 +199,7 @@ __all__ = [
     "edge_key",
     "find_alarms",
     "find_heap_path",
+    "reachable_from",
     "reaches",
     "static_roots",
     "target_locations",

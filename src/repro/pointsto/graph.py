@@ -111,6 +111,10 @@ class PointsToGraph:
         # pt_field_of_set answers; every solve ends in seal(), which
         # clears them.
         self._field_of_set: dict[tuple[frozenset, str], frozenset[AbsLoc]] = {}
+        # Heap adjacency for path search: loc -> (field, targets) pairs in
+        # pts order. Built on first use after a solve; seal() drops it.
+        # Readers racing on the first use each build the same index.
+        self._out: Optional[dict[AbsLoc, list[tuple[str, set[AbsLoc]]]]] = None
 
     # -- construction (used by the solver) -----------------------------------
 
@@ -118,8 +122,10 @@ class PointsToGraph:
         return self.pts.setdefault(node, set())
 
     def seal(self) -> None:
-        """Precompute the per-variable unions over contexts."""
+        """Precompute the per-variable unions over contexts and drop what
+        was derived from the previous solve."""
         self._field_of_set.clear()
+        self._out = None
         unions: dict[tuple[str, str], set[AbsLoc]] = {}
         for node, locs in self.pts.items():
             if isinstance(node, VarNode):
@@ -148,6 +154,17 @@ class PointsToGraph:
                 result.update(self.pts.get(FieldNode(loc, field), ()))
             cached = self._field_of_set[key] = frozenset(result)
         return cached
+
+    def out_fields(self, loc: AbsLoc) -> list[tuple[str, set[AbsLoc]]]:
+        """The ``(field, pt(loc.field))`` pairs of ``loc``, in ``pts`` order."""
+        out = self._out
+        if out is None:
+            out = {}
+            for node, locs in self.pts.items():
+                if isinstance(node, FieldNode):
+                    out.setdefault(node.loc, []).append((node.field, locs))
+            self._out = out
+        return out.get(loc, [])
 
     def heap_edges(self) -> Iterator[HeapEdge]:
         """All ``a.f ↪ b`` edges."""

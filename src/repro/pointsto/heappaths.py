@@ -11,7 +11,7 @@ is found.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..lang.types import ClassTable
 from .graph import AbsLoc, HeapEdge, PointsToGraph, StaticFieldNode
@@ -25,40 +25,51 @@ def find_heap_path(
 ) -> Optional[list[HeapEdge]]:
     """Shortest points-to path ``root ↪ ... ↪ target`` avoiding ``removed``
     edges, or None when disconnected."""
-    removed = removed or set()
-    start_edges = [
-        HeapEdge(root, root.field, loc)
-        for loc in graph.pt_static(root.class_name, root.field)
-    ]
-    # BFS over abstract locations; parent pointers recover the edge list.
+    parents = _bfs(graph, root, removed or set(), target)
+    if target not in parents:
+        return None
+    return _reconstruct(parents, target)
+
+
+def reachable_from(graph: PointsToGraph, root: StaticFieldNode) -> set[AbsLoc]:
+    """Every abstract location some points-to path from ``root`` reaches."""
+    return set(_bfs(graph, root, set()))
+
+
+def _bfs(
+    graph: PointsToGraph,
+    root: StaticFieldNode,
+    removed: set[HeapEdge],
+    target: Optional[AbsLoc] = None,
+) -> dict[AbsLoc, HeapEdge]:
+    """BFS over abstract locations from ``root`` avoiding ``removed`` edges:
+    each reached location's parent edge, set once when it is first reached.
+    Stops as soon as ``target`` is reached, so its path is final."""
     parents: dict[AbsLoc, HeapEdge] = {}
     queue: deque[AbsLoc] = deque()
-    for edge in start_edges:
-        if edge in removed:
+    for loc in graph.pt_static(root.class_name, root.field):
+        edge = HeapEdge(root, root.field, loc)
+        if edge in removed or loc in parents:
             continue
-        if edge.dst not in parents:
-            parents[edge.dst] = edge
-            queue.append(edge.dst)
-    # Field successors indexed once per call.
+        parents[loc] = edge
+        if loc == target:
+            return parents
+        queue.append(loc)
     while queue:
         loc = queue.popleft()
-        if loc == target:
-            return _reconstruct(parents, loc)
-        for edge in _out_edges(graph, loc):
-            if edge in removed or edge.dst in parents:
-                continue
-            parents[edge.dst] = edge
-            queue.append(edge.dst)
-    return None
-
-
-def _out_edges(graph: PointsToGraph, loc: AbsLoc) -> Iterable[HeapEdge]:
-    from .graph import FieldNode
-
-    for node, targets in graph.pts.items():
-        if isinstance(node, FieldNode) and node.loc == loc:
+        # Field successors come from the graph's per-solve adjacency index.
+        for field, targets in graph.out_fields(loc):
             for dst in targets:
-                yield HeapEdge(loc, node.field, dst)
+                if dst in parents:
+                    continue
+                edge = HeapEdge(loc, field, dst)
+                if edge in removed:
+                    continue
+                parents[dst] = edge
+                if dst == target:
+                    return parents
+                queue.append(dst)
+    return parents
 
 
 def _reconstruct(parents: dict[AbsLoc, HeapEdge], loc: AbsLoc) -> list[HeapEdge]:
@@ -115,7 +126,6 @@ def find_alarms(
     alarms = []
     targets = target_locations(graph, class_table, target_class)
     for root in static_roots(graph):
-        for target in targets:
-            if reaches(graph, root, target):
-                alarms.append((root, target))
+        reach = reachable_from(graph, root)
+        alarms.extend((root, target) for target in targets if target in reach)
     return alarms

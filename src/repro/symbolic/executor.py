@@ -187,6 +187,8 @@ class Engine:
         self._ceiling = ceiling
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
+        # Each search's record tallies its own refutations.
+        self.ctx.refutations = {}
         book = provenance.get_journal()
         self._sj = (
             book.open_search(str(edge), kind="edge") if book is not None else None
@@ -271,6 +273,8 @@ class Engine:
         self._ceiling = None
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
+        # Each search's record tallies its own refutations.
+        self.ctx.refutations = {}
         book = provenance.get_journal()
         self._sj = (
             book.open_search(description or f"fact@L{label}", kind="fact")

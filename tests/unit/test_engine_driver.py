@@ -11,6 +11,7 @@ import repro.engine.driver as driver_module
 import pytest
 
 from repro.android.leaks import LeakChecker
+from repro.bench.apps import app_by_name
 from repro.bench.workloads import mixed_app
 from repro.engine import (
     EdgeFinished,
@@ -335,6 +336,39 @@ class TestRunReport:
         assert report.run_report.app == "k9"
         assert len(report.run_report.records) == len(report.edge_results)
         assert report.run_report.wall_seconds == report.seconds
+
+
+class TestRefutationKinds:
+    """Each record carries its own search's refutation tally, never the
+    engine's running total."""
+
+    FIRST = "arr1.@elems -> feedActivity0"
+    SECOND = "arr1.@elems -> mapActivity0"
+
+    def test_second_search_tallies_like_a_fresh_engine(self):
+        checker = LeakChecker(app_by_name("PulsePoint").source, "PulsePoint")
+        edges = {str(e): e for e in checker.pta.graph.heap_edges()}
+        shared = Engine(checker.pta, checker.config)
+        # A non-empty first tally: a running total would leak into the second.
+        assert shared.refute_edge(edges[self.FIRST]).refutation_kinds
+        second = shared.refute_edge(edges[self.SECOND])
+        alone = Engine(checker.pta, checker.config).refute_edge(edges[self.SECOND])
+        assert second.refutation_kinds
+        assert second.refutation_kinds == alone.refutation_kinds
+
+    def test_serial_and_process_records_agree(self):
+        app = app_by_name("PulsePoint")
+        serial = LeakChecker(app.source, app.name, jobs=1).run()
+        pooled = LeakChecker(
+            app.source, app.name, jobs=2, backend="process"
+        ).run()
+        kinds = [
+            {r.description: r.refutation_kinds for r in report.run_report.records}
+            for report in (serial, pooled)
+        ]
+        common = set(kinds[0]) & set(kinds[1])
+        assert any(kinds[0][d] for d in common)
+        assert all(kinds[0][d] == kinds[1][d] for d in common)
 
 
 class TestFactJobs:

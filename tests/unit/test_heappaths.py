@@ -7,10 +7,13 @@ from repro.pointsto import (
     StaticFieldNode,
     analyze,
     find_heap_path,
+    reachable_from,
     reaches,
+    reanalyze,
     static_roots,
     target_locations,
 )
+from repro.serve.invalidation import graft_method
 
 
 def pta_of(source):
@@ -102,3 +105,38 @@ class TestEnumerationHelpers:
             l for l in pta.graph.all_abs_locs() if l.class_name == "String"
         )
         assert not reaches(pta.graph, root, island)
+
+
+class TestAdjacencyIndex:
+    SOURCE = (
+        "class Box { Object v; Box next; }"
+        " class M { static Box root;"
+        "   static void main() { Box a = new Box(); Box b = new Box();"
+        "     Object o = new Object(); M.root = a; a.next = b; M.fill(a, b, o); }"
+        "   static void fill(Box a, Box b, Object o) { b.v = o; } }"
+    )
+
+    def test_reanalysis_drops_the_index(self):
+        program = compile_program(self.SOURCE)
+        pta = analyze(program, retain_solver=True)
+        root = StaticFieldNode("M", "root")
+        obj = next(l for l in pta.graph.all_abs_locs() if l.class_name == "Object")
+        # The first query builds the index.
+        before = find_heap_path(pta.graph, root, obj)
+        assert [e.field for e in before] == ["root", "next", "v"]
+        # An additive edit adds the field edge a.v -> o on the path.
+        edited = compile_program(self.SOURCE.replace("b.v = o;", "b.v = o; a.v = o;"))
+        graft_method(program, edited.methods["M.fill"])
+        after_pta, delta = reanalyze(pta, {"M.fill"})
+        assert after_pta.graph is pta.graph and delta.grown_fields == {"v"}
+        after = find_heap_path(after_pta.graph, root, obj)
+        assert [e.field for e in after] == ["root", "v"]
+        assert after[0] == before[0] and after[1].src == before[0].dst
+
+    def test_reachable_from_collects_every_reached_location(self):
+        pta = pta_of(self.SOURCE)
+        root = StaticFieldNode("M", "root")
+        reach = reachable_from(pta.graph, root)
+        assert {l.class_name for l in reach} == {"Box", "Object"}
+        assert all(reaches(pta.graph, root, loc) for loc in reach)
+        assert len(reach) == len(pta.graph.all_abs_locs())
