@@ -202,10 +202,10 @@ class LeakChecker:
             if path is None:
                 return AlarmResult(root, target, ALARM_REFUTED, None, examined)
             progressed = False
-            # The driver refutes the path's edges — sequentially with early
-            # exit when jobs=1 (bit-identical to the seed loop), in
-            # parallel otherwise. Either way the loop below consumes the
-            # results in path order, so alarm verdicts are deterministic.
+            # The driver refutes the path's edges in-process, in order with
+            # early exit (bit-identical to the seed loop) at any --jobs and
+            # backend; the loop below consumes the results in path order,
+            # so alarm verdicts are deterministic.
             for edge, result in self.driver.refute_path(path):
                 examined += 1
                 if result.refuted:

@@ -119,8 +119,10 @@ class AnalysisRequest:
     #: ``False`` ablates the layer (CLI --no-memo / --no-subsumption).
     memoize: Optional[bool] = None
     subsumption: Optional[bool] = None
-    #: "process" runs ``jobs > 1`` on a process pool; "thread" (default)
-    #: runs every search in-process, whatever ``jobs`` says.
+    #: "process" runs flat batches (the casts and immutability clients'
+    #: fact batches) on ``jobs > 1`` worker processes and path batches
+    #: in-process; "thread" (default) runs every search in-process,
+    #: whatever ``jobs`` says.
     backend: Optional[str] = None
     #: Record a per-query search journal for the run and attach it to the
     #: result (``result.journal``, ``result.certificate(desc)``). If a

@@ -23,10 +23,11 @@ The refutation subcommands (``check``, ``witness``, ``casts``, ``bench``)
 share the parallel-driver flags:
 
 ``--jobs N``
-    Refute independent edges on N worker processes under ``--backend
-    process``; otherwise every search runs in-process, as with the default
-    1 (the deterministic serial mode that reproduces the paper's tables
-    bit-identically).
+    Refute the jobs of a flat batch (``witness``, ``casts``) on N worker
+    processes under ``--backend process``; otherwise every search runs
+    in-process, as with the default 1 (the deterministic serial mode that
+    reproduces the paper's tables bit-identically). ``check`` and
+    ``bench`` run the Section 2 loop in-process at any ``--jobs``.
 ``--deadline S``
     Per-edge wall-clock deadline in seconds; an edge that exceeds it is
     reported TIMEOUT (not refuted), like the paper's per-edge timeout.
@@ -40,9 +41,9 @@ share the parallel-driver flags:
 ``--backend {thread,process}``
     ``thread`` (the default) runs every search in-process, whatever
     ``--jobs`` says: under the GIL threads cannot search in parallel.
-    ``process`` runs ``--jobs N > 1`` searches on N worker processes and
-    ships per-worker metrics/span/journal payloads back to the parent to
-    merge.
+    ``process`` runs flat batches on ``--jobs N > 1`` worker processes;
+    after each job a worker ships one payload (result, metrics, spans,
+    journals) that the parent merges on arrival.
 ``--journal FILE``
     Record a per-query search journal (every state spawned/killed/
     witnessed, with typed kill reasons) and write it as JSONL; feed it to
@@ -120,7 +121,8 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker processes for edge refutation under --backend process"
+        help="worker processes for flat batches (witness, casts) under"
+        " --backend process; check and bench run in-process"
         " (default 1: deterministic serial)",
     )
     parser.add_argument(

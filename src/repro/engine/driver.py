@@ -1,4 +1,4 @@
-"""The parallel refutation driver.
+"""The refutation driver.
 
 The paper's Section 4 observation makes edge refutation embarrassingly
 parallel: each points-to edge on an alarm's heap path is refuted (or
@@ -6,8 +6,10 @@ witnessed) *independently* — a refutation is a fact about the whole
 program, never about the alarm that asked. This module exploits that:
 
 * :class:`RefutationDriver` runs refutation jobs — an edge, or a
-  ``(label, bindings)`` fact — in-process, or across a process pool
-  (``--jobs N --backend process``);
+  ``(label, bindings)`` fact — in-process, and fans flat batches
+  (:meth:`~RefutationDriver.refute_edges`,
+  :meth:`~RefutationDriver.refute_facts`) out over a process pool under
+  ``--jobs N --backend process``;
 * a per-edge **wall-clock deadline** (``--deadline S``) is enforced by the
   cooperative cancellation checks inside
   :class:`repro.symbolic.executor.Engine` (deadline exceeded ⇒ the edge is
@@ -23,15 +25,19 @@ run is the single full-budget rung), each rung runs on one runner
 (:meth:`RefutationDriver._run_rung`, inline or on the pool), and each
 final result passes one finish step (:meth:`RefutationDriver._finish`).
 
-The in-process backend (``jobs=1``, and ``backend="thread"`` at any
-``jobs``) runs every job inline on one :class:`Engine`, so a run is
-deterministic and ``jobs=N, backend="thread"`` behaves exactly like
-``jobs=1``: under CPython's GIL threads cannot run two searches at once,
-so no thread pool is started. Only ``backend="process"`` with ``jobs>1``
-runs searches in parallel: each worker process owns a private ``Engine``;
-verdicts stay deterministic because the search itself is deterministic in
-``(program, config)``, only completion *order* varies. Results are merged
-into a shared cache so no edge is ever refuted twice.
+Every job runs inline on one :class:`Engine`, so a run is deterministic,
+except a flat batch of two or more fresh jobs under ``backend="process"``
+with ``jobs>1``; ``jobs=N, backend="thread"`` behaves exactly like
+``jobs=1`` (under CPython's GIL threads cannot run two searches at once,
+so no thread pool is started). A path batch (the Section 2 walk, and the
+portfolio rung ladder under its :class:`RungCeiling`) never reaches the
+pool: it stops at the first refuted edge, and its path-mates are cut by
+the ceiling that the searches before them settle. Each pool worker owns a
+private ``Engine`` and ships one payload per job, which the parent merges
+once, on arrival (:func:`_process_run`). Verdicts stay deterministic
+because the search itself is deterministic in ``(program, config)``;
+only completion *order* varies. Results join a shared cache so no edge
+is ever refuted twice.
 """
 
 from __future__ import annotations
@@ -159,16 +165,18 @@ class RefutationDriver:
         The search configuration shared by every worker engine.
     jobs:
         Worker count. ``1`` (the default) runs in-process; ``N > 1`` fans
-        jobs out over ``N`` worker processes under ``backend="process"``.
+        flat batches out over ``N`` worker processes under
+        ``backend="process"``.
     deadline:
         Per-edge wall-clock deadline in seconds (overrides
         ``config.deadline_seconds`` when given).
     backend:
         ``"thread"`` (the default) runs every job in-process on one
         engine, whatever ``jobs`` says; ``"process"`` re-builds one engine
-        per worker process from a pickled analysis. When the analysis does
-        not pickle, or the pool cannot start, the process backend runs
-        in-process too.
+        per worker process from a pickled analysis for flat batches, and
+        runs path batches in-process. When the analysis does not pickle,
+        or the pool cannot start, the process backend runs in-process
+        too.
     on_event:
         Optional event sink (see :mod:`repro.engine.events`).
     """
@@ -207,11 +215,6 @@ class RefutationDriver:
         #: cache (seeded or earlier-run verdicts). The serve session diffs
         #: this across a request to report ``verdicts_reused``.
         self.cache_hits = 0
-        self._worker_snapshots: dict[str, dict] = {}
-        #: Latest full metrics-registry snapshot per process worker
-        #: (cumulative, latest wins); merged into the parent registry
-        #: exactly once, at :meth:`close`.
-        self._worker_metrics: dict[str, dict] = {}
         self._wall_seconds = 0.0
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Summed seconds per span name, fed by the active tracer (if any);
@@ -224,7 +227,8 @@ class RefutationDriver:
         self._tracer = trace.get_tracer()
         if self._tracer is not None:
             self._tracer.add_sink(self._on_span)
-        self._set_workers()
+        #: The workers that actually run: one, until a pool starts.
+        metrics.gauge("driver.workers").set(1)
 
     # ------------------------------------------------------------------
     # Backend / pool management
@@ -235,18 +239,7 @@ class RefutationDriver:
             return SERIAL
         if backend != PROCESS:
             raise ValueError(f"unknown backend {backend!r}")
-        try:
-            pickle.dumps(self.pta)
-        except Exception:
-            return SERIAL
         return PROCESS
-
-    def _set_workers(self) -> None:
-        """The ``driver.workers`` gauge: the workers that actually run —
-        one in-process, ``jobs`` on a process pool."""
-        metrics.gauge("driver.workers").set(
-            self.jobs if self.backend == PROCESS else 1
-        )
 
     def _get_pool(self) -> Optional[ProcessPoolExecutor]:
         """The process pool, started on first use; ``None`` in-process.
@@ -270,23 +263,16 @@ class RefutationDriver:
                 # The analysis (or platform) does not support process
                 # workers; run in-process rather than failing the run.
                 self.backend = SERIAL
-                self._set_workers()
+            else:
+                metrics.gauge("driver.workers").set(self.jobs)
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down and fold pending process-worker
-        metrics into the parent registry (idempotent)."""
+        """Shut the worker pool down, flush the verdict store and detach
+        from the tracer (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        with self._lock:
-            worker_metrics = list(self._worker_metrics.values())
-            self._worker_metrics = {}
-            # The cache section of any later build_report must not re-add
-            # counters that the registry merge below already folded in.
-            self._worker_snapshots = {}
-        for snap in worker_metrics:
-            metrics.REGISTRY.merge_snapshot(snap)
         if perf_store.ACTIVE is not None:
             perf_store.ACTIVE.flush()
         if self._tracer is not None:
@@ -444,15 +430,13 @@ class RefutationDriver:
     def refute_path(
         self, path: Sequence[HeapEdge]
     ) -> list[tuple[HeapEdge, EdgeResult]]:
-        """Refute the edges of one heap path.
+        """Refute the edges of one heap path, inline on the driver's
+        engine whatever the backend.
 
-        In-process mode walks the path in order and stops at the first
-        refuted edge — exactly the sequential Section 2 loop, so in-process
-        runs are bit-identical to the seed. The process pool refutes every
-        edge of the path concurrently (the extra edges are not wasted: their
-        verdicts are program-wide facts that later paths and alarms reuse
-        from the cache). Returns ``(edge, result)`` pairs for the edges
-        actually examined, in path order.
+        The path is walked in order and the walk stops at the first
+        refuted edge — exactly the sequential Section 2 loop, so runs are
+        bit-identical to the seed. Returns ``(edge, result)`` pairs for
+        the edges actually examined, in path order.
 
         Under ``config.portfolio`` the path runs the cheap-first rung
         ladder *across* its edges: a path's verdict needs only one
@@ -467,10 +451,7 @@ class RefutationDriver:
         resolve them).
         """
         jobs = self._edge_jobs(path)
-        walk = self.backend == SERIAL and not self.config.portfolio
-        results = self._run_batch(
-            jobs, "path", stop_on_refute=walk or self.config.portfolio, walk=walk
-        )
+        results = self._run_batch(jobs, "path", path=True)
         return [(job.edge, results[job.key]) for job in jobs if job.key in results]
 
     def refute_facts(self, requests: Sequence[FactJob]) -> list[EdgeResult]:
@@ -500,26 +481,20 @@ class RefutationDriver:
             jobs.setdefault(job.key, job)
         return list(jobs.values())
 
-    def _run_batch(
-        self,
-        jobs: list[Job],
-        kind: str,
-        stop_on_refute: bool = False,
-        walk: bool = False,
-    ) -> dict:
+    def _run_batch(self, jobs: list[Job], kind: str, path: bool = False) -> dict:
         """Run one batch of jobs; results keyed by job key.
 
         Jobs answered from the shared edge cache finish first; the rest
-        climb the rung ladder, cheapest first. ``walk`` takes the jobs one
-        at a time in order instead (the serial Section 2 path walk). With
-        ``stop_on_refute`` (a path), the batch ends once any result
-        refutes; jobs left unresolved then keep their provisional TIMEOUT
-        results."""
+        climb the rung ladder, cheapest first. A ``path`` batch runs
+        inline and ends once any result refutes; jobs left unresolved then
+        keep their provisional TIMEOUT results. Without portfolio it takes
+        the jobs one at a time in order (the Section 2 path walk)."""
+        walk = path and not self.config.portfolio
         total = len(jobs)
         results: dict = {}
         with self._timed_batch(total, kind) as outcomes:
             for group in [[job] for job in jobs] if walk else [jobs]:
-                if stop_on_refute and any(r.refuted for r in results.values()):
+                if path and any(r.refuted for r in results.values()):
                     break
                 todo = []
                 for job in group:
@@ -531,9 +506,7 @@ class RefutationDriver:
                     self._finish(
                         job, cached, SERIAL, len(results) - 1, total, cached=True
                     )
-                self._run_ladder(
-                    self._by_cost(todo), results, total, stop_on_refute
-                )
+                self._run_ladder(self._by_cost(todo), results, total, path)
             outcomes.extend(results.values())
         return results
 
@@ -542,7 +515,7 @@ class RefutationDriver:
         jobs: list[Job],
         results: dict,
         total: int,
-        stop_on_refute: bool = False,
+        path: bool = False,
         emit: bool = True,
     ) -> None:
         """Run ``jobs`` to their final results, filling ``results``.
@@ -554,30 +527,30 @@ class RefutationDriver:
         exactly the verdict the fixed schedule would produce; only final
         verdicts are finished (with the rung that resolved them), never
         provisional carryover timeouts. A plain run is the single
-        full-budget rung, without rung bookkeeping. ``stop_on_refute``
-        ends the climb once any result — cached ones included — refutes.
+        full-budget rung, without rung bookkeeping. A ``path`` batch runs
+        inline and ends the climb once any result — cached ones included —
+        refutes.
 
-        A portfolio path batch (``stop_on_refute``) runs each rung under
-        one :class:`RungCeiling`. Let p* be the fewest path programs any
-        job refuted in at this rung: no job may spend more than p*. The
-        in-process runner cuts a search live once it passes the ceiling
-        settled so far; process workers run uncut. Results are
-        held until the rung ends and then committed in settle order;
-        every result above p* becomes a provisional TIMEOUT and is carried
-        over, whether it was cut or finished before p* was known. Records,
-        verdicts and the ``schedule`` section therefore depend only on
-        each job's (status, path programs), never on timing or backend."""
+        A portfolio path batch runs each rung under one
+        :class:`RungCeiling`. Let p* be the fewest path programs any job
+        refuted in at this rung: no job may spend more than p*. The runner
+        cuts a search live once it passes the ceiling settled so far.
+        Results are held until the rung ends and then committed in settle
+        order; every result above p* becomes a provisional TIMEOUT and is
+        carried over, whether it was cut or finished before p* was known.
+        Records, verdicts and the ``schedule`` section therefore depend
+        only on each job's (status, path programs), never on timing."""
         portfolio = self.config.portfolio
         ladder = rung_ladder(self.config) if portfolio else [(None, None)]
         last = len(ladder) - 1
-        broken = stop_on_refute and any(r.refuted for r in results.values())
+        broken = path and any(r.refuted for r in results.values())
         done = len(results)
         pending = jobs
         for rung, (budget, deadline) in enumerate(ladder):
             if broken or not pending:
                 break
             stats = self._rung_entry(rung, budget, deadline) if portfolio else None
-            ceiling = RungCeiling() if portfolio and stop_on_refute else None
+            ceiling = RungCeiling() if portfolio and path else None
             carried: set = set()
             held: list = []
 
@@ -601,7 +574,7 @@ class RefutationDriver:
                 results[job.key] = result
                 self._finish(job, result, worker, done if emit else None, total)
                 done += 1
-                broken = broken or (stop_on_refute and result.refuted)
+                broken = broken or (path and result.refuted)
 
             def settle(job: Job, result: EdgeResult, worker: str) -> None:
                 if ceiling is None:
@@ -611,7 +584,7 @@ class RefutationDriver:
                     ceiling.lower(result.path_programs)
                 held.append((job, result, worker))
 
-            self._run_rung(pending, budget, deadline, total, settle, ceiling)
+            self._run_rung(pending, budget, deadline, total, settle, ceiling, path)
             for job, result, worker in held:
                 commit(job, result, worker)
             pending = [job for job in pending if job.key in carried]
@@ -648,18 +621,18 @@ class RefutationDriver:
         total: int,
         settle: Callable[[Job, EdgeResult, str], None],
         ceiling: Optional[RungCeiling] = None,
+        path: bool = False,
     ) -> None:
         """Run every job once at ``budget``/``deadline`` and hand each
-        result to ``settle``: inline on the serial engine in-process or when
-        only one job is left, else on the process pool in completion order.
-        Inline searches run under ``ceiling`` (read live); process workers
-        cannot share it and run uncut.
+        result to ``settle``: inline on the serial engine (under
+        ``ceiling``, read live) for a ``path`` batch, a single job or
+        in-process, else on the process pool in completion order.
 
         A pool whose process worker dies breaks for every job still in
         flight: those jobs settle as :data:`LOST` TIMEOUTs (never
         REFUTED), and the pool is dropped so the next rung or batch gets
         a fresh one."""
-        pool = self._get_pool() if len(jobs) > 1 else None
+        pool = None if path or len(jobs) < 2 else self._get_pool()
         if pool is None:
             for job in jobs:
                 result = self._run_job(job, budget, deadline, ceiling)
@@ -682,7 +655,7 @@ class RefutationDriver:
             slot = futures[fut]
             job = jobs[slot]
             try:
-                result, worker = self._unpack(fut.result())
+                result, worker = self._absorb(fut.result())
             except BrokenExecutor:
                 lost = True
                 result = EdgeResult(edge=job.edge, status=TIMEOUT)
@@ -699,33 +672,21 @@ class RefutationDriver:
         deadline: Optional[float] = None,
         ceiling: Optional[RungCeiling] = None,
     ) -> EdgeResult:
-        """One in-process search under the job's root span (``driver.job``;
-        the engine's ``executor.search`` nests under it)."""
-        with self._search_lock, trace.span(
-            "driver.job", kind=job.kind, description=job.description
-        ):
-            result = job.run(self.engine, budget, deadline, ceiling)
-        _JOBS_DONE.inc()
-        _JOB_SECONDS.observe(result.seconds)
-        return result
+        """One in-process search, taking its turn on the serial engine."""
+        with self._search_lock:
+            return _search(self.engine, job, budget, deadline, ceiling)
 
     # ------------------------------------------------------------------
     # Results, records, reports
     # ------------------------------------------------------------------
 
-    def _unpack(self, payload: tuple) -> tuple[EdgeResult, str]:
-        """Unpack a process worker's return value: the result, the worker
-        name, its process-cumulative cache-counter snapshot (latest
-        snapshot per worker wins — counters are cumulative, so summing
-        per-job values would double-count; merged into the run report) and
-        an ``obs`` dict: a cumulative metrics snapshot (latest wins, merged
-        at :meth:`close`), drained span records (incremental, absorbed into
-        the parent tracer now), and drained search journals (incremental,
-        absorbed into the parent run journal now)."""
-        result, worker, snapshot, obs = payload
-        with self._lock:
-            self._worker_snapshots[worker] = snapshot
-            self._worker_metrics[worker] = obs["metrics"]
+    def _absorb(self, payload: tuple) -> tuple[EdgeResult, str]:
+        """Merge a process worker's payload (see :func:`_process_run`)
+        once, on arrival: the metrics, spans and search journals it
+        gathered since its last job join this process's registry, tracer
+        and run journal. Returns the job's result and worker name."""
+        result, worker, obs = payload
+        metrics.REGISTRY.merge_snapshot(obs["metrics"])
         spans = obs.get("spans")
         if spans and self._tracer is not None:
             self._tracer.absorb(spans, obs["pid"], obs["wall_epoch"])
@@ -851,13 +812,12 @@ class RefutationDriver:
     ) -> RunReport:
         """Snapshot the run so far as a structured :class:`RunReport`.
 
-        The ``cache`` section merges this process's cache counters with the
-        latest snapshot from each process-pool worker. Records are sorted
-        by a stable job token (kind, then description) so reports are
-        byte-stable across ``--jobs``, backend and dispatch order."""
-        with self._lock:
-            snapshots = list(self._worker_snapshots.values())
-        cache = perf.cache_report(snapshots)
+        The ``cache`` section reads this process's registry, which holds
+        every process worker's counters as soon as its job's payload
+        arrives. Records are sorted by a stable job token (kind, then
+        description) so reports are byte-stable across ``--jobs``, backend
+        and dispatch order."""
+        cache = perf.cache_report()
         cache["memoize_solver"] = self.config.memoize_solver
         cache["state_subsumption"] = self.config.state_subsumption
         schedule = self._schedule_section()
@@ -880,6 +840,23 @@ class RefutationDriver:
             )
 
 
+def _search(
+    engine: Engine,
+    job: Job,
+    budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+    ceiling: Optional[RungCeiling] = None,
+) -> EdgeResult:
+    """One search under the job's root span (``driver.job``; the engine's
+    ``executor.search`` nests under it), counted in the ``driver.job*``
+    metrics — in-process and in a process worker alike."""
+    with trace.span("driver.job", kind=job.kind, description=job.description):
+        result = job.run(engine, budget, deadline, ceiling)
+    _JOBS_DONE.inc()
+    _JOB_SECONDS.observe(result.seconds)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Process-backend workers (module-level so they pickle by reference)
 # ---------------------------------------------------------------------------
@@ -891,11 +868,10 @@ def _process_init(payload: bytes) -> None:
     global _PROCESS_ENGINE
     pta, config, trace_on, journal_on = pickle.loads(payload)
     _PROCESS_ENGINE = Engine(pta, config)
-    # A forked worker inherits the parent's registry values; zero them in
-    # place so the snapshot shipped back carries only this worker's own
-    # increments — the parent merge would otherwise re-add its own
-    # pre-fork counts once per worker.
-    metrics.REGISTRY.zero()
+    # A forked worker inherits the parent's registry values; drop them so
+    # each payload carries only this worker's own increments — the parent
+    # merge would otherwise re-add its own pre-fork counts once per worker.
+    metrics.REGISTRY.drain()
     # Mirror the parent's observability setup so worker spans and search
     # journals exist to be drained back after each job.
     if trace_on:
@@ -904,14 +880,16 @@ def _process_init(payload: bytes) -> None:
         provenance.install()
 
 
-def _worker_obs_payload() -> dict:
-    """Everything a process worker ships back besides the job result:
-    a cumulative metrics snapshot, plus incremental drains of the span
-    buffer and the search journals when those subsystems are on."""
-    obs: dict = {
-        "metrics": metrics.REGISTRY.snapshot(),
-        "pid": os.getpid(),
-    }
+def _process_run(
+    job: Job, budget: Optional[int], deadline: Optional[float]
+) -> tuple[EdgeResult, str, dict]:
+    """Run one job on this worker's engine. Returns the result, the worker
+    name and one payload of what this worker gathered since its last job:
+    its metrics-registry counters and histograms, and its span records and
+    search journals when those subsystems are on."""
+    assert _PROCESS_ENGINE is not None
+    result = _search(_PROCESS_ENGINE, job, budget, deadline)
+    obs: dict = {"metrics": metrics.REGISTRY.drain(), "pid": os.getpid()}
     tracer = trace.get_tracer()
     if tracer is not None:
         obs["spans"] = [r.to_dict() for r in tracer.drain()]
@@ -919,13 +897,4 @@ def _worker_obs_payload() -> dict:
     book = provenance.get_journal()
     if book is not None:
         obs["journals"] = book.drain()
-    return obs
-
-
-def _process_run(
-    job: Job, budget: Optional[int], deadline: Optional[float]
-) -> tuple[EdgeResult, str, dict, dict]:
-    assert _PROCESS_ENGINE is not None
-    result = job.run(_PROCESS_ENGINE, budget, deadline)
-    worker = f"process-{os.getpid()}"
-    return result, worker, perf.cache_stats_snapshot(), _worker_obs_payload()
+    return result, f"process-{os.getpid()}", obs

@@ -81,8 +81,9 @@ class RunReport:
     #: from the span stream when tracing is enabled; empty otherwise.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Cache behavior for the run: per-cache hit/miss counts and rates
-    #: (component record, component memo, term interning)
-    #: merged across process-pool workers, plus the active toggle values.
+    #: (component record, component memo, term interning) from the
+    #: registry that process-pool workers' payloads merge into, plus the
+    #: active toggle values.
     #: See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)
     #: Scheduling behavior for the run: the portfolio toggle, per-rung

@@ -89,9 +89,12 @@ class Counter:
         """Fold another process's counter into this one (values add)."""
         self.inc(snap.get("value", 0))
 
-    def zero(self) -> None:
+    def drain(self) -> dict:
+        """:meth:`snapshot`, then zero the count."""
         with self._lock:
+            snap = {"type": "counter", "value": self._value}
             self._value = 0
+        return snap
 
 
 class Gauge:
@@ -125,19 +128,6 @@ class Gauge:
 
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self._value}
-
-    def merge(self, snap: dict) -> None:
-        """Fold another process's gauge into this one. Gauges describe a
-        momentary level, not a total, so merging takes the max — the
-        peak observed across processes."""
-        value = snap.get("value", 0)
-        with self._lock:
-            if value > self._value:
-                self._value = value
-
-    def zero(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
 
 class Histogram:
@@ -199,15 +189,18 @@ class Histogram:
         """Full serializable state, including the retained sample buffer
         (unlike :meth:`to_dict`, which summarizes it as quantiles)."""
         with self._lock:
-            return {
-                "type": "histogram",
-                "count": self.count,
-                "sum": self.total,
-                "min": self.min,
-                "max": self.max,
-                "values": list(self._values),
-                "stride": self._stride,
-            }
+            return self._state()
+
+    def _state(self) -> dict:
+        return {
+            "type": "histogram",
+            "count": self.count,
+            "sum": self.total,
+            "min": self.min,
+            "max": self.max,
+            "values": list(self._values),
+            "stride": self._stride,
+        }
 
     def merge(self, snap: dict) -> None:
         """Fold another process's histogram into this one: exact moments
@@ -229,8 +222,10 @@ class Histogram:
                 self._values = self._values[::2]
                 self._stride *= 2
 
-    def zero(self) -> None:
+    def drain(self) -> dict:
+        """:meth:`snapshot`, then reset to empty."""
         with self._lock:
+            snap = self._state()
             self.count = 0
             self.total = 0.0
             self.min = None
@@ -238,6 +233,7 @@ class Histogram:
             self._values = []
             self._stride = 1
             self._skip = 0
+        return snap
 
     def to_dict(self) -> dict:
         return {
@@ -299,32 +295,35 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    def zero(self) -> None:
-        """Zero every instrument *in place*, preserving identity — callers
-        holding module-level handles keep reporting into the registry.
-        Used by forked process workers to drop the parent's inherited
-        values so the snapshot they ship back carries only their own."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for inst in instruments:
-            inst.zero()
-
     def to_dict(self) -> dict:
         with self._lock:
             instruments = dict(self._instruments)
         return {name: instruments[name].to_dict() for name in sorted(instruments)}
 
     def snapshot(self) -> dict:
-        """Serializable state of every instrument, suitable for shipping
-        across a process boundary and merging via :meth:`merge_snapshot`."""
+        """Serializable state of every instrument."""
         with self._lock:
             instruments = dict(self._instruments)
         return {name: inst.snapshot() for name, inst in instruments.items()}
 
+    def drain(self) -> dict:
+        """The counters and histograms accumulated since the last drain,
+        zeroed *in place* as they are read (callers holding module-level
+        handles keep reporting into the registry): what a process worker
+        ships to its parent's :meth:`merge_snapshot` after each job.
+        Gauges are this process's own levels and are not drained."""
+        with self._lock:
+            instruments = dict(self._instruments)
+        return {
+            name: inst.drain()
+            for name, inst in instruments.items()
+            if not isinstance(inst, Gauge)
+        }
+
     def merge_snapshot(self, snap: dict) -> None:
-        """Fold a worker-process registry snapshot into this registry:
-        counters add, gauges take the max, histograms merge samples."""
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        """Fold another process's :meth:`drain` into this registry:
+        counters add, histograms merge samples; gauges are skipped."""
+        kinds = {"counter": Counter, "histogram": Histogram}
         for name, data in snap.items():
             cls = kinds.get(data.get("type"))
             if cls is None:

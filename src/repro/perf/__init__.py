@@ -25,8 +25,9 @@ from __future__ import annotations
 from ..obs import metrics
 from .memo import SOLVER_MEMO, LRUCache, SolverMemo
 
-#: Counters that describe cache behavior; snapshotted per process so the
-#: driver can merge process-pool workers' tallies into one report.
+#: Counters that describe cache behavior: the run report's ``cache``
+#: section (process-pool workers' tallies join the registry as each job's
+#: payload arrives).
 CACHE_METRIC_NAMES = (
     "solver.checks",
     "solver.unsat",
@@ -67,8 +68,8 @@ def refresh_intern_gauges() -> None:
 
 
 def cache_stats_snapshot() -> dict:
-    """This process's cumulative cache counters, as a plain dict (cheap to
-    pickle back from process-pool workers)."""
+    """This process's cumulative cache counters and term-intern tallies,
+    as a plain dict."""
     refresh_intern_gauges()
     out: dict = {}
     for name in CACHE_METRIC_NAMES:
@@ -85,13 +86,10 @@ def _rate(hits: float, misses: float) -> float:
     return hits / total if total else 0.0
 
 
-def cache_report(extra_snapshots: list | None = None) -> dict:
-    """The run report's ``cache`` section: this process's counters merged
-    with any process-pool workers' snapshots, with per-cache hit rates."""
+def cache_report() -> dict:
+    """The run report's ``cache`` section: this process's counters, with
+    per-cache hit rates."""
     merged = cache_stats_snapshot()
-    for snap in extra_snapshots or []:
-        for name, value in snap.items():
-            merged[name] = merged.get(name, 0) + value
     return {
         "counters": merged,
         # Whole queries the component record answered; the name is kept
@@ -141,9 +139,9 @@ def cache_report(extra_snapshots: list | None = None) -> dict:
 
 
 def _store_section(merged: dict) -> dict:
-    """The persistent verdict store's slice of the run report: merged
-    hit/miss/write/evict counters (this process + any workers), plus the
-    open store's durable identity when one is active."""
+    """The persistent verdict store's slice of the run report:
+    hit/miss/write/evict counters, plus the open store's durable identity
+    when one is active."""
     from . import store as _store
 
     section = {

@@ -31,6 +31,17 @@ worker — see ``TestBrokenPool`` in ``tests/unit/test_engine_driver.py``).
 
 The golden was last regenerated for one deliberate change:
 
+* **paths run inline** — a path batch (``refute_path``) runs on the
+  driver's engine whatever the backend; only flat batches (edges, facts)
+  reach the process pool. Only the 17 ``*/path*/process/*`` cells whose
+  pool run differed changed (the other 7 already matched): each now
+  equals its ``*/serial/*`` cell except for ``backend``, which names the
+  backend asked for (see ``test_process_path_cells_equal_serial_cells``).
+  Without portfolio the path is walked one edge at a time, and under
+  portfolio its path-mates are cut live by the rung ceiling.
+
+The regeneration before it was for one deliberate change:
+
 * **in-process threads** — ``backend="thread"`` no longer starts a
   thread pool: under the GIL it could never run two searches at once, so
   it resolves to the serial backend and ``jobs=3, backend="thread"`` runs
@@ -40,7 +51,7 @@ The golden was last regenerated for one deliberate change:
   schedules no ``EdgeScheduled`` events and, without portfolio, walks a
   path one edge at a time. The serial and process cells are unchanged.
 
-The regeneration before it was for three deliberate changes:
+The regeneration before that was for three deliberate changes:
 
 * **one schedule** — the ``lifo``/``priority`` schedule policy is gone:
   every search keeps the LIFO worklist, and the driver dispatches every
@@ -253,15 +264,14 @@ def test_golden_covers_the_grid(golden):
 
 
 def test_submission_order_shows_only_in_the_serial_walk(golden):
-    """Every batch but the in-process walk dispatches cheapest first, so both
+    """Every batch but the path walk dispatches cheapest first, so both
     submission orders record the same cell there (path verdicts come back
     in submission order, so they are compared as sets)."""
     for case in case_ids():
         if case[-1] != "lifo":
             continue
         fixture, operation, backend, portfolio, _ = case
-        in_process = backend[0] in ("serial", "thread")
-        if in_process and not portfolio and operation.startswith("path"):
+        if not portfolio and operation.startswith("path"):
             continue
         lifo = dict(golden[case_key(*case)])
         cost = dict(golden[case_key(fixture, operation, backend, portfolio, "priority")])
@@ -271,22 +281,38 @@ def test_submission_order_shows_only_in_the_serial_walk(golden):
         assert lifo == cost, case_key(*case)
 
 
-def test_thread_cells_equal_serial_cells(golden):
-    """``backend="thread"`` runs in-process, so every thread cell is its
-    serial cell; the events are compared as multisets because the golden
-    keeps the serial stream in order."""
+def _in_process_cells(golden, name, operations, named) -> int:
+    """Check that every ``name`` backend cell of ``operations`` is its
+    serial cell, apart from the backend it names (``named``); the events
+    are compared as multisets because the golden keeps the serial stream
+    in order. Returns the cell count."""
     cells = 0
     for case in case_ids():
         fixture, operation, backend, portfolio, order = case
-        if backend[0] != "thread":
+        if backend[0] != name or operation not in operations:
             continue
-        thread = dict(golden[case_key(*case)])
+        cell = dict(golden[case_key(*case)])
         serial = dict(golden[case_key(fixture, operation, BACKENDS[0], portfolio, order)])
-        for cell in (thread, serial):
-            cell["events"] = sorted(cell["events"], key=json.dumps)
-        assert thread == serial, case_key(*case)
+        for c in (cell, serial):
+            c["events"] = sorted(c["events"], key=json.dumps)
+        assert serial.pop("backend") == "serial"
+        assert cell.pop("backend") == named, case_key(*case)
+        assert cell == serial, case_key(*case)
         cells += 1
-    assert cells == 48
+    return cells
+
+
+def test_thread_cells_equal_serial_cells(golden):
+    """``backend="thread"`` runs in-process, so every thread cell is its
+    serial cell."""
+    assert _in_process_cells(golden, "thread", OPERATIONS, "serial") == 48
+
+
+def test_process_path_cells_equal_serial_cells(golden):
+    """A path batch never reaches the process pool, so every process path
+    cell is its serial cell."""
+    paths = ("path", "path_warm")
+    assert _in_process_cells(golden, "process", paths, "process") == 24
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from repro.ir import Interpreter, Limits, compile_program
 from repro.pointsto import analyze
 from repro.pointsto.graph import HeapEdge, StaticFieldNode
 from repro.pointsto.heappaths import find_heap_path
+from repro.pointsto.producers import edge_key
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED
 
@@ -244,24 +245,39 @@ def test_driver_portfolio_paths_never_refute_produced_edges(source):
 
 
 @settings(
-    max_examples=5,
+    max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(programs())
 @example(
     # A three-edge path M.s -> box -> box -> object whose middle edge only
-    # a dead branch writes: the pool runs all three mates at once.
+    # a dead branch writes.
     HEADER
     + "b0 = new Box(); o0 = new Object(); b0.v = o0; b1 = new Box();"
     " if (i0 == 1) { b1.next = b0; } M.s = b1; b2 = new Box(); b2.next = b0;"
     + FOOTER
 )
-def test_driver_process_pool_paths_never_refute_produced_edges(source):
-    """On the process pool: path-mates run uncut and only the commit
-    filter of the rung ceiling applies. Few generated programs have a
-    path of two or more edges, so one explicit example does."""
-    _driver_paths_never_refute_produced_edges(source, jobs=2, backend="process")
+def test_driver_process_pool_edges_never_refute_produced_edges(source):
+    """On the process pool: every heap and static edge of the program runs
+    as one flat portfolio batch (``refute_edges``, the batch ``witness``
+    issues), and the pool runs whenever two or more edges are searched."""
+    program = compile_program(source)
+    produced = concrete_edge_keys(program)
+    pta = analyze(program)
+    edges = list(pta.graph.heap_edges()) + list(pta.graph.static_edges())
+    config = SearchConfig(path_budget=3_000, portfolio=True)
+    with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
+        results = driver.refute_edges(edges)
+        records = driver.build_report().records
+    for edge in edges:
+        if results[edge_key(edge)].status == REFUTED:
+            assert graph_edge_key(edge) not in produced, (
+                f"UNSOUND: pool refuted edge {edge}, produced concretely\n"
+                f"program:\n{source}"
+            )
+    if len(records) >= 2:
+        assert any(r.worker.startswith("process-") for r in records), records
 
 
 @settings(

@@ -136,6 +136,19 @@ CLIENT_REQUESTS = {
 }
 
 
+#: Two downcasts, each of an object a dead branch may swap in.
+TWO_CASTS = (
+    "class A { } class B { } class M { static void main() {"
+    " int tag = 0;"
+    " Object o = new B();"
+    " if (tag == 1) { o = new A(); }"
+    " A a = (A) o;"
+    " Object p = new A();"
+    " if (tag == 2) { p = new B(); }"
+    " B b = (B) p; } }"
+)
+
+
 def canon(result) -> dict:
     """The result's wire rendering minus everything timing- or
     cache-shaped: what "bit-identical verdicts" means on the wire."""
@@ -171,25 +184,30 @@ class TestClientParity:
 
     def test_process_backend_shares_the_store(self, tmp_path):
         """``--backend process`` parity: workers attach the same store
-        directory, and their hits surface in the merged run report."""
-        kwargs = CLIENT_REQUESTS["reachability"]
+        directory, and their hits surface in the merged run report. Two
+        suspicious casts make a flat batch of two fact jobs, which runs on
+        the pool."""
+        kwargs = dict(source=TWO_CASTS)
         cache_dir = str(tmp_path)
         SOLVER_MEMO.clear()
-        cold = canon(analyze(client="reachability", jobs=2, **kwargs))
+        cold = canon(analyze(client="casts", jobs=2, **kwargs))
 
         SOLVER_MEMO.clear()
-        analyze(client="reachability", cache_dir=cache_dir, **kwargs)
+        analyze(client="casts", cache_dir=cache_dir, **kwargs)
         perf_store.deactivate()
 
         SOLVER_MEMO.clear()
         warm_result = analyze(
-            client="reachability",
+            client="casts",
             cache_dir=cache_dir,
             jobs=2,
             backend="process",
             **kwargs,
         )
         assert canon(warm_result) == cold
+        workers = [r.worker for r in warm_result.report.records]
+        assert len(workers) == 2, workers
+        assert all(w.startswith("process-") for w in workers), workers
         store_section = warm_result.report.cache["store"]
         assert store_section["enabled"]
         assert store_section["hits"] > 0, "no worker ever hit the store"

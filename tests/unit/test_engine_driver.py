@@ -10,6 +10,7 @@ import repro.engine.driver as driver_module
 
 import pytest
 
+from repro import perf
 from repro.android.leaks import LeakChecker
 from repro.bench.apps import app_by_name
 from repro.bench.workloads import mixed_app
@@ -24,6 +25,7 @@ from repro.engine import (
 from repro.ir import compile_program
 from repro.obs import metrics
 from repro.pointsto import analyze
+from repro.solver import terms
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED, TIMEOUT, WITNESSED
 
@@ -93,8 +95,9 @@ class TestSerialDriver:
 
 
 class TestBackends:
-    """Only ``backend="process"`` with ``jobs > 1`` starts a pool; every
-    other combination, and a process pool that cannot start, runs
+    """Only ``backend="process"`` with ``jobs > 1`` starts a pool, and only
+    for a flat batch of two or more fresh jobs; every other combination,
+    every path batch, and a process pool that cannot start, runs
     in-process on the serial engine."""
 
     @pytest.mark.parametrize(
@@ -107,11 +110,33 @@ class TestBackends:
             (3, "process", "process", 3),
         ],
     )
-    def test_backend_and_worker_gauge(self, pta, jobs, backend, resolved, workers):
-        """``driver.workers`` reports the workers that actually run."""
+    def test_backend_and_worker_gauge(
+        self, pta, edges, jobs, backend, resolved, workers
+    ):
+        """``driver.workers`` reports the workers that actually run: one
+        until a flat batch starts a pool."""
         with RefutationDriver(pta, jobs=jobs, backend=backend) as driver:
             assert driver.backend == resolved
+            assert metrics.gauge("driver.workers").value == 1
+            driver.refute_edges(edges)
             assert metrics.gauge("driver.workers").value == workers
+
+    @pytest.mark.parametrize("portfolio", [False, True])
+    def test_pool_runs_flat_batches_never_paths(self, pta, edges, portfolio):
+        config = SearchConfig(portfolio=portfolio)
+        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
+            driver.refute_path(edges)
+            assert driver._pool is None
+            paths = driver.build_report().records
+            assert {r.worker for r in paths} == {"serial"}
+            assert metrics.gauge("driver.workers").value == 1
+        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
+            driver.refute_edges(edges)
+            assert driver._pool is not None
+        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
+            driver.refute_facts(_box_facts(pta))
+            workers = {r.worker for r in driver.build_report().records}
+        assert all(w.startswith("process-") for w in workers), workers
 
     def test_pool_that_cannot_start_runs_in_process(self, pta, edges, monkeypatch):
         def unavailable(*args, **kwargs):
@@ -229,6 +254,36 @@ def _box_facts(pta):
     var = getattr(cmd.rhs, "name", cmd.rhs)
     locs = sorted(pta.pt_local("Main.main", var), key=str)
     return [(cmd.label, [(var, frozenset({loc}))], f"fact {loc}") for loc in locs]
+
+
+class TestOneMerge:
+    """A process worker's payload joins the parent's registry once, when
+    it arrives, so the run report reads one set of counters."""
+
+    def test_cache_section_is_final_before_close(self):
+        pta = analyze(
+            compile_program(mixed_app(3, 1, easy_branches=1, hard_branches=6))
+        )
+        edges = sorted(pta.graph.static_edges(), key=str)
+        # A warm parent: forked workers inherit its term-intern table.
+        warm = RefutationDriver(pta)
+        warm.refute_edges(edges)
+        before = warm.build_report().cache["counters"]
+        with RefutationDriver(pta, jobs=2, backend="process") as driver:
+            driver.refute_edges(edges)
+            report = driver.build_report()
+            cache = report.cache
+            registry = {
+                name: metrics.REGISTRY.get(name).value
+                for name in perf.CACHE_METRIC_NAMES
+                if metrics.REGISTRY.get(name) is not None
+            }
+        assert any(r.worker.startswith("process-") for r in report.records)
+        assert driver.build_report().cache == cache
+        after = cache["counters"]
+        assert after["executor.states_explored"] > before["executor.states_explored"]
+        assert {name: after[name] for name in registry} == registry
+        assert cache["term_intern"]["hits"] <= terms.intern_stats()["hits"]
 
 
 class TestBrokenPool:
@@ -357,18 +412,20 @@ class TestRefutationKinds:
         assert second.refutation_kinds == alone.refutation_kinds
 
     def test_serial_and_process_records_agree(self):
-        app = app_by_name("PulsePoint")
-        serial = LeakChecker(app.source, app.name, jobs=1).run()
-        pooled = LeakChecker(
-            app.source, app.name, jobs=2, backend="process"
-        ).run()
-        kinds = [
-            {r.description: r.refutation_kinds for r in report.run_report.records}
-            for report in (serial, pooled)
-        ]
-        common = set(kinds[0]) & set(kinds[1])
-        assert any(kinds[0][d] for d in common)
-        assert all(kinds[0][d] == kinds[1][d] for d in common)
+        checker = LeakChecker(app_by_name("PulsePoint").source, "PulsePoint")
+        edges = {str(e): e for e in checker.pta.graph.heap_edges()}
+        batch = [edges[self.FIRST], edges[self.SECOND]]
+        kinds = []
+        for jobs, backend in ((1, None), (2, "process")):
+            with RefutationDriver(
+                checker.pta, checker.config, jobs=jobs, backend=backend
+            ) as driver:
+                driver.refute_edges(batch)
+                records = driver.build_report().records
+            kinds.append({r.description: r.refutation_kinds for r in records})
+        assert all(r.worker.startswith("process-") for r in records)
+        assert kinds[0][self.FIRST] and kinds[0][self.SECOND]
+        assert kinds[0] == kinds[1]
 
 
 class TestFactJobs:

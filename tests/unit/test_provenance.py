@@ -460,6 +460,7 @@ class TestProcessPoolObservability:
             for name in (
                 "executor.states_explored",
                 "solver.checks",
+                "driver.jobs_completed",
             )
         }
         driver.refute_edges(sorted(pta.graph.heap_edges(), key=str))
@@ -478,6 +479,9 @@ class TestProcessPoolObservability:
             > before["executor.states_explored"]
         )
         assert metrics.counter("solver.checks").value > before["solver.checks"]
+        # Each of the two worker jobs counts as a driver job, as inline.
+        jobs = metrics.counter("driver.jobs_completed").value
+        assert jobs - before["driver.jobs_completed"] == 2
 
     def test_worker_journals_merge_into_parent(self, process_run):
         report, book, tracer, before = process_run
@@ -532,6 +536,19 @@ class A extends Activity {
     static Activity cache;
     static Activity leaked;
     void onCreate() { if (A.keep) { A.cache = this; } A.leaked = this; }
+}
+"""
+
+
+#: ``A.cache`` has two guarded edges: a flat ``witness`` batch of two jobs.
+GUARDED_TWICE = """
+class A extends Activity {
+    static boolean keep = false;
+    static Object cache;
+    void onCreate() {
+        if (A.keep) { A.cache = this; }
+        if (A.keep) { A.cache = new Object(); }
+    }
 }
 """
 
@@ -613,24 +630,30 @@ class TestExplainCli:
         from repro.cli import main
 
         app = tmp_path / "app.mj"
-        app.write_text(APP)
+        app.write_text(GUARDED_TWICE)
         metrics_file = tmp_path / "metrics.json"
+        report_file = tmp_path / "report.json"
         before = metrics.counter("executor.states_explored").value
         main(
             [
-                "check",
+                "witness",
                 str(app),
+                "A.cache",
                 "--jobs",
                 "2",
                 "--backend",
                 "process",
+                "--json-report",
+                str(report_file),
                 "--metrics",
                 str(metrics_file),
             ]
         )
+        report = json.loads(report_file.read_text())
+        assert all(r["worker"].startswith("process-") for r in report["records"])
         dump = json.loads(metrics_file.read_text())
-        # The searches ran in worker processes; the dump (written after the
-        # driver merged worker snapshots) must include their effort.
+        # The searches ran in worker processes; the dump must include the
+        # effort their payloads carried back.
         assert dump["executor.states_explored"]["value"] > before
         assert dump["solver.checks"]["value"] > 0
 

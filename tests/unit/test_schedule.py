@@ -364,8 +364,8 @@ class TestRungCeiling:
         }
         expected = runs["serial", "given"]
         assert all(run == expected for run in runs.values()), runs
-        # The in-process runner cuts live and the process pool does not;
-        # what is committed must not depend on either, run after run.
+        # Every backend runs a path inline and cuts live; what is
+        # committed must not depend on it, run after run.
         for _ in range(20):
             assert _path_run(pta, edges, 3, None) == expected
 

@@ -564,14 +564,15 @@ class TestMetricsStreamer:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler metrics under the process pool (snapshot/merge)
+# Scheduler metrics under the process pool (drain/merge)
 # ---------------------------------------------------------------------------
 
 
 class TestProcessPoolSchedulerMetrics:
     def test_synthetic_worker_snapshots_merge_to_sums(self):
-        """Counters add, gauges take the max — merged totals must equal
-        the per-worker sums for every scheduler family."""
+        """Counters add — merged totals must equal the per-worker sums for
+        every scheduler family — and gauges, one process's own levels,
+        are not shipped."""
         names = (
             "driver.rung.resolved.1",
             "driver.rung.scheduled.0",
@@ -588,11 +589,13 @@ class TestProcessPoolSchedulerMetrics:
             workers.append(reg)
         parent = metrics.MetricsRegistry()
         for reg in workers:
-            parent.merge_snapshot(reg.snapshot())
+            parent.merge_snapshot(reg.drain())
+            # A drain zeroes what it ships: the next one carries nothing.
+            assert {snap["value"] for snap in reg.drain().values()} == {0}
         for i, name in enumerate(names):
             expected = sum(w + i for w in range(3))
             assert parent.counter(name).value == expected, name
-        assert parent.gauge("pool.workers").value == 2
+        assert parent.get("pool.workers") is None
         # And the merged registry folds into labeled exposition series.
         text = render_prometheus(parent)
         assert (
@@ -603,10 +606,10 @@ class TestProcessPoolSchedulerMetrics:
     def test_process_backend_portfolio_rung_counters_match_schedule(
         self, pta, edges
     ):
-        """Under --backend process the rung ladder runs in the parent:
-        the registry's per-rung counter deltas must equal the report's
-        schedule table exactly (merged totals == per-worker sums is
-        covered above; this pins the end-to-end accounting)."""
+        """Under --backend process the rung ladder of a flat batch runs
+        in the parent: the registry's per-rung counter deltas must equal
+        the report's schedule table exactly (merged totals == per-worker
+        sums is covered above; this pins the end-to-end accounting)."""
 
         def rung_counts():
             out = {}
