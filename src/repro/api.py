@@ -348,7 +348,7 @@ def _run_client(
     request: AnalysisRequest, pta: "object", config: SearchConfig, driver: "object"
 ) -> AnalysisResult:
     """Dispatch a validated request to its client against a caller-supplied
-    refuter. Shared between :func:`analyze` (fresh driver per call) and the
+    driver. Shared between :func:`analyze` (fresh driver per call) and the
     serve session (one persistent driver across requests; clients never
     close an engine they did not create)."""
     if request.client == "casts":

@@ -21,7 +21,7 @@ from ..pointsto import PointsToResult
 from ..pointsto.graph import AbsLoc
 from ..symbolic import SearchConfig
 from ..symbolic.stats import REFUTED, WITNESSED
-from .reachability import Refuter, _finalize, _resolve_refuter
+from .reachability import _driver_for
 from .result import AnalysisResult, AnalysisStats, make_result
 
 SAFE = "safe"
@@ -44,12 +44,14 @@ class CastReport:
         return f"({self.cast.class_name}) {self.cast.src} in {self.method}: {self.status}"
 
 
-def _check_casts(pta: PointsToResult, refuter: Refuter) -> list[CastReport]:
+def _check_casts(
+    pta: PointsToResult, driver: RefutationDriver
+) -> list[CastReport]:
     """Check every reachable cast in the program.
 
-    Each suspicious cast is an independent fact-refutation query; with a
-    parallel driver (``jobs > 1``) the queries are fanned out over the
-    worker pool. Reports come back in program order either way."""
+    Each suspicious cast is an independent fact-refutation query, and the
+    driver runs them as one batch (over its process pool under ``jobs >
+    1, backend="process"``). Reports come back in program order."""
     table = pta.program.class_table
     reports: list[Optional[CastReport]] = []
     # First pass: classify trivially-safe casts, collect the rest as jobs.
@@ -74,22 +76,16 @@ def _check_casts(pta: PointsToResult, refuter: Refuter) -> list[CastReport]:
             jobs_to_run.append((len(reports), cmd, qname, suspects))
             reports.append(None)
     # Second pass: run the batch and fill reports back in program order.
-    if isinstance(refuter, RefutationDriver):
-        results = refuter.refute_facts(
-            [
-                (
-                    cmd.label,
-                    [(cmd.src, suspects)],
-                    f"cast@L{cmd.label} ({cmd.class_name}) {cmd.src} in {qname}",
-                )
-                for _, cmd, qname, suspects in jobs_to_run
-            ]
-        )
-    else:
-        results = [
-            refuter.refute_fact_at(cmd.label, [(cmd.src, suspects)])
-            for _, cmd, _, suspects in jobs_to_run
+    results = driver.refute_facts(
+        [
+            (
+                cmd.label,
+                [(cmd.src, suspects)],
+                f"cast@L{cmd.label} ({cmd.class_name}) {cmd.src} in {qname}",
+            )
+            for _, cmd, qname, suspects in jobs_to_run
         ]
+    )
     for (index, cmd, qname, suspects), result in zip(jobs_to_run, results):
         if result.status == REFUTED:
             status = SAFE
@@ -113,17 +109,15 @@ def analyze_casts(
     pta: PointsToResult,
     *,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> AnalysisResult:
     """Normalized downcast-safety client: check every reachable cast and
     report through the shared :class:`~repro.clients.result.AnalysisResult`
     protocol. ``results`` are the familiar :class:`CastReport` objects in
     program order."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    reports = _check_casts(pta, refuter)
-    report = _finalize(refuter, engine, "casts")
+    with _driver_for(pta, config, engine) as driver:
+        reports = _check_casts(pta, driver)
+        report = driver.build_report(command="casts")
     stats = AnalysisStats(items=len(reports))
     for r in reports:
         if r.status == SAFE:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..engine import RefutationDriver
 from ..pointsto import PointsToResult, reachable_from, static_roots
 from ..pointsto.graph import AbsLoc, HeapEdge, StaticFieldNode
 from ..symbolic import SearchConfig
@@ -22,10 +23,8 @@ from .reachability import (
     HOLDS,
     INCONCLUSIVE,
     VIOLATED,
-    Refuter,
-    _finalize,
+    _driver_for,
     _refute_reachability,
-    _resolve_refuter,
 )
 from .result import AnalysisResult, AnalysisStats, make_result
 
@@ -41,7 +40,7 @@ class ExposureResult:
 
 
 def _check_encapsulation(
-    pta: PointsToResult, owner_class: str, field: str, engine: Refuter
+    pta: PointsToResult, owner_class: str, field: str, driver: RefutationDriver
 ) -> list[ExposureResult]:
     """Check that the representation objects held in ``owner_class.field``
     are not reachable from any static field. Returns an
@@ -67,7 +66,7 @@ def _check_encapsulation(
         for root, reached in reach.items():
             if rep not in reached:
                 continue
-            inner = _refute_reachability(pta, engine, root, rep, shared)
+            inner = _refute_reachability(pta, driver, root, rep, shared)
             results.append(
                 ExposureResult(
                     owner_class,
@@ -87,16 +86,14 @@ def analyze_encapsulation(
     field: str,
     *,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> AnalysisResult:
     """Normalized encapsulation client. ``results`` are the candidate
     :class:`ExposureResult` objects; ``verified`` means every candidate
     exposure of ``owner_class.field``'s representation was refuted."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    results = _check_encapsulation(pta, owner_class, field, refuter)
-    report = _finalize(refuter, engine, "encapsulation")
+    with _driver_for(pta, config, engine) as driver:
+        results = _check_encapsulation(pta, owner_class, field, driver)
+        report = driver.build_report(command="encapsulation")
     stats = AnalysisStats(items=len(results))
     for r in results:
         if r.status == HOLDS:

@@ -22,7 +22,7 @@ from ..ir.program import INIT
 from ..pointsto import PointsToResult
 from ..symbolic import SearchConfig
 from ..symbolic.stats import REFUTED, WITNESSED
-from .reachability import Refuter, _finalize, _resolve_refuter
+from .reachability import _driver_for
 from .result import AnalysisResult, AnalysisStats, make_result
 
 IMMUTABLE = "immutable"
@@ -51,11 +51,11 @@ class ImmutabilityReport:
 
 
 def _check_immutable(
-    pta: PointsToResult, class_name: str, refuter: Refuter
+    pta: PointsToResult, class_name: str, driver: RefutationDriver
 ) -> ImmutabilityReport:
     """Check that instances of ``class_name`` are never mutated outside
     their own constructors. Each flagged write is an independent
-    fact-refutation query, fanned out over the driver's worker pool."""
+    fact-refutation query; the driver runs them as one batch."""
     table = pta.program.class_table
     targets = frozenset(
         loc
@@ -80,18 +80,12 @@ def _check_immutable(
                 continue
             jobs_to_run.append((cmd, qname, suspects))
     # Second pass: refute the batch, then fold verdicts in program order.
-    if isinstance(refuter, RefutationDriver):
-        results = refuter.refute_facts(
-            [
-                (cmd.label, [(cmd.base, suspects)], f"write@L{cmd.label} in {qname}")
-                for cmd, qname, suspects in jobs_to_run
-            ]
-        )
-    else:
-        results = [
-            refuter.refute_fact_at(cmd.label, [(cmd.base, suspects)])
-            for cmd, _, suspects in jobs_to_run
+    results = driver.refute_facts(
+        [
+            (cmd.label, [(cmd.base, suspects)], f"write@L{cmd.label} in {qname}")
+            for cmd, qname, suspects in jobs_to_run
         ]
+    )
     sites: list[MutationSite] = []
     overall = IMMUTABLE
     for (cmd, qname, suspects), result in zip(jobs_to_run, results):
@@ -115,17 +109,15 @@ def analyze_immutability(
     class_name: str,
     *,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> AnalysisResult:
     """Normalized immutability client. ``results`` are the flagged
     :class:`MutationSite` objects (``check_immutable(...).sites``); the
     rollup status maps ``immutable``/``mutated``/``unknown`` onto the
     shared ``verified``/``violated``/``inconclusive`` vocabulary."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    inner = _check_immutable(pta, class_name, refuter)
-    report = _finalize(refuter, engine, "immutability")
+    with _driver_for(pta, config, engine) as driver:
+        inner = _check_immutable(pta, class_name, driver)
+        report = driver.build_report(command="immutability")
     stats = AnalysisStats(items=len(inner.sites))
     for site in inner.sites:
         if site.status == "refuted":

@@ -13,8 +13,9 @@ parallel :class:`repro.engine.RefutationDriver`."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterator, Optional
 
 from ..engine import RefutationDriver
 from ..pointsto import (
@@ -24,16 +25,12 @@ from ..pointsto import (
     static_roots,
 )
 from ..pointsto.graph import AbsLoc, HeapEdge, StaticFieldNode
-from ..symbolic import Engine, SearchConfig
+from ..symbolic import SearchConfig
 from .result import AnalysisResult, AnalysisStats, make_result
 
 HOLDS = "holds"  # the assertion is verified (all paths refuted)
 VIOLATED = "violated"  # a fully witnessed heap path exists
 INCONCLUSIVE = "inconclusive"  # timeouts prevented a verdict
-
-#: Every client entry point accepts either a bare serial engine or the
-#: parallel driver; bare engines keep the seed's one-edge-at-a-time walk.
-Refuter = Union[Engine, RefutationDriver]
 
 
 @dataclass
@@ -46,40 +43,33 @@ class ReachabilityResult:
     timeouts: int = 0
 
 
-def _resolve_refuter(
+@contextmanager
+def _driver_for(
     pta: PointsToResult,
     config: Optional[SearchConfig],
-    engine: Optional[Refuter],
-    jobs: int,
-    deadline: Optional[float],
-) -> Refuter:
+    engine: Optional[RefutationDriver],
+) -> Iterator[RefutationDriver]:
+    """The caller's driver (``engine=``; its lifecycle is theirs), or a
+    fresh one on ``config`` that is closed on exit."""
     if engine is not None:
-        return engine
-    return RefutationDriver(
-        pta, config or SearchConfig(), jobs=jobs, deadline=deadline
-    )
-
-
-def _refute_path(
-    refuter: Refuter, path: list[HeapEdge]
-) -> Iterable[tuple[HeapEdge, "object"]]:
-    if isinstance(refuter, RefutationDriver):
-        return refuter.refute_path(path)
-    return ((edge, refuter.refute_edge(edge)) for edge in path)
+        yield engine
+        return
+    driver = RefutationDriver(pta, config or SearchConfig())
+    try:
+        yield driver
+    finally:
+        driver.close()
 
 
 def _refute_reachability(
     pta: PointsToResult,
-    engine: Refuter,
+    driver: RefutationDriver,
     root: StaticFieldNode,
     target: AbsLoc,
     shared_refuted: Optional[set] = None,
 ) -> ReachabilityResult:
-    """The Section 2 loop: find a heap path, refute edges, re-route.
-
-    ``engine`` may be a serial :class:`Engine` or a
-    :class:`RefutationDriver`; with a driver the edges of each candidate
-    path are refuted across the worker pool."""
+    """The Section 2 loop: find a heap path, refute its edges through the
+    driver (:meth:`RefutationDriver.refute_path`), re-route."""
     refuted: set[HeapEdge] = shared_refuted if shared_refuted is not None else set()
     refuted_count = 0
     timeouts = 0
@@ -92,7 +82,7 @@ def _refute_reachability(
         # path-mate's timeout next to a refuted edge decided nothing (and
         # under the portfolio it is a provisional rung result).
         path_timeouts = 0
-        for edge, result in _refute_path(engine, path):
+        for edge, result in driver.refute_path(path):
             if result.refuted:
                 refuted.add(edge)
                 refuted_count += 1
@@ -114,15 +104,12 @@ def assert_unreachable(
     root_field: str,
     target_class: str,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> list[ReachabilityResult]:
     """Check "no instance of ``target_class`` is ever reachable from the
     static field ``root_class.root_field``". Returns one result per target
     abstract location connected in the flow-insensitive graph (empty list
     means the points-to analysis already proves the assertion)."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
     root = StaticFieldNode(root_class, root_field)
     table = pta.program.class_table
     targets = [
@@ -135,10 +122,13 @@ def assert_unreachable(
     reach = reachable_from(pta.graph, root)
     shared: set[HeapEdge] = set()
     results = []
-    for target in sorted(targets, key=str):
-        if target not in reach:
-            continue  # not even flow-insensitively reachable
-        results.append(_refute_reachability(pta, refuter, root, target, shared))
+    with _driver_for(pta, config, engine) as driver:
+        for target in sorted(targets, key=str):
+            if target not in reach:
+                continue  # not even flow-insensitively reachable
+            results.append(
+                _refute_reachability(pta, driver, root, target, shared)
+            )
     return results
 
 
@@ -146,49 +136,31 @@ def assert_not_leaked(
     pta: PointsToResult,
     site_hint: str,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> list[ReachabilityResult]:
     """Escape-to-static check for one allocation site: is any instance
     allocated at the site named ``site_hint`` (e.g. ``"box0"``) reachable
     from *any* static field? The lifetime-assertion flavor of the client."""
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
     targets = [
         loc for loc in pta.graph.all_abs_locs() if loc.site.hint == site_hint
     ]
     shared: set[HeapEdge] = set()
     results = []
-    for root in static_roots(pta.graph):
-        reach = reachable_from(pta.graph, root)
-        for target in sorted(targets, key=str):
-            if target not in reach:
-                continue
-            results.append(_refute_reachability(pta, refuter, root, target, shared))
+    with _driver_for(pta, config, engine) as driver:
+        for root in static_roots(pta.graph):
+            reach = reachable_from(pta.graph, root)
+            for target in sorted(targets, key=str):
+                if target not in reach:
+                    continue
+                results.append(
+                    _refute_reachability(pta, driver, root, target, shared)
+                )
     return results
 
 
 def verified(results: list[ReachabilityResult]) -> bool:
     """True when the assertion holds: every connected pair was refuted."""
     return all(r.status == HOLDS for r in results)
-
-
-def _finalize(
-    refuter: Refuter, engine: Optional[Refuter], command: str
-) -> Optional["object"]:
-    """Snapshot the run report and release the pool when we own the driver.
-
-    Every normalized ``analyze_*`` entry point funnels through here: if the
-    refuter is a :class:`RefutationDriver` its structured
-    :class:`~repro.engine.report.RunReport` is attached to the result, and
-    the worker pool is shut down unless the caller supplied the driver
-    (then its lifecycle is theirs)."""
-    report = None
-    if isinstance(refuter, RefutationDriver):
-        report = refuter.build_report(command=command)
-        if engine is None:
-            refuter.close()
-    return report
 
 
 def _tally_reachability(results: list[ReachabilityResult]) -> AnalysisStats:
@@ -211,9 +183,7 @@ def analyze_reachability(
     *,
     site: Optional[str] = None,
     config: Optional[SearchConfig] = None,
-    engine: Optional[Refuter] = None,
-    jobs: int = 1,
-    deadline: Optional[float] = None,
+    engine: Optional[RefutationDriver] = None,
 ) -> AnalysisResult:
     """Normalized heap-reachability client.
 
@@ -230,14 +200,14 @@ def analyze_reachability(
             "analyze_reachability needs either site=... or all of"
             " root_class/root_field/target_class"
         )
-    refuter = _resolve_refuter(pta, config, engine, jobs, deadline)
-    if site is not None:
-        results = assert_not_leaked(pta, site, config, refuter)
-    else:
-        results = assert_unreachable(
-            pta, root_class, root_field, target_class, config, refuter
-        )
-    report = _finalize(refuter, engine, "reachability")
+    with _driver_for(pta, config, engine) as driver:
+        if site is not None:
+            results = assert_not_leaked(pta, site, engine=driver)
+        else:
+            results = assert_unreachable(
+                pta, root_class, root_field, target_class, engine=driver
+            )
+        report = driver.build_report(command="reachability")
     return make_result(
         "reachability", results, _tally_reachability(results), report
     )

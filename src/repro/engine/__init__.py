@@ -17,7 +17,6 @@ from .events import (
     ProgressPrinter,
     RunFinished,
     RunStarted,
-    SpanFinished,
 )
 from .report import EdgeRecord, RunReport
 
@@ -33,7 +32,6 @@ __all__ = [
     "ProgressPrinter",
     "RunFinished",
     "RunStarted",
-    "SpanFinished",
     "EdgeRecord",
     "RunReport",
     "diff_reports",

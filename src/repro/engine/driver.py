@@ -49,7 +49,7 @@ import time
 from concurrent.futures import BrokenExecutor, Future, as_completed
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .. import perf
@@ -68,7 +68,6 @@ from .events import (
     EventBus,
     RunFinished,
     RunStarted,
-    SpanFinished,
 )
 from .report import EdgeRecord, RunReport
 from .schedule import CostModel, RungCeiling, rung_ladder
@@ -137,22 +136,6 @@ class Job:
         return model.fact_cost(self.label, self.bindings)
 
 
-def _isolated_replay(search: Callable[[], object]) -> Callable[[], object]:
-    """``search``, numbering its symbolic variables privately.
-
-    The flight recorder re-runs a slow search only for its journal (and
-    mutes the metrics registry while it does). Drawing the re-run's
-    variables from the shared counter would shift the names of every
-    later search's variables, and with them the order of their linear
-    terms and the work their solver caches save."""
-
-    def replay() -> object:
-        with private_ids():
-            return search()
-
-    return replay
-
-
 class RefutationDriver:
     """Schedules independent refutation jobs, in-process or over a
     process pool.
@@ -217,16 +200,18 @@ class RefutationDriver:
         self.cache_hits = 0
         self._wall_seconds = 0.0
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Summed seconds per span name, fed by the active tracer (if any);
-        #: flows into RunReport.phase_seconds and SpanFinished bus events.
-        self._phase_seconds: dict[str, float] = {}
+        #: Set once a pool has run a job: the backend the report names.
+        self._pooled = False
         #: Scheduling state (repro.engine.schedule): the lazily-built cost
         #: model for dispatch order and per-rung portfolio stats.
         self._cost: Optional[CostModel] = None
         self._rungs: dict[int, dict] = {}
+        #: The active tracer and its phase totals now: the report's
+        #: ``phase_seconds`` are the spans recorded since.
         self._tracer = trace.get_tracer()
-        if self._tracer is not None:
-            self._tracer.add_sink(self._on_span)
+        self._phase_base = (
+            self._tracer.phase_totals() if self._tracer is not None else None
+        )
         #: The workers that actually run: one, until a pool starts.
         metrics.gauge("driver.workers").set(1)
 
@@ -268,16 +253,13 @@ class RefutationDriver:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down, flush the verdict store and detach
-        from the tracer (idempotent)."""
+        """Shut the worker pool down and flush the verdict store
+        (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         if perf_store.ACTIVE is not None:
             perf_store.ACTIVE.flush()
-        if self._tracer is not None:
-            self._tracer.remove_sink(self._on_span)
-            self._tracer = None
 
     def __enter__(self) -> "RefutationDriver":
         return self
@@ -289,48 +271,28 @@ class RefutationDriver:
     # Observability plumbing
     # ------------------------------------------------------------------
 
-    def _on_span(self, record) -> None:
-        """Tracer sink: fold every finished span into the per-phase rollup
-        and forward it onto the event bus (progress printer, collectors).
-        Instant records (rung escalations) are point events, not phases —
-        they already reach the bus as typed lifecycle events."""
-        if getattr(record, "kind", "span") == "instant":
-            return
-        with self._lock:
-            self._phase_seconds[record.name] = (
-                self._phase_seconds.get(record.name, 0.0) + record.duration
-            )
-        self.events.emit(
-            SpanFinished(
-                name=record.name,
-                seconds=record.duration,
-                thread=record.thread_name,
-                attrs=record.attrs,
-            )
-        )
-
     @contextmanager
-    def _timed_batch(self, total: int, kind: str):
+    def _timed_batch(self, total: int, kind: str, path: bool):
         """One batch of refutation jobs: RunStarted/RunFinished bracketing,
-        wall-clock accounting, and the batch's root span.
+        wall-clock accounting, and the batch's root span. A ``path`` batch
+        runs inline, so it names the serial backend on one worker.
 
         Yields the list the caller must append each job's
         :class:`EdgeResult` to; RunFinished aggregates are computed from
         it on exit.
         """
+        backend = SERIAL if path else self.backend
         self.events.emit(
             RunStarted(
                 total_jobs=total,
-                jobs=self.jobs,
-                backend=self.backend,
+                jobs=1 if path else self.jobs,
+                backend=backend,
                 deadline=self.config.deadline_seconds,
             )
         )
         outcomes: list[EdgeResult] = []
         start = time.perf_counter()
-        with trace.span(
-            "driver.batch", kind=kind, total=total, backend=self.backend
-        ):
+        with trace.span("driver.batch", kind=kind, total=total, backend=backend):
             yield outcomes
         elapsed = time.perf_counter() - start
         with self._lock:
@@ -492,7 +454,7 @@ class RefutationDriver:
         walk = path and not self.config.portfolio
         total = len(jobs)
         results: dict = {}
-        with self._timed_batch(total, kind) as outcomes:
+        with self._timed_batch(total, kind, path) as outcomes:
             for group in [[job] for job in jobs] if walk else [jobs]:
                 if path and any(r.refuted for r in results.values()):
                     break
@@ -593,17 +555,14 @@ class RefutationDriver:
         self, stats: dict, job: Job, ladder: list, rung: int
     ) -> None:
         """One job ended its rung provisional and carries over: count it,
-        and when a later rung exists, emit the escalation event and drop
-        a trace instant. (At the final rung only a ceiling cut carries
-        over, and its path is already broken.)"""
+        and when a later rung exists, emit the escalation event. (At the
+        final rung only a ceiling cut carries over, and its path is
+        already broken.)"""
         stats["carryover"] += 1
         metrics.counter(f"driver.rung.carryover.{rung}").inc()
         if rung + 1 == len(ladder):
             return
         next_budget, next_deadline = ladder[rung + 1]
-        trace.instant(
-            "driver.rung_escalated", description=job.description, rung=rung
-        )
         self.events.emit(
             EdgeEscalated(
                 description=job.description,
@@ -638,6 +597,7 @@ class RefutationDriver:
                 result = self._run_job(job, budget, deadline, ceiling)
                 settle(job, result, SERIAL)
             return
+        self._pooled = True
         futures = {}
         for slot, job in enumerate(jobs):
             self.events.emit(
@@ -726,13 +686,13 @@ class RefutationDriver:
 
         A fresh edge result joins the shared edge cache (unless its worker
         was lost) and the run records; a fact result is recorded. A search
-        that ran also feeds the flight recorder, which captures its
-        journal when it crossed the slow-query threshold
-        (``config.slow_query_ms``). With an ``index`` the result is
-        announced as ``EdgeFinished``. ``cached`` results were finished
+        that ran and crossed the slow-query threshold
+        (``config.slow_query_ms``) is captured by the flight recorder, with
+        its record as the capture's summary. With an ``index`` the result
+        is announced as ``EdgeFinished``. ``cached`` results were finished
         when first computed; ``worker == "cache"`` marks a verdict reused
         from outside the driver, recorded but never searched."""
-        fresh = False
+        record = None
         if not cached:
             with self._lock:
                 if job.edge is None:
@@ -748,29 +708,18 @@ class RefutationDriver:
                     previous = self._records.get(key)
                     fresh = previous is None or previous.worker == LOST
                 if fresh:
-                    self._records[key] = EdgeRecord.from_result(
+                    record = self._records[key] = EdgeRecord.from_result(
                         result, worker=worker, description=job.description,
                         kind=job.kind,
                     )
-        if fresh and worker not in (LOST, "cache"):
-            # Outside the lock: a slow-query capture may replay the search.
-            summary = telemetry.search_summary(
-                job.kind,
-                job.description,
-                result,
-                worker=worker,
-                estimate=None if self._cost is None else job.cost(self._cost),
-            )
-            telemetry.RECORDER.record(summary)
-            threshold = self.config.slow_query_ms
-            if threshold is not None and result.seconds * 1000.0 >= threshold:
-                telemetry.RECORDER.capture(
-                    job.description,
-                    summary,
-                    replay=_isolated_replay(
-                        lambda: job.run(Engine(self.pta, self.config))
-                    ),
-                )
+        threshold = self.config.slow_query_ms
+        if (
+            record is not None
+            and worker not in (LOST, "cache")
+            and threshold is not None
+            and result.seconds * 1000.0 >= threshold
+        ):
+            self._capture(job, record)
         if index is not None:
             self.events.emit(
                 EdgeFinished(
@@ -784,6 +733,29 @@ class RefutationDriver:
                     cached=cached,
                 )
             )
+
+    def _capture(self, job: Job, record: EdgeRecord) -> None:
+        """Hand a slow search to the flight recorder, its record plus the
+        cost-model estimate as the summary.
+
+        The capture may replay the search under a temporary journal and
+        tracer, which act process-wide, so it holds the search lock: no
+        other search on this driver runs into them. The replay numbers
+        its symbolic variables privately: drawing from the shared counter
+        would shift the names of every later search's variables, and with
+        them the order of their linear terms and the work their solver
+        caches save."""
+        summary = asdict(record)
+        summary["estimate"] = (
+            None if self._cost is None else job.cost(self._cost)
+        )
+
+        def replay() -> EdgeResult:
+            with private_ids():
+                return job.run(Engine(self.pta, self.config))
+
+        with self._search_lock:
+            telemetry.RECORDER.capture(job.description, summary, replay=replay)
 
     def edge_results(self) -> dict:
         """All per-edge outcomes so far, keyed by edge key."""
@@ -826,7 +798,7 @@ class RefutationDriver:
                 app=app,
                 command=command,
                 jobs=self.jobs,
-                backend=self.backend,
+                backend=PROCESS if self._pooled else SERIAL,
                 deadline=self.config.deadline_seconds,
                 path_budget=self.config.path_budget,
                 wall_seconds=self._wall_seconds,
@@ -834,7 +806,11 @@ class RefutationDriver:
                     list(self._records.values())[since:],
                     key=lambda r: (r.kind, r.description),
                 ),
-                phase_seconds=dict(self._phase_seconds),
+                phase_seconds=(
+                    self._tracer.phase_totals(since=self._phase_base)
+                    if self._tracer is not None
+                    else {}
+                ),
                 cache=cache,
                 schedule=schedule,
             )
@@ -847,10 +823,16 @@ def _search(
     deadline: Optional[float] = None,
     ceiling: Optional[RungCeiling] = None,
 ) -> EdgeResult:
-    """One search under the job's root span (``driver.job``; the engine's
-    ``executor.search`` nests under it), counted in the ``driver.job*``
-    metrics — in-process and in a process worker alike."""
-    with trace.span("driver.job", kind=job.kind, description=job.description):
+    """One search under the job's root span (``driver.job``, with the
+    rung's ``budget``; the engine's ``executor.search`` nests under it),
+    counted in the ``driver.job*`` metrics — in-process and in a process
+    worker alike."""
+    with trace.span(
+        "driver.job",
+        kind=job.kind,
+        description=job.description,
+        budget=engine.config.path_budget if budget is None else budget,
+    ):
         result = job.run(engine, budget, deadline, ceiling)
     _JOBS_DONE.inc()
     _JOB_SECONDS.observe(result.seconds)

@@ -17,6 +17,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, TextIO
 
+from ..obs import trace
+
 Event = object
 EventSink = Callable[[Event], None]
 
@@ -76,22 +78,6 @@ class RunFinished:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SpanFinished:
-    """One tracing span closed somewhere inside the pipeline.
-
-    Emitted only when a tracer is installed (``--trace``): the driver
-    forwards every finished span from :mod:`repro.obs.trace` onto its bus,
-    which is how the progress printer and the JSON run report acquire
-    per-phase timing without bespoke plumbing in each layer.
-    """
-
-    name: str  # span name, e.g. "executor.search"
-    seconds: float
-    thread: str  # name of the thread that ran the span
-    attrs: dict
-
-
 class EventBus:
     """Thread-safe fan-out of driver events to any number of sinks."""
 
@@ -115,20 +101,21 @@ class ProgressPrinter:
         [  3/ 17] refuted    Vec.table -> activity0  (0.04s, 12 pp, process-41)
 
     Attach with ``RefutationDriver(..., on_event=ProgressPrinter())``.
+    When a tracer is installed, each ``RunFinished`` is followed by a
+    ``phases:`` line: the tracer's per-span-name seconds since the first
+    ``RunStarted`` this printer saw.
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream or sys.stderr
-        #: Per-phase totals accumulated from SpanFinished events (only
-        #: populated when tracing is on); printed after RunFinished.
-        self.phase_seconds: dict[str, float] = {}
+        #: The tracer's phase totals at the first RunStarted.
+        self._phase_base: Optional[dict[str, float]] = None
 
     def __call__(self, event: Event) -> None:
-        if isinstance(event, SpanFinished):
-            self.phase_seconds[event.name] = (
-                self.phase_seconds.get(event.name, 0.0) + event.seconds
-            )
-        elif isinstance(event, RunStarted):
+        if isinstance(event, RunStarted):
+            tracer = trace.get_tracer()
+            if self._phase_base is None and tracer is not None:
+                self._phase_base = tracer.phase_totals()
             deadline = (
                 f", deadline {event.deadline}s/edge" if event.deadline else ""
             )
@@ -152,9 +139,13 @@ class ProgressPrinter:
                 f" {event.timeouts} timeout(s) in {event.seconds:.2f}s",
                 file=self.stream,
             )
-            if self.phase_seconds:
-                top = sorted(
-                    self.phase_seconds.items(), key=lambda kv: -kv[1]
-                )[:6]
+            tracer = trace.get_tracer()
+            phases = (
+                tracer.phase_totals(since=self._phase_base)
+                if tracer is not None and self._phase_base is not None
+                else None
+            )
+            if phases:
+                top = sorted(phases.items(), key=lambda kv: -kv[1])[:6]
                 breakdown = ", ".join(f"{n} {s:.2f}s" for n, s in top)
                 print(f"phases: {breakdown}", file=self.stream)

@@ -14,7 +14,8 @@ Three complementary substrates (see docs/observability.md):
 * :mod:`repro.obs.telemetry` — the operational layer on top: Prometheus
   text exposition of the registry (``GET /metrics``), the lifecycle-event
   hub behind ``watch`` / ``repro top``, the always-on slow-query flight
-  recorder (``repro explain --slow``), and periodic snapshot streaming
+  recorder, which persists a slow search's journal beside its run-report
+  record (``repro explain --slow``), and periodic snapshot streaming
   (``--metrics-stream FILE``).
 
 Usage from pipeline code::

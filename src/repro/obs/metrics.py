@@ -3,10 +3,9 @@
 This is the measurement substrate behind the paper's effort accounting
 (Table 1's path programs, refutation kinds, per-edge seconds): every layer
 of the pipeline reports into one named registry instead of ad-hoc counter
-objects. The registry absorbs what ``SolverStats``
-(:mod:`repro.solver.core`) and ``SearchStats`` (:mod:`repro.symbolic.stats`)
-used to count — those classes remain as thin compatibility views, but the
-canonical cross-run aggregate lives here and is dumped by ``--metrics``.
+objects. It is the cross-run aggregate, dumped by ``--metrics``; one
+run's per-job verdicts and effort live in its
+:class:`~repro.engine.report.RunReport`.
 
 Design constraints, in order:
 

@@ -20,13 +20,13 @@ rather than new instrumentation:
   fed straight from the driver's event bus, plus the derived live state
   (in-flight searches, worker utilization, verdict totals) that the
   ``watch`` verb / ``GET /v1/watch`` stream and ``repro top`` render.
-* :class:`FlightRecorder` — an always-on bounded ring of recent
-  per-search summaries (cost-model estimate vs actual, kill-reason mix,
-  footprint size). Any search slower than ``SearchConfig.slow_query_ms``
-  is *captured*: its full journal (and trace, when one can be recorded
-  without disturbing an installed tracer) is persisted under
-  :func:`flight_dir`, so ``repro explain --slow`` works after the fact
-  on a run that never passed ``--journal``.
+* :class:`FlightRecorder` — always-on slow-query capture. Any search
+  slower than ``SearchConfig.slow_query_ms`` is *captured*: its full
+  journal (and trace, when one can be recorded without disturbing an
+  installed tracer) is persisted under :func:`flight_dir` beside a
+  summary — the search's run-report record plus its cost-model
+  estimate — so ``repro explain --slow`` works after the fact on a run
+  that never passed ``--journal``.
 * run-report diffing lives in :mod:`repro.engine.diff` (it needs the
   report model); this module stays importable from anywhere below the
   engine.
@@ -44,7 +44,7 @@ import re
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import metrics, provenance, trace
 
@@ -183,9 +183,7 @@ def render_prometheus(registry: Optional[metrics.MetricsRegistry] = None) -> str
 # ---------------------------------------------------------------------------
 
 #: Driver event classes that constitute the per-edge lifecycle (matched by
-#: name — see the module docstring's import-discipline note). SpanFinished
-#: is deliberately excluded: thousands per second, and phase rollups are
-#: already served by RunReport.phase_seconds.
+#: name — see the module docstring's import-discipline note).
 _LIFECYCLE = frozenset({
     "RunStarted",
     "EdgeScheduled",
@@ -319,36 +317,9 @@ def flight_dir() -> str:
     return os.environ.get("REPRO_FLIGHT_DIR", ".repro-flight")
 
 
-def search_summary(
-    kind: str,
-    description: str,
-    result,
-    worker: str = "",
-    estimate: Optional[int] = None,
-) -> dict:
-    """One finished search as a flat flight-recorder row. ``result`` is an
-    ``EdgeResult`` (duck-typed: this module cannot import the engine)."""
-    footprint = getattr(result, "footprint", None)
-    return {
-        "kind": kind,
-        "description": description,
-        "status": getattr(result, "status", ""),
-        "seconds": getattr(result, "seconds", 0.0),
-        "path_programs": getattr(result, "path_programs", 0),
-        "kill_reasons": dict(getattr(result, "kill_reasons", None) or {}),
-        "footprint_size": len(footprint) if footprint is not None else None,
-        "rung": getattr(result, "rung", None),
-        "worker": worker,
-        "estimate": estimate,
-        "ts": time.time(),
-    }
-
-
 class FlightRecorder:
-    """Always-on ring of recent search summaries + slow-query capture.
+    """Slow-query capture.
 
-    :meth:`record` is the hot-path call: one dict append into a bounded
-    deque under a lock (the obs-overhead guard benchmarks exactly this).
     :meth:`capture` persists a slow search's journal/trace; it reuses the
     installed run journal when there is one (never re-running, never
     mutating it), and otherwise replays the search on a fresh engine
@@ -359,33 +330,10 @@ class FlightRecorder:
     ``REPRO_FLIGHT_DISABLE=1``.
     """
 
-    def __init__(self, size: int = 256, max_captures: int = 8) -> None:
-        self.size = size
+    def __init__(self, max_captures: int = 8) -> None:
         self.max_captures = max_captures
         self._lock = threading.Lock()
-        self._ring: deque = deque(maxlen=size)
         self._captures = 0
-        self._counter = 0
-
-    # -- the hot path -------------------------------------------------------
-
-    def record(self, summary: dict) -> None:
-        with self._lock:
-            self._ring.append(summary)
-
-    def recent(self, limit: Optional[int] = None) -> list[dict]:
-        """Retained summaries, oldest first."""
-        with self._lock:
-            rows = list(self._ring)
-        return rows if limit is None else rows[-limit:]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self._captures = 0
-            self._counter = 0
-
-    # -- slow-query capture -------------------------------------------------
 
     @staticmethod
     def capture_enabled() -> bool:
@@ -409,7 +357,7 @@ class FlightRecorder:
             if self._captures >= self.max_captures:
                 return None
             self._captures += 1
-            index = self._counter = self._counter + 1
+            index = self._captures
         journal, tracer = self._acquire(description, replay)
         if journal is None or not journal.searches:
             return None
@@ -446,7 +394,10 @@ class FlightRecorder:
         kill counts that ``RunReport.attribution`` is asserted against).
         With no journal installed, replay the search under temporary
         instruments; a temporary tracer is only installed when tracing is
-        off, so an installed tracer's sink wiring is never disturbed."""
+        off, so an installed tracer is never swapped out.
+        The temporary installs act process-wide: the caller keeps other
+        searches from running meanwhile (the driver holds its search
+        lock)."""
         book = provenance.get_journal()
         if book is not None:
             searches = book.searches_for(description)
@@ -480,7 +431,7 @@ class FlightRecorder:
         return sub, temp_tracer
 
 
-#: The process-wide recorder the driver feeds. Always on; bounded.
+#: The process-wide recorder the driver feeds. Always on; captures capped.
 RECORDER = FlightRecorder()
 
 
@@ -572,5 +523,4 @@ __all__ = [
     "flight_dir",
     "list_captures",
     "render_prometheus",
-    "search_summary",
 ]

@@ -22,9 +22,10 @@ calls — one lane per thread, and per process worker.
 
 Span identity is thread-aware: each thread keeps its own span stack, so
 spans opened by concurrent threads (serve's request handlers) nest under
-that thread's lane, never under another thread's open span. Sinks subscribed with
-:meth:`Tracer.add_sink` observe every finished span (the refutation
-driver forwards them onto its :class:`~repro.engine.events.EventBus`).
+that thread's lane, never under another thread's open span. The tracer
+also keeps running seconds per span name (:meth:`Tracer.phase_totals`),
+which the refutation driver's run report and ``--progress`` read as the
+per-phase rollup.
 """
 
 from __future__ import annotations
@@ -33,20 +34,18 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 #: The span/metric naming scheme (see docs/observability.md): dotted,
 #: ``<layer>.<operation>`` — e.g. ``driver.job``, ``executor.search``,
 #: ``solver.check_sat``, ``pointsto.solve``.
 
-SpanSink = Callable[["SpanRecord"], None]
-
 
 class SpanRecord:
-    """One finished span: the unit handed to sinks and the trace export."""
+    """One finished span: the unit of the trace export."""
 
     __slots__ = ("name", "start", "duration", "thread_id", "thread_name",
-                 "span_id", "parent_id", "attrs", "pid", "kind")
+                 "span_id", "parent_id", "attrs", "pid")
 
     def __init__(
         self,
@@ -59,7 +58,6 @@ class SpanRecord:
         parent_id: Optional[int],
         attrs: dict,
         pid: Optional[int] = None,
-        kind: str = "span",
     ) -> None:
         self.name = name
         self.start = start  # seconds since the tracer's epoch
@@ -72,18 +70,14 @@ class SpanRecord:
         #: Originating process, set only on spans absorbed from a worker
         #: process; None means "this process".
         self.pid = pid
-        #: ``"span"`` (a timed interval) or ``"instant"`` (a point event —
-        #: rung escalations; Chrome ``ph: i``).
-        self.kind = kind
 
     def to_chrome_event(self, pid: int) -> dict:
-        """A Chrome trace event, microseconds: 'complete' (``ph: X``) for
-        spans, thread-scoped 'instant' (``ph: i``) for point events."""
+        """A Chrome 'complete' trace event (``ph: X``), microseconds."""
         args = dict(self.attrs)
         args["span_id"] = self.span_id
         if self.parent_id is not None:
             args["parent_id"] = self.parent_id
-        event = {
+        return {
             "name": self.name,
             "cat": self.name.split(".", 1)[0],
             "ph": "X",
@@ -93,11 +87,6 @@ class SpanRecord:
             "tid": self.thread_id,
             "args": args,
         }
-        if self.kind == "instant":
-            event["ph"] = "i"
-            event["s"] = "t"  # scope: the emitting worker's thread lane
-            del event["dur"]
-        return event
 
     def to_dict(self) -> dict:
         """Plain-data form for shipping across a process boundary."""
@@ -110,7 +99,6 @@ class SpanRecord:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "attrs": self.attrs,
-            "kind": self.kind,
         }
 
 
@@ -196,7 +184,7 @@ class Tracer:
     max_spans:
         Retention cap: beyond it, finished spans are counted but dropped
         (``dropped_spans``) so a pathological run cannot exhaust memory.
-        Sinks still observe every span.
+        :meth:`phase_totals` still counts every span.
     """
 
     def __init__(self, max_spans: int = 500_000) -> None:
@@ -207,7 +195,7 @@ class Tracer:
         self.max_spans = max_spans
         self.dropped_spans = 0
         self._records: list[SpanRecord] = []
-        self._sinks: list[SpanSink] = []
+        self._totals: dict[str, float] = {}
         self._lock = threading.Lock()
         self._id_counter = 0
         self._thread_counter = 0
@@ -229,51 +217,15 @@ class Tracer:
             self._id_counter += 1
             return self._id_counter
 
-    def instant(self, name: str, **attrs) -> None:
-        """Record a zero-duration point event in the calling thread's lane
-        (Chrome ``ph: i``): rung escalations. Routes
-        through :meth:`_record`, so sinks observe it — sinks that roll up
-        durations must skip ``kind == "instant"`` records."""
-        state = self._tls
-        if state.ordinal < 0:
-            with self._lock:
-                state.ordinal = self._thread_counter
-                self._thread_counter += 1
-            state.name = threading.current_thread().name
-        self._record(
-            SpanRecord(
-                name=name,
-                start=time.perf_counter() - self.epoch,
-                duration=0.0,
-                thread_id=state.ordinal,
-                thread_name=state.name,
-                span_id=self._next_id(),
-                parent_id=state.stack[-1] if state.stack else None,
-                attrs=attrs,
-                kind="instant",
-            )
-        )
-
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
+            self._totals[record.name] = (
+                self._totals.get(record.name, 0.0) + record.duration
+            )
             if len(self._records) < self.max_spans:
                 self._records.append(record)
             else:
                 self.dropped_spans += 1
-            sinks = list(self._sinks)
-        for sink in sinks:
-            sink(record)
-
-    # -- sinks --------------------------------------------------------------
-
-    def add_sink(self, sink: SpanSink) -> None:
-        with self._lock:
-            self._sinks.append(sink)
-
-    def remove_sink(self, sink: SpanSink) -> None:
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
 
     # -- introspection / export --------------------------------------------
 
@@ -302,7 +254,8 @@ class Tracer:
         Chrome export shows one process row per worker. Parent links that
         point outside the batch (a span whose parent shipped in an earlier
         drain) are cut rather than left dangling. Absorbed spans route
-        through :meth:`_record`, so sinks observe them like local spans."""
+        through :meth:`_record`, so they count in :meth:`phase_totals`
+        like local spans."""
         offset = wall_epoch - self.wall_epoch
         remap: dict[int, int] = {}
         for row in span_dicts:
@@ -319,18 +272,24 @@ class Tracer:
                     parent_id=remap.get(row["parent_id"]),
                     attrs=row.get("attrs", {}),
                     pid=pid,
-                    kind=row.get("kind", "span"),
                 )
             )
 
-    def phase_totals(self) -> dict[str, float]:
-        """Summed seconds per span name — the per-phase timing rollup."""
-        totals: dict[str, float] = {}
-        for record in self.spans():
-            if record.kind == "instant":
-                continue
-            totals[record.name] = totals.get(record.name, 0.0) + record.duration
-        return totals
+    def phase_totals(
+        self, since: Optional[dict[str, float]] = None
+    ) -> dict[str, float]:
+        """Summed seconds per span name — the per-phase timing rollup —
+        over every span recorded, retained or dropped. With ``since``, an
+        earlier result of this call, only the seconds recorded after it."""
+        with self._lock:
+            totals = dict(self._totals)
+        if since is None:
+            return totals
+        return {
+            name: seconds - since.get(name, 0.0)
+            for name, seconds in totals.items()
+            if seconds != since.get(name)
+        }
 
     def to_chrome_trace(self) -> dict:
         pid = os.getpid()
@@ -392,9 +351,6 @@ class _DisabledTracer:
     def span(self, name: str, **attrs) -> _NoopSpan:
         return _NOOP_SPAN
 
-    def instant(self, name: str, **attrs) -> None:
-        return None
-
 
 _DISABLED = _DisabledTracer()
 _active: object = _DISABLED
@@ -427,7 +383,3 @@ def span(name: str, **attrs):
     """Open a span on the active tracer (no-op when tracing is disabled)."""
     return _active.span(name, **attrs)
 
-
-def instant(name: str, **attrs) -> None:
-    """Record a point event on the active tracer (no-op when disabled)."""
-    _active.instant(name, **attrs)

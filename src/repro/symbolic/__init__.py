@@ -7,7 +7,7 @@ from .executor import Engine, SearchTimeout
 from .query import ArrayCell, Frame, Query
 from .replay import ReplayResult, replay_witness
 from .simplification import QueryHistory, query_entails
-from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult, SearchStats
+from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult
 from .symvar import DATA, REF, SymVar, fresh_data, fresh_ref
 from .transfer import TransferContext, apply_assume, transfer_command
 from .witness import render_witness, witness_steps
@@ -29,7 +29,6 @@ __all__ = [
     "TIMEOUT",
     "WITNESSED",
     "EdgeResult",
-    "SearchStats",
     "DATA",
     "REF",
     "SymVar",

@@ -41,7 +41,7 @@ from . import loops
 from .config import Representation, SearchConfig
 from .query import Query
 from .simplification import QueryHistory, query_entails
-from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult, SearchStats
+from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult
 from .symvar import SymVar
 from .transfer import TransferContext, transfer_command
 
@@ -125,7 +125,6 @@ class Engine:
         self.root = root or self.program.entry
         if self.root is None:
             raise ValueError("program has no entry; pass root explicitly")
-        self.stats = SearchStats()
         self._parents: dict[str, dict[int, tuple[Stmt, int]]] = {}
         self._budget_left = 0
         self._baseline = 0
@@ -163,7 +162,7 @@ class Engine:
         ``budget``/``deadline`` override the config's per-edge limits for
         this attempt (the driver's portfolio rungs). A TIMEOUT under an
         override is *provisional* — a later, larger rung may still resolve
-        the edge — so it is not cached or counted in :attr:`stats`;
+        the edge — so it is not cached;
         REFUTED/WITNESSED verdicts are final at any rung (a deterministic
         search that completes under a smaller cap returns the same verdict
         under a larger one) and are cached normally.
@@ -172,7 +171,7 @@ class Engine:
         :class:`~repro.engine.schedule.RungCeiling`: the search is cut (a
         TIMEOUT) as soon as it has spent more path programs than the
         ceiling's live limit. A result computed under a ceiling is never
-        cached or counted here — the driver decides at the end of the
+        cached here — the driver decides at the end of the
         rung whether it is final, and caches it then."""
         from ..pointsto.producers import edge_key
 
@@ -240,7 +239,6 @@ class Engine:
             result.kill_reasons = dict(self._sj.kill_counts)
             self._sj = None
         if ceiling is None and not (partial and status == TIMEOUT):
-            self.stats.record(result)
             self._edge_cache[key] = result
         _observe_search(result, self.ctx.solver_stats.checks - checks_before)
         return result

@@ -1,5 +1,6 @@
-"""Bookkeeping for the witness-refutation search: per-edge outcomes and
-aggregate effort counters (the raw material of Table 1's Effort columns)."""
+"""Bookkeeping for the witness-refutation search: per-edge outcomes (the
+raw material of Table 1's Effort columns; a run's aggregate is its
+:class:`~repro.engine.report.RunReport`)."""
 
 from __future__ import annotations
 
@@ -48,28 +49,3 @@ class EdgeResult:
     def timed_out(self) -> bool:
         return self.status == TIMEOUT
 
-
-@dataclass
-class SearchStats:
-    """Aggregate counters over one run of the refuter."""
-
-    edges_refuted: int = 0
-    edges_witnessed: int = 0
-    edges_timeout: int = 0
-    path_programs: int = 0
-    seconds: float = 0.0
-    #: Run-wide prune attribution: kill reason -> dead branches, summed
-    #: over every recorded edge result.
-    kill_reasons: dict[str, int] = field(default_factory=dict)
-
-    def record(self, result: EdgeResult) -> None:
-        if result.refuted:
-            self.edges_refuted += 1
-        elif result.witnessed:
-            self.edges_witnessed += 1
-        else:
-            self.edges_timeout += 1
-        self.path_programs += result.path_programs
-        self.seconds += result.seconds
-        for reason, n in result.kill_reasons.items():
-            self.kill_reasons[reason] = self.kill_reasons.get(reason, 0) + n

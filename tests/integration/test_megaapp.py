@@ -161,11 +161,11 @@ class TestMegaApp:
     def test_casts_all_safe(self, mega):
         # The only cast is guarded by instanceof (+ throw on failure).
         checker, _ = mega
-        reports = analyze_casts(checker.pta, engine=checker.engine).results
+        reports = analyze_casts(checker.pta, engine=checker.driver).results
         assert reports
         assert all(r.status == "safe" for r in reports)
 
     def test_session_immutable_after_construction(self, mega):
         checker, _ = mega
-        result = analyze_immutability(checker.pta, "Session", engine=checker.engine)
+        result = analyze_immutability(checker.pta, "Session", engine=checker.driver)
         assert result.verified

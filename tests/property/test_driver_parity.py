@@ -31,16 +31,26 @@ worker — see ``TestBrokenPool`` in ``tests/unit/test_engine_driver.py``).
 
 The golden was last regenerated for one deliberate change:
 
+* **the backend that ran** — each cell records the report's ``backend``,
+  which reads ``process`` only once a pool has run a job (it used to
+  record the driver's resolved backend, the one asked for). Only the 24
+  ``*/path*/process/*`` cells changed, each from ``process`` to
+  ``serial``; they now equal their ``*/serial/*`` cells whole (see
+  ``test_process_path_cells_equal_serial_cells``). Every process edge and
+  fact cell runs on the pool and still reads ``process``.
+
+The regeneration before it was for one deliberate change:
+
 * **paths run inline** — a path batch (``refute_path``) runs on the
   driver's engine whatever the backend; only flat batches (edges, facts)
   reach the process pool. Only the 17 ``*/path*/process/*`` cells whose
   pool run differed changed (the other 7 already matched): each now
-  equals its ``*/serial/*`` cell except for ``backend``, which names the
-  backend asked for (see ``test_process_path_cells_equal_serial_cells``).
-  Without portfolio the path is walked one edge at a time, and under
-  portfolio its path-mates are cut live by the rung ceiling.
+  equalled its ``*/serial/*`` cell except for ``backend``, which then
+  named the backend asked for. Without portfolio the path is walked one
+  edge at a time, and under portfolio its path-mates are cut live by the
+  rung ceiling.
 
-The regeneration before it was for one deliberate change:
+The regeneration before that was for one deliberate change:
 
 * **in-process threads** — ``backend="thread"`` no longer starts a
   thread pool: under the GIL it could never run two searches at once, so
@@ -51,7 +61,7 @@ The regeneration before it was for one deliberate change:
   schedules no ``EdgeScheduled`` events and, without portfolio, walks a
   path one edge at a time. The serial and process cells are unchanged.
 
-The regeneration before that was for three deliberate changes:
+The regeneration before those was for three deliberate changes:
 
 * **one schedule** — the ``lifo``/``priority`` schedule policy is gone:
   every search keeps the LIFO worklist, and the driver dispatches every
@@ -220,10 +230,9 @@ def run_case(fixture, operation, backend, portfolio, order) -> dict:
             pairs = driver.refute_path(sent_edges)
             verdicts = [[str(e), r.status] for e, r in pairs]
         report = driver.build_report(command="parity")
-        backend_used = driver.backend
     rows = [_event_row(e) for e in events]
     return {
-        "backend": backend_used,
+        "backend": report.backend,
         "verdicts": verdicts,
         "records": [
             [r.kind, r.description, r.status, r.rung] for r in report.records
@@ -281,11 +290,10 @@ def test_submission_order_shows_only_in_the_serial_walk(golden):
         assert lifo == cost, case_key(*case)
 
 
-def _in_process_cells(golden, name, operations, named) -> int:
+def _in_process_cells(golden, name, operations) -> int:
     """Check that every ``name`` backend cell of ``operations`` is its
-    serial cell, apart from the backend it names (``named``); the events
-    are compared as multisets because the golden keeps the serial stream
-    in order. Returns the cell count."""
+    serial cell; the events are compared as multisets because the golden
+    keeps the serial stream in order. Returns the cell count."""
     cells = 0
     for case in case_ids():
         fixture, operation, backend, portfolio, order = case
@@ -295,8 +303,7 @@ def _in_process_cells(golden, name, operations, named) -> int:
         serial = dict(golden[case_key(fixture, operation, BACKENDS[0], portfolio, order)])
         for c in (cell, serial):
             c["events"] = sorted(c["events"], key=json.dumps)
-        assert serial.pop("backend") == "serial"
-        assert cell.pop("backend") == named, case_key(*case)
+        assert serial["backend"] == "serial"
         assert cell == serial, case_key(*case)
         cells += 1
     return cells
@@ -305,14 +312,14 @@ def _in_process_cells(golden, name, operations, named) -> int:
 def test_thread_cells_equal_serial_cells(golden):
     """``backend="thread"`` runs in-process, so every thread cell is its
     serial cell."""
-    assert _in_process_cells(golden, "thread", OPERATIONS, "serial") == 48
+    assert _in_process_cells(golden, "thread", OPERATIONS) == 48
 
 
 def test_process_path_cells_equal_serial_cells(golden):
     """A path batch never reaches the process pool, so every process path
-    cell is its serial cell."""
+    cell is its serial cell, the backend it reports included."""
     paths = ("path", "path_warm")
-    assert _in_process_cells(golden, "process", paths, "process") == 24
+    assert _in_process_cells(golden, "process", paths) == 24
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,127 @@ class TestDriverFlags:
         assert "Table 1" in capsys.readouterr().out
 
 
+#: Two points-to edges out of ``A.hold``: a ``witness`` batch of two jobs,
+#: enough to start a process pool.
+TWO_EDGE_APP = """
+class A extends Activity {
+    static Object hold;
+    void onCreate() { A.hold = new Object(); A.hold = this; }
+}
+"""
+
+
+@pytest.fixture
+def two_edge_file(tmp_path):
+    path = tmp_path / "two.mj"
+    path.write_text(TWO_EDGE_APP)
+    return str(path)
+
+
+class TestBackendThatRan:
+    """The progress line and the report name the backend that ran: a path
+    batch runs inline even under ``--backend process``."""
+
+    def test_check_path_batches_run_serial(self, two_edge_file, tmp_path, capsys):
+        import json
+
+        report_path = str(tmp_path / "run.json")
+        code = main(
+            ["check", two_edge_file, "--jobs", "2", "--backend", "process",
+             "--progress", "--json-report", report_path]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "on 1 serial worker(s)" in err
+        assert "process worker" not in err
+        data = json.loads(open(report_path).read())
+        assert data["backend"] == "serial"
+        assert {r["worker"] for r in data["records"]} == {"serial"}
+
+    def test_witness_flat_batch_runs_on_the_pool(
+        self, two_edge_file, tmp_path, capsys
+    ):
+        import json
+
+        report_path = str(tmp_path / "wit.json")
+        code = main(
+            ["witness", two_edge_file, "A.hold", "--jobs", "2", "--backend",
+             "process", "--progress", "--json-report", report_path]
+        )
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "on 2 process worker(s)" in err
+        data = json.loads(open(report_path).read())
+        assert data["backend"] == "process"
+        assert all(r["worker"].startswith("process-") for r in data["records"])
+
+
+class TestPhaseRollup:
+    """``RunReport.phase_seconds`` is the tracer's per-name rollup of the
+    spans, worker spans included, recorded from the driver's construction
+    to its report: the oracle sums exactly those spans."""
+
+    def _run(self, argv, monkeypatch):
+        import json
+
+        from repro.engine import RefutationDriver
+        from repro.obs import trace
+
+        tracers, marks = [], []
+        install, init, build = (
+            trace.install, RefutationDriver.__init__, RefutationDriver.build_report
+        )
+
+        def spans_now() -> int:
+            return len(tracers[0].spans())
+
+        def installed(*args):
+            tracers.append(install(*args))
+            return tracers[-1]
+
+        def built(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            marks.append(spans_now())
+
+        def reported(self, *args, **kwargs):
+            marks.append(spans_now())
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(trace, "install", installed)
+        monkeypatch.setattr(RefutationDriver, "__init__", built)
+        monkeypatch.setattr(RefutationDriver, "build_report", reported)
+        main(argv)
+        (tracer,) = tracers
+        start, end = marks
+        window = tracer.spans()[start:end]
+        oracle: dict = {}
+        for record in window:
+            oracle[record.name] = oracle.get(record.name, 0.0) + record.duration
+        report = json.loads(open(argv[argv.index("--json-report") + 1]).read())
+        assert oracle and report["phase_seconds"] == pytest.approx(oracle)
+        return window
+
+    def test_traced_check(self, leaky_file, tmp_path, monkeypatch, capsys):
+        self._run(
+            ["check", leaky_file, "--progress", "--trace",
+             str(tmp_path / "t.json"), "--json-report", str(tmp_path / "r.json")],
+            monkeypatch,
+        )
+        assert "phases: " in capsys.readouterr().err
+
+    def test_traced_witness_on_the_pool(
+        self, two_edge_file, tmp_path, monkeypatch, capsys
+    ):
+        window = self._run(
+            ["witness", two_edge_file, "A.hold", "--jobs", "2", "--backend",
+             "process", "--trace", str(tmp_path / "t.json"),
+             "--json-report", str(tmp_path / "r.json")],
+            monkeypatch,
+        )
+        capsys.readouterr()
+        assert any(r.pid is not None for r in window), "no worker spans"
+
+
 class TestExplainDiff:
     def _reports(self, leaky_file, tmp_path, capsys):
         a = str(tmp_path / "a.json")

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+from contextlib import contextmanager
 
 import repro.engine.driver as driver_module
 
@@ -13,7 +14,7 @@ import pytest
 from repro import perf
 from repro.android.leaks import LeakChecker
 from repro.bench.apps import app_by_name
-from repro.bench.workloads import mixed_app
+from repro.bench.workloads import layered_app, mixed_app
 from repro.engine import (
     EdgeFinished,
     ProgressPrinter,
@@ -23,7 +24,7 @@ from repro.engine import (
     RunStarted,
 )
 from repro.ir import compile_program
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.pointsto import analyze
 from repro.solver import terms
 from repro.symbolic import Engine, SearchConfig
@@ -124,15 +125,33 @@ class TestBackends:
     @pytest.mark.parametrize("portfolio", [False, True])
     def test_pool_runs_flat_batches_never_paths(self, pta, edges, portfolio):
         config = SearchConfig(portfolio=portfolio)
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            driver.refute_path(edges)
-            assert driver._pool is None
-            paths = driver.build_report().records
-            assert {r.worker for r in paths} == {"serial"}
-            assert metrics.gauge("driver.workers").value == 1
-        with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
-            driver.refute_edges(edges)
-            assert driver._pool is not None
+        events = []
+        tracer = trace.install()
+        try:
+            with RefutationDriver(
+                pta, config, jobs=2, backend="process", on_event=events.append
+            ) as driver:
+                driver.refute_path(edges)
+                assert driver._pool is None
+                report = driver.build_report()
+                assert {r.worker for r in report.records} == {"serial"}
+                assert report.backend == "serial"
+                assert metrics.gauge("driver.workers").value == 1
+            with RefutationDriver(
+                pta, config, jobs=2, backend="process", on_event=events.append
+            ) as driver:
+                driver.refute_edges(edges)
+                assert driver._pool is not None
+                assert driver.build_report().backend == "process"
+        finally:
+            trace.disable()
+        # The path batch names the backend that ran it, on one worker.
+        assert [
+            (e.backend, e.jobs) for e in events if isinstance(e, RunStarted)
+        ] == [("serial", 1), ("process", 2)]
+        assert [
+            r.attrs["backend"] for r in tracer.spans() if r.name == "driver.batch"
+        ] == ["serial", "process"]
         with RefutationDriver(pta, config, jobs=2, backend="process") as driver:
             driver.refute_facts(_box_facts(pta))
             workers = {r.worker for r in driver.build_report().records}
@@ -192,6 +211,47 @@ class TestConcurrentCallers:
                 assert all(alone[edge] == got for edge, got in seen), seen
         finally:
             sys.setswitchinterval(interval)
+
+
+    def test_reader_never_searches_into_a_slow_query_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """With no run journal installed, a slow-query capture replays the
+        search under a temporary journal, which acts process-wide. Another
+        reader's search must not run meanwhile: it would be journaled into
+        the capture and come back with kill reasons it never has alone."""
+        from repro.obs import provenance, telemetry
+
+        # The capture replays only when no run journal is installed.
+        monkeypatch.setattr(provenance, "_active", None)
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
+        monkeypatch.setattr(telemetry, "RECORDER", telemetry.FlightRecorder())
+        pta = analyze(compile_program(layered_app(2, 6)))
+        first, second = sorted(pta.graph.heap_edges(), key=str)[:2]
+        alone = RefutationDriver(pta).refute_edge(second).kill_reasons
+        driver = RefutationDriver(pta, SearchConfig(slow_query_ms=0))
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(driver.refute_edge(second))
+        )
+        muted = metrics.muted
+
+        @contextmanager
+        def replaying():
+            # The capture of ``first`` is replaying: let the other reader
+            # search now, and give it time to finish.
+            if not reader.ident:
+                reader.start()
+                reader.join(timeout=1.0)
+            with muted():
+                yield
+
+        monkeypatch.setattr(metrics, "muted", replaying)
+        driver.refute_edge(first)
+        reader.join()
+        assert telemetry.list_captures(str(tmp_path))
+        assert seen[0].kill_reasons == alone
 
 
 class TestParallelDriver:

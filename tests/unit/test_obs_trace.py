@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -88,17 +89,6 @@ class TestSpanRecording:
         assert len(tracer.spans()) == 3
         assert tracer.dropped_spans == 2
 
-    def test_sinks_observe_every_span(self):
-        tracer = trace.install()
-        seen = []
-        tracer.add_sink(seen.append)
-        with trace.span("a"):
-            pass
-        tracer.remove_sink(seen.append)
-        with trace.span("b"):
-            pass
-        assert [r.name for r in seen] == ["a"]
-
     def test_phase_totals(self):
         tracer = trace.install()
         for _ in range(3):
@@ -107,6 +97,31 @@ class TestSpanRecording:
         totals = tracer.phase_totals()
         assert set(totals) == {"x"}
         assert totals["x"] >= 0.0
+
+    def test_phase_totals_count_spans_past_the_cap(self):
+        tracer = trace.install(Tracer(max_spans=2))
+        for _ in range(5):
+            with trace.span("x"):
+                time.sleep(0.001)
+        assert len(tracer.spans()) == 2 and tracer.dropped_spans == 3
+        retained = sum(r.duration for r in tracer.spans())
+        assert tracer.phase_totals()["x"] > retained
+        assert tracer.phase_totals()["x"] >= 0.005
+
+    def test_phase_totals_since_a_snapshot(self):
+        tracer = trace.install()
+        with trace.span("x"):
+            pass
+        with trace.span("y"):
+            pass
+        base = tracer.phase_totals()
+        with trace.span("x"):
+            pass
+        with trace.span("z"):
+            pass
+        assert tracer.phase_totals(since=base) == pytest.approx(
+            {r.name: r.duration for r in tracer.spans()[2:]}
+        )
 
 
 class TestChromeExport:
@@ -202,3 +217,45 @@ class TestPipelineIntegration:
         assert checks
         for check in checks:
             assert "executor.search" in ancestors(check)
+
+    def test_portfolio_trace_has_one_job_span_per_rung_attempt(self):
+        """Escalations show in the trace as the job's ``driver.job`` spans,
+        one per rung it ran at, each with that rung's budget."""
+        from repro.bench.workloads import mixed_app
+        from repro.engine import EdgeEscalated, RefutationDriver
+        from repro.engine.schedule import rung_ladder
+        from repro.ir import compile_program
+        from repro.pointsto import analyze
+        from repro.symbolic import SearchConfig
+
+        pta = analyze(
+            compile_program(mixed_app(3, 1, easy_branches=1, hard_branches=6))
+        )
+        config = SearchConfig(
+            path_budget=10_000, portfolio=True, portfolio_rungs=(1000,)
+        )
+        budgets = [
+            config.path_budget if budget is None else budget
+            for budget, _ in rung_ladder(config)
+        ]
+        events = []
+        tracer = trace.install()
+        with RefutationDriver(pta, config, on_event=events.append) as driver:
+            driver.refute_edges(sorted(pta.graph.static_edges(), key=str))
+            records = driver.build_report().records
+        jobs = [
+            e["args"]
+            for e in tracer.to_chrome_trace()["traceEvents"]
+            if e["name"] == "driver.job"
+        ]
+        escalated = [e for e in events if isinstance(e, EdgeEscalated)]
+        assert escalated, "no job climbed the ladder"
+        assert len(jobs) == len(records) + len(escalated)
+        for record in records:
+            assert [
+                job["budget"] for job in jobs
+                if job["description"] == record.description
+            ] == budgets[: record.rung + 1]
+        assert {e["ph"] for e in tracer.to_chrome_trace()["traceEvents"]} == {
+            "M", "X"
+        }

@@ -346,7 +346,6 @@ class TestRungCeiling:
                     assert result.status == REFUTED
                     assert result.path_programs == p
                 assert edge_key(edge) not in engine._edge_cache
-                assert engine.stats.path_programs == 0
 
     @pytest.mark.parametrize("fixture", ["box", "mixed"])
     def test_records_identical_across_backends_and_policies(

@@ -8,7 +8,6 @@ from repro.symbolic.stats import (
     TIMEOUT,
     WITNESSED,
     EdgeResult,
-    SearchStats,
 )
 
 
@@ -23,16 +22,3 @@ def test_status_predicates():
     assert EdgeResult(edge, WITNESSED).witnessed
     assert EdgeResult(edge, TIMEOUT).timed_out
     assert not EdgeResult(edge, REFUTED).witnessed
-
-
-def test_search_stats_aggregation():
-    stats = SearchStats()
-    edge = make_edge()
-    stats.record(EdgeResult(edge, REFUTED, path_programs=5, seconds=0.5))
-    stats.record(EdgeResult(edge, WITNESSED, path_programs=3, seconds=0.25))
-    stats.record(EdgeResult(edge, TIMEOUT, path_programs=100, seconds=2.0))
-    assert stats.edges_refuted == 1
-    assert stats.edges_witnessed == 1
-    assert stats.edges_timeout == 1
-    assert stats.path_programs == 108
-    assert abs(stats.seconds - 2.75) < 1e-9
