@@ -136,6 +136,7 @@ _ABLATION_METRICS = (
     "solver.component_memo_hits",
     "solver.component_memo_misses",
     "solver.fastpath_unsat",
+    "solver.fm_giveups",
     "executor.worklist_subsumed",
 )
 
@@ -185,6 +186,8 @@ def _ablation_run(source: str, name: str, budget: int, **toggles) -> dict:
         ),
         "context_hits": delta["solver.context_hits"],
         "fastpath_unsat": delta["solver.fastpath_unsat"],
+        # Fourier–Motzkin give-ups (conservative SATs past the atom budget).
+        "fm_giveups": delta["solver.fm_giveups"],
         "worklist_subsumed": delta["executor.worklist_subsumed"],
         "alarms": report.num_alarms,
         "refuted": report.refuted_alarms,

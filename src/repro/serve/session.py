@@ -181,8 +181,14 @@ class ProgramSession:
         self._deadline = deadline
         self._backend = backend
         self._journal = None
+        # Whether this session installed the process-wide journal, which
+        # close() then uninstalls.
+        self._installed_journal = False
         if journal:
-            self._journal = provenance.get_journal() or provenance.install()
+            self._journal = provenance.get_journal()
+            if self._journal is None:
+                self._journal = provenance.install()
+                self._installed_journal = True
         self._rw = _RWLock()
         self._verdicts: dict = {}  # EdgeKey -> EdgeResult (with footprint)
         self._facts: dict = {}  # _fact_key -> EdgeResult
@@ -332,7 +338,7 @@ class ProgramSession:
                     source, new_program, started, reason="non-additive edit"
                 )
             return self._incremental_update(
-                source, new_program, changed, started
+                source, new_program, new_prints, changed, started
             )
 
     def _full_update(
@@ -358,7 +364,7 @@ class ProgramSession:
         )
 
     def _incremental_update(
-        self, source: str, new_program, changed: list, started: float
+        self, source: str, new_program, new_prints: dict, changed: list, started: float
     ) -> tuple[dict, dict]:
         changed_set = frozenset(changed)
         # Signatures and producer lists must be captured *before* the
@@ -415,7 +421,9 @@ class ProgramSession:
         self._verdicts = surviving
         self._driver = self._new_driver()
         self._driver.seed_results(surviving)
-        self._fingerprints = method_fingerprints(self._program)
+        # Fingerprints are label- and site-free, so the grafted program's
+        # are the edited build's; site tokens must see the re-pointed sites.
+        self._fingerprints = new_prints
         self._site_tokens = stable_site_tokens(self._program)
         self._source = source
         self._updates_applied += 1
@@ -564,6 +572,8 @@ class ProgramSession:
         if not self._closed:
             self._closed = True
             self._driver.close()
+            if self._installed_journal and provenance.get_journal() is self._journal:
+                provenance.disable()
 
 
 # ---------------------------------------------------------------------------

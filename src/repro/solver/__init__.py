@@ -15,7 +15,6 @@ from .terms import (
     ne,
     ref_eq,
     ref_ne,
-    tighten,
 )
 from .unionfind import UnionFind
 
@@ -39,6 +38,5 @@ __all__ = [
     "ne",
     "ref_eq",
     "ref_ne",
-    "tighten",
     "UnionFind",
 ]

@@ -20,22 +20,23 @@ conservatively reports SAT when the FM elimination exceeds its size budget
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from ..obs import metrics, provenance, trace
 from ..perf import store as perf_store
 from ..perf.memo import SOLVER_MEMO
 from . import partition
-from .terms import NULL, Atom, LinAtom, LinExpr, RefAtom, Var, tighten
+from .terms import NULL, Atom, LinAtom, RefAtom, Var
 from .unionfind import UnionFind
 
 # Beyond this many ≤-atoms during elimination we give up and report SAT.
 FM_ATOM_BUDGET = 400
 
-# Process-wide mirrors of the per-context SolverStats counters; the
-# canonical cross-run aggregate (dumped by --metrics) lives in the
-# repro.obs registry, while SolverStats instances stay around as the
-# per-search compatibility view. ``solver.checks`` counts *actual
+# Process-wide solver counters in the repro.obs registry: the cross-run
+# aggregate that --metrics dumps and the ledger reads. Each engine also
+# keeps a SolverStats of its own, whose per-search deltas the executor
+# observes (``executor.solver_calls``). ``solver.checks`` counts *actual
 # decision-procedure runs* (one per component decided) — a cache tier's
 # answer increments only that tier's counter, which is what makes the
 # cached-vs-uncached solver call reduction measurable. ``solver.unsat``
@@ -61,8 +62,8 @@ _FASTPATH_UNSAT = metrics.counter("solver.fastpath_unsat")
 
 
 class SolverStats:
-    """Per-search counters (compatibility view over the repro.obs registry:
-    the process-wide totals live in ``solver.*`` metrics).
+    """One engine's solver counters, read per search as deltas (the
+    process-wide totals are the ``solver.*`` metrics, counted alongside).
 
     ``checks``/``unsat`` count *queries asked and their verdicts* — they
     are memoization-invariant, so per-search accounting (and tests
@@ -121,7 +122,9 @@ def check_sat(
     record a query is answered three ways:
 
     * **same atoms**, no new non-null fact: SAT at once — the recorded
-      conjunction was SAT and this one is no stronger;
+      conjunction was SAT and this one is no stronger (a query still
+      holding the record's very lists and facts answers this itself, see
+      :func:`count_unchanged`);
     * **atoms grew** (appended since, or a superset after a rebuild):
       decide only the components that hold a new atom or a newly
       non-null variable. Adding atoms only merges components, so any
@@ -249,6 +252,17 @@ def check_sat(
     return True
 
 
+def count_unchanged(stats: Optional[SolverStats] = None) -> None:
+    """Count one check that its query answered itself, exactly as
+    :func:`check_sat` counts a "same atoms" answer: the query still holds
+    the very lists and non-null facts its record was published for (see
+    :meth:`repro.symbolic.query.Query.check_sat`)."""
+    stats = stats or GLOBAL_STATS
+    stats.checks += 1
+    _PARTITIONS.inc()
+    _same(stats)
+
+
 def _same(stats: SolverStats) -> None:
     """Count one query answered whole by its lineage's record."""
     stats.memo_hits += 1
@@ -314,89 +328,141 @@ def _check_refs(ref_atoms: list[RefAtom], nonnull: Iterable[Var]) -> bool:
 # ---------------------------------------------------------------------------
 # Linear integer arithmetic
 # ---------------------------------------------------------------------------
+#
+# The procedure runs on plain *rows*: ``(terms, const)``, a ``{var:
+# coeff}`` dict of nonzero coefficients plus a constant, meaning
+# ``Σ coeff·var + const``. Rows are built once per decision from the
+# component's atoms and are never interned: every substitution and every
+# Fourier–Motzkin combination is dead once the decision ends, so it has no
+# business in the process-wide term table.
+#
+# A row's dict order is not its canonical (``repr``-sorted) order, but it
+# agrees with it among variables of equal ``repr``: a row starts in its
+# atom's canonical order, and a step keeps the surviving terms in place
+# and appends the new ones in the other row's order, exactly the list
+# ``LinExpr.combine`` stable-sorts. So "the first ``±1`` coefficient" and
+# "the first variable with the fewest combinations" are found by their
+# ``repr`` with ties in dict order, and every choice is the one the
+# ``LinExpr`` procedure made.
+
+Row = tuple  # (dict[Var, int], int)
 
 
 def _check_linear(lin_atoms: list[LinAtom], stats: SolverStats) -> bool:
-    les: list[LinExpr] = []  # each meaning expr <= 0
-    nes: list[LinExpr] = []  # each meaning expr != 0
-    eqs: list[LinExpr] = []  # each meaning expr == 0
+    les: list[Row] = []  # each meaning row <= 0
+    nes: list[Row] = []  # each meaning row != 0
+    eqs: list[Row] = []  # each meaning row == 0
+    reprs: dict = {}  # each variable's repr, computed once per decision
     for atom in lin_atoms:
+        expr = atom.expr
+        for v, _ in expr.coeffs:
+            if v not in reprs:
+                reprs[v] = repr(v)
+        row = (dict(expr.coeffs), expr.const)
         if atom.op == "<=":
-            les.append(atom.expr)
+            les.append(row)
         elif atom.op == "==":
-            eqs.append(atom.expr)
+            eqs.append(row)
         else:
-            nes.append(atom.expr)
+            nes.append(row)
 
-    subst_eqs, les = _eliminate_equalities(eqs, les, nes)
-    if subst_eqs is None:
+    if not _eliminate_equalities(eqs, les, nes, reprs):
         return False
 
-    if not _fm_feasible(les, stats):
+    if not _fm_feasible(les, stats, reprs):
         return False
 
-    for expr in nes:
-        if expr.is_constant:
-            if expr.const == 0:
+    for terms, const in nes:
+        if not terms:
+            if const == 0:
                 return False
             continue
-        # expr != 0 fails only if the system forces expr == 0, i.e. both
-        # expr <= -1 and -expr <= -1 are infeasible with the system.
-        pos = les + [expr.add(LinExpr.constant(1))]  # expr + 1 <= 0, expr <= -1
-        neg = les + [expr.scale(-1).add(LinExpr.constant(1))]  # expr >= 1
-        if not _fm_feasible(pos, stats) and not _fm_feasible(neg, stats):
+        # row != 0 fails only if the system forces row == 0, i.e. both
+        # row <= -1 and -row <= -1 are infeasible with the system.
+        pos = les + [(terms, const + 1)]  # row + 1 <= 0, row <= -1
+        neg = les + [({v: -c for v, c in terms.items()}, 1 - const)]  # row >= 1
+        if not _fm_feasible(pos, stats, reprs) and not _fm_feasible(neg, stats, reprs):
             return False
     return True
 
 
 def _eliminate_equalities(
-    eqs: list[LinExpr], les: list[LinExpr], nes: list[LinExpr]
-) -> tuple[Optional[dict], list[LinExpr]]:
+    eqs: list[Row], les: list[Row], nes: list[Row], reprs: dict
+) -> bool:
     """Substitute away equalities with a ±1-coefficient variable; the rest
-    become inequality pairs. Mutates ``nes`` in place with substitutions.
-    Returns (marker dict or None on contradiction, new les)."""
+    become inequality pairs appended to ``les``. Works in place: ``les``
+    and ``nes`` (and the rows in them) come back substituted. Returns
+    False on a contradiction."""
     pending = list(eqs)
     while pending:
-        expr = pending.pop()
-        if expr.is_constant:
-            if expr.const != 0:
-                return None, les
+        terms, const = pending.pop()
+        if not terms:
+            if const != 0:
+                return False
             continue
-        unit_var = None
+        unit = None
         unit_coeff = 0
-        for v, c in expr.coeffs:
-            if c in (1, -1):
-                unit_var = v
+        for v, c in terms.items():
+            if (c == 1 or c == -1) and (unit is None or reprs[v] < reprs[unit]):
+                unit = v
                 unit_coeff = c
-                break
-        if unit_var is None:
+        if unit is None:
             # No unit coefficient: keep as two inequalities.
-            les.append(expr)
-            les.append(expr.scale(-1))
+            les.append((terms, const))
+            les.append(({v: -c for v, c in terms.items()}, -const))
             continue
-        # unit_coeff·v = -(expr - unit_coeff·v), so substituting for v in
-        # a target with coefficient c adds -c·unit_coeff·expr to it
-        # (unit_coeff² = 1 cancels v).
-        def subst(target: LinExpr) -> LinExpr:
-            coeff = target.coeff(unit_var)
-            if coeff == 0:
-                return target
-            return target.combine(expr, -coeff * unit_coeff)
-
-        pending = [subst(e) for e in pending]
-        les = [subst(e) for e in les]
-        nes[:] = [subst(e) for e in nes]
-    return {}, les
+        _substitute(pending, unit, unit_coeff, terms, const)
+        _substitute(les, unit, unit_coeff, terms, const)
+        _substitute(nes, unit, unit_coeff, terms, const)
+    return True
 
 
-def _fm_feasible(les: list[LinExpr], stats: SolverStats) -> bool:
-    """Fourier–Motzkin with integer tightening over atoms ``expr <= 0``."""
-    system = [tighten(e) for e in les]
+def _substitute(
+    rows: list[Row], unit: Var, unit_coeff: int, terms: dict, const: int
+) -> None:
+    """Eliminate ``unit`` from every row of ``rows`` with the equality
+    ``terms + const == 0``, in place. unit_coeff·unit = -(rest of the
+    equality), so a row with coefficient c on ``unit`` gains
+    -c·unit_coeff times the equality (unit_coeff² = 1 cancels ``unit``)."""
+    for i, (t, tconst) in enumerate(rows):
+        c = t.get(unit)
+        if c is None:
+            continue
+        k = -c * unit_coeff
+        del t[unit]
+        for v, pc in terms.items():
+            if v is not unit:
+                nc = t.get(v, 0) + k * pc
+                if nc:
+                    t[v] = nc
+                else:
+                    del t[v]
+        rows[i] = (t, tconst + k * const)
+
+
+def _tighten(row: Row) -> Row:
+    """Integer tightening of ``row <= 0``: divide through by the gcd of
+    the coefficients, rounding the constant toward the feasible side."""
+    terms, const = row
+    g = gcd(*terms.values())
+    if g <= 1:
+        return row
+    # Σ c'x ≤ -k/g and the left side is an integer, so Σ c'x ≤ floor(-k/g).
+    return {v: c // g for v, c in terms.items()}, -((-const) // g)
+
+
+def _fm_feasible(les: list[Row], stats: SolverStats, reprs: dict) -> bool:
+    """Fourier–Motzkin with integer tightening over rows ``row <= 0``.
+    Never changes a row it is given."""
+    system = [_tighten(r) for r in les]
     while True:
-        constants = [e for e in system if e.is_constant]
-        if any(e.const > 0 for e in constants):
-            return False
-        system = [e for e in system if not e.is_constant]
+        live = []
+        for row in system:
+            if row[0]:
+                live.append(row)
+            elif row[1] > 0:
+                return False
+        system = live
         if not system:
             return True
         if len(system) > FM_ATOM_BUDGET:
@@ -404,32 +470,38 @@ def _fm_feasible(les: list[LinExpr], stats: SolverStats) -> bool:
             _GIVEUPS.inc()
             return True  # give up: conservatively satisfiable
         # Pick the variable with the fewest pos*neg combinations.
-        occurrences: dict[Var, tuple[int, int]] = {}
-        for expr in system:
-            for v, c in expr.coeffs:
-                pos, neg = occurrences.get(v, (0, 0))
-                if c > 0:
-                    occurrences[v] = (pos + 1, neg)
-                else:
-                    occurrences[v] = (pos, neg + 1)
+        occurrences: dict = {}  # var -> [pos, neg]
+        for terms, _ in system:
+            for v, c in terms.items():
+                counts = occurrences.get(v)
+                if counts is None:
+                    counts = occurrences[v] = [0, 0]
+                counts[c < 0] += 1
         var = min(
             occurrences,
-            key=lambda v: (occurrences[v][0] * occurrences[v][1], repr(v)),
+            key=lambda v: (occurrences[v][0] * occurrences[v][1], reprs[v]),
         )
-        pos_exprs: list[tuple[LinExpr, int]] = []
-        neg_exprs: list[tuple[LinExpr, int]] = []
-        others: list[LinExpr] = []
-        for e in system:
-            c = e.coeff(var)
+        pos_rows: list[tuple[Row, int]] = []
+        neg_rows: list[tuple[Row, int]] = []
+        others: list[Row] = []
+        for row in system:
+            c = row[0].get(var, 0)
             if c > 0:
-                pos_exprs.append((e, c))
+                pos_rows.append((row, c))
             elif c < 0:
-                neg_exprs.append((e, -c))
+                neg_rows.append((row, -c))
             else:
-                others.append(e)
-        combined: list[LinExpr] = []
-        for p, cp in pos_exprs:
-            for n, cn in neg_exprs:
+                others.append(row)
+        combined: list[Row] = []
+        for (pterms, pconst), cp in pos_rows:
+            for (nterms, nconst), cn in neg_rows:
                 # cn*p + cp*n eliminates var.
-                combined.append(tighten(p.scale(cn).combine(n, cp)))
+                t = {v: c * cn for v, c in pterms.items()}
+                for v, c in nterms.items():
+                    x = t.get(v, 0) + c * cp
+                    if x:
+                        t[v] = x
+                    else:
+                        del t[v]
+                combined.append(_tighten((t, pconst * cn + nconst * cp)))
         system = others + combined

@@ -10,6 +10,10 @@ The witness-refutation analysis emits only conjunctions of:
 The paper discharges these with Z3; we decide the same fragment with a
 from-scratch procedure (:mod:`repro.solver.core`). Variables are arbitrary
 hashable objects so the solver does not depend on the symbolic layer.
+The terms here are what the analysis builds and the solver's caches key
+on; the decision procedure itself does no term arithmetic: it copies each
+linear atom of a component into a plain coefficient row and eliminates on
+those (see :mod:`repro.solver.core`).
 
 Terms are **hash-consed**: every :class:`LinExpr`, :class:`LinAtom`, and
 :class:`RefAtom` is canonicalized through a process-wide intern table at
@@ -24,7 +28,6 @@ process-pool boundary).
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Hashable, Iterable, Mapping, Union
 
 Var = Hashable
@@ -144,13 +147,6 @@ class LinExpr:
     @staticmethod
     def constant(k: int) -> "LinExpr":
         return _intern(LinExpr, ("le", (), k))
-
-    def coeff(self, v: Var) -> int:
-        """The coefficient of ``v`` (0 when ``v`` does not occur)."""
-        for w, c in self.coeffs:
-            if w == v:
-                return c
-        return 0
 
     def combine(self, other: "LinExpr", k: int) -> "LinExpr":
         """``self + k·other`` in one construction.
@@ -377,19 +373,3 @@ def ref_ne(a: Union[Var, _NullConst], b: Union[Var, _NullConst]) -> RefAtom:
         a, b = b, a
     return RefAtom(False, a, b)
 
-
-def tighten(expr: LinExpr) -> LinExpr:
-    """Integer tightening: divide through by the gcd of the coefficients,
-    rounding the constant of a ≤-atom toward the feasible side."""
-    if not expr.coeffs:
-        return expr
-    g = 0
-    for _, c in expr.coeffs:
-        g = gcd(g, abs(c))
-    if g <= 1:
-        return expr
-    # Σ c'x ≤ -k/g  and the LHS is an integer, so Σ c'x ≤ floor(-k/g).
-    # Dividing every coefficient by g keeps their order.
-    bound = (-expr.const) // g
-    coeffs = tuple((v, c // g) for v, c in expr.coeffs)
-    return _intern(LinExpr, ("le", coeffs, -bound))

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from ..pointsto.graph import AbsLoc
 from ..solver import NULL, Atom, check_sat, ref_eq, ref_ne
-from ..solver.core import SolverStats
+from ..solver.core import SolverStats, count_unchanged
 from ..solver.partition import Components
 from ..solver.terms import LinAtom, LinExpr, RefAtom
 from ..solver.unionfind import UnionFind
@@ -657,13 +657,28 @@ class Query:
             return False
         if self._sat_version == self.version:
             return self._sat_result
-        ok = check_sat(
-            self.canonical_pure(),
-            nonnull=frozenset(self._nonnull),
-            stats=stats,
-            separation=self.separation_atoms(),
-            lineage=self,
-        )
+        pure = self.canonical_pure()
+        sep = self.separation_atoms()
+        record = self.components
+        if (
+            record is not None
+            and pure is record.pure
+            and sep is record.sep
+            and self._nonnull == record.nonnull
+        ):
+            # Nothing changed since the SAT check that published the
+            # record (its lists are never mutated), so the solver would
+            # answer "same atoms" at once: answer it here, counted alike.
+            count_unchanged(stats)
+            ok = True
+        else:
+            ok = check_sat(
+                pure,
+                nonnull=frozenset(self._nonnull),
+                stats=stats,
+                separation=sep,
+                lineage=self,
+            )
         self._sat_version = self.version
         self._sat_result = ok
         if not ok:

@@ -19,9 +19,11 @@ import json
 import pytest
 
 from repro.bench.workloads import lifecycle_app, lifecycle_edit
+from repro.obs import provenance
 from repro.serve.server import handle_request, serve_stdio
 from repro.serve.protocol import Request
 from repro.serve.session import ProgramSession
+from repro.serve.invalidation import method_fingerprints
 
 N_SCREENS = 6
 EDITED = 2  # the screen the canonical edit touches
@@ -209,6 +211,45 @@ class TestLifecycle:
             explained, _ = session.explain({"description": refuted})
             assert explained["status"] == "refuted"
             assert explained["certificate"]
+        finally:
+            session.close()
+
+    def test_close_uninstalls_the_journal_it_installed(self, lifecycle_source):
+        previous = provenance.get_journal()
+        provenance.disable()
+        try:
+            session = ProgramSession(
+                lifecycle_source, include_library=False, journal=True
+            )
+            try:
+                assert provenance.get_journal() is not None
+            finally:
+                session.close()
+            assert provenance.get_journal() is None
+
+            # A journal that was already active is the caller's: it stays.
+            mine = provenance.install()
+            session = ProgramSession(
+                lifecycle_source, include_library=False, journal=True
+            )
+            session.close()
+            assert provenance.get_journal() is mine
+        finally:
+            if previous is None:
+                provenance.disable()
+            else:
+                provenance.install(previous)
+
+    def test_incremental_update_keeps_the_program_fingerprints(
+        self, lifecycle_source
+    ):
+        session = ProgramSession(lifecycle_source, include_library=False)
+        try:
+            session.analyze(REACH_PARAMS)
+            edited = lifecycle_edit(lifecycle_source, screen=EDITED)
+            update, _ = session.update({"source": edited})
+            assert update["mode"] == "incremental"
+            assert session._fingerprints == method_fingerprints(session._program)
         finally:
             session.close()
 

@@ -18,9 +18,8 @@ from repro.solver import (
     ne,
     ref_eq,
     ref_ne,
-    tighten,
 )
-from repro.solver import terms
+from repro.solver import core, terms
 from repro.symbolic.symvar import fresh_ref
 
 X, Y, Z = "x", "y", "z"
@@ -102,9 +101,14 @@ class TestLinExpr:
     def test_tighten_divides_by_gcd(self):
         # 2x - 5 <= 0  =>  x <= 2 (integers)
         expr = v(X).scale(2).add(k(-5))
-        tightened = tighten(expr)
-        assert dict(tightened.coeffs) == {X: 1}
-        assert tightened.const == -2
+        tightened = core._tighten((dict(expr.coeffs), expr.const))
+        assert tightened == ({X: 1}, -2)
+        # -4x + 6y + 3 <= 0  =>  -2x + 3y <= -2 (floor of -3/2)
+        assert core._tighten(({X: -4, Y: 6}, 3)) == ({X: -2, Y: 3}, 2)
+        # coprime coefficients and constant rows are left alone
+        row = ({X: 2, Y: 3}, 1)
+        assert core._tighten(row) is row
+        assert core._tighten(({}, 4)) == ({}, 4)
 
 
 class TestLinearSat:
