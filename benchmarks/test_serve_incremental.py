@@ -69,6 +69,8 @@ def test_incremental_reanalysis_emits_bench_serve():
 
     # Deterministic scope assertions, smoke and full alike.
     assert update["mode"] == "incremental"
+    # The edit lies inside one class, so only that class was rebuilt.
+    assert update_meta["build"] == "class"
     assert update["changed_methods"] == [f"Screen{edited_screen}.onStart"]
     assert cold_meta["jobs_run"] == n_screens
     assert 1 <= update_meta["invalidated_edges"] < n_screens
@@ -103,6 +105,7 @@ def test_incremental_reanalysis_emits_bench_serve():
         "update": {
             "seconds": round(update_meta["seconds"], 4),
             "mode": update["mode"],
+            "build": update_meta["build"],
             "changed_methods": update["changed_methods"],
             "invalidated_edges": update_meta["invalidated_edges"],
             "retained_verdicts": update_meta["retained_verdicts"],

@@ -50,23 +50,30 @@ def _is_ref(typ: Optional[ast.Type]) -> bool:
     return typ is not None and typ.is_reference()
 
 
+def site_stem(class_name: str, kind: str) -> str:
+    """The hint of an allocation site, before its per-stem ordinal."""
+    if kind == "array":
+        return "arr"
+    if kind == "string":
+        return "str"
+    return class_name[0].lower() + class_name[1:]
+
+
 class _Builder:
-    def __init__(self, table: ClassTable) -> None:
+    def __init__(self, table: ClassTable, hints: Optional[dict] = None) -> None:
         self.table = table
         self.program = IRProgram(table)
         self._site_counter = 0
-        self._hint_counters: dict[str, int] = {}
+        #: Sites allocated so far per hint stem. A builder that lowers one
+        #: class starts from the counts of the classes lowered before it,
+        #: so its hints match a whole-program build.
+        self._hint_counters: dict[str, int] = dict(hints or {})
         self._classes_with_clinit: list[str] = []
 
     # -- allocation sites -------------------------------------------------------
 
     def fresh_site(self, class_name: str, method: str, kind: str) -> ins.AllocSite:
-        if kind == "array":
-            stem = "arr"
-        elif kind == "string":
-            stem = "str"
-        else:
-            stem = class_name[0].lower() + class_name[1:]
+        stem = site_stem(class_name, kind)
         count = self._hint_counters.get(stem, 0)
         self._hint_counters[stem] = count + 1
         site = ins.AllocSite(

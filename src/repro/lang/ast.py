@@ -332,6 +332,8 @@ class ClassDecl:
     fields: list[FieldDecl]
     methods: list[MethodDecl]
     pos: SourcePosition
+    #: Position of the closing brace.
+    end: Optional[SourcePosition] = None
 
 
 @dataclass

@@ -146,15 +146,17 @@ def _scan_while(source: str, j: int, accept) -> int:
     return j
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source``, returning a token list terminated by EOF."""
+def tokenize(source: str, line: int = 1, column: int = 1) -> list[Token]:
+    """Tokenize ``source``, returning a token list terminated by EOF.
+
+    ``source`` starts at ``line``:``column``: a fragment cut out of a
+    larger text lexes to the positions it has there."""
     tokens: list[Token] = []
     append = tokens.append
     match = _MASTER.match
     n = len(source)
     i = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
+    line_start = 1 - column  # offset of the first character of ``line``
     while i < n:
         m = match(source, i)
         if m is None:

@@ -97,8 +97,8 @@ class Parser:
         methods: list[ast.MethodDecl] = []
         while not self._peek().is_op("}"):
             self._parse_member(name, fields, methods)
-        self._expect_op("}")
-        return ast.ClassDecl(name, superclass, fields, methods, start.pos)
+        end = self._expect_op("}")
+        return ast.ClassDecl(name, superclass, fields, methods, start.pos, end.pos)
 
     def _parse_modifiers(self) -> tuple[bool, bool]:
         is_static = False

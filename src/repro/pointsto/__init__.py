@@ -139,8 +139,10 @@ def reanalyze(
     True)``) and its program must already have the changed method bodies
     grafted in. Only the changed methods' constraints are re-generated;
     the delta worklist drains their consequences. The summary phases
-    (producers, mod/ref, completion) are recomputed in full — they are
-    cheap linear passes. Returns the refreshed result (sharing the solver,
+    (producers, mod/ref, completion) are recomputed in full. Mod/ref is a
+    fixpoint over the call graph, not one linear pass: it walks each
+    reachable body once, then propagates summaries along the collected
+    callee lists until nothing grows. Returns the refreshed result (sharing the solver,
     graph, and call graph) plus the :class:`DeltaReport` of where the
     solution grew."""
     if prev.solver is None:

@@ -45,6 +45,15 @@ class ModSet:
         if include_locals:
             self.locals |= other.locals
 
+    def size(self) -> tuple:
+        """Grows whenever an :meth:`update` adds anything."""
+        return (
+            len(self.fields),
+            len(self.statics),
+            len(self.alloc_sites),
+            self.calls_unknown,
+        )
+
     def writes_field(self, name: str) -> bool:
         return self.calls_unknown or name in self.fields
 
@@ -81,6 +90,10 @@ class RefSet:
         self.statics |= other.statics
         self.reads_unknown |= other.reads_unknown
 
+    def size(self) -> tuple:
+        """Grows whenever an :meth:`update` adds anything."""
+        return (len(self.fields), len(self.statics), self.reads_unknown)
+
 
 class ModRefAnalysis:
     """Transitive per-method mod summaries over the resolved call graph."""
@@ -88,55 +101,43 @@ class ModRefAnalysis:
     def __init__(self, program: IRProgram, call_graph: CallGraph) -> None:
         self.program = program
         self.call_graph = call_graph
-        self._direct: dict[str, ModSet] = {}
         self._summary: dict[str, ModSet] = {}
         self._refs: dict[str, RefSet] = {}  # computed lazily
+        #: Per method: its resolved callees that have summaries, and
+        #: whether it calls one that has none. Collected once; both
+        #: fixpoints below propagate along these edges only.
+        self._callees: dict[str, tuple[list[str], bool]] = {}
         self._compute()
 
     def _compute(self) -> None:
         methods = self.call_graph.reachable_methods & set(self.program.methods)
         for qname in methods:
-            self._direct[qname] = self._direct_mod(qname)
-            self._summary[qname] = ModSet()
-            self._summary[qname].update(self._direct[qname], include_locals=True)
+            summary = ModSet()
+            callees: set[str] = set()
+            for cmd in walk_commands(self.program.methods[qname].body):
+                self._command_mod(cmd, summary, include_calls=False)
+                if isinstance(cmd, ins.Invoke):
+                    callees |= self.call_graph.callees_of(cmd.label)
+            known = sorted(callees & methods)
+            summary.calls_unknown = len(known) < len(callees)
+            self._callees[qname] = (known, summary.calls_unknown)
+            self._summary[qname] = summary
         # Fixpoint over the call graph (handles recursion and cycles).
+        self._propagate(self._summary, ModSet.update)
+
+    def _propagate(self, sets: dict, update) -> None:
+        """Union every method's callees' sets into its own until nothing
+        grows: the monotone least fixpoint, whatever the visiting order."""
         changed = True
         while changed:
             changed = False
-            for qname in methods:
-                summary = self._summary[qname]
-                before = (
-                    len(summary.fields),
-                    len(summary.statics),
-                    len(summary.alloc_sites),
-                    summary.calls_unknown,
-                )
-                for cmd in walk_commands(self.program.methods[qname].body):
-                    if isinstance(cmd, ins.Invoke):
-                        for callee in self.call_graph.callees_of(cmd.label):
-                            callee_sum = self._summary.get(callee)
-                            if callee_sum is None:
-                                summary.calls_unknown = True
-                            else:
-                                summary.update(callee_sum)
-                after = (
-                    len(summary.fields),
-                    len(summary.statics),
-                    len(summary.alloc_sites),
-                    summary.calls_unknown,
-                )
-                if before != after:
+            for qname, (callees, _) in self._callees.items():
+                own = sets[qname]
+                before = own.size()
+                for callee in callees:
+                    update(own, sets[callee])
+                if own.size() != before:
                     changed = True
-
-    def _direct_mod(self, qname: str) -> ModSet:
-        mod = ModSet()
-        method = self.program.methods.get(qname)
-        if method is None:
-            mod.calls_unknown = True
-            return mod
-        for cmd in walk_commands(method.body):
-            self._command_mod(cmd, mod, include_calls=False)
-        return mod
 
     def _command_mod(self, cmd: ins.Command, mod: ModSet, include_calls: bool) -> None:
         if isinstance(cmd, (ins.New, ins.NewArray)):
@@ -214,9 +215,8 @@ class ModRefAnalysis:
         return out
 
     def _compute_refs(self) -> None:
-        methods = self.call_graph.reachable_methods & set(self.program.methods)
-        for qname in methods:
-            refs = RefSet()
+        for qname, (_, unknown) in self._callees.items():
+            refs = RefSet(reads_unknown=unknown)
             for cmd in walk_commands(self.program.methods[qname].body):
                 if isinstance(cmd, ins.FieldRead):
                     refs.fields.add(cmd.field_name)
@@ -225,22 +225,7 @@ class ModRefAnalysis:
                 elif isinstance(cmd, ins.StaticRead):
                     refs.statics.add((cmd.class_name, cmd.field_name))
             self._refs[qname] = refs
-        changed = True
-        while changed:
-            changed = False
-            for qname in methods:
-                refs = self._refs[qname]
-                before = (len(refs.fields), len(refs.statics), refs.reads_unknown)
-                for cmd in walk_commands(self.program.methods[qname].body):
-                    if isinstance(cmd, ins.Invoke):
-                        for callee in self.call_graph.callees_of(cmd.label):
-                            callee_refs = self._refs.get(callee)
-                            if callee_refs is None:
-                                refs.reads_unknown = True
-                            else:
-                                refs.update(callee_refs)
-                if before != (len(refs.fields), len(refs.statics), refs.reads_unknown):
-                    changed = True
+        self._propagate(self._refs, RefSet.update)
 
     def statement_mod(self, stmt: Stmt) -> ModSet:
         """Mod set of one structured statement (e.g. a loop body), callees

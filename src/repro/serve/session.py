@@ -17,7 +17,10 @@ later request can reuse:
   content-addressed, not program-addressed.
 
 On ``update`` the session diffs the edited source against the loaded
-program at *method* granularity. An additive edit (old pointer facts all
+program at *method* granularity. An edit that lies inside one top-level
+class rebuilds only that class (:mod:`repro.serve.classbuild`); anything
+that class build cannot decide alone rebuilds the whole program first.
+An additive edit (old pointer facts all
 preserved) is grafted into the retained program and fed through the
 Andersen delta worklist (:func:`repro.pointsto.reanalyze`); only verdicts
 whose footprint intersects the change — per
@@ -32,13 +35,12 @@ updates serialized and exclusive (:class:`_RWLock`).
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from contextlib import contextmanager
 from typing import Optional
 
-from ..android.harness import add_harness, combined_source
+from ..android.harness import _LIBRARY_LINES, add_harness, combined_source
 from ..api import (
     _SELECTOR_FIELDS,
     CLIENTS,
@@ -49,12 +51,23 @@ from ..api import (
 from ..engine import RefutationDriver
 from ..engine.driver import Job
 from ..ir import build_program
-from ..lang import frontend, tokenize
+from ..lang import frontend
 from .. import perf
 from ..obs import metrics, provenance, telemetry
 from ..pointsto import analyze as pointsto_analyze
 from ..pointsto import reanalyze
 from ..symbolic import SearchConfig
+# split_classes and splice_classes are part of this module's interface.
+from .classbuild import (
+    build_class,
+    decl_spans,
+    edit_region,
+    enclosing_span,
+    hints_before,
+    position_of,
+    splice_classes,
+    split_classes,
+)
 from .invalidation import (
     footprint_signatures,
     graft_method,
@@ -198,17 +211,26 @@ class ProgramSession:
         #: created by rebuilds) feeds it, so ``watch`` cursors survive
         #: updates and the ``top`` renderer sees one continuous stream.
         self.hub = telemetry.TelemetryHub()
+        #: Lines ahead of the app source in the text the frontend parses.
+        self._line_base = _LIBRARY_LINES + 1 if include_library else 0
         self._rebuild(self._build(source))
 
     # -- pipeline front half -------------------------------------------------
 
     def _build(self, source: str):
         """Frontend and IR for ``source`` (with the Android library and
-        harness when the session includes them)."""
+        harness when the session includes them). Also records the app
+        classes' spans in ``source``: every caller installs ``source``
+        once this returns."""
         if not self._include_library:
-            return build_program(frontend(source))
-        combined = combined_source(source)
-        return build_program(add_harness(frontend(combined), combined))
+            checked = frontend(source)
+            program = build_program(checked)
+        else:
+            combined = combined_source(source)
+            checked = frontend(combined)
+            program = build_program(add_harness(checked, combined))
+        self._spans = decl_spans(checked.unit.classes, source, self._line_base)
+        return program
 
     def _rebuild(self, program) -> None:
         """Cold path: build everything after the IR from scratch and start
@@ -289,8 +311,9 @@ class ProgramSession:
         ``params`` carries either ``source`` (the full replacement app
         source) or ``classes`` (``{class name: replacement class text}``
         spliced into the current source). Returns what happened: the
-        changed methods, whether the incremental path applied, and how
-        many retained verdicts each rule invalidated vs. kept."""
+        changed methods, whether the incremental path applied, how many
+        retained verdicts each rule invalidated vs. kept, and which build
+        (one class or the whole program) decided it."""
         _REQUESTS.inc()
         unknown = sorted(set(params) - {"source", "classes"})
         if unknown:
@@ -305,41 +328,93 @@ class ProgramSession:
         started = time.perf_counter()
         with self._rw.write():
             if classes is not None:
-                source = splice_classes(self._source, classes)
-            new_program = self._build(source)
+                source = splice_classes(self._source, classes, self._spans)
+            if source == self._source:
+                return self._noop(started, "class")
+            built = self._class_build(source)
+            if built is not None:
+                index, info, new_program, growth = built
+                build = "class"
+            else:
+                new_program = self._build(source)
+                if program_signature(new_program) != program_signature(
+                    self._program
+                ):
+                    return self._full_update(
+                        source, new_program, started, reason="declarations"
+                    )
+                build = "full"
             new_prints = method_fingerprints(new_program)
-            if program_signature(new_program) != program_signature(
-                self._program
-            ):
-                return self._full_update(
-                    source, new_program, started, reason="declarations"
-                )
             changed = sorted(
                 qname
                 for qname, print_ in new_prints.items()
-                if self._fingerprints.get(qname) != print_
+                if self._fingerprints[qname] != print_
             )
-            if not changed:
-                self._source = source
-                return (
-                    {"mode": "noop", "changed_methods": []},
-                    {"seconds": time.perf_counter() - started,
-                     "invalidated_edges": 0,
-                     "retained_verdicts": len(self._verdicts)},
-                )
-            additive = all(
+            if not all(
                 is_additive(
                     self._program.methods[qname], new_program.methods[qname]
                 )
                 for qname in changed
-            )
-            if not additive:
+            ):
+                if build == "class":
+                    new_program = self._build(source)
                 return self._full_update(
                     source, new_program, started, reason="non-additive edit"
                 )
+            if build == "class":
+                # The edit stays: the retained table takes the class's new
+                # entry, and every span from the edited class on moves.
+                self._program.class_table.classes[info.name] = info
+                self._spans[index][2] += growth
+                for span in self._spans[index + 1 :]:
+                    span[1] += growth
+                    span[2] += growth
+            if not changed:
+                self._source = source
+                return self._noop(started, build)
             return self._incremental_update(
-                source, new_program, new_prints, changed, started
+                source,
+                new_program,
+                {**self._fingerprints, **new_prints},
+                changed,
+                started,
+                build,
             )
+
+    def _class_build(self, source: str):
+        """Build only the class the edit from the loaded source to
+        ``source`` lies in, or return ``None`` when the edit touches text
+        outside one class or the class build cannot decide alone (see
+        :func:`~repro.serve.classbuild.build_class`). Returns the class's
+        span index, its new table entry, its lowered methods and how many
+        characters the edit added."""
+        start, old_end, new_end = edit_region(self._source, source)
+        index = enclosing_span(self._spans, start, old_end)
+        if index is None:
+            return None
+        name, lo, hi = self._spans[index]
+        growth = new_end - old_end
+        line, column = position_of(source, lo)
+        built = build_class(
+            self._program.class_table,
+            name,
+            source[lo : hi + growth],
+            (line + self._line_base, column),
+            hints_before(self._program, name),
+            [m for m in self._program.methods.values() if m.class_name == name],
+        )
+        if built is None:
+            return None
+        return (index, *built, growth)
+
+    def _noop(self, started: float, build: str) -> tuple[dict, dict]:
+        return (
+            {"mode": "noop", "changed_methods": []},
+            {"seconds": time.perf_counter() - started,
+             "invalidated_edges": 0,
+             "retained_verdicts": len(self._verdicts),
+             "build": build},
+        )
 
     def _full_update(
         self, source: str, program, started: float, reason: str
@@ -360,11 +435,18 @@ class ProgramSession:
                 "seconds": time.perf_counter() - started,
                 "invalidated_edges": invalidated,
                 "retained_verdicts": 0,
+                "build": "full",
             },
         )
 
     def _incremental_update(
-        self, source: str, new_program, new_prints: dict, changed: list, started: float
+        self,
+        source: str,
+        new_program,
+        new_prints: dict,
+        changed: list,
+        started: float,
+        build: str,
     ) -> tuple[dict, dict]:
         changed_set = frozenset(changed)
         # Signatures and producer lists must be captured *before* the
@@ -443,6 +525,7 @@ class ProgramSession:
                 "invalidated_edges": invalidated,
                 "invalidated_facts": facts_dropped,
                 "retained_verdicts": len(surviving),
+                "build": build,
             },
         )
 
@@ -574,53 +657,3 @@ class ProgramSession:
             self._driver.close()
             if self._installed_journal and provenance.get_journal() is self._journal:
                 provenance.disable()
-
-
-# ---------------------------------------------------------------------------
-# Per-class source splicing (the `classes` update flavor)
-# ---------------------------------------------------------------------------
-
-
-def split_classes(source: str) -> dict[str, str]:
-    """Split mini-Java source into its top-level class texts, keyed by
-    class name, in order. Works on tokens, so ``class`` in a comment and
-    braces in comments or string literals do not count."""
-    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
-
-    def offset(tok) -> int:
-        return line_starts[tok.pos.line - 1] + tok.pos.column - 1
-
-    out: dict[str, str] = {}
-    tokens = tokenize(source)
-    depth = 0
-    start = None
-    name = ""
-    for index, tok in enumerate(tokens):
-        if depth == 0 and tok.is_keyword("class"):
-            start = offset(tok)
-            name = tokens[index + 1].text
-        elif tok.is_op("{"):
-            depth += 1
-        elif tok.is_op("}"):
-            depth -= 1
-            if depth == 0 and start is not None:
-                out[name] = source[start : offset(tok) + 1]
-                start = None
-    return out
-
-
-def splice_classes(source: str, replacements: dict[str, str]) -> str:
-    """Replace whole top-level classes in ``source`` by name. Every name
-    in ``replacements`` must already exist (adding or removing classes is
-    a declaration-level change — ship full ``source`` for that, and the
-    session takes the rebuild path)."""
-    classes = split_classes(source)
-    missing = sorted(set(replacements) - set(classes))
-    if missing:
-        raise ValueError(
-            f"class(es) not in the loaded program: {', '.join(missing)};"
-            " to add classes, send a full source= update"
-        )
-    for name, text in replacements.items():
-        source = source.replace(classes[name], text)
-    return source

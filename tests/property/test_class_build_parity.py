@@ -1,0 +1,336 @@
+"""The serve session's class build vs the whole-program build it skips.
+
+``ProgramSession.update`` builds only the edited class when the edit lies
+inside one top-level class, and falls back to a whole-program build in
+every case that class build cannot decide alone. Here two sessions take
+the same seeded edit stream: one as shipped, the other with the class
+build bypassed (monkeypatched to decline every edit), so every update
+there goes through the whole-program path. For every update:
+
+* both raise the same error, or both return byte-identical results:
+  ``mode``, ``changed_methods``, points-to growth and the invalidation
+  counts (everything but wall-clock seconds and the ``build`` field);
+* both retained programs are identical, command for command: labels,
+  rendering (allocation-site hints included) and source positions;
+* every method the class build rebuilt has the body fingerprint and the
+  command positions of a fresh whole-program build of the new source;
+* the following ``analyze`` returns the same status, the same records
+  (description and status, in order) and the same verdict payload.
+
+Programs: ``lifecycle_app`` (no library) and the seven benchmark apps,
+which extend the Android library's classes and so load with it. Edits:
+added, changed and removed statements; whitespace-only and comment-only
+edits; an edit inside a string literal; an unclosed ``/*``; a renamed
+class; an added field, an added static initializer and a static
+initializer on an existing field; and one edit spanning two classes.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+
+import pytest
+
+from repro.android.harness import _LIBRARY_LINES, add_harness, combined_source
+from repro.bench.apps import APPS, app_by_name
+from repro.bench.workloads import lifecycle_app
+from repro.ir import build_program
+from repro.ir.stmts import walk_commands
+from repro.lang import ast, frontend, parse_program
+from repro.serve.classbuild import position_of
+from repro.serve.invalidation import body_fingerprint
+from repro.serve.session import ProgramSession
+
+#: Every edit kind; the stream visits each at least once, in seeded order.
+KINDS = (
+    "add",
+    "add_string",
+    "edit_string",
+    "change",
+    "remove",
+    "whitespace",
+    "comment",
+    "unclosed_comment",
+    "rename",
+    "field",
+    "static_init",
+    "init_existing",
+    "two_classes",
+)
+
+
+def _full_build(source: str, include_library: bool):
+    if not include_library:
+        return build_program(frontend(source))
+    combined = combined_source(source)
+    return build_program(add_harness(frontend(combined), combined))
+
+
+def _offset(source: str, pos, line_base: int) -> int:
+    lines = source.split("\n")
+    return sum(len(l) + 1 for l in lines[: pos.line - line_base - 1]) + pos.column - 1
+
+
+class _EditStream:
+    """Seeded text edits of a mini-Java source (positions come from the
+    parser, so every edit lands where its kind says)."""
+
+    def __init__(self, seed: int, include_library: bool) -> None:
+        self.rng = random.Random(seed)
+        self.line_base = _LIBRARY_LINES + 1 if include_library else 0
+        self.counter = 0
+
+    def _classes(self, source: str) -> list[ast.ClassDecl]:
+        return parse_program("\n" * self.line_base + source).classes
+
+    def _body_opening(self, source: str, after: int = -1) -> int:
+        """Offset just past the ``{`` of a random non-constructor body
+        that opens past offset ``after`` (the end of ``source`` if none
+        does)."""
+        bodies = [
+            _offset(source, mth.body.pos, self.line_base) + 1
+            for cls in self._classes(source)
+            for mth in cls.methods
+            if not mth.is_constructor
+        ]
+        later = [at for at in bodies if at > after]
+        return self.rng.choice(later) if later else len(source)
+
+    def _class_opening(self, source: str) -> int:
+        cls = self.rng.choice(self._classes(source))
+        start = _offset(source, cls.pos, self.line_base)
+        return source.index("{", start) + 1
+
+    def _insert_in_body(self, source: str, text: str) -> str:
+        at = self._body_opening(source)
+        return source[:at] + text + source[at:]
+
+    def apply(self, kind: str, source: str) -> str:
+        self.counter += 1
+        k = self.counter
+        added = re.findall(r"int e\$\d+ = \d+;", source)
+        if kind == "add":
+            return self._insert_in_body(source, f" int e${k} = {k};")
+        if kind == "add_string":
+            return self._insert_in_body(source, f' String s${k} = "a{{{k}}}";')
+        if kind == "edit_string":
+            literal = re.search(r'"[^"\\\n]*"', source)
+            if literal is None:
+                return self._insert_in_body(source, f' String s${k} = "a{k}";')
+            at = literal.start() + 1
+            return source[:at] + "}{ " + source[at:]
+        if kind == "change":
+            # An added statement, else the first assignment of a constant.
+            if added:
+                stmt = self.rng.choice(added)
+                return source.replace(stmt, stmt.replace(";", " + 1;"), 1)
+            match = re.search(r"= (\d+);", source)
+            if match is not None:
+                return source[: match.start(1)] + "7" + source[match.end(1) :]
+        if kind == "remove":
+            # An added statement, else the first field write of a body.
+            if added:
+                return source.replace(" " + self.rng.choice(added), "", 1)
+            match = re.search(r"this\.\w+ = [^;]*;", source)
+            if match is not None:
+                return source[: match.start()] + source[match.end() :]
+        if kind in ("change", "remove"):
+            return self._insert_in_body(source, f" int e${k} = {k};")
+        if kind == "whitespace":
+            return self._insert_in_body(source, "\n\n   \n")
+        if kind == "comment":
+            return self._insert_in_body(source, f" /* note {{ {k} */ // x\n")
+        if kind == "unclosed_comment":
+            # Past the last "*/", so that nothing closes it.
+            at = self._body_opening(source, after=source.rfind("*/"))
+            return source[:at] + " /* never closed " + source[at:]
+        if kind == "rename":
+            cls = self.rng.choice(self._classes(source))
+            start = _offset(source, cls.pos, self.line_base)
+            head = f"class {cls.name}"
+            return (
+                source[:start]
+                + f"class {cls.name}R{k}"
+                + source[start + len(head) :]
+            )
+        if kind == "field":
+            at = self._class_opening(source)
+            return source[:at] + f" int f${k};" + source[at:]
+        if kind == "static_init":
+            at = self._class_opening(source)
+            return source[:at] + f" static int g${k} = {k};" + source[at:]
+        if kind == "init_existing":
+            match = re.search(r"static ([A-Z]\w*) (\w+);", source)
+            if match is None:
+                at = self._class_opening(source)
+                return source[:at] + f" static int g${k} = {k};" + source[at:]
+            return (
+                source[: match.end() - 1] + " = null" + source[match.end() - 1 :]
+            )
+        if kind == "two_classes":
+            classes = self._classes(source)
+            first, second = self.rng.sample(classes, 2)
+            cuts = sorted(
+                source.index("{", _offset(source, cls.pos, self.line_base)) + 1
+                for cls in (first, second)
+            )
+            for at in reversed(cuts):
+                source = source[:at] + "\n " + source[at:]
+            return source
+        raise AssertionError(kind)
+
+
+def _update(session, source):
+    try:
+        result, meta = session.update({"source": source})
+    except Exception as exc:  # compared across the two sessions
+        return None, f"{type(exc).__name__}: {exc}"
+    return (result, meta), None
+
+
+def _program_rows(program) -> dict:
+    return {
+        qname: [
+            (cmd.label, str(cmd), cmd.pos and (cmd.pos.line, cmd.pos.column))
+            for cmd in walk_commands(method.body)
+        ]
+        for qname, method in program.methods.items()
+    }
+
+
+def _analysis(session, params) -> str:
+    payload, _ = session.analyze(dict(params))
+    return json.dumps(
+        {
+            "status": payload["status"],
+            "records": [
+                (r["description"], r["status"])
+                for r in payload["report"]["records"]
+            ],
+            "verdicts": payload["verdicts"],
+        },
+        sort_keys=True,
+    )
+
+
+#: Per program, the reachability root re-queried after every update: a
+#: true leak field whose searches stay cheap across rebuilds. The other
+#: apps have no true leak and run the casts client.
+ROOTS = {
+    "lifecycle": ("Registry", "hold", "Item"),
+    "PulsePoint": ("FeedManager", "sInstance", "Activity"),
+    "DroidLife": ("LifeState", "lastActivity", "Activity"),
+    "SMSPopUp": ("WakeLocker", "holder", "Activity"),
+    "aMetro": ("RouteStore", "owner", "Activity"),
+    "K9Mail": ("MessageListFragment", "active", "Activity"),
+}
+
+
+def _query(name: str) -> dict:
+    if name not in ROOTS:
+        return {"client": "casts"}
+    root_class, root_field, target_class = ROOTS[name]
+    return {
+        "client": "reachability",
+        "root_class": root_class,
+        "root_field": root_field,
+        "target_class": target_class,
+    }
+
+
+def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
+    include_library = name != "lifecycle"
+    if name == "lifecycle":
+        source = lifecycle_app(4, leaky=1, branches=2)
+    else:
+        source = app_by_name(name).source
+    stream = _EditStream(seed, include_library)
+    kinds = list(KINDS) + [
+        stream.rng.choice(KINDS) for _ in range(max(0, steps - len(KINDS)))
+    ]
+    stream.rng.shuffle(kinds)
+
+    params = _query(name)
+    fast = ProgramSession(source, include_library=include_library)
+    full = ProgramSession(source, include_library=include_library)
+    monkeypatch.setattr(full, "_class_build", lambda new_source: None)
+    builds = {"class": 0, "full": 0}
+    try:
+        assert _analysis(fast, params) == _analysis(full, params)
+        for kind in kinds:
+            edited = stream.apply(kind, source)
+            got, got_error = _update(fast, edited)
+            want, want_error = _update(full, edited)
+            assert got_error == want_error, (kind, got_error, want_error)
+            if got_error is not None:
+                continue
+            (result, meta), (want_result, want_meta) = got, want
+            # An unchanged source builds nothing on either side.
+            assert want_meta["build"] == ("class" if edited == source else "full")
+            builds[meta["build"]] += 1
+            assert json.dumps(result, sort_keys=True) == json.dumps(
+                want_result, sort_keys=True
+            ), kind
+            drop = ("seconds", "build")
+            assert {k: v for k, v in meta.items() if k not in drop} == {
+                k: v for k, v in want_meta.items() if k not in drop
+            }, kind
+            assert _program_rows(fast._program) == _program_rows(full._program)
+            assert fast._fingerprints == full._fingerprints
+            assert fast._spans == full._spans, kind
+            if meta["build"] == "class" and result["mode"] == "incremental":
+                _check_against_full_build(
+                    fast, edited, include_library, result["changed_methods"]
+                )
+            source = edited
+            assert _analysis(fast, params) == _analysis(full, params), kind
+    finally:
+        fast.close()
+        full.close()
+    return builds
+
+
+def _check_against_full_build(session, source, include_library, changed):
+    reference = _full_build(source, include_library)
+    for qname in changed:
+        mine = session._program.methods[qname]
+        theirs = reference.methods[qname]
+        assert body_fingerprint(mine) == body_fingerprint(theirs), qname
+        assert [c.pos for c in walk_commands(mine.body)] == [
+            c.pos for c in walk_commands(theirs.body)
+        ], qname
+    # The retained class-table entry of each edited class is the new one.
+    table = session._program.class_table
+    for qname in changed:
+        cls = qname.split(".", 1)[0]
+        want = reference.class_table.classes[cls]
+        got = table.classes[cls]
+        assert got.pos == want.pos
+        assert {n: m.pos for n, m in got.methods.items()} == {
+            n: m.pos for n, m in want.methods.items()
+        }
+
+
+def test_position_of_matches_the_lexer():
+    source = "class A {\n  int x;\n}\nclass B { }"
+    assert position_of(source, 0) == (1, 1)
+    assert position_of(source, source.index("int")) == (2, 3)
+    assert position_of(source, source.index("class B")) == (4, 1)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_lifecycle(seed, monkeypatch):
+    """The ``serve`` workload's program under every edit kind once, plus
+    a few repeats."""
+    builds = _run_stream(
+        "lifecycle", seed=seed, steps=len(KINDS) + 5, monkeypatch=monkeypatch
+    )
+    assert builds["class"] >= 3 and builds["full"] >= 3, builds
+
+
+@pytest.mark.parametrize("name", [app.name for app in APPS])
+def test_apps(name, monkeypatch):
+    builds = _run_stream(name, seed=11, steps=len(KINDS), monkeypatch=monkeypatch)
+    assert builds["class"] >= 1, builds

@@ -1,6 +1,7 @@
 """Unit tests for the serve daemon's building blocks: the wire protocol,
 edit diffing/grafting (:mod:`repro.serve.invalidation`), the staleness
-rules, and the per-class source splicer."""
+rules, the per-class source splicer and the class build
+(:mod:`repro.serve.classbuild`)."""
 
 import json
 
@@ -32,7 +33,14 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.session import split_classes, splice_classes
+from repro.lang import tokenize
+from repro.serve.classbuild import (
+    build_class,
+    edit_region,
+    enclosing_span,
+    token_spans,
+)
+from repro.serve.session import ProgramSession, split_classes, splice_classes
 
 BASE_SRC = """
 class Item { }
@@ -410,3 +418,106 @@ class TestSplicing:
     def test_splice_unknown_class_raises(self):
         with pytest.raises(ValueError, match="Nope.*full source= update"):
             splice_classes(BASE_SRC, {"Nope": "class Nope { }"})
+
+    def test_splice_leaves_copies_in_comments_and_strings(self):
+        # The replaced class's old text also sits in a comment and in a
+        # string literal; splicing by text rewrote all three copies.
+        source = (
+            "// old: class Item { }\n"
+            "class Item { }\n"
+            'class Keep { static String s = "class Item { }"; }\n'
+        )
+        want = (
+            "// old: class Item { }\n"
+            "class Item { int x; }\n"
+            'class Keep { static String s = "class Item { }"; }\n'
+        )
+        assert splice_classes(source, {"Item": "class Item { int x; }"}) == want
+        main = "class M { static void main() { Item i = new Item(); } }\n"
+        session = ProgramSession(source + main, include_library=False)
+        try:
+            session.update({"classes": {"Item": "class Item { int x; }"}})
+            assert session._source == want + main
+        finally:
+            session.close()
+
+
+# ---------------------------------------------------------------------------
+# The class build
+# ---------------------------------------------------------------------------
+
+
+class TestClassBuild:
+    def test_tokenize_from_a_position(self):
+        source = "class A { }\n  class B {\n int x; }"
+        start = source.index("class B")
+        whole = [t for t in tokenize(source) if t.pos.line > 1 or t.pos.column > 11]
+        part = tokenize(source[start:], line=2, column=3)
+        assert [(t.kind, t.text, t.pos) for t in part] == [
+            (t.kind, t.text, t.pos) for t in whole
+        ]
+
+    def test_edit_region(self):
+        assert edit_region("abcdef", "abXYef") == (2, 4, 4)
+        assert edit_region("abc", "abc") == (3, 3, 3)
+        assert edit_region("aaa", "aaaa") == (3, 3, 4)
+        assert edit_region("", "x") == (0, 0, 1)
+        spans = token_spans("class A { }\nclass B { }")
+        assert enclosing_span(spans, 14, 15) == 1
+        assert enclosing_span(spans, 11, 13) is None  # spans both classes
+
+    def _old(self, source):
+        program = compile_program(source)
+        methods = [m for m in program.methods.values() if m.class_name == "A"]
+        return program.class_table, methods
+
+    def _build(self, text, source=BASE_SRC):
+        table, methods = self._old(source)
+        start = source.index("class A")
+        line = source.count("\n", 0, start) + 1
+        return build_class(table, "A", text, (line, 1), {}, methods)
+
+    def test_body_edit_builds_at_the_full_build_positions(self):
+        text = split_classes(BASE_SRC)["A"].replace(
+            "this.pad + 1;", "this.pad + 1; this.pad = 2;"
+        )
+        info, program = self._build(text)
+        full = compile_program(BASE_SRC.replace(split_classes(BASE_SRC)["A"], text))
+        for qname, method in program.methods.items():
+            assert body_fingerprint(method) == body_fingerprint(full.methods[qname])
+            assert [c.pos for c in walk_commands(method.body)] == [
+                c.pos for c in walk_commands(full.methods[qname].body)
+            ]
+        assert info.methods["go"].pos == full.class_table.classes["A"].methods["go"].pos
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t + " class B { }",  # two classes
+            lambda t: t.replace("class A", "class A2"),  # renamed
+            lambda t: "/* c */ " + t,  # text ahead of `class`
+            lambda t: t + " // c",  # text after `}`
+            lambda t: t.replace("int pad;", "int pad; int more;"),  # field
+            lambda t: t.replace("int pad;", "static int s = 1; int pad;"),
+            lambda t: t.replace("Item make()", "Object make()"),  # signature
+            lambda t: t.replace("return o;", "return o"),  # parse error
+            lambda t: t.replace("return o;", "return 1;"),  # type error
+            lambda t: t.replace("{ this.pad", "{ /* open this.pad"),  # lex error
+        ],
+    )
+    def test_declines_what_it_cannot_decide(self, edit):
+        assert self._build(edit(split_classes(BASE_SRC)["A"])) is None
+
+    def test_update_reports_the_build(self):
+        session = ProgramSession(BASE_SRC, include_library=False)
+        try:
+            body = BASE_SRC.replace("this.pad + 1;", "this.pad + 1; this.pad = 2;")
+            update, meta = session.update({"source": body})
+            assert (update["mode"], meta["build"]) == ("incremental", "class")
+            field = body.replace("int pad;", "int pad; int more;")
+            update, meta = session.update({"source": field})
+            assert (update["mode"], meta["build"]) == ("rebuild", "full")
+            update, meta = session.update({"source": field})
+            assert (update["mode"], meta["build"]) == ("noop", "class")
+        finally:
+            session.close()
