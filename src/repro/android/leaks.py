@@ -126,7 +126,6 @@ class LeakChecker:
         jobs: int = 1,
         deadline: Optional[float] = None,
         backend: Optional[str] = None,
-        driver: Optional[RefutationDriver] = None,
         on_event: Optional[Callable[[object], None]] = None,
     ) -> None:
         self.app_name = app_name
@@ -143,7 +142,7 @@ class LeakChecker:
             policy=policy,
             empty_statics=set(EMPTY_TABLE_ANNOTATIONS) if annotated else None,
         )
-        self.driver = driver or RefutationDriver(
+        self.driver = RefutationDriver(
             self.pta,
             config or SearchConfig(),
             jobs=jobs,
@@ -152,8 +151,8 @@ class LeakChecker:
             on_event=on_event,
         )
         self.config = self.driver.config
-        #: The driver's serial engine — kept for direct use (e.g. witness
-        #: rendering); shares its result cache with the parallel workers.
+        #: The driver's serial engine, for direct searches; it caches
+        #: nothing (the driver keeps every final verdict).
         self.engine = self.driver.engine
 
     # -- pipeline --------------------------------------------------------------
@@ -180,7 +179,7 @@ class LeakChecker:
         for root, target in self.find_alarms():
             result = self._check_alarm(root, target, refuted_edges, report)
             report.alarms.append(result)
-        report.edge_results = self.engine.edge_results()
+        report.edge_results = self.driver.results()
         report.seconds = time.perf_counter() - start
         report.run_report = self.driver.build_report(
             app=self.app_name, command="check"

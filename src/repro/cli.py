@@ -478,7 +478,7 @@ def _cmd_check(args) -> int:
         print(f"  {alarm.status:9s} {alarm.root} ↪ {alarm.target}")
         if args.witnesses and alarm.witnessed_path:
             for edge in alarm.witnessed_path:
-                result = checker.engine.refute_edge(edge)
+                result = checker.driver.refute_edge(edge)
                 if result.witnessed:
                     print("    " + render_witness(checker.program, result).replace("\n", "\n    "))
     if args.json_report and report.run_report is not None:

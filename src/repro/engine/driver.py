@@ -36,8 +36,9 @@ the ceiling that the searches before them settle. Each pool worker owns a
 private ``Engine`` and ships one payload per job, which the parent merges
 once, on arrival (:func:`_process_run`). Verdicts stay deterministic
 because the search itself is deterministic in ``(program, config)``;
-only completion *order* varies. Results join a shared cache so no edge
-is ever refuted twice.
+only completion *order* varies. Final results join the driver's one
+verdict cache, keyed by job key for edges and facts alike, so no job is
+ever searched twice.
 """
 
 from __future__ import annotations
@@ -89,13 +90,25 @@ LOST = "lost"
 FactJob = tuple  # (int, list[tuple[str, Optional[frozenset]]], str)
 
 
+def fact_key(request: FactJob) -> tuple:
+    """The verdict-cache key of one fact request: its label, bindings (var
+    name → suspect location set) and description. Labels and locations of
+    unchanged methods survive additive grafts, so a serve session keeps
+    the key across updates."""
+    label, bindings, description = request
+    canon = tuple(
+        (var, None if locs is None else frozenset(locs)) for var, locs in bindings
+    )
+    return (label, canon, description)
+
+
 @dataclass(frozen=True)
 class Job:
     """One refutation job: a points-to edge, or a fact query (the
     ``label``/``bindings`` of :meth:`Engine.refute_fact_at`).
 
-    ``key`` identifies the job within its batch — the edge key for edges
-    (shared with the result cache), the request position for facts."""
+    ``key`` is the job's verdict-cache key: the edge key for edges,
+    :func:`fact_key` for facts."""
 
     key: object
     description: str
@@ -119,15 +132,9 @@ class Job:
         ceiling: Optional[RungCeiling] = None,
     ) -> EdgeResult:
         if self.edge is not None:
-            return engine.refute_edge(
-                self.edge, budget=budget, deadline=deadline, ceiling=ceiling
-            )
+            return engine.refute_edge(self.edge, budget, deadline, ceiling)
         return engine.refute_fact_at(
-            self.label,
-            self.bindings,
-            budget=budget,
-            description=self.description,
-            deadline=deadline,
+            self.label, self.bindings, budget, self.description, deadline
         )
 
     def cost(self, model: CostModel) -> int:
@@ -183,10 +190,9 @@ class RefutationDriver:
         self.jobs = jobs
         self.backend = self._resolve_backend(backend)
         self.events = EventBus([on_event] if on_event is not None else None)
-        #: The serial engine: runs every in-process job and serves as the
-        #: shared result cache that process-pool results merge into.
-        #: Its construction also (re)binds the process-wide persistent
-        #: verdict store to ``config.cache_dir``.
+        #: The serial engine: runs every in-process job. Its construction
+        #: also (re)binds the process-wide persistent verdict store to
+        #: ``config.cache_dir``.
         self.engine = Engine(pta, config)
         #: Held for each search on :attr:`engine`, which keeps its search
         #: state (budget, ceiling, query history, journal) on itself:
@@ -194,9 +200,12 @@ class RefutationDriver:
         self._search_lock = threading.Lock()
         self._lock = threading.Lock()
         self._records: dict = {}  # job key -> EdgeRecord, insertion-ordered
-        #: Driver-lifetime count of jobs answered from the shared result
-        #: cache (seeded or earlier-run verdicts). The serve session diffs
-        #: this across a request to report ``verdicts_reused``.
+        #: The verdict cache: job key -> final EdgeResult, for edges and
+        #: facts alike, whether searched here or on the pool, or seeded.
+        self._verdicts: dict = {}
+        #: Driver-lifetime count of jobs answered from the verdict cache
+        #: (seeded or earlier-run verdicts). The serve session diffs this
+        #: across a request to report ``verdicts_reused``.
         self.cache_hits = 0
         self._wall_seconds = 0.0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -383,11 +392,11 @@ class RefutationDriver:
     ) -> dict[EdgeKey, EdgeResult]:
         """Refute a batch of edges.
 
-        Duplicate and already-refuted edges are served from the shared
+        Duplicate and already-refuted edges are served from the verdict
         cache; the rest run on the process pool, or inline in-process.
         Returns every requested edge's result keyed by its edge key.
         """
-        return self._run_batch(self._edge_jobs(edges), "edges")
+        return self._run_batch(list(map(Job.of_edge, edges)), "edges")
 
     def refute_path(
         self, path: Sequence[HeapEdge]
@@ -412,7 +421,7 @@ class RefutationDriver:
         and are neither cached nor recorded (a later path can still
         resolve them).
         """
-        jobs = self._edge_jobs(path)
+        jobs = [Job.of_edge(edge) for edge in dict.fromkeys(path)]
         results = self._run_batch(jobs, "path", path=True)
         return [(job.edge, results[job.key]) for job in jobs if job.key in results]
 
@@ -422,10 +431,12 @@ class RefutationDriver:
         ``requests`` is a sequence of ``(label, bindings, description)``
         triples; results come back in request order regardless of the
         dispatch order (cheapest first) or completion order on the pool.
+        Repeated and already-answered requests are served from the
+        verdict cache, exactly like edges.
         """
         jobs = [
-            Job(("fact", i), description, label=label, bindings=bindings)
-            for i, (label, bindings, description) in enumerate(requests)
+            Job(fact_key(request), request[2], label=request[0], bindings=request[1])
+            for request in requests
         ]
         results = self._run_batch(jobs, "facts")
         return [results[job.key] for job in jobs]
@@ -434,24 +445,17 @@ class RefutationDriver:
     # The one job path: batch -> ladder -> rung runner -> finish
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _edge_jobs(edges: Sequence[HeapEdge]) -> list[Job]:
-        """One job per distinct edge, in first-occurrence order."""
-        jobs: dict = {}
-        for edge in edges:
-            job = Job.of_edge(edge)
-            jobs.setdefault(job.key, job)
-        return list(jobs.values())
-
     def _run_batch(self, jobs: list[Job], kind: str, path: bool = False) -> dict:
-        """Run one batch of jobs; results keyed by job key.
+        """Run one batch of jobs, each distinct key once; results keyed by
+        job key.
 
-        Jobs answered from the shared edge cache finish first; the rest
+        Jobs answered from the verdict cache finish first; the rest
         climb the rung ladder, cheapest first. A ``path`` batch runs
         inline and ends once any result refutes; jobs left unresolved then
         keep their provisional TIMEOUT results. Without portfolio it takes
         the jobs one at a time in order (the Section 2 path walk)."""
         walk = path and not self.config.portfolio
+        jobs = list({job.key: job for job in jobs}.values())
         total = len(jobs)
         results: dict = {}
         with self._timed_batch(total, kind, path) as outcomes:
@@ -657,20 +661,14 @@ class RefutationDriver:
                 book.absorb(journals)
         return result, worker
 
-    def _cached(self, key: EdgeKey) -> Optional[EdgeResult]:
-        with self._lock:
-            return self.engine._edge_cache.get(key)
-
     def _hit(self, job: Job) -> Optional[EdgeResult]:
-        """The shared edge cache's answer for ``job``, counted as a cache
-        hit; ``None`` for a miss and for every fact job."""
-        if job.edge is None:
-            return None
-        cached = self._cached(job.key)
-        if cached is not None:
-            _CACHE_HITS.inc()
-            with self._lock:
+        """The verdict cache's answer for ``job``, counted as a cache hit;
+        ``None`` for a miss."""
+        with self._lock:
+            cached = self._verdicts.get(job.key)
+            if cached is not None:
                 self.cache_hits += 1
+                _CACHE_HITS.inc()
         return cached
 
     def _finish(
@@ -684,38 +682,27 @@ class RefutationDriver:
     ) -> None:
         """The one finish step for a final result.
 
-        A fresh edge result joins the shared edge cache (unless its worker
-        was lost) and the run records; a fact result is recorded. A search
-        that ran and crossed the slow-query threshold
-        (``config.slow_query_ms``) is captured by the flight recorder, with
-        its record as the capture's summary. With an ``index`` the result
-        is announced as ``EdgeFinished``. ``cached`` results were finished
-        when first computed; ``worker == "cache"`` marks a verdict reused
-        from outside the driver, recorded but never searched."""
+        A fresh result joins the verdict cache (unless its worker was lost)
+        and the run records. A search that ran and crossed the slow-query
+        threshold (``config.slow_query_ms``) is captured by the flight
+        recorder, with its record as the capture's summary. With an
+        ``index`` the result is announced as ``EdgeFinished``. ``cached``
+        results were finished when first computed."""
         record = None
         if not cached:
             with self._lock:
-                if job.edge is None:
-                    key = ("fact", job.description, len(self._records))
-                    fresh = True
-                else:
-                    # Merge into the serial engine's cache so every
-                    # consumer — including direct Engine users like
-                    # witness rendering — sees one coherent result set.
-                    key = job.key
-                    if worker != LOST:
-                        self.engine._edge_cache.setdefault(key, result)
-                    previous = self._records.get(key)
-                    fresh = previous is None or previous.worker == LOST
-                if fresh:
-                    record = self._records[key] = EdgeRecord.from_result(
+                if worker != LOST:
+                    self._verdicts.setdefault(job.key, result)
+                previous = self._records.get(job.key)
+                if previous is None or previous.worker == LOST:
+                    record = self._records[job.key] = EdgeRecord.from_result(
                         result, worker=worker, description=job.description,
                         kind=job.kind,
                     )
         threshold = self.config.slow_query_ms
         if (
             record is not None
-            and worker not in (LOST, "cache")
+            and worker != LOST
             and threshold is not None
             and result.seconds * 1000.0 >= threshold
         ):
@@ -757,19 +744,19 @@ class RefutationDriver:
         with self._search_lock:
             telemetry.RECORDER.capture(job.description, summary, replay=replay)
 
-    def edge_results(self) -> dict:
-        """All per-edge outcomes so far, keyed by edge key."""
+    def results(self) -> dict:
+        """Every final outcome so far, edges and facts, keyed by job key."""
         with self._lock:
-            return dict(self.engine._edge_cache)
+            return dict(self._verdicts)
 
     def seed_results(self, results: dict) -> None:
-        """Pre-populate the shared result cache with verdicts carried over
-        from an earlier run (the serve session's surviving verdict table).
-        Seeded edges are answered as cache hits without re-searching;
-        existing entries are never overwritten."""
+        """Pre-populate the verdict cache with verdicts carried over from
+        an earlier run (the serve session's surviving verdict table),
+        keyed by job key. Seeded jobs are answered as cache hits without
+        re-searching; existing entries are never overwritten."""
         with self._lock:
             for key, result in results.items():
-                self.engine._edge_cache.setdefault(key, result)
+                self._verdicts.setdefault(key, result)
 
     def mark(self) -> tuple[int, int]:
         """A per-request bookmark: ``(records so far, cache hits so far)``.

@@ -41,16 +41,10 @@ class EdgeRecord:
 
     @classmethod
     def from_result(
-        cls,
-        result: EdgeResult,
-        worker: str = "serial",
-        description: Optional[str] = None,
-        kind: str = "edge",
+        cls, result: EdgeResult, worker: str, description: str, kind: str
     ) -> "EdgeRecord":
         return cls(
-            description=description
-            if description is not None
-            else (str(result.edge) if result.edge is not None else "<fact>"),
+            description=description,
             status=result.status,
             path_programs=result.path_programs,
             seconds=result.seconds,

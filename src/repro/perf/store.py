@@ -9,17 +9,12 @@ one ``repro`` invocation answers the identical fragment in the next one,
 which is what turns warm CI re-runs and restarted ``repro serve`` daemons
 from cold starts into cache hits.
 
-Two verdict kinds are stored, mirroring the solver's tiers:
-
-* ``comp`` — per-component verdicts (the in-memory component memo's
-  persistent twin);
-* ``part`` — whole-query verdicts. Kinds never mix: per-component FM
-  give-ups can differ from whole-query ones.
-
-Rows of any other kind (such as ``mono`` rows from stores written when a
-monolithic solver path still existed) are never loaded or served; they
-stay on disk until LRU eviction, ``repro cache prune`` or ``clear``
-removes them.
+One verdict kind is stored: ``comp``, per-component verdicts (the
+in-memory component memo's persistent twin, the solver's only persistent
+tier). Rows of any other kind (``part`` whole-query rows, or ``mono``
+rows from stores written when a monolithic solver path still existed)
+are never loaded or served; they stay on disk until LRU eviction,
+``repro cache prune`` or ``clear`` removes them.
 
 The ``refuted`` table holds pickled ``(point key, query)`` rows that
 older builds wrote from a cross-search refuted-state cache. Nothing
@@ -89,7 +84,7 @@ _WRITES = metrics.counter("store.writes")
 _EVICTIONS = metrics.counter("store.evictions")
 _ERRORS = metrics.counter("store.errors")
 
-_VERDICT_KINDS = ("comp", "part")
+_VERDICT_KINDS = ("comp",)
 
 
 def solver_fingerprint() -> str:

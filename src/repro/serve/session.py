@@ -5,12 +5,12 @@ A :class:`ProgramSession` runs the pipeline front half (frontend → IR →
 Andersen with a *retained* solver) once at startup and keeps everything a
 later request can reuse:
 
-* the **verdict table** — every per-edge :class:`EdgeResult`, with the
-  search footprint recorded (``SearchConfig.record_footprints``);
-* the **fact table** — per-fact verdicts for the casts/immutability
-  clients, keyed by ``(label, bindings, description)``;
-* the persistent :class:`_SessionDriver`, whose shared result cache is
-  seeded from the verdict table so repeated or overlapping requests are
+* the **verdict table** — every job's final :class:`EdgeResult`, edges
+  and the casts/immutability clients' facts alike, keyed by job key
+  (:attr:`repro.engine.driver.Job.key`), with the search footprint
+  recorded (``SearchConfig.record_footprints``);
+* the :class:`~repro.engine.RefutationDriver`, whose verdict cache is
+  seeded from that table so repeated or overlapping requests are
   answered without re-searching;
 * the process-wide pure-function caches (``SOLVER_MEMO``, the component
   memo), which survive updates untouched because their keys are
@@ -26,7 +26,7 @@ Andersen delta worklist (:func:`repro.pointsto.reanalyze`); only verdicts
 whose footprint intersects the change — per
 :func:`repro.serve.invalidation.verdict_is_stale` — are dropped. Anything
 non-additive falls back to a cold rebuild, which conservatively clears
-both tables. The driver, whose engines are bound to one pta, lives and
+the table. The driver, whose engines are bound to one pta, lives and
 dies with that pta, never across an update.
 
 Concurrency: many concurrent readers (``analyze``/``explain``/``status``),
@@ -49,9 +49,10 @@ from ..api import (
     validate_selectors,
 )
 from ..engine import RefutationDriver
-from ..engine.driver import Job
 from ..ir import build_program
+from ..ir.stmts import walk_commands
 from ..lang import frontend
+from ..lang.errors import SourcePosition
 from .. import perf
 from ..obs import metrics, provenance, telemetry
 from ..pointsto import analyze as pointsto_analyze
@@ -112,55 +113,6 @@ class _RWLock:
             yield
 
 
-def _fact_key(job) -> tuple:
-    """Canonical retained-table key for one fact job: the query label,
-    the bindings (var name → suspect location set), and the description.
-    Labels and :class:`AbsLoc` objects are stable across additive grafts
-    for unchanged methods, which is what makes the key survive updates."""
-    label, bindings, description = job
-    canon = tuple(
-        (var, frozenset(locs)) for var, locs in bindings
-    )
-    return (label, canon, description)
-
-
-class _SessionDriver(RefutationDriver):
-    """A :class:`RefutationDriver` that also answers *fact* jobs from a
-    session-owned table. Edge jobs already flow through the driver's
-    shared result cache (seeded from the session's verdict table); facts
-    have no driver-level cache, so this subclass intercepts
-    :meth:`refute_facts`, serves hits, and records misses back into the
-    table. Hits count into :attr:`cache_hits` exactly like edge hits."""
-
-    def __init__(self, fact_table: dict, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fact_table = fact_table
-
-    def refute_facts(self, requests):
-        results = [None] * len(requests)
-        misses, miss_indices = [], []
-        for i, job in enumerate(requests):
-            hit = self._fact_table.get(_fact_key(job))
-            if hit is not None:
-                results[i] = hit
-                with self._lock:
-                    self.cache_hits += 1
-                self._finish(
-                    Job(("fact", i), job[2], label=job[0], bindings=job[1]),
-                    hit,
-                    "cache",
-                )
-            else:
-                misses.append(job)
-                miss_indices.append(i)
-        if misses:
-            ran = super().refute_facts(misses)
-            for i, job, result in zip(miss_indices, misses, ran):
-                results[i] = result
-                self._fact_table[_fact_key(job)] = result
-        return [r for r in results if r is not None]
-
-
 #: ``analyze`` params: the client plus its selectors. Program input is the
 #: session's job — shipping ``source`` here is the ``update`` op's role.
 _ANALYZE_FIELDS = frozenset({"client", *_SELECTOR_FIELDS})
@@ -203,8 +155,7 @@ class ProgramSession:
                 self._journal = provenance.install()
                 self._installed_journal = True
         self._rw = _RWLock()
-        self._verdicts: dict = {}  # EdgeKey -> EdgeResult (with footprint)
-        self._facts: dict = {}  # _fact_key -> EdgeResult
+        self._verdicts: dict = {}  # job key -> EdgeResult (with footprint)
         self._updates_applied = 0
         self._closed = False
         #: Session-lifetime lifecycle hub: every driver (including those
@@ -235,7 +186,7 @@ class ProgramSession:
     def _rebuild(self, program) -> None:
         """Cold path: build everything after the IR from scratch and start
         a fresh driver. Callers have already cleared (or decided to keep)
-        the verdict and fact tables."""
+        the verdict table."""
         self._program = program
         self._pta = pointsto_analyze(
             program, policy=self._policy, retain_solver=True
@@ -244,9 +195,8 @@ class ProgramSession:
         self._site_tokens = stable_site_tokens(program)
         self._driver = self._new_driver()
 
-    def _new_driver(self) -> _SessionDriver:
-        return _SessionDriver(
-            self._facts,
+    def _new_driver(self) -> RefutationDriver:
+        return RefutationDriver(
             self._pta,
             self._config,
             jobs=self._jobs,
@@ -290,7 +240,7 @@ class ProgramSession:
             result.report = self._driver.build_report(
                 command=request.client, since=records_before
             )
-            self._verdicts.update(self._driver.edge_results())
+            self._verdicts.update(self._driver.results())
             reused = self._driver.cache_hits - hits_before
         _REUSED.inc(reused)
         seconds = time.perf_counter() - started
@@ -331,7 +281,8 @@ class ProgramSession:
                 source = splice_classes(self._source, classes, self._spans)
             if source == self._source:
                 return self._noop(started, "class")
-            built = self._class_build(source)
+            region = edit_region(self._source, source)
+            built = self._class_build(source, region)
             if built is not None:
                 index, info, new_program, growth = built
                 build = "class"
@@ -369,6 +320,8 @@ class ProgramSession:
                 for span in self._spans[index + 1 :]:
                     span[1] += growth
                     span[2] += growth
+                self._shift_positions(source, region)
+            self._copy_positions(new_program, changed)
             if not changed:
                 self._source = source
                 return self._noop(started, build)
@@ -381,14 +334,14 @@ class ProgramSession:
                 build,
             )
 
-    def _class_build(self, source: str):
-        """Build only the class the edit from the loaded source to
-        ``source`` lies in, or return ``None`` when the edit touches text
-        outside one class or the class build cannot decide alone (see
+    def _class_build(self, source: str, region: tuple[int, int, int]):
+        """Build only the class that the edit ``region`` of ``source``
+        lies in, or return ``None`` when the edit touches text outside one
+        class or the class build cannot decide alone (see
         :func:`~repro.serve.classbuild.build_class`). Returns the class's
         span index, its new table entry, its lowered methods and how many
         characters the edit added."""
-        start, old_end, new_end = edit_region(self._source, source)
+        start, old_end, new_end = region
         index = enclosing_span(self._spans, start, old_end)
         if index is None:
             return None
@@ -407,12 +360,43 @@ class ProgramSession:
             return None
         return (index, *built, growth)
 
+    def _retained(self) -> tuple[int, int]:
+        """How many edge and fact verdicts the table holds."""
+        facts = sum(1 for result in self._verdicts.values() if result.edge is None)
+        return len(self._verdicts) - facts, facts
+
+    def _shift_positions(self, source: str, region: tuple[int, int, int]) -> None:
+        """Move every retained command after the edit the way the edit
+        moved the text there: other classes, and the harness after the
+        app, keep their text but not its place."""
+        _, old_end, new_end = region
+        old_line, old_col = position_of(self._source, old_end)
+        new_line, new_col = position_of(source, new_end)
+        lines, along = new_line - old_line, new_col - old_col
+        old_line += self._line_base
+        for cmd in self._program.commands.values():
+            pos = cmd.pos
+            if pos.line > old_line:
+                cmd.pos = SourcePosition(pos.line + lines, pos.column)
+            elif pos.line == old_line and pos.column >= old_col:
+                cmd.pos = SourcePosition(pos.line + lines, pos.column + along)
+
+    def _copy_positions(self, new_program, changed: list) -> None:
+        """Give each kept method that ``new_program`` also holds (the same
+        body, command for command) the fresh build's positions."""
+        skip = set(changed)
+        for qname, method in new_program.methods.items():
+            if qname not in skip:
+                kept = walk_commands(self._program.methods[qname].body)
+                for old, new in zip(kept, walk_commands(method.body)):
+                    old.pos = new.pos
+
     def _noop(self, started: float, build: str) -> tuple[dict, dict]:
         return (
             {"mode": "noop", "changed_methods": []},
             {"seconds": time.perf_counter() - started,
              "invalidated_edges": 0,
-             "retained_verdicts": len(self._verdicts),
+             "retained_verdicts": self._retained()[0],
              "build": build},
         )
 
@@ -421,10 +405,9 @@ class ProgramSession:
     ) -> tuple[dict, dict]:
         """The conservative path: everything retained is dropped, and the
         session restarts from ``program``, built from ``source``."""
-        invalidated = len(self._verdicts)
+        invalidated = self._retained()[0]
         _INVALIDATED.inc(invalidated)
         self._verdicts = {}
-        self._facts.clear()
         self._driver.close()
         self._source = source
         self._rebuild(program)
@@ -455,37 +438,27 @@ class ProgramSession:
         for result in self._verdicts.values():
             if result.footprint:
                 fp_methods |= result.footprint
-        for result in self._facts.values():
-            if result.footprint:
-                fp_methods |= result.footprint
         sigs_before = footprint_signatures(self._pta, fp_methods)
         producers_before = {
             key: sorted(self._pta.producers.get(key, []))
-            for key in self._verdicts
+            for key, result in self._verdicts.items()
+            if result.edge is not None
         }
         for qname in changed:
             graft_method(self._program, new_program.methods[qname])
         self._pta, delta = reanalyze(self._pta, set(changed))
         sigs_after = footprint_signatures(self._pta, fp_methods)
+        # A verdict survives when its footprint is untouched and its root
+        # is: an edge keeps its producer list, a fact keeps its label.
         surviving: dict = {}
         for key, result in self._verdicts.items():
-            producers_now = sorted(self._pta.producers.get(key, []))
-            stale = producers_before[key] != producers_now or verdict_is_stale(
-                result.footprint,
-                changed_set,
-                sigs_before,
-                sigs_after,
-                self._pta.modref,
-                delta,
-            )
-            if not stale:
-                surviving[key] = result
-        invalidated = len(self._verdicts) - len(surviving)
-        facts_dropped = 0
-        for key in list(self._facts):
-            label = key[0]
-            result = self._facts[key]
-            if label not in self._program.commands or verdict_is_stale(
+            if result.edge is not None:
+                moved = producers_before[key] != sorted(
+                    self._pta.producers.get(key, [])
+                )
+            else:
+                moved = key[0] not in self._program.commands
+            if not moved and not verdict_is_stale(
                 result.footprint,
                 changed_set,
                 sigs_before,
@@ -493,14 +466,16 @@ class ProgramSession:
                 self._pta.modref,
                 delta,
             ):
-                del self._facts[key]
-                facts_dropped += 1
-        _INVALIDATED.inc(invalidated)
+                surviving[key] = result
+        edges_before, facts_before = self._retained()
         # The driver is pta-scoped (its engines search against one
         # solution): retire it and seed a fresh one with the surviving
         # verdicts.
         self._driver.close()
         self._verdicts = surviving
+        edges_kept, facts_kept = self._retained()
+        invalidated = edges_before - edges_kept
+        _INVALIDATED.inc(invalidated)
         self._driver = self._new_driver()
         self._driver.seed_results(surviving)
         # Fingerprints are label- and site-free, so the grafted program's
@@ -523,8 +498,8 @@ class ProgramSession:
             {
                 "seconds": time.perf_counter() - started,
                 "invalidated_edges": invalidated,
-                "invalidated_facts": facts_dropped,
-                "retained_verdicts": len(surviving),
+                "invalidated_facts": facts_before - facts_kept,
+                "retained_verdicts": edges_kept,
                 "build": build,
             },
         )
@@ -577,11 +552,12 @@ class ProgramSession:
                 if inst is not None
             }
             cache = perf.cache_report()
+            edges, facts = self._retained()
             return (
                 {
                     "program": self._program.stats(),
-                    "retained_verdicts": len(self._verdicts),
-                    "retained_facts": len(self._facts),
+                    "retained_verdicts": edges,
+                    "retained_facts": facts,
                     "updates_applied": self._updates_applied,
                     "jobs": self._jobs,
                     "journal": self._journal is not None,
@@ -638,11 +614,13 @@ class ProgramSession:
     # -- retained-state views ------------------------------------------------
 
     def verdict_payloads(self) -> dict[str, dict]:
-        """The verdict table rendered through rebuild-independent tokens
-        (and without wall-clock seconds): two sessions that agree on the
-        program agree on this payload byte for byte."""
+        """The table's edge verdicts rendered through rebuild-independent
+        tokens (and without wall-clock seconds): two sessions that agree on
+        the program agree on this payload byte for byte."""
         out = {}
         for key, result in self._verdicts.items():
+            if result.edge is None:
+                continue
             token = stable_edge_token(key, self._site_tokens)
             out[token] = {
                 "status": result.status,

@@ -135,12 +135,6 @@ def check_sat(
     * **anything else** (unify renames, dropped atoms, no record): the
       record is rebuilt, and every component is screened and decided.
 
-    With a persistent store open, "same atoms" is told apart on the atom
-    set, and the store's whole-query tier answers before the record is
-    advanced; a check it answers keeps an unsplit record
-    (:func:`partition.unsplit`), which the next check that needs
-    components rebuilds.
-
     The syntactic screen runs first: a conjunction with an atom
     contradictory on its own is UNSAT without a decision. Each component
     that needs a verdict is then answered from the component memo
@@ -161,41 +155,14 @@ def check_sat(
     store = perf_store.ACTIVE
     old = None if lineage is None else lineage.components
 
-    # The persistent store's whole-query tier, on the canonical
-    # alpha-renamed signature of the de-duplicated conjunction (run- and
-    # process-independent), kind "part". It answers most checks of a warm
-    # run, so they are told apart from "same atoms" on the atom set alone
-    # and split only when the store misses.
-    wcanon = None
-    if store is not None:
-        conj = dict.fromkeys(atoms + separation)
-        if old is not None and nonnull <= old.nonnull and conj.keys() == old.pos.keys():
-            _same(stats)
-            if lineage is not None and (
-                nonnull != old.nonnull or atoms is not old.pure or separation is not old.sep
-            ):
-                lineage.components = partition.unsplit(atoms, separation, nonnull, conj)
-            return True
-        stats.memo_misses += 1
-        _MEMO_MISSES.inc()
-        wcanon = partition.canonical_key(list(conj), nonnull)
-        cached = store.get("part", wcanon)
-        if cached is not None:
-            if not cached:
-                _note_unsat(stats, atoms + separation)
-            elif lineage is not None:
-                lineage.components = partition.unsplit(atoms, separation, nonnull, conj)
-            return cached
-
     record, new, newly = partition.advance(old, atoms, separation, nonnull)
-    if store is None:
-        if new is not None and not new and not newly:
-            _same(stats)
-            if lineage is not None:
-                lineage.components = record
-            return True
-        stats.memo_misses += 1
-        _MEMO_MISSES.inc()
+    if new is not None and not new and not newly:
+        _same(stats)
+        if lineage is not None:
+            lineage.components = record
+        return True
+    stats.memo_misses += 1
+    _MEMO_MISSES.inc()
 
     if new is None:
         bad = partition.syntactic_unsat(atoms + separation, nonnull)
@@ -241,12 +208,8 @@ def check_sat(
         if not verdict:
             _count_clean(stats, record.clean_before(group))
             _note_unsat(stats, catoms)
-            if wcanon is not None:
-                store.put("part", wcanon, False)
             return False
     _count_clean(stats, len(record.groups) - len(record.dirty))
-    if wcanon is not None:
-        store.put("part", wcanon, True)
     if lineage is not None:
         lineage.components = record
     return True

@@ -342,11 +342,9 @@ class Components:
       from (the caller's lists, never mutated);
     * ``nonnull``: the non-null facts it was made under;
     * ``pos``: each distinct atom's position in ``pure + sep`` (its first
-      occurrence; separation atoms count from ``_SEP``; no positions in
-      an unsplit record);
+      occurrence; separation atoms count from ``_SEP``);
     * ``root``: each atom variable's component, named by a root variable;
-    * ``groups``: root -> :class:`Group` (``None`` in an unsplit record,
-      see :func:`unsplit`);
+    * ``groups``: root -> :class:`Group`;
     * ``dirty``: the roots of the groups the check that made the record
       had to decide.
 
@@ -521,13 +519,6 @@ class Components:
         self.dirty = dirty
 
 
-def unsplit(pure: list, sep: list, nonnull: frozenset, atoms: dict) -> Components:
-    """A record of ``pure + sep`` that holds its distinct ``atoms`` (the
-    keys) but no split: what a check answered whole keeps for the next
-    one, which splits it if it needs components."""
-    return Components(pure, sep, nonnull, atoms, {}, None)
-
-
 def _tail(done: list, now: list) -> Optional[list]:
     """The atoms of ``now`` after the list ``done``, or ``None`` when
     ``now`` does not extend ``done``."""
@@ -557,7 +548,7 @@ def advance(
     loop; if its atoms still include ``old``'s, only the components of
     the new atoms and non-null facts are dirty, as on an extension.
     """
-    if old is not None and old.groups is not None:
+    if old is not None:
         ptail = () if pure is old.pure else _tail(old.pure, pure)
         stail = () if sep is old.sep or ptail is None else _tail(old.sep, sep)
         if ptail is not None and stail is not None:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from ..ir import instructions as ins
 from ..ir.program import IRProgram
-from ..ir.stmts import AtomicStmt, Choice, Loop, Seq, Stmt
+from ..ir.stmts import AtomicStmt, Choice, Loop, Seq, Stmt, walk_commands
 from ..obs import metrics, provenance, trace
 from ..pointsto import ELEMS, PointsToResult
 from ..pointsto.graph import HeapEdge
@@ -43,7 +43,7 @@ from .query import Query
 from .simplification import QueryHistory, query_entails
 from .stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult
 from .symvar import SymVar
-from .transfer import TransferContext, transfer_command
+from .transfer import TransferContext, _bind_value_into, transfer_command
 
 if TYPE_CHECKING:
     from ..engine.schedule import RungCeiling
@@ -58,6 +58,19 @@ _SEARCH_SECONDS = metrics.histogram("executor.search_seconds")
 _SOLVER_CALLS = metrics.histogram("executor.solver_calls_per_search")
 _WORKLIST_SUBSUMED = metrics.counter("executor.worklist_subsumed")
 _STATES_EXPLORED = metrics.counter("executor.states_explored")
+
+
+#: Journal wording for a search root, per job kind: the root state's
+#: detail, where a timeout at the root struck, and the kill detail of a
+#: root refuted on its own with no recorded reason.
+_ROOT_WORDS = {
+    "edge": (
+        "producer",
+        "producer root",
+        "producer query unsatisfiable at its own statement",
+    ),
+    "fact": ("fact root", "fact root", "fact query unsatisfiable at its own site"),
+}
 
 
 def _observe_search(result: "EdgeResult", solver_calls: int) -> None:
@@ -134,7 +147,6 @@ class Engine:
         self._deadline_at: Optional[float] = None
         self._deadline_step = 0
         self._history = QueryHistory(enabled=self.config.simplify_queries)
-        self._edge_cache: dict = {}
         self._branch_mods: dict[int, ModSet] = {}
         self._branch_throw: dict[int, bool] = {}
         #: Footprint of the search in flight (method qnames visited or
@@ -160,94 +172,23 @@ class Engine:
         every producing statement; refuted iff all searches are refuted.
 
         ``budget``/``deadline`` override the config's per-edge limits for
-        this attempt (the driver's portfolio rungs). A TIMEOUT under an
-        override is *provisional* — a later, larger rung may still resolve
-        the edge — so it is not cached;
-        REFUTED/WITNESSED verdicts are final at any rung (a deterministic
-        search that completes under a smaller cap returns the same verdict
-        under a larger one) and are cached normally.
-
-        ``ceiling`` is a path batch's shared
-        :class:`~repro.engine.schedule.RungCeiling`: the search is cut (a
-        TIMEOUT) as soon as it has spent more path programs than the
-        ceiling's live limit. A result computed under a ceiling is never
-        cached here — the driver decides at the end of the
-        rung whether it is final, and caches it then."""
-        from ..pointsto.producers import edge_key
-
-        key = edge_key(edge)
-        if key in self._edge_cache:
-            return self._edge_cache[key]
-        partial = budget is not None or deadline is not None
-        start = time.perf_counter()
-        checks_before = self.ctx.solver_stats.checks
-        baseline = budget if budget is not None else self.config.path_budget
-        self._budget_left = self._baseline = baseline
-        self._ceiling = ceiling
-        self._arm_deadline(start, deadline)
-        self._history = QueryHistory(enabled=self.config.simplify_queries)
-        # Each search's record tallies its own refutations.
-        self.ctx.refutations = {}
-        book = provenance.get_journal()
-        self._sj = (
-            book.open_search(str(edge), kind="edge") if book is not None else None
-        )
+        this attempt (the driver's portfolio rungs). ``ceiling`` is a path
+        batch's shared :class:`~repro.engine.schedule.RungCeiling`: the
+        search is cut (a TIMEOUT) as soon as it has spent more path
+        programs than the ceiling's live limit. The engine caches nothing:
+        the driver decides which results are final and keeps them."""
         producers = self.pta.producers_of(edge)
-        self._fp = set() if self.config.record_footprints else None
-        if self._fp is not None:
-            for label in producers:
-                qname = self.program.command_method.get(label)
-                if qname is not None:
-                    self._fp.add(qname)
-        status = REFUTED
-        witness_trace: Optional[list[int]] = None
-        explored = 0
-        if not producers:
-            # No statement can produce the edge (e.g. already suppressed by
-            # an annotation): vacuously refuted.
-            status = REFUTED
-        with trace.span(
-            "executor.search", edge=str(edge), producers=len(producers)
-        ) as sp:
-            try:
-                for label in producers:
-                    state = self._initial_state(edge, label)
-                    if state is None:
-                        continue  # this producer is trivially refuted
-                    result_state = self._search([state])
-                    if result_state is not None:
-                        status = WITNESSED
-                        witness_trace = _materialize(result_state.trace)
-                        break
-            except SearchTimeout:
-                status = TIMEOUT
-            explored = baseline - self._budget_left
-            sp.set(status=status, path_programs=explored)
-        result = EdgeResult(
+        return self._refute(
+            str(edge),
+            "edge",
+            (self._initial_state(edge, label) for label in producers),
+            (self.program.command_method.get(label) for label in producers),
+            budget,
+            deadline,
+            ceiling,
             edge=edge,
-            status=status,
-            path_programs=explored,
-            seconds=time.perf_counter() - start,
-            refutation_kinds=dict(self.ctx.refutations),
-            witness_trace=witness_trace,
+            producers=len(producers),
         )
-        if self._fp is not None:
-            result.footprint = frozenset(self._fp)
-            self._fp = None
-        if self._sj is not None:
-            self._sj.close(status)
-            result.kill_reasons = dict(self._sj.kill_counts)
-            self._sj = None
-        if ceiling is None and not (partial and status == TIMEOUT):
-            self._edge_cache[key] = result
-        _observe_search(result, self.ctx.solver_stats.checks - checks_before)
-        return result
-
-    def edge_results(self) -> dict:
-        """All per-edge outcomes computed so far, keyed by edge key."""
-        from ..pointsto.producers import edge_key
-
-        return {edge_key(r.edge): r for r in self._edge_cache.values()}
 
     def refute_fact_at(
         self,
@@ -264,72 +205,68 @@ class Engine:
         :meth:`refute_edge`. This is the building block for the clients the
         paper's introduction sketches (cast checking, escape analysis,
         assertion checking)."""
+        qname = self.program.method_of_label(label).qualified_name
+        return self._refute(
+            description or f"fact@L{label}",
+            "fact",
+            self._fact_root(qname, label, bindings),
+            (qname,),
+            budget,
+            deadline,
+            None,
+            fact_label=label,
+        )
+
+    def _refute(
+        self,
+        name: str,
+        kind: str,
+        roots: Iterable[Optional[PathState]],
+        methods: Iterable[Optional[str]],
+        budget: Optional[int],
+        deadline: Optional[float],
+        ceiling: Optional["RungCeiling"],
+        edge: Optional[HeapEdge] = None,
+        **span,
+    ) -> EdgeResult:
+        """The one search entry: arm the limits, then search from each of
+        the lazily built ``roots`` (``None`` for a root refuted on its
+        own) until one is witnessed. REFUTED when every root is refuted,
+        vacuously so when there are none. ``methods`` seed the footprint;
+        ``name`` and ``kind`` open the search's journal, ``span`` tags its
+        ``executor.search`` span."""
         start = time.perf_counter()
         checks_before = self.ctx.solver_stats.checks
         baseline = budget if budget is not None else self.config.path_budget
         self._budget_left = self._baseline = baseline
-        self._ceiling = None
+        self._ceiling = ceiling
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
         # Each search's record tallies its own refutations.
         self.ctx.refutations = {}
         book = provenance.get_journal()
-        self._sj = (
-            book.open_search(description or f"fact@L{label}", kind="fact")
-            if book is not None
-            else None
-        )
-        method = self.program.method_of_label(label)
-        self._fp = set() if self.config.record_footprints else None
-        if self._fp is not None:
-            self._fp.add(method.qualified_name)
-        q = Query(method.qualified_name)
-        for var, region in bindings:
-            v = q.new_ref(region, maybe_null=False, hint=var)
-            if q.failed or not q.set_local(var, v):
-                break
+        self._sj = book.open_search(name, kind=kind) if book is not None else None
+        self._fp = set(methods) - {None} if self.config.record_footprints else None
         status = REFUTED
         witness_trace: Optional[list[int]] = None
-        with trace.span("executor.search", fact_label=label) as sp:
-            if not q.failed and q.check_sat(self.ctx.solver_stats):
-                k = self._continuation_before(method.qualified_name, label)
-                state = PathState(k, q, (label, ()))
-                if self._sj is not None:
-                    state.sid = self._sj.new_state(0, label, detail="fact root")
-                try:
-                    self._spend()
-                except SearchTimeout:
-                    # Root-level exhaustion: _search never ran, so journal
-                    # the kill ourselves (it sweeps its own frontier).
-                    status = TIMEOUT
-                    if self._sj is not None:
-                        self._sj.kill(
-                            state.sid,
-                            label,
-                            provenance.BUDGET_TIMEOUT,
-                            "budget or deadline exhausted at the fact root",
-                        )
-                else:
-                    try:
-                        found = self._search([state])
-                        if found is not None:
-                            status = WITNESSED
-                            witness_trace = _materialize(found.trace)
-                    except SearchTimeout:
-                        status = TIMEOUT
-            elif self._sj is not None:
-                sid = self._sj.new_state(0, label, detail="fact root")
-                self._sj.kill(
-                    sid,
-                    label,
-                    provenance.classify_kill(q.fail_reason),
-                    q.fail_reason or "fact query unsatisfiable at its own site",
-                )
-            sp.set(status=status, path_programs=baseline - self._budget_left)
+        with trace.span("executor.search", **span) as sp:
+            try:
+                for state in roots:
+                    if state is None:
+                        continue  # this root is trivially refuted
+                    found = self._search([state])
+                    if found is not None:
+                        status = WITNESSED
+                        witness_trace = _materialize(found.trace)
+                        break
+            except SearchTimeout:
+                status = TIMEOUT
+            explored = baseline - self._budget_left
+            sp.set(status=status, path_programs=explored)
         result = EdgeResult(
-            edge=None,  # type: ignore[arg-type]
+            edge=edge,  # type: ignore[arg-type]
             status=status,
-            path_programs=baseline - self._budget_left,
+            path_programs=explored,
             seconds=time.perf_counter() - start,
             refutation_kinds=dict(self.ctx.refutations),
             witness_trace=witness_trace,
@@ -564,10 +501,7 @@ class Engine:
                 )
                 return []
             queries = loops.saturate(self, stmt, state.query)
-            out = [
-                self._continue(PathState(rest, q, state.trace), in_subwalk)
-                for q in queries
-            ]
+            out = [PathState(rest, q, state.trace) for q in queries]
             if not out:
                 self._jkill(
                     state,
@@ -579,9 +513,6 @@ class Engine:
             return out
         assert isinstance(stmt, AtomicStmt)
         return self._atomic(stmt.cmd, task, rest, state, in_subwalk)
-
-    def _continue(self, state: PathState, in_subwalk: bool) -> PathState:
-        return state
 
     def _atomic(
         self,
@@ -765,8 +696,6 @@ class Engine:
     def _branch_throws(self, branch: Stmt) -> bool:
         cached = self._branch_throw.get(id(branch))
         if cached is None:
-            from ..ir.stmts import walk_commands
-
             cached = any(
                 isinstance(c, ins.ThrowCmd) for c in walk_commands(branch)
             )
@@ -789,8 +718,6 @@ class Engine:
             return
         qnames = self._stmt_callees.get(id(stmt))
         if qnames is None:
-            from ..ir.stmts import walk_commands
-
             qnames = frozenset(
                 qname
                 for cmd in walk_commands(stmt)
@@ -974,8 +901,6 @@ class Engine:
     ) -> bool:
         """Translate callee-frame constraints at the method entry into the
         caller's frame (formals become actuals)."""
-        from .transfer import _bind_value_into
-
         callee_frame = q.current_frame
         params = list(method.params)
         bindings: list[tuple[str, SymVar]] = []
@@ -1106,36 +1031,54 @@ class Engine:
             q.set_local(cmd.base, va)
             if self.ctx.narrowing:
                 ok = q.narrow(va, self.pta.pt_local(method.qualified_name, cmd.base))
-            from .transfer import _bind_value_into
-
             ok = ok and _bind_value_into(q, self.ctx, cmd.rhs, vb)
         elif isinstance(cmd, ins.StaticWrite):
             vb = q.new_ref(frozenset({edge.dst}), hint=str(edge.dst))
             q.mark_nonnull(vb)
-            from .transfer import _bind_value_into
-
             ok = _bind_value_into(q, self.ctx, cmd.rhs, vb)
         else:  # pragma: no cover - producers are always writes
             return None
+        return self._root(q, method.qualified_name, label, ok, "edge")
+
+    def _fact_root(
+        self,
+        qname: str,
+        label: int,
+        bindings: list[tuple[str, Optional[frozenset]]],
+    ) -> Iterator[Optional[PathState]]:
+        """The single root of a fact search: each bound local holds a
+        non-null instance from its region just before ``label``."""
+        q = Query(qname)
+        for var, region in bindings:
+            v = q.new_ref(region, maybe_null=False, hint=var)
+            if q.failed or not q.set_local(var, v):
+                break
+        yield self._root(q, qname, label, True, "fact")
+
+    def _root(
+        self, q: Query, qname: str, label: int, ok: bool, kind: str
+    ) -> Optional[PathState]:
+        """The search root for query ``q`` just before the command at
+        ``label`` in ``qname``, or ``None`` when ``q`` is already refuted
+        there (``ok`` false, failed or unsatisfiable). Spends the root's
+        path program; the journal records the root and any kill at it."""
+        detail, where, unsat = _ROOT_WORDS[kind]
         if not ok or q.failed or not q.check_sat(self.ctx.solver_stats):
             if self._sj is not None:
-                sid = self._sj.new_state(0, label, detail="producer")
-                reason = provenance.classify_kill(
-                    q.fail_reason or self.ctx.last_reason
+                sid = self._sj.new_state(0, label, detail=detail)
+                # An edge root also blames the last refutation its
+                # binding counted; a fact root binds nothing.
+                fail = q.fail_reason or (
+                    self.ctx.last_reason if kind == "edge" else None
                 )
                 self._sj.kill(
-                    sid,
-                    label,
-                    reason,
-                    q.fail_reason
-                    or self.ctx.last_reason
-                    or "producer query unsatisfiable at its own statement",
+                    sid, label, provenance.classify_kill(fail), fail or unsat
                 )
             return None
-        k = self._continuation_before(method.qualified_name, label)
+        k = self._continuation_before(qname, label)
         state = PathState(k, q, (label, ()))
         if self._sj is not None:
-            state.sid = self._sj.new_state(0, label, detail="producer")
+            state.sid = self._sj.new_state(0, label, detail=detail)
         try:
             self._spend()
         except SearchTimeout:
@@ -1146,7 +1089,7 @@ class Engine:
                     state.sid,
                     label,
                     provenance.BUDGET_TIMEOUT,
-                    "budget or deadline exhausted at the producer root",
+                    f"budget or deadline exhausted at the {where}",
                 )
             raise
         return state

@@ -88,6 +88,40 @@ class TestLifecycle:
         finally:
             session.close()
 
+    def test_fact_verdicts_survive_an_unrelated_edit(self, lifecycle_source):
+        """Fact verdicts live in the same retained table as edges: an edit
+        to another screen keeps every one, an edit to the class's own
+        screen re-runs its facts."""
+        params = {"client": "immutability", "class_name": "Screen0"}
+        session = ProgramSession(lifecycle_source, include_library=False)
+        try:
+            cold, cold_meta = session.analyze(params)
+            facts = cold["stats"]["items"]
+            assert facts >= 1 and cold_meta["jobs_run"] == facts
+            assert session.status()[0]["retained_facts"] == facts
+
+            edited = lifecycle_edit(lifecycle_source, screen=3)
+            update, update_meta = session.update({"source": edited})
+            assert update["mode"] == "incremental"
+            assert update_meta["invalidated_facts"] == 0
+            warm, warm_meta = session.analyze(params)
+            assert warm_meta["jobs_run"] == 0
+            assert warm_meta["verdicts_reused"] == facts
+            assert (warm["status"], warm["results"]) == (
+                cold["status"],
+                cold["results"],
+            )
+
+            own = lifecycle_edit(edited, screen=0)
+            update, update_meta = session.update({"source": own})
+            assert update["changed_methods"] == ["Screen0.onStart"]
+            assert update_meta["invalidated_facts"] == facts
+            rerun, rerun_meta = session.analyze(params)
+            assert rerun_meta["verdicts_reused"] == 0
+            assert rerun_meta["jobs_run"] == rerun["stats"]["items"] > facts
+        finally:
+            session.close()
+
     def test_noop_and_classes_update_flavors(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)
         try:
@@ -446,10 +480,14 @@ class TestSharedStore:
         import threading
 
         from repro.perf import store as perf_store
+        from repro.perf.memo import SOLVER_MEMO
         from repro.symbolic import SearchConfig
 
         config = SearchConfig(cache_dir=str(tmp_path))
         try:
+            # A daemon starts with cold in-process memos, so its solver
+            # decisions reach the store (the store sits under the memo).
+            SOLVER_MEMO.clear()
             first = ProgramSession(
                 lifecycle_source, include_library=False, config=config
             )
@@ -463,10 +501,12 @@ class TestSharedStore:
             finally:
                 first.close()
 
-            # "Restart": drop the process-wide store (closing the file),
+            # "Restart": drop the process-wide store (closing the file)
+            # and the in-process memos a new process would not have,
             # then two fresh client sessions attach the same directory
             # and analyze concurrently, sharing one reopened store.
             perf_store.deactivate()
+            SOLVER_MEMO.clear()
             sessions = [
                 ProgramSession(
                     lifecycle_source, include_library=False, config=config

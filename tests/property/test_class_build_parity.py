@@ -12,8 +12,9 @@ there goes through the whole-program path. For every update:
   counts (everything but wall-clock seconds and the ``build`` field);
 * both retained programs are identical, command for command: labels,
   rendering (allocation-site hints included) and source positions;
-* every method the class build rebuilt has the body fingerprint and the
-  command positions of a fresh whole-program build of the new source;
+* every method the class build rebuilt has the body fingerprint of a
+  fresh whole-program build of the new source, and on both paths every
+  method, rebuilt or kept, has that build's command positions;
 * the following ``analyze`` returns the same status, the same records
   (description and status, in order) and the same verdict payload.
 
@@ -255,7 +256,7 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
     params = _query(name)
     fast = ProgramSession(source, include_library=include_library)
     full = ProgramSession(source, include_library=include_library)
-    monkeypatch.setattr(full, "_class_build", lambda new_source: None)
+    monkeypatch.setattr(full, "_class_build", lambda new_source, region: None)
     builds = {"class": 0, "full": 0}
     try:
         assert _analysis(fast, params) == _analysis(full, params)
@@ -280,9 +281,12 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
             assert _program_rows(fast._program) == _program_rows(full._program)
             assert fast._fingerprints == full._fingerprints
             assert fast._spans == full._spans, kind
+            reference = _full_build(edited, include_library)
+            for session in (fast, full):
+                _check_positions(session, reference)
             if meta["build"] == "class" and result["mode"] == "incremental":
                 _check_against_full_build(
-                    fast, edited, include_library, result["changed_methods"]
+                    fast, reference, result["changed_methods"]
                 )
             source = edited
             assert _analysis(fast, params) == _analysis(full, params), kind
@@ -292,15 +296,22 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
     return builds
 
 
-def _check_against_full_build(session, source, include_library, changed):
-    reference = _full_build(source, include_library)
+def _check_positions(session, reference):
+    """Every retained method, rebuilt or kept, has the command positions
+    of a fresh whole-program build."""
+    mine = session._program.methods
+    assert mine.keys() == reference.methods.keys()
+    for qname, theirs in reference.methods.items():
+        assert [c.pos for c in walk_commands(mine[qname].body)] == [
+            c.pos for c in walk_commands(theirs.body)
+        ], qname
+
+
+def _check_against_full_build(session, reference, changed):
     for qname in changed:
         mine = session._program.methods[qname]
         theirs = reference.methods[qname]
         assert body_fingerprint(mine) == body_fingerprint(theirs), qname
-        assert [c.pos for c in walk_commands(mine.body)] == [
-            c.pos for c in walk_commands(theirs.body)
-        ], qname
     # The retained class-table entry of each edited class is the new one.
     table = session._program.class_table
     for qname in changed:

@@ -92,7 +92,7 @@ class TestSerialDriver:
     def test_cache_shared_with_engine(self, pta, edges):
         driver = RefutationDriver(pta, jobs=1)
         driver.refute_edges(edges)
-        assert len(driver.engine.edge_results()) == len(edges)
+        assert len(driver.results()) == len(edges)
 
 
 class TestBackends:
@@ -301,6 +301,37 @@ class TestParallelDriver:
         assert all(e.cached for e in finished)
 
 
+class TestFactCache:
+    """Facts are jobs like edges: one verdict cache, keyed by job key."""
+
+    def test_repeated_fact_searches_once_and_hits_after(self, pta, monkeypatch):
+        requests = _box_facts(pta)
+        searched = []
+        refute_fact_at = Engine.refute_fact_at
+
+        def counting(self, label, bindings, *args, **kwargs):
+            searched.append((label, bindings))
+            return refute_fact_at(self, label, bindings, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "refute_fact_at", counting)
+        driver = RefutationDriver(pta)
+        first = driver.refute_facts([requests[0], *requests, requests[0]])
+        assert len(searched) == len(requests)
+        assert first[0] is first[1] is first[-1]
+        assert len(driver.build_report().records) == len(requests)
+
+        events = []
+        driver.events.subscribe(events.append)
+        again = driver.refute_facts(requests)
+        assert len(searched) == len(requests)
+        assert [r.status for r in again] == [r.status for r in first[1:-1]]
+        # In-batch repeats are deduplicated; only the second batch hits.
+        assert driver.cache_hits == len(requests)
+        finished = [e for e in events if isinstance(e, EdgeFinished)]
+        assert [e.cached for e in finished] == [True] * len(requests)
+        assert len(driver.build_report().records) == len(requests)
+
+
 def _exit_worker(job, budget, deadline):
     """A process-pool job that kills its worker mid-job."""
     os._exit(1)
@@ -360,7 +391,7 @@ class TestBrokenPool:
             self._kill_workers(monkeypatch)
             lost = driver.refute_edges(edges)
             assert {r.status for r in lost.values()} == {TIMEOUT}
-            assert all(driver._cached(key) is None for key in lost)
+            assert not set(lost) & set(driver.results())
             assert driver._pool is None
             report = driver.build_report(command="check")
             assert {(r.status, r.worker) for r in report.records} == {
@@ -382,15 +413,17 @@ class TestBrokenPool:
             self._kill_workers(monkeypatch)
             lost = driver.refute_facts(requests)
             assert [r.status for r in lost] == [TIMEOUT, TIMEOUT]
+            assert driver.results() == {}
             assert driver._pool is None
+            report = driver.build_report(command="casts")
+            assert [r.worker for r in report.records] == ["lost", "lost"]
             monkeypatch.undo()
             again = driver.refute_facts(requests)
             report = driver.build_report(command="casts")
         assert [r.status for r in again] == [r.status for r in serial]
         assert {REFUTED, WITNESSED} == {r.status for r in again}
-        assert sorted(r.worker == "lost" for r in report.records) == [
-            False, False, True, True
-        ]
+        # The searched verdicts replace the lost records, as for edges.
+        assert [r.worker == "lost" for r in report.records] == [False, False]
 
 
 class TestDeadline:

@@ -6,6 +6,7 @@ a heap edge, and checks whether the engine refutes or witnesses it.
 
 import pytest
 
+from repro.engine import RefutationDriver
 from repro.ir import compile_program
 from repro.pointsto import ELEMS, ContainerSensitive, analyze
 from repro.symbolic import Engine, Representation, SearchConfig
@@ -318,9 +319,14 @@ class TestBudget:
             " Box b = new Box(); b.v = new Object(); } }"
         )
         edge = find_edge(pta, "v")
-        r1 = engine.refute_edge(edge)
-        r2 = engine.refute_edge(edge)
+        # The engine caches nothing: each call searches afresh.
+        assert engine.refute_edge(edge) is not engine.refute_edge(edge)
+        # The driver keeps the final verdict and answers the repeat.
+        driver = RefutationDriver(pta)
+        r1 = driver.refute_edge(edge)
+        r2 = driver.refute_edge(edge)
         assert r1 is r2
+        assert driver.cache_hits == 1
 
 
 class TestRepresentations:

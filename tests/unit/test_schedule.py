@@ -7,6 +7,7 @@ import pytest
 from repro.bench.workloads import layered_app, mixed_app
 from repro.clients.reachability import assert_unreachable
 from repro.engine import EdgeFinished, EdgeScheduled, RefutationDriver, RunReport
+from repro.engine.driver import Job
 from repro.engine.schedule import CostModel, RungCeiling, rung_ladder
 from repro.ir import compile_program
 from repro.obs import metrics, provenance
@@ -86,7 +87,7 @@ class TestCostModel:
         edges = {str(e): e for e in [*graph.static_edges(), *graph.heap_edges()]}
         path = [edges["Registry.hold -> holder0"], edges["holder0.item -> item0"]]
         driver = RefutationDriver(pta, SearchConfig())
-        jobs = driver._by_cost(driver._edge_jobs(path))
+        jobs = driver._by_cost([Job.of_edge(edge) for edge in path])
         assert [job.edge for job in jobs] == path[::-1]
 
 
@@ -267,8 +268,8 @@ class TestPathPortfolio:
         # escalated: its provisional TIMEOUT is neither cached nor
         # recorded, so a later path can still resolve it for real.
         assert pairs[expensive].status == TIMEOUT
-        assert driver._cached(edge_key(expensive)) is None
-        assert driver._cached(edge_key(cheap)) is not None
+        assert edge_key(expensive) not in driver.results()
+        assert edge_key(cheap) in driver.results()
         report = driver.build_report(command="check")
         assert {r.description for r in report.records} == {str(cheap)}
         rung0 = report.schedule["rungs"][0]
@@ -328,24 +329,24 @@ def _path_run(pta, path, jobs, backend):
 class TestRungCeiling:
     def test_cut_search_times_out_and_is_not_cached(self, pta, edges):
         """Theorem 1 under a ceiling: a search cut below the path programs
-        it needs is a TIMEOUT, never REFUTED, and the engine neither
-        caches nor counts it; at the ceiling it still refutes, uncached."""
+        it needs is a TIMEOUT, never REFUTED, and it never reaches the
+        driver's verdict cache; at the ceiling it still refutes."""
         for edge in edges:
             full = Engine(pta, SearchConfig()).refute_edge(edge)
             assert full.status == REFUTED
             p = full.path_programs
             for limit in sorted({0, p // 2, p - 1, p}):
-                engine = Engine(pta, SearchConfig())
+                driver = RefutationDriver(pta, SearchConfig())
                 ceiling = RungCeiling()
                 ceiling.lower(limit)
-                result = engine.refute_edge(edge, ceiling=ceiling)
+                result = driver.engine.refute_edge(edge, ceiling=ceiling)
                 if limit < p:
                     assert result.status == TIMEOUT
                     assert result.path_programs == limit + 1
                 else:
                     assert result.status == REFUTED
                     assert result.path_programs == p
-                assert edge_key(edge) not in engine._edge_cache
+                assert edge_key(edge) not in driver.results()
 
     @pytest.mark.parametrize("fixture", ["box", "mixed"])
     def test_records_identical_across_backends_and_policies(
@@ -460,13 +461,14 @@ class TestCooperativeDeadlines:
         times out WITHOUT being cached or recorded, so the full-budget
         re-run still refutes — the rescue the escalation ladder exists
         for."""
-        engine = Engine(pta, SearchConfig())
+        driver = RefutationDriver(pta, SearchConfig())
         edge = edges[-1]
-        capped = engine.refute_edge(edge, deadline=0.0)
+        capped = driver.engine.refute_edge(edge, deadline=0.0)
         assert capped.status == TIMEOUT
-        assert edge_key(edge) not in engine._edge_cache
-        full = engine.refute_edge(edge)
+        assert edge_key(edge) not in driver.results()
+        full = driver.refute_edge(edge)
         assert full.status == REFUTED
+        assert driver.results() == {edge_key(edge): full}
 
     def test_driver_portfolio_rescues_deadline_timeouts(self, pta, edges):
         """End to end under the thread pool: a ladder whose cheap rung

@@ -101,18 +101,27 @@ class TestPersistence:
     def test_verdicts_survive_close_and_reopen(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, False)
-        store.put("part", CANON_B, True)
+        store.put("comp", CANON_B, True)
         store.close()
 
         reopened = open_store(tmp_path)
         assert reopened.get("comp", CANON_A) is False
-        assert reopened.get("part", CANON_B) is True
+        assert reopened.get("comp", CANON_B) is True
         reopened.close()
 
     def test_kinds_are_separate_namespaces(self, tmp_path):
+        # A row of another kind under the same key never answers a
+        # ``comp`` probe.
+        open_store(tmp_path).close()
+        db = sqlite3.connect(str(tmp_path / "verdicts.sqlite"))
+        with db:
+            db.execute(
+                "INSERT INTO verdicts VALUES (?, ?, ?, 0, 0.0)",
+                ("part", encode_key(CANON_A), 0),
+            )
+        db.close()
         store = open_store(tmp_path)
-        store.put("comp", CANON_A, False)
-        assert store.get("part", CANON_A) is None
+        assert store.get("comp", CANON_A) is None
         store.close()
 
     def test_write_behind_flush_lands_in_sqlite(self, tmp_path):
@@ -177,23 +186,24 @@ class TestEviction:
 
 class TestLegacyKinds:
     """A store written by older builds holds ``mono`` verdict rows (from
-    the monolithic solver path) and ``refuted`` rows (from the cross-search
-    refuted-state cache): it opens warm, serves its ``comp``/``part`` rows,
-    never loads the ``mono`` ones, still reads the ``refuted`` ones, and
-    prune/clear still handle both."""
+    the monolithic solver path), ``part`` rows (from the whole-query tier)
+    and ``refuted`` rows (from the cross-search refuted-state cache): it
+    opens warm, serves its ``comp`` rows, never loads the ``mono`` or
+    ``part`` ones, still reads the ``refuted`` ones, and prune/clear still
+    handle them all."""
 
     def _legacy_store(self, tmp_path):
         store = open_store(tmp_path)
         store.put("comp", CANON_A, False)
-        store.put("part", CANON_B, True)
         store.close()
         path = tmp_path / "verdicts.sqlite"
         db = sqlite3.connect(str(path))
         with db:
-            db.execute(
-                "INSERT INTO verdicts VALUES (?, ?, ?, 0, 0.0)",
-                ("mono", encode_key(CANON_A), 1),
-            )
+            for kind, canon in (("part", CANON_B), ("mono", CANON_A)):
+                db.execute(
+                    "INSERT INTO verdicts VALUES (?, ?, ?, 0, 0.0)",
+                    (kind, encode_key(canon), 1),
+                )
         db.close()
         for name in ("a0", "b0"):
             insert_refuted_row(
@@ -206,8 +216,8 @@ class TestLegacyKinds:
             warnings.simplefilter("error")
             store = open_store(tmp_path)
         assert store.get("comp", CANON_A) is False
-        assert store.get("part", CANON_B) is True
-        assert "mono" not in store._mem
+        assert store.get("comp", CANON_B) is None
+        assert list(store._mem) == ["comp"]
         stats = store.stats()
         assert stats["entries"] == 3 and stats["refuted_entries"] == 2
         loaded = store.load_refuted("scope-1")
@@ -363,27 +373,3 @@ class TestAttach:
         assert stats["fingerprint"] == solver_fingerprint()
         assert stats["bytes"] > 0
         assert stats["writes"] == 1
-
-
-class TestPartKey:
-    def test_repeated_atoms_share_one_part_row(self, tmp_path):
-        """The whole-query ``part`` key is built on the de-duplicated
-        conjunction: a separation disequality stated twice (one per shared
-        field) hits the row of the conjunction that states it once."""
-        from repro.obs import metrics
-        from repro.perf.memo import SOLVER_MEMO
-        from repro.solver import LinExpr, check_sat, le, ref_ne
-
-        store = perf_store.attach(str(tmp_path))
-        pure = [le(LinExpr.var("i"), LinExpr.constant(3))]
-        apart = ref_ne("a", "b")
-        SOLVER_MEMO.clear()
-        assert check_sat(pure, separation=[apart])
-        assert len(store._mem["part"]) == 1
-        hits = store.hits
-        decisions = metrics.counter("solver.checks").value
-        SOLVER_MEMO.clear()
-        assert check_sat(pure, separation=[apart, apart])
-        assert len(store._mem["part"]) == 1
-        assert store.hits == hits + 1  # the part row; no component lookups
-        assert metrics.counter("solver.checks").value == decisions
