@@ -21,10 +21,6 @@ promises honest, and CI runs it:
    costliest disabled-path hook — it runs once per solver check), and
    assert that estimate is under the same threshold.
 
-The always-on slow-query flight recorder has no per-search hot path to
-probe: a search that stays under ``--slow-query-ms`` costs it one
-threshold comparison.
-
 Exit status 0 = within budget, 1 = overhead budget blown.
 
 Usage::

@@ -83,7 +83,6 @@ def main() -> None:
     parser.add_argument("--requests", type=int, default=48)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
-    os.environ.setdefault("REPRO_FLIGHT_DISABLE", "1")
 
     rng = random.Random(args.seed)
     bumps = [1] * 12

@@ -80,7 +80,6 @@ _WIRE_FIELDS = (
     "backend",
     "journal",
     "portfolio",
-    "slow_query_ms",
     "cache_dir",
 )
 
@@ -136,9 +135,6 @@ class AnalysisRequest:
     #: Cheap-first budget rungs (CLI --portfolio); ``False`` keeps the
     #: config's value.
     portfolio: bool = False
-    #: Slow-query flight-recorder threshold override in milliseconds
-    #: (CLI --slow-query-ms); ``None`` keeps the config's default.
-    slow_query_ms: Optional[float] = None
     #: Persistent cross-run verdict store directory (CLI --cache-dir, env
     #: REPRO_CACHE_DIR); ``None`` keeps the config's value (persistence
     #: stays off unless the environment variable is set).
@@ -295,8 +291,6 @@ def _resolve_config(request: AnalysisRequest) -> SearchConfig:
         config = config.copy(state_subsumption=request.subsumption)
     if request.portfolio:
         config = config.copy(portfolio=True)
-    if request.slow_query_ms is not None:
-        config = config.copy(slow_query_ms=request.slow_query_ms)
     if request.cache_dir is not None:
         config = config.copy(cache_dir=request.cache_dir)
     return config

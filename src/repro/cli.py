@@ -57,17 +57,9 @@ Every subcommand additionally accepts the observability flags:
 ``--metrics FILE``
     Write the process-wide metrics registry (counters, gauges,
     p50/p95 histograms) as JSON when the command finishes.
-``--metrics-stream FILE`` / ``--metrics-interval S``
-    Append a metrics-registry snapshot to FILE as JSONL every S seconds
-    (default 5.0) while the command runs — the batch-mode equivalent of
-    scraping the daemon's ``GET /metrics``.
 
-``thresher top`` renders a live terminal dashboard (in-flight searches,
-rung occupancy, worker utilization, cache hit-rates) against a running
-``thresher serve --port N`` daemon. ``thresher explain --diff A.json
-B.json`` attributes wall/verdict/tier deltas between two run reports,
-and ``thresher explain --slow`` lists the slow-query flight recorder's
-captures (see docs/observability.md).
+``thresher explain --diff A.json B.json`` attributes wall/verdict/tier
+deltas between two run reports (see docs/observability.md).
 
 See ``docs/cli.md`` for the full reference with examples and
 ``docs/observability.md`` for the span/metric catalogue.
@@ -98,19 +90,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="write the metrics registry (counters/gauges/histograms) as JSON",
-    )
-    parser.add_argument(
-        "--metrics-stream",
-        default=None,
-        metavar="FILE",
-        help="append periodic metrics-registry snapshots to FILE as JSONL",
-    )
-    parser.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="seconds between --metrics-stream snapshots (default 5)",
     )
 
 
@@ -175,18 +154,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "flight-recorder capture threshold in milliseconds (default"
-            " 2000; 0 disables capture): searches slower than this"
-            " auto-persist their journal/trace for 'thresher explain"
-            " --slow'"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -204,11 +171,6 @@ def _search_config(args, **overrides):
 
     if getattr(args, "portfolio", False):
         overrides.setdefault("portfolio", True)
-    slow_ms = getattr(args, "slow_query_ms", None)
-    if slow_ms is not None:
-        overrides.setdefault(
-            "slow_query_ms", slow_ms if slow_ms > 0 else None
-        )
     if getattr(args, "cache_dir", None):
         overrides.setdefault("cache_dir", args.cache_dir)
     return SearchConfig(
@@ -275,30 +237,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--budget", type=int, default=10_000)
     _add_driver_flags(p_serve)
 
-    p_top = sub.add_parser(
-        "top",
-        help="live terminal dashboard for a running 'thresher serve' daemon",
-    )
-    p_top.add_argument(
-        "--url", default=None, metavar="URL",
-        help="daemon base URL (overrides --host/--port)",
-    )
-    p_top.add_argument(
-        "--host", default="127.0.0.1", help="daemon host (default 127.0.0.1)"
-    )
-    p_top.add_argument(
-        "--port", type=int, default=8787, metavar="N",
-        help="daemon port (default 8787)",
-    )
-    p_top.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="refresh interval in seconds (default 2)",
-    )
-    p_top.add_argument(
-        "--once", action="store_true",
-        help="render one snapshot and exit (no screen refresh)",
-    )
-
     p_explain = sub.add_parser(
         "explain",
         help="render a refutation certificate (or witness narrative) for one edge",
@@ -313,14 +251,6 @@ def main(argv: list[str] | None = None) -> int:
             "diff two run reports: attribute wall/verdict/tier/kill deltas"
             " per edge token (B - A)"
         ),
-    )
-    p_explain.add_argument(
-        "--slow", action="store_true",
-        help="list the slow-query flight recorder's captured searches",
-    )
-    p_explain.add_argument(
-        "--flight-dir", default=None, metavar="DIR",
-        help="flight-recorder capture directory (default .repro-flight)",
     )
     p_explain.add_argument(
         "--journal", default=None, metavar="J.jsonl",
@@ -384,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     tracer = None
     journal = None
-    streamer = None
     if getattr(args, "trace", None) and args.command != "explain":
         from .obs import trace
 
@@ -393,13 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         from .obs import provenance
 
         journal = provenance.install()
-    if getattr(args, "metrics_stream", None) and args.command != "explain":
-        from .obs.telemetry import MetricsStreamer
-
-        streamer = MetricsStreamer(
-            args.metrics_stream, interval=args.metrics_interval
-        )
-        streamer.start()
     try:
         if args.command == "check":
             return _cmd_check(args)
@@ -415,14 +337,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_explain(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "top":
-            return _cmd_top(args)
         if args.command == "cache":
             return _cmd_cache(args)
         return 2
     finally:
-        if streamer is not None:
-            streamer.stop()
         if tracer is not None:
             from .obs import trace
 
@@ -646,168 +564,6 @@ def _cmd_serve(args) -> int:
         session.close()
 
 
-def _cmd_top(args) -> int:
-    """Poll a serve daemon's ``GET /v1/status`` and render a refreshing
-    terminal dashboard (in-flight searches, rung occupancy, workers,
-    cache hit-rates)."""
-    import json
-    import time
-    import urllib.error
-    import urllib.request
-
-    base = args.url or f"http://{args.host}:{args.port}"
-    url = base.rstrip("/") + "/v1/status"
-    while True:
-        try:
-            with urllib.request.urlopen(url, timeout=10) as resp:
-                envelope = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            print(f"top: cannot reach {url}: {exc}", file=sys.stderr)
-            return 1
-        if not envelope.get("ok", False):
-            message = (envelope.get("error") or {}).get("message", "error")
-            print(f"top: daemon error: {message}", file=sys.stderr)
-            return 1
-        body = _render_top(envelope.get("result") or {})
-        if args.once:
-            print(body)
-            return 0
-        # Home + clear-to-end keeps the refresh flicker-free.
-        sys.stdout.write("\x1b[H\x1b[2J" + body + "\n")
-        sys.stdout.flush()
-        try:
-            time.sleep(max(0.1, args.interval))
-        except KeyboardInterrupt:
-            return 0
-
-
-def _render_top(status: dict) -> str:
-    """One dashboard frame from a serve ``status`` payload. Pure —
-    exercised directly by the tests."""
-    lines = []
-    program = status.get("program") or {}
-    telemetry = status.get("telemetry") or {}
-    run = telemetry.get("run") or {}
-    totals = telemetry.get("totals") or {}
-    head = "thresher top"
-    if program:
-        head += (
-            f" — {program.get('methods', '?')} methods,"
-            f" {program.get('commands', '?')} commands"
-        )
-    if run:
-        state = "running" if run.get("finished") is None else "idle"
-        head += (
-            f" | last run: {state}, {run.get('total_jobs', 0)} job(s)"
-            f" on {run.get('jobs', 0)}x{run.get('backend', '?')}"
-        )
-    lines.append(head)
-    lines.append(
-        "totals: "
-        + "  ".join(
-            f"{name} {totals.get(name, 0)}"
-            for name in (
-                "scheduled",
-                "refuted",
-                "witnessed",
-                "timeout",
-                "cached",
-                "escalated",
-            )
-        )
-    )
-    in_flight = telemetry.get("in_flight") or []
-    lines.append(f"in flight ({len(in_flight)}):")
-    for entry in in_flight[:10]:
-        lines.append(
-            f"  rung {entry.get('rung', 0)}"
-            f"  {entry.get('description', '?')}"
-        )
-    if len(in_flight) > 10:
-        lines.append(f"  ... +{len(in_flight) - 10} more")
-    rungs = (status.get("schedule") or {}).get("rungs") or []
-    if rungs:
-        lines.append("rung occupancy (scheduled/resolved/carryover):")
-        for row in rungs:
-            lines.append(
-                f"  rung {row.get('rung', 0)} @ {row.get('budget', 0)}:"
-                f" {row.get('scheduled', 0)}/{row.get('resolved', 0)}"
-                f"/{row.get('carryover', 0)}"
-            )
-    workers = telemetry.get("workers") or {}
-    if workers:
-        done = sum(workers.values()) or 1
-        lines.append("workers (completions):")
-        for name, count in sorted(workers.items()):
-            share = 100.0 * count / done
-            lines.append(f"  {name or '<serial>'}: {count} ({share:.0f}%)")
-    tiers = status.get("cache_tiers") or {}
-    if tiers:
-        answered = sum(
-            tiers.get(k, 0)
-            for k in (
-                "context_hits",
-                "component_memo_hits",
-                "whole_query_memo_hits",
-                "fastpath_unsat",
-            )
-        )
-        asked = answered + tiers.get("decisions", 0)
-        rate = 100.0 * answered / asked if asked else 0.0
-        lines.append(
-            f"cache: {answered}/{asked} solver questions answered from"
-            f" cache ({rate:.0f}%)"
-        )
-    counters = status.get("metrics") or {}
-    lines.append(
-        f"serve: {counters.get('serve.requests', 0)} request(s),"
-        f" {counters.get('serve.verdicts_reused', 0)} verdict(s) reused"
-    )
-    return "\n".join(lines)
-
-
-def _explain_slow(args) -> int:
-    """List the flight recorder's persisted slow-query captures."""
-    from .obs import telemetry
-
-    captures = telemetry.list_captures(args.flight_dir)
-    directory = args.flight_dir or telemetry.flight_dir()
-    if not captures:
-        print(f"no flight-recorder captures under {directory}")
-        print(
-            "searches slower than --slow-query-ms (default 2000) are"
-            " captured automatically; REPRO_FLIGHT_DISABLE=1 vetoes",
-            file=sys.stderr,
-        )
-        return 0
-    print(f"{len(captures)} slow-query capture(s) under {directory}:")
-    for meta in captures:
-        summary = meta.get("summary") or {}
-        estimate = summary.get("estimate")
-        estimate_text = (
-            f", estimate {estimate}" if estimate is not None else ""
-        )
-        print(
-            f"  [{meta.get('capture', '?')}] {meta.get('description', '?')}:"
-            f" {summary.get('status', '?')} in"
-            f" {summary.get('seconds', 0.0):.2f}s"
-            f" ({summary.get('path_programs', 0)} path programs,"
-            f" rung {summary.get('rung')}{estimate_text})"
-        )
-        kills = (meta.get("attribution") or {}).get("kills") or {}
-        if kills:
-            mix = ", ".join(
-                f"{reason} {count}"
-                for reason, count in sorted(kills.items())
-            )
-            print(f"      kills: {mix}")
-        if meta.get("path"):
-            print(f"      journal: {meta['path']}")
-        if meta.get("trace"):
-            print(f"      trace:   {meta['trace']}")
-    return 0
-
-
 def _cmd_explain(args) -> int:
     from .engine.report import RunReport
     from .obs import provenance
@@ -819,12 +575,9 @@ def _cmd_explain(args) -> int:
         b = RunReport.from_json(_read(args.diff[1]))
         print(render_diff(diff_reports(a, b)))
         return 0
-    if args.slow:
-        return _explain_slow(args)
     if args.report is None:
         print(
-            "explain needs one of --report R.json, --diff A.json B.json,"
-            " or --slow",
+            "explain needs --report R.json or --diff A.json B.json",
             file=sys.stderr,
         )
         return 2

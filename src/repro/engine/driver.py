@@ -50,18 +50,17 @@ import time
 from concurrent.futures import BrokenExecutor, Future, as_completed
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .. import perf
-from ..obs import metrics, provenance, telemetry, trace
+from ..obs import metrics, provenance, trace
 from ..perf import store as perf_store
 from ..pointsto import PointsToResult
 from ..pointsto.graph import HeapEdge
 from ..pointsto.producers import EdgeKey, edge_key
 from ..symbolic import Engine, SearchConfig
 from ..symbolic.stats import TIMEOUT, EdgeResult
-from ..symbolic.symvar import private_ids
 from .events import (
     EdgeEscalated,
     EdgeFinished,
@@ -683,30 +682,19 @@ class RefutationDriver:
         """The one finish step for a final result.
 
         A fresh result joins the verdict cache (unless its worker was lost)
-        and the run records. A search that ran and crossed the slow-query
-        threshold (``config.slow_query_ms``) is captured by the flight
-        recorder, with its record as the capture's summary. With an
-        ``index`` the result is announced as ``EdgeFinished``. ``cached``
-        results were finished when first computed."""
-        record = None
+        and the run records. With an ``index`` the result is announced as
+        ``EdgeFinished``. ``cached`` results were finished when first
+        computed."""
         if not cached:
             with self._lock:
                 if worker != LOST:
                     self._verdicts.setdefault(job.key, result)
                 previous = self._records.get(job.key)
                 if previous is None or previous.worker == LOST:
-                    record = self._records[job.key] = EdgeRecord.from_result(
+                    self._records[job.key] = EdgeRecord.from_result(
                         result, worker=worker, description=job.description,
                         kind=job.kind,
                     )
-        threshold = self.config.slow_query_ms
-        if (
-            record is not None
-            and worker != LOST
-            and threshold is not None
-            and result.seconds * 1000.0 >= threshold
-        ):
-            self._capture(job, record)
         if index is not None:
             self.events.emit(
                 EdgeFinished(
@@ -720,29 +708,6 @@ class RefutationDriver:
                     cached=cached,
                 )
             )
-
-    def _capture(self, job: Job, record: EdgeRecord) -> None:
-        """Hand a slow search to the flight recorder, its record plus the
-        cost-model estimate as the summary.
-
-        The capture may replay the search under a temporary journal and
-        tracer, which act process-wide, so it holds the search lock: no
-        other search on this driver runs into them. The replay numbers
-        its symbolic variables privately: drawing from the shared counter
-        would shift the names of every later search's variables, and with
-        them the order of their linear terms and the work their solver
-        caches save."""
-        summary = asdict(record)
-        summary["estimate"] = (
-            None if self._cost is None else job.cost(self._cost)
-        )
-
-        def replay() -> EdgeResult:
-            with private_ids():
-                return job.run(Engine(self.pta, self.config))
-
-        with self._search_lock:
-            telemetry.RECORDER.capture(job.description, summary, replay=replay)
 
     def results(self) -> dict:
         """Every final outcome so far, edges and facts, keyed by job key."""

@@ -1,6 +1,7 @@
-"""Observability for the refutation pipeline: span tracing + metrics.
+"""Observability for the refutation pipeline: spans, metrics and journals.
 
-Three complementary substrates (see docs/observability.md):
+Three complementary substrates, plus an exposition of the registry (see
+docs/observability.md):
 
 * :mod:`repro.obs.trace` — hierarchical span tracing with a near-zero-cost
   disabled default and Chrome trace-event JSON export (``--trace FILE``,
@@ -11,12 +12,8 @@ Three complementary substrates (see docs/observability.md):
   state spawned/killed/witnessed during backwards symbolic execution, with
   typed kill reasons, JSONL/DOT export, and refutation certificates
   (``--journal FILE``, ``repro explain``). No-op unless installed.
-* :mod:`repro.obs.telemetry` — the operational layer on top: Prometheus
-  text exposition of the registry (``GET /metrics``), the lifecycle-event
-  hub behind ``watch`` / ``repro top``, the always-on slow-query flight
-  recorder, which persists a slow search's journal beside its run-report
-  record (``repro explain --slow``), and periodic snapshot streaming
-  (``--metrics-stream FILE``).
+* :mod:`repro.obs.telemetry` — the registry as Prometheus text
+  exposition (``GET /metrics`` and the serve ``metrics`` op).
 
 Usage from pipeline code::
 
@@ -33,7 +30,6 @@ Usage from pipeline code::
 from . import metrics, provenance, telemetry, trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, REGISTRY
 from .provenance import RunJournal, SearchJournal
-from .telemetry import FlightRecorder, MetricsStreamer, TelemetryHub
 from .trace import SpanRecord, Tracer
 
 __all__ = [
@@ -41,9 +37,6 @@ __all__ = [
     "provenance",
     "telemetry",
     "trace",
-    "FlightRecorder",
-    "MetricsStreamer",
-    "TelemetryHub",
     "Counter",
     "Gauge",
     "Histogram",

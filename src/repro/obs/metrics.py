@@ -27,35 +27,9 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 Number = Union[int, float]
-
-# Threads currently inside :func:`muted`. The module-level count keeps the
-# hot path at one global read while nobody is muted; only then is the
-# thread-local flag consulted.
-_MUTED_THREADS = 0
-_MUTED_LOCK = threading.Lock()
-_TLS = threading.local()
-
-
-@contextmanager
-def muted() -> Iterator[None]:
-    """Drop every instrument update made *by the calling thread* while the
-    block runs; other threads keep reporting. Used to re-run work purely
-    for its side artifacts (the flight recorder's replay of a slow
-    search) without counting it into the process-wide totals twice."""
-    global _MUTED_THREADS
-    with _MUTED_LOCK:
-        _MUTED_THREADS += 1
-    _TLS.muted = True
-    try:
-        yield
-    finally:
-        _TLS.muted = False
-        with _MUTED_LOCK:
-            _MUTED_THREADS -= 1
 
 
 class Counter:
@@ -69,8 +43,6 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, n: Number = 1) -> None:
-        if _MUTED_THREADS and getattr(_TLS, "muted", False):
-            return
         with self._lock:
             self._value += n
 
@@ -107,14 +79,10 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: Number) -> None:
-        if _MUTED_THREADS and getattr(_TLS, "muted", False):
-            return
         with self._lock:
             self._value = value
 
     def add(self, delta: Number) -> None:
-        if _MUTED_THREADS and getattr(_TLS, "muted", False):
-            return
         with self._lock:
             self._value += delta
 
@@ -153,8 +121,6 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: Number) -> None:
-        if _MUTED_THREADS and getattr(_TLS, "muted", False):
-            return
         with self._lock:
             self.count += 1
             self.total += value

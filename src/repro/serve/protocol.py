@@ -37,7 +37,6 @@ OPS = (
     "status",
     "shutdown",
     "metrics",
-    "watch",
 )
 
 

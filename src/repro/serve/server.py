@@ -9,8 +9,7 @@ shared dispatcher (:func:`handle_request`):
   logging goes to stderr; stdout carries only protocol lines.
 * **HTTP** — ``POST /v1`` with a request envelope body; ``GET /v1/status``
   as a convenience for the status op; ``GET /metrics`` serving the
-  Prometheus text exposition for scrapers; ``GET /v1/watch`` streaming
-  lifecycle events as newline-delimited JSON. Built on the stdlib
+  Prometheus text exposition for scrapers. Built on the stdlib
   :class:`ThreadingHTTPServer`; the session's reader/writer lock provides
   the concurrency discipline (parallel reads, serialized updates).
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 
 from ..obs import telemetry
 
@@ -51,8 +49,6 @@ def handle_request(session: ProgramSession, request: Request) -> dict:
             result, meta = session.status()
         elif request.op == "metrics":
             result, meta = session.metrics_exposition(request.params)
-        elif request.op == "watch":
-            result, meta = session.watch(request.params)
         elif request.op == "shutdown":
             result, meta = {"stopping": True}, {}
         else:  # unreachable: parse_request validated op
@@ -141,73 +137,20 @@ def serve_http(
             self.end_headers()
             self.wfile.write(raw)
 
-        def _stream_watch(self, query: str) -> None:
-            """Stream lifecycle events as newline-delimited JSON until
-            ``timeout`` seconds elapse or ``max`` events were sent.
-            Chunk-free HTTP/1.1 streaming: no Content-Length, connection
-            closes when the stream ends."""
-            from urllib.parse import parse_qs
-
-            params = parse_qs(query)
-
-            def _one(name, default, cast):
-                try:
-                    return cast(params[name][0])
-                except (KeyError, IndexError, ValueError):
-                    return default
-
-            cursor = _one("since", 0, int)
-            limit = max(1, _one("max", 1000, int))
-            timeout = min(60.0, max(0.0, _one("timeout", 10.0, float)))
-            self.close_connection = True
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            try:
-                hello = {
-                    "watch": True,
-                    "cursor": cursor,
-                    "snapshot": session.hub.snapshot(),
-                }
-                self.wfile.write(
-                    (json.dumps(hello, sort_keys=True) + "\n").encode()
-                )
-                self.wfile.flush()
-                sent = 0
-                deadline = time.monotonic() + timeout
-                while sent < limit and time.monotonic() < deadline:
-                    cursor, rows = session.hub.events_since(
-                        cursor, limit=limit - sent
-                    )
-                    for row in rows:
-                        self.wfile.write(
-                            (json.dumps(row, sort_keys=True) + "\n").encode()
-                        )
-                        sent += 1
-                    self.wfile.flush()
-                    if not rows:
-                        time.sleep(0.1)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # the watcher hung up; nothing to clean up
-
         def do_GET(self):  # noqa: N802 — stdlib naming
-            path, _, query = self.path.partition("?")
+            path = self.path.partition("?")[0]
             if path == "/v1/status":
                 self._send(handle_request(session, Request(op="status")))
             elif path == "/metrics":
                 self._send_text(
                     telemetry.render_prometheus(), telemetry.CONTENT_TYPE
                 )
-            elif path == "/v1/watch":
-                self._stream_watch(query)
             else:
                 self._send(
                     error_response(
                         None,
                         ProtocolError(
-                            "GET serves /v1/status, /v1/watch, /metrics"
+                            "GET serves /v1/status, /metrics"
                         ),
                     ),
                     code=404,

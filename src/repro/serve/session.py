@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from itertools import chain
 from typing import Optional
 
 from ..android.harness import _LIBRARY_LINES, add_harness, combined_source
@@ -118,6 +119,17 @@ class _RWLock:
 _ANALYZE_FIELDS = frozenset({"client", *_SELECTOR_FIELDS})
 
 
+def _table_entries(table):
+    """Every positioned entry of a class table (each class, field and
+    method) with a key naming it."""
+    for name, info in table.classes.items():
+        yield name, info
+        for field in info.fields.values():
+            yield (name, "field", field.name), field
+        for method in info.methods.values():
+            yield (name, "method", method.name), method
+
+
 class ProgramSession:
     """One loaded program and everything retained across requests."""
 
@@ -158,10 +170,6 @@ class ProgramSession:
         self._verdicts: dict = {}  # job key -> EdgeResult (with footprint)
         self._updates_applied = 0
         self._closed = False
-        #: Session-lifetime lifecycle hub: every driver (including those
-        #: created by rebuilds) feeds it, so ``watch`` cursors survive
-        #: updates and the ``top`` renderer sees one continuous stream.
-        self.hub = telemetry.TelemetryHub()
         #: Lines ahead of the app source in the text the frontend parses.
         self._line_base = _LIBRARY_LINES + 1 if include_library else 0
         self._rebuild(self._build(source))
@@ -202,7 +210,6 @@ class ProgramSession:
             jobs=self._jobs,
             deadline=self._deadline,
             backend=self._backend,
-            on_event=self.hub.sink,
         )
 
     # -- request ops ---------------------------------------------------------
@@ -313,14 +320,21 @@ class ProgramSession:
                     source, new_program, started, reason="non-additive edit"
                 )
             if build == "class":
-                # The edit stays: the retained table takes the class's new
-                # entry, and every span from the edited class on moves.
+                # The edit stays: everything after it moves, the retained
+                # table takes the class's new entry, and every span from
+                # the edited class on moves.
+                self._shift_positions(source, region)
                 self._program.class_table.classes[info.name] = info
                 self._spans[index][2] += growth
                 for span in self._spans[index + 1 :]:
                     span[1] += growth
                     span[2] += growth
-                self._shift_positions(source, region)
+            else:
+                # Equal signatures: the same classes, fields and methods,
+                # perhaps in another order.
+                fresh = dict(_table_entries(new_program.class_table))
+                for key, entry in _table_entries(self._program.class_table):
+                    entry.pos = fresh[key].pos
             self._copy_positions(new_program, changed)
             if not changed:
                 self._source = source
@@ -366,20 +380,21 @@ class ProgramSession:
         return len(self._verdicts) - facts, facts
 
     def _shift_positions(self, source: str, region: tuple[int, int, int]) -> None:
-        """Move every retained command after the edit the way the edit
-        moved the text there: other classes, and the harness after the
-        app, keep their text but not its place."""
+        """Move every retained command and class-table entry after the
+        edit the way the edit moved the text there: other classes, and the
+        harness after the app, keep their text but not its place."""
         _, old_end, new_end = region
         old_line, old_col = position_of(self._source, old_end)
         new_line, new_col = position_of(source, new_end)
         lines, along = new_line - old_line, new_col - old_col
         old_line += self._line_base
-        for cmd in self._program.commands.values():
-            pos = cmd.pos
+        table = (entry for _, entry in _table_entries(self._program.class_table))
+        for item in chain(self._program.commands.values(), table):
+            pos = item.pos
             if pos.line > old_line:
-                cmd.pos = SourcePosition(pos.line + lines, pos.column)
+                item.pos = SourcePosition(pos.line + lines, pos.column)
             elif pos.line == old_line and pos.column >= old_col:
-                cmd.pos = SourcePosition(pos.line + lines, pos.column + along)
+                item.pos = SourcePosition(pos.line + lines, pos.column + along)
 
     def _copy_positions(self, new_program, changed: list) -> None:
         """Give each kept method that ``new_program`` also holds (the same
@@ -570,7 +585,6 @@ class ProgramSession:
                     #: with other processes (enabled=False when no
                     #: --cache-dir was given).
                     "store": cache.get("store", {}),
-                    "telemetry": self.hub.snapshot(),
                 },
                 {},
             )
@@ -597,19 +611,6 @@ class ProgramSession:
         raise ValueError(
             f"unknown metrics format {fmt!r}; expected prometheus or json"
         )
-
-    def watch(self, params: dict) -> tuple[dict, dict]:
-        """The ``watch`` op (stdio flavor): cursor-polled lifecycle
-        events. Pass the returned ``cursor`` back as ``since`` to resume;
-        ``snapshot: true`` additionally returns the derived live state."""
-        _REQUESTS.inc()
-        since = int(params.get("since", 0))
-        limit = max(1, int(params.get("limit", 500)))
-        cursor, events = self.hub.events_since(since, limit=limit)
-        result = {"cursor": cursor, "events": events}
-        if params.get("snapshot"):
-            result["snapshot"] = self.hub.snapshot()
-        return result, {}
 
     # -- retained-state views ------------------------------------------------
 

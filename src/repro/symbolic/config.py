@@ -96,13 +96,6 @@ class SearchConfig:
     #: ``None`` (the default) disables persistence entirely.
     cache_dir: Optional[str] = None
 
-    #: Slow-query threshold in milliseconds (CLI ``--slow-query-ms``):
-    #: any search whose wall clock exceeds it has its journal captured by
-    #: the always-on flight recorder (:mod:`repro.obs.telemetry`), so
-    #: ``repro explain --slow`` works without ``--journal``. ``None``
-    #: disables capture; the ring-buffer summaries are recorded regardless.
-    slow_query_ms: Optional[float] = 2000.0
-
     def copy(self, **overrides) -> "SearchConfig":
         from dataclasses import replace
 

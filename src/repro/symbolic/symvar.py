@@ -67,10 +67,11 @@ def private_ids() -> Iterator[None]:
     while the block runs; the process-wide numbering stays where it was.
 
     Variable names order the terms of linear atoms (by ``repr``), so the
-    numbering steers how much work the solver's caches save. Work done
-    inside the block (the flight recorder's replay of a slow search)
-    therefore cannot change the work of any search that runs after it.
-    Other threads keep drawing from the shared counter, so no two live
+    numbering steers how much work the solver's caches save. A run inside
+    the block numbers its variables from zero whatever ran before it, so
+    two such runs do the same solver work, and work done inside the block
+    cannot change the work of any search that runs after it. Other
+    threads keep drawing from the shared counter, so no two live
     variables of one search ever share a name."""
     global _PRIVATE_THREADS
     with _PRIVATE_LOCK:

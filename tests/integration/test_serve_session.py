@@ -369,8 +369,8 @@ class TestStdioTransport:
 
 
 class TestTelemetryOps:
-    """The observability verbs: ``metrics``, ``watch``, and the status
-    payload's scheduling/telemetry sections."""
+    """The observability verbs: the ``metrics`` op, and the status
+    payload's scheduling section."""
 
     def test_metrics_op_prometheus_and_json(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)
@@ -401,54 +401,51 @@ class TestTelemetryOps:
         finally:
             session.close()
 
-    def test_watch_op_streams_lifecycle_with_cursor(self, lifecycle_source):
+    def test_http_get_serves_status_and_metrics_only(self, lifecycle_source):
+        """``GET /v1/watch`` is gone: it is a 404 that names the GET
+        routes left."""
+        import socket
+        import threading
+        import time
+        import urllib.error
+        import urllib.request
+
+        from repro.serve.server import serve_http
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        base = f"http://127.0.0.1:{port}"
         session = ProgramSession(lifecycle_source, include_library=False)
+        server = threading.Thread(
+            target=serve_http, args=(session, port), daemon=True
+        )
+        server.start()
         try:
-            first = handle_request(
-                session, Request(op="watch", id=1, params={"snapshot": True})
-            )
-            assert first["ok"]
-            assert first["result"]["events"] == []
-            assert first["result"]["snapshot"]["totals"]["scheduled"] == 0
-
-            session.analyze(REACH_PARAMS)
-            response = handle_request(session, Request(op="watch", id=2))
-            assert response["ok"]
-            events = response["result"]["events"]
-            kinds = [e["event"] for e in events]
-            assert kinds[0] == "RunStarted"
-            assert "EdgeFinished" in kinds
-            assert kinds[-1] == "RunFinished"
-            finished = [e for e in events if e["event"] == "EdgeFinished"]
-            assert len(finished) == N_SCREENS
-            assert all(e["seq"] > 0 and "ts" in e for e in events)
-
-            # Resuming from the returned cursor yields nothing new.
-            cursor = response["result"]["cursor"]
-            again = handle_request(
-                session, Request(op="watch", id=3, params={"since": cursor})
-            )
-            assert again["result"]["events"] == []
-            assert again["result"]["cursor"] == cursor
+            for _ in range(100):
+                try:
+                    with urllib.request.urlopen(
+                        base + "/metrics", timeout=10
+                    ) as resp:
+                        assert resp.status == 200
+                    break
+                except urllib.error.URLError:
+                    time.sleep(0.05)
+            with urllib.request.urlopen(base + "/v1/status", timeout=10) as resp:
+                assert json.loads(resp.read())["ok"]
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(base + "/v1/watch?since=0", timeout=10)
+            assert err.value.code == 404
+            body = json.loads(err.value.read())
+            assert body["error"]["message"] == "GET serves /v1/status, /metrics"
         finally:
-            session.close()
-
-    def test_hub_survives_driver_rebuild(self, lifecycle_source):
-        """The hub is session-lifetime: a declaration edit rebuilds the
-        driver, and events from the new driver keep arriving."""
-        session = ProgramSession(lifecycle_source, include_library=False)
-        try:
-            session.analyze(REACH_PARAMS)
-            cursor = session.hub.events_since(0)[0]
-            edited = lifecycle_source.replace(
-                "class Item { }", "class Item { int tag; }"
+            shutdown = urllib.request.Request(
+                base + "/v1", data=json.dumps({"op": "shutdown"}).encode()
             )
-            session.update({"source": edited})
-            session.analyze(REACH_PARAMS)
-            _, rows = session.hub.events_since(cursor)
-            assert any(r["event"] == "RunFinished" for r in rows)
-        finally:
+            urllib.request.urlopen(shutdown, timeout=10).close()
+            server.join(timeout=10)
             session.close()
+        assert not server.is_alive()
 
     def test_status_carries_schedule_and_telemetry(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)
@@ -462,10 +459,8 @@ class TestTelemetryOps:
             ]
             assert "serve.requests" in result["metrics"]
             assert "decisions" in result["cache_tiers"]
-            telemetry_snap = result["telemetry"]
-            assert telemetry_snap["totals"]["scheduled"] >= 0
-            assert telemetry_snap["run"] is not None
-            assert telemetry_snap["in_flight"] == []
+            # The live lifecycle snapshot is off the v1 wire.
+            assert "telemetry" not in result
         finally:
             session.close()
 

@@ -14,7 +14,8 @@ there goes through the whole-program path. For every update:
   rendering (allocation-site hints included) and source positions;
 * every method the class build rebuilt has the body fingerprint of a
   fresh whole-program build of the new source, and on both paths every
-  method, rebuilt or kept, has that build's command positions;
+  method, rebuilt or kept, has that build's command positions, and every
+  class, field and method of the class table its declaration position;
 * the following ``analyze`` returns the same status, the same records
   (description and status, in order) and the same verdict payload.
 
@@ -298,13 +299,23 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
 
 def _check_positions(session, reference):
     """Every retained method, rebuilt or kept, has the command positions
-    of a fresh whole-program build."""
+    of a fresh whole-program build, and every class-table entry (class,
+    field and method) has that build's declaration position."""
     mine = session._program.methods
     assert mine.keys() == reference.methods.keys()
     for qname, theirs in reference.methods.items():
         assert [c.pos for c in walk_commands(mine[qname].body)] == [
             c.pos for c in walk_commands(theirs.body)
         ], qname
+    table = session._program.class_table.classes
+    assert table.keys() == reference.class_table.classes.keys()
+    for name, want in reference.class_table.classes.items():
+        got = table[name]
+        assert got.pos == want.pos, name
+        for kind in ("fields", "methods"):
+            assert {n: e.pos for n, e in getattr(got, kind).items()} == {
+                n: e.pos for n, e in getattr(want, kind).items()
+            }, (name, kind)
 
 
 def _check_against_full_build(session, reference, changed):

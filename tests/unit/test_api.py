@@ -305,6 +305,19 @@ class TestWireSchema:
                 {"client": "casts", "source": CAST_SAFE, "schedule": "lifo"}
             )
 
+    def test_retired_slow_query_field_is_off_the_wire(self):
+        """The slow-query threshold went with the flight recorder: it is
+        neither a request field nor accepted on the wire."""
+        assert "slow_query_ms" not in WIRE_REQUESTS["casts"].to_dict()
+        with pytest.raises(TypeError):
+            AnalysisRequest(client="casts", slow_query_ms=1.0)
+        with pytest.raises(
+            ValueError, match=r"unknown AnalysisRequest field\(s\) slow_query_ms"
+        ):
+            AnalysisRequest.from_dict(
+                {"client": "casts", "source": CAST_SAFE, "slow_query_ms": 5.0}
+            )
+
     def test_from_dict_rejects_wrong_schema_version(self):
         with pytest.raises(ValueError, match="unsupported schema_version 99"):
             AnalysisRequest.from_dict(

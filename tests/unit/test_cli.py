@@ -346,7 +346,7 @@ class TestExplainDiff:
     def test_explain_requires_a_mode(self, capsys):
         assert main(["explain"]) == 2
         err = capsys.readouterr().err
-        assert "--report" in err and "--diff" in err and "--slow" in err
+        assert "--report" in err and "--diff" in err and "--slow" not in err
 
 
 class TestExplainStatusTiers:
@@ -359,93 +359,3 @@ class TestExplainStatusTiers:
         assert main(["explain", "--report", report, "--status"]) == 0
         out = capsys.readouterr().out
         assert "solver context hits" in out
-
-
-class TestExplainSlow:
-    def test_lists_captures_from_flight_dir(
-        self, leaky_file, tmp_path, capsys, monkeypatch
-    ):
-        from repro.obs import telemetry
-
-        flight = str(tmp_path / "flight")
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", flight)
-        monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
-        monkeypatch.setattr(
-            telemetry, "RECORDER", telemetry.FlightRecorder()
-        )
-        # Zero observability flags; every search trips the threshold.
-        assert main(["check", leaky_file, "--slow-query-ms", "0.000001"]) == 1
-        capsys.readouterr()
-        assert main(["explain", "--slow"]) == 0
-        out = capsys.readouterr().out
-        assert "slow-query capture(s)" in out
-        assert "journal:" in out
-        assert main(["explain", "--slow", "--flight-dir", flight]) == 0
-        assert "slow-query capture(s)" in capsys.readouterr().out
-
-    def test_empty_dir_reports_none(self, tmp_path, capsys):
-        assert main(
-            ["explain", "--slow", "--flight-dir", str(tmp_path / "none")]
-        ) == 0
-        assert "no flight-recorder captures" in capsys.readouterr().out
-
-    def test_slow_query_zero_disables(self, leaky_file, tmp_path, monkeypatch):
-        from repro.obs import telemetry
-
-        flight = str(tmp_path / "flight")
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", flight)
-        monkeypatch.setattr(
-            telemetry, "RECORDER", telemetry.FlightRecorder()
-        )
-        assert main(["check", leaky_file, "--slow-query-ms", "0"]) == 1
-        assert telemetry.list_captures(flight) == []
-
-
-class TestTop:
-    def test_render_top_is_pure_and_complete(self):
-        from repro.cli import _render_top
-
-        frame = _render_top(
-            {
-                "program": {"methods": 12, "commands": 80},
-                "metrics": {"serve.requests": 3},
-                "schedule": {
-                    "rungs": [
-                        {"rung": 0, "budget": 1000, "scheduled": 6,
-                         "resolved": 4, "carryover": 2}
-                    ]
-                },
-                "cache_tiers": {"context_hits": 6, "decisions": 2},
-                "telemetry": {
-                    "run": {"total_jobs": 6, "jobs": 2, "backend": "thread",
-                            "finished": None},
-                    "totals": {"scheduled": 6, "refuted": 3},
-                    "in_flight": [
-                        {"description": "Registry.hold -> it", "rung": 1,
-                         "since": 0.0}
-                    ],
-                    "workers": {"w0": 2, "w1": 1},
-                },
-            }
-        )
-        assert "12 methods" in frame
-        assert "running" in frame
-        assert "rung 1  Registry.hold -> it" in frame
-        assert "rung 0 @ 1000: 6/4/2" in frame
-        assert "w0: 2 (67%)" in frame
-        assert "6/8 solver questions answered from cache (75%)" in frame
-        assert "serve: 3 request(s), 0 verdict(s) reused" in frame
-        assert "inversion" not in frame
-
-    def test_render_top_empty_payload(self):
-        from repro.cli import _render_top
-
-        frame = _render_top({})
-        assert frame.startswith("thresher top")
-        assert "in flight (0):" in frame
-
-    def test_top_unreachable_daemon_fails_cleanly(self, capsys):
-        assert main(
-            ["top", "--url", "http://127.0.0.1:9", "--once"]
-        ) == 1
-        assert "cannot reach" in capsys.readouterr().err

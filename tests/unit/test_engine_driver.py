@@ -5,7 +5,6 @@ import json
 import os
 import sys
 import threading
-from contextlib import contextmanager
 
 import repro.engine.driver as driver_module
 
@@ -14,7 +13,7 @@ import pytest
 from repro import perf
 from repro.android.leaks import LeakChecker
 from repro.bench.apps import app_by_name
-from repro.bench.workloads import layered_app, mixed_app
+from repro.bench.workloads import mixed_app
 from repro.engine import (
     EdgeFinished,
     ProgressPrinter,
@@ -211,47 +210,6 @@ class TestConcurrentCallers:
                 assert all(alone[edge] == got for edge, got in seen), seen
         finally:
             sys.setswitchinterval(interval)
-
-
-    def test_reader_never_searches_into_a_slow_query_replay(
-        self, tmp_path, monkeypatch
-    ):
-        """With no run journal installed, a slow-query capture replays the
-        search under a temporary journal, which acts process-wide. Another
-        reader's search must not run meanwhile: it would be journaled into
-        the capture and come back with kill reasons it never has alone."""
-        from repro.obs import provenance, telemetry
-
-        # The capture replays only when no run journal is installed.
-        monkeypatch.setattr(provenance, "_active", None)
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
-        monkeypatch.setattr(telemetry, "RECORDER", telemetry.FlightRecorder())
-        pta = analyze(compile_program(layered_app(2, 6)))
-        first, second = sorted(pta.graph.heap_edges(), key=str)[:2]
-        alone = RefutationDriver(pta).refute_edge(second).kill_reasons
-        driver = RefutationDriver(pta, SearchConfig(slow_query_ms=0))
-        seen = []
-        reader = threading.Thread(
-            target=lambda: seen.append(driver.refute_edge(second))
-        )
-        muted = metrics.muted
-
-        @contextmanager
-        def replaying():
-            # The capture of ``first`` is replaying: let the other reader
-            # search now, and give it time to finish.
-            if not reader.ident:
-                reader.start()
-                reader.join(timeout=1.0)
-            with muted():
-                yield
-
-        monkeypatch.setattr(metrics, "muted", replaying)
-        driver.refute_edge(first)
-        reader.join()
-        assert telemetry.list_captures(str(tmp_path))
-        assert seen[0].kill_reasons == alone
 
 
 class TestParallelDriver:

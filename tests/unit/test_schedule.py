@@ -403,6 +403,24 @@ class TestRungCeiling:
         for _ in range(19):
             assert run() == first
 
+    def test_private_ids_leave_the_shared_numbering_alone(self):
+        import threading
+
+        from repro.symbolic.symvar import fresh_data
+
+        first = fresh_data().vid
+        shared = []
+        with private_ids():
+            inside = [fresh_data().vid for _ in range(3)]
+            worker = threading.Thread(
+                target=lambda: shared.append(fresh_data().vid)
+            )
+            worker.start()
+            worker.join()
+        assert inside == [0, 1, 2]
+        assert shared == [first + 1]  # other threads draw from the shared counter
+        assert fresh_data().vid == first + 2
+
     def test_reachability_timeouts_match_the_fixed_schedule(self):
         """A path-mate's provisional TIMEOUT on a path that a refuted edge
         broke is not an inconclusive timeout of the assertion."""

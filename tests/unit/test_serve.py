@@ -97,6 +97,11 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=", ".join(OPS)):
             parse_request('{"op": "nope"}')
 
+    def test_retired_watch_op_is_unknown(self):
+        assert "watch" not in OPS
+        with pytest.raises(ProtocolError, match="unknown op 'watch'"):
+            parse_request('{"op": "watch"}')
+
     def test_response_shapes(self):
         ok = ok_response(3, {"x": 1}, {"seconds": 0.1})
         assert ok["ok"] and ok["id"] == 3

@@ -1,35 +1,22 @@
-"""Unit tests for the operational-telemetry layer
-(:mod:`repro.obs.telemetry` + :mod:`repro.engine.diff`): Prometheus
-exposition, the lifecycle hub, the slow-query flight recorder, periodic
-metric streaming, and run-report diffing."""
+"""Unit tests for the Prometheus exposition (:mod:`repro.obs.telemetry`),
+run-report diffing (:mod:`repro.engine.diff`) and the scheduler metrics a
+process pool merges."""
 
-import itertools
 import json
-import time
 
 import pytest
 
 from repro.bench.workloads import mixed_app
-from repro.engine import EdgeRecord, RefutationDriver, diff_reports, render_diff
-from repro.engine.events import (
-    EdgeEscalated,
-    EdgeFinished,
-    EdgeScheduled,
-    RunFinished,
-    RunStarted,
-)
+from repro.engine import RefutationDriver, diff_reports, render_diff
 from repro.ir import compile_program
-from repro.obs import metrics, provenance, telemetry
+from repro.obs import metrics
 from repro.obs.telemetry import (
     CONTENT_TYPE,
     EXPOSITION_VERSION,
-    FlightRecorder,
-    MetricsStreamer,
-    TelemetryHub,
     render_prometheus,
 )
 from repro.pointsto import analyze
-from repro.symbolic import Engine, SearchConfig
+from repro.symbolic import SearchConfig
 
 PORTFOLIO = dict(path_budget=10_000, portfolio=True, portfolio_rungs=(1000,))
 
@@ -166,298 +153,6 @@ class TestExposition:
 
 
 # ---------------------------------------------------------------------------
-# TelemetryHub
-# ---------------------------------------------------------------------------
-
-
-def _finish(description, status="refuted", worker="w0", cached=False):
-    return EdgeFinished(
-        description=description,
-        status=status,
-        seconds=0.01,
-        path_programs=2,
-        worker=worker,
-        index=0,
-        total=1,
-        cached=cached,
-    )
-
-
-class TestTelemetryHub:
-    def test_lifecycle_fold(self):
-        hub = TelemetryHub()
-        hub.sink(RunStarted(total_jobs=2, jobs=2, backend="thread"))
-        hub.sink(EdgeScheduled(description="e1", index=0, total=2))
-        hub.sink(EdgeScheduled(description="e2", index=1, total=2))
-        snap = hub.snapshot()
-        assert snap["totals"]["scheduled"] == 2
-        assert [e["description"] for e in snap["in_flight"]] == ["e1", "e2"]
-
-        hub.sink(EdgeEscalated(description="e1", rung=0, next_budget=10_000))
-        snap = hub.snapshot()
-        entry = snap["in_flight"][0]
-        assert entry["rung"] == 1
-        assert snap["totals"]["escalated"] == 1
-
-        hub.sink(_finish("e1"))
-        hub.sink(_finish("e2", status="witnessed", worker="w1"))
-        hub.sink(RunFinished(refuted=1, witnessed=1, timeouts=0, seconds=0.1))
-        snap = hub.snapshot()
-        assert snap["in_flight"] == []
-        assert snap["totals"]["refuted"] == 1
-        assert snap["totals"]["witnessed"] == 1
-        assert snap["workers"]["w0"] >= 1 and snap["workers"]["w1"] >= 1
-        assert snap["run"]["finished"] is not None
-
-    def test_cached_results_counted_separately(self):
-        hub = TelemetryHub()
-        hub.sink(_finish("e1", cached=True))
-        totals = hub.snapshot()["totals"]
-        assert totals["cached"] == 1 and totals["refuted"] == 0
-
-    def test_non_lifecycle_events_ignored(self):
-        hub = TelemetryHub()
-        hub.sink(object())
-        assert hub.events_since(0) == (0, [])
-
-    def test_cursor_resume_and_limit(self):
-        hub = TelemetryHub()
-        for i in range(5):
-            hub.sink(EdgeScheduled(description=f"e{i}", index=i, total=5))
-        cursor, rows = hub.events_since(0, limit=2)
-        assert [r["description"] for r in rows] == ["e0", "e1"]
-        cursor, rows = hub.events_since(cursor)
-        assert [r["description"] for r in rows] == ["e2", "e3", "e4"]
-        assert hub.events_since(cursor) == (cursor, [])
-
-    def test_ring_drops_oldest_but_keeps_cursor_monotonic(self):
-        hub = TelemetryHub(capacity=3)
-        for i in range(10):
-            hub.sink(EdgeScheduled(description=f"e{i}", index=i, total=10))
-        cursor, rows = hub.events_since(0)
-        assert [r["description"] for r in rows] == ["e7", "e8", "e9"]
-        assert cursor == 10
-
-
-# ---------------------------------------------------------------------------
-# FlightRecorder
-# ---------------------------------------------------------------------------
-
-
-class TestFlightRecorder:
-    def test_capture_via_replay_persists_journal(self, tmp_path, pta, edges):
-        """With no run journal installed, capture replays the search on a
-        fresh engine and persists journal + meta (the zero-flags path)."""
-        assert provenance.get_journal() is None
-        rec = FlightRecorder()
-        edge = edges[0]
-        meta = rec.capture(
-            str(edge),
-            {"status": "refuted"},
-            replay=lambda: Engine(pta, SearchConfig()).refute_edge(edge),
-            directory=str(tmp_path),
-        )
-        assert meta is not None
-        assert meta["attribution"], "capture carried no kill attribution"
-        captures = telemetry.list_captures(str(tmp_path))
-        assert len(captures) == 1
-        capture = captures[0]
-        assert capture["description"] == str(edge)
-        lines = open(capture["path"]).read().splitlines()
-        assert json.loads(lines[0])["schema_version"] >= 1
-        assert len(lines) >= 2, "journal persisted no searches"
-        # The replay's temporary journal/tracer installs were restored.
-        assert provenance.get_journal() is None
-
-    def test_capture_reuses_installed_journal_without_rerunning(
-        self, tmp_path, pta, edges
-    ):
-        """With a run journal installed the capture must extract from it —
-        never re-run (double-counting kills would corrupt attribution)."""
-        edge = edges[0]
-        book = provenance.install()
-        try:
-            result = Engine(pta, SearchConfig()).refute_edge(edge)
-            searches_before = len(book.searches)
-            calls = []
-            meta = FlightRecorder().capture(
-                str(edge),
-                {"status": result.status},
-                replay=lambda: calls.append(1),
-                directory=str(tmp_path),
-            )
-            assert meta is not None
-            assert calls == [], "capture re-ran despite an installed journal"
-            assert len(book.searches) == searches_before
-        finally:
-            provenance.disable()
-        assert telemetry.list_captures(str(tmp_path))
-
-    def test_env_veto(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_DISABLE", "1")
-        rec = FlightRecorder()
-        assert not rec.capture_enabled()
-        assert rec.capture("x", {}, directory=str(tmp_path)) is None
-        assert telemetry.list_captures(str(tmp_path)) == []
-
-    def test_capture_cap(self, tmp_path, pta, edges):
-        rec = FlightRecorder(max_captures=1)
-        edge = edges[0]
-        replay = lambda: Engine(pta, SearchConfig()).refute_edge(edge)  # noqa: E731
-        summary = {"status": "refuted"}
-        first = rec.capture(
-            str(edge), summary, replay=replay, directory=str(tmp_path)
-        )
-        second = rec.capture(
-            str(edge), summary, replay=replay, directory=str(tmp_path)
-        )
-        assert first is not None and second is None
-        assert len(telemetry.list_captures(str(tmp_path))) == 1
-
-    def test_flight_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "fr"))
-        assert telemetry.flight_dir() == str(tmp_path / "fr")
-
-
-class TestDriverAutoCapture:
-    def test_slow_search_captured_with_zero_flags(
-        self, tmp_path, monkeypatch, pta, edges
-    ):
-        """The acceptance path: no --journal, no --trace — a search over
-        the slow-query threshold still leaves a loadable journal."""
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
-        monkeypatch.setattr(telemetry, "RECORDER", FlightRecorder())
-        config = SearchConfig(slow_query_ms=0.000001)
-        with RefutationDriver(pta, config, jobs=2) as driver:
-            driver.refute_edges(edges)
-            records = {r.description: r for r in driver.build_report().records}
-        captures = telemetry.list_captures(str(tmp_path))
-        assert captures, "no slow-query capture was persisted"
-        for capture in captures:
-            assert capture["summary"]["seconds"] * 1000.0 >= 0.000001
-            assert open(capture["path"]).read().strip()
-            # The summary is the job's run-report record plus the
-            # cost-model estimate.
-            summary = dict(capture["summary"])
-            assert isinstance(summary.pop("estimate"), int)
-            record = records[capture["description"]]
-            assert EdgeRecord(**summary) == record
-
-    def test_fast_searches_not_captured(self, tmp_path, monkeypatch, pta, edges):
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        monkeypatch.setattr(telemetry, "RECORDER", FlightRecorder())
-        config = SearchConfig(slow_query_ms=60_000.0)
-        with RefutationDriver(pta, config, jobs=1) as driver:
-            driver.refute_edges(edges)
-        assert telemetry.list_captures(str(tmp_path)) == []
-
-    @pytest.mark.parametrize("workload", ["leak_checker", "layered"])
-    def test_captured_run_counts_like_an_uncaptured_one(
-        self, tmp_path, monkeypatch, workload
-    ):
-        """Every search is captured and replayed, yet the registry deltas
-        equal an uncaptured run's. ``leak_checker`` catches the replay
-        counting itself; ``layered`` catches a replay that warms the
-        solver memo or advances the variable numbering, either of which
-        changes the work of the searches after it."""
-        from repro.android.leaks import LeakChecker
-        from repro.api import AnalysisRequest
-        from repro.api import analyze as run_analysis
-        from repro.bench.workloads import branchy_app, layered_app
-        from repro.perf.memo import SOLVER_MEMO
-        from repro.symbolic import symvar
-
-        def run():
-            if workload == "leak_checker":
-                LeakChecker(
-                    branchy_app(4, leaky=False),
-                    config=SearchConfig(slow_query_ms=0),
-                ).run()
-            else:
-                run_analysis(
-                    AnalysisRequest(
-                        source=layered_app(2, hard_branches=4),
-                        client="reachability",
-                        root_class="Registry",
-                        root_field="hold",
-                        target_class="Item",
-                        include_library=False,
-                        slow_query_ms=0,
-                    )
-                )
-
-        def deltas(capture: bool) -> dict:
-            if capture:
-                monkeypatch.delenv("REPRO_FLIGHT_DISABLE", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_FLIGHT_DISABLE", "1")
-            monkeypatch.setattr(telemetry, "RECORDER", FlightRecorder())
-            # Both runs start from a cold memo and the same numbering.
-            SOLVER_MEMO.clear()
-            monkeypatch.setattr(symvar, "_ids", itertools.count())
-            before = metrics.REGISTRY.snapshot()
-            run()
-            after = metrics.REGISTRY.snapshot()
-            out = {}
-            for name, snap in after.items():
-                old = before.get(name, {})
-                if snap["type"] == "counter":
-                    out[name] = snap["value"] - old.get("value", 0)
-                elif snap["type"] == "histogram":
-                    out[name] = snap["count"] - old.get("count", 0)
-            return {name: n for name, n in out.items() if n}
-
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        uncaptured = deltas(capture=False)
-        captured = deltas(capture=True)
-        assert telemetry.list_captures(str(tmp_path)), "nothing was captured"
-        assert captured == uncaptured
-        assert uncaptured["executor.states_explored"] > 0
-
-    def test_muted_thread_keeps_other_threads_counting(self):
-        import threading
-
-        counter = metrics.counter("test.muted_probe")
-        start = counter.value
-        with metrics.muted():
-            counter.inc()  # dropped: this thread is muted
-            worker = threading.Thread(target=counter.inc, args=(5,))
-            worker.start()
-            worker.join()
-        counter.inc(2)
-        assert counter.value - start == 7
-
-    def test_private_ids_leave_the_shared_numbering_alone(self):
-        import threading
-
-        from repro.symbolic.symvar import fresh_data, private_ids
-
-        first = fresh_data().vid
-        shared = []
-        with private_ids():
-            inside = [fresh_data().vid for _ in range(3)]
-            worker = threading.Thread(
-                target=lambda: shared.append(fresh_data().vid)
-            )
-            worker.start()
-            worker.join()
-        assert inside == [0, 1, 2]
-        assert shared == [first + 1]  # other threads draw from the shared counter
-        assert fresh_data().vid == first + 2
-
-    def test_none_disables_recording_threshold(
-        self, tmp_path, monkeypatch, pta, edges
-    ):
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        monkeypatch.setattr(telemetry, "RECORDER", FlightRecorder())
-        config = SearchConfig(slow_query_ms=None)
-        with RefutationDriver(pta, config, jobs=1) as driver:
-            driver.refute_edges(edges)
-        assert telemetry.list_captures(str(tmp_path)) == []
-
-
-# ---------------------------------------------------------------------------
 # Run-report diffing
 # ---------------------------------------------------------------------------
 
@@ -518,36 +213,6 @@ class TestDiffReports:
         assert [tuple(t) for t in diff["only_in_a"]] == sorted(
             (r.kind, r.description) for r in report_a.records
         )
-
-
-# ---------------------------------------------------------------------------
-# MetricsStreamer
-# ---------------------------------------------------------------------------
-
-
-class TestMetricsStreamer:
-    def test_appends_snapshots_and_final_flush(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        reg = metrics.MetricsRegistry()
-        reg.counter("probe.count").inc(3)
-        streamer = MetricsStreamer(str(path), interval=0.01, registry=reg)
-        streamer.start()
-        time.sleep(0.05)
-        streamer.stop()
-        rows = [json.loads(l) for l in path.read_text().splitlines()]
-        assert rows, "streamer wrote nothing"
-        seqs = [row["seq"] for row in rows]
-        assert seqs == sorted(seqs)
-        assert all(
-            row["metrics"]["probe.count"]["value"] == 3 for row in rows
-        )
-        assert all("ts" in row for row in rows)
-
-    def test_stop_is_idempotent(self, tmp_path):
-        streamer = MetricsStreamer(str(tmp_path / "s.jsonl"), interval=5.0)
-        streamer.start()
-        streamer.stop()
-        streamer.stop()
 
 
 # ---------------------------------------------------------------------------
