@@ -11,10 +11,16 @@ by an analyze, and prints the mean milliseconds per request of each phase:
 * ``fingerprints``: ``method_fingerprints``;
 * ``points-to``: the incremental re-solve (``reanalyze``) and cold solves
   (``pointsto_analyze``);
+* ``summaries``: inside those, the summary passes of ``repro.pointsto``:
+  producers (``compute_producers``, or ``ProducerMap``), mod/ref
+  (``ModRefAnalysis``), normal completion (``NormalCompletion``) and
+  ``PointsToGraph.seal``, or their incremental ``refresh``/``update``;
+* ``invalidation``: ``verdict_is_stale`` and ``stable_site_tokens``;
 * ``update``: the whole ``update`` call; ``analyze``: the analyze after it.
 
-Only names both older and newer trees define are timed, so the same
-script measures either::
+A name a tree does not define is skipped, so the same script measures an
+older or a newer tree; a call nested in another call of its own phase
+counts once::
 
     PYTHONHASHSEED=0 PYTHONPATH=src taskset -c 1 python benchmarks/serve_phases.py
 """
@@ -29,7 +35,9 @@ import tempfile
 import time
 from collections import defaultdict
 
+import repro.pointsto as pointsto
 from repro.bench.workloads import lifecycle_app, lifecycle_edit
+from repro.pointsto.graph import PointsToGraph
 from repro.serve import session as session_module
 from repro.serve.session import ProgramSession
 from repro.symbolic import SearchConfig
@@ -49,6 +57,19 @@ PHASES = {
         (session_module, "reanalyze"),
         (session_module, "pointsto_analyze"),
     ),
+    "summaries": (
+        (pointsto, "compute_producers"),
+        (getattr(pointsto, "ProducerMap", None), "refresh"),
+        (pointsto.ModRefAnalysis, "__init__"),
+        (pointsto.ModRefAnalysis, "update"),
+        (pointsto.NormalCompletion, "__init__"),
+        (pointsto.NormalCompletion, "update"),
+        (PointsToGraph, "seal"),
+    ),
+    "invalidation": (
+        (session_module, "verdict_is_stale"),
+        (session_module, "stable_site_tokens"),
+    ),
 }
 
 
@@ -61,6 +82,7 @@ def source_for(bumps: list) -> str:
 
 
 def install(spent: dict) -> None:
+    depth: dict = defaultdict(int)
     for phase, targets in PHASES.items():
         for owner, name in targets:
             original = getattr(owner, name, None)
@@ -69,11 +91,14 @@ def install(spent: dict) -> None:
 
             @functools.wraps(original)
             def timed(*args, _original=original, _phase=phase, **kwargs):
+                depth[_phase] += 1
                 start = time.perf_counter()
                 try:
                     return _original(*args, **kwargs)
                 finally:
-                    spent[_phase] += time.perf_counter() - start
+                    depth[_phase] -= 1
+                    if not depth[_phase]:
+                        spent[_phase] += time.perf_counter() - start
 
             setattr(owner, name, timed)
 

@@ -35,7 +35,7 @@ from .heappaths import (
 )
 from .incremental import DeltaReport, extend_solution
 from .modref import ModRefAnalysis, ModSet, RefSet
-from .producers import EdgeKey, compute_producers, edge_key
+from .producers import EdgeKey, ProducerMap, edge_key
 from .termination import NormalCompletion
 
 
@@ -48,7 +48,7 @@ class PointsToResult:
     call_graph: CallGraph
     policy: ContextPolicy
     suppressed: set[AbsLoc]
-    producers: dict[EdgeKey, list[int]]
+    producers: ProducerMap
     modref: ModRefAnalysis
     completion: NormalCompletion
     #: The live constraint solver behind ``graph``/``call_graph`` when the
@@ -114,9 +114,9 @@ def analyze(
         graph, call_graph, suppressed = solve(
             program, policy, empty_statics, roots
         )
-    producers = compute_producers(program, graph, call_graph)
+    producers = ProducerMap(program, graph, call_graph)
     modref = ModRefAnalysis(program, call_graph)
-    completion = NormalCompletion(program, call_graph)
+    completion = NormalCompletion(modref)
     return PointsToResult(
         program,
         graph,
@@ -138,36 +138,22 @@ def reanalyze(
     ``prev`` must carry its live solver (``analyze(..., retain_solver=
     True)``) and its program must already have the changed method bodies
     grafted in. Only the changed methods' constraints are re-generated;
-    the delta worklist drains their consequences. The summary phases
-    (producers, mod/ref, completion) are recomputed in full. Mod/ref is a
-    fixpoint over the call graph, not one linear pass: it walks each
-    reachable body once, then propagates summaries along the collected
-    callee lists until nothing grows. Returns the refreshed result (sharing the solver,
-    graph, and call graph) plus the :class:`DeltaReport` of where the
-    solution grew."""
+    the delta worklist drains their consequences. The summaries are then
+    refreshed in place, for what the edit can move: producers and each
+    method's own mod/ref facts for the dirty methods (edited, grown or
+    newly reachable), and the transitive mod/ref sets and normal
+    completion for those and their transitive callers. Returns ``prev``,
+    refreshed, plus the :class:`DeltaReport` of where the solution grew."""
     if prev.solver is None:
         raise ValueError(
             "reanalyze needs a retained solver: run"
             " analyze(..., retain_solver=True) first"
         )
     delta = extend_solution(prev.solver, changed_methods)
-    program = prev.solver.program
-    call_graph = prev.solver.call_graph
-    producers = compute_producers(program, prev.solver.graph, call_graph)
-    modref = ModRefAnalysis(program, call_graph)
-    completion = NormalCompletion(program, call_graph)
-    result = PointsToResult(
-        program,
-        prev.solver.graph,
-        call_graph,
-        prev.policy,
-        prev.suppressed,
-        producers,
-        modref,
-        completion,
-        prev.solver,
-    )
-    return result, delta
+    dirty = delta.dirty_methods
+    prev.producers.refresh(dirty)
+    prev.completion.update(prev.modref.update(dirty))
+    return prev, delta
 
 
 __all__ = [
@@ -197,7 +183,7 @@ __all__ = [
     "ModSet",
     "NormalCompletion",
     "EdgeKey",
-    "compute_producers",
+    "ProducerMap",
     "edge_key",
     "find_alarms",
     "find_heap_path",

@@ -43,6 +43,8 @@ class CallGraph:
     targets: dict[int, set[tuple[str, Context]]] = field(default_factory=dict)
     # callee qname -> set of (caller qname, invoke label)
     callers: dict[str, set[tuple[str, int]]] = field(default_factory=dict)
+    # caller qname -> the invoke labels of its bound calls
+    sites: dict[str, set[int]] = field(default_factory=dict)
     reachable: set[tuple[str, Context]] = field(default_factory=set)
 
     def callees_of(self, label: int) -> set[str]:
@@ -100,7 +102,6 @@ class AndersenSolver:
         self._pts_updates = 0
         self._deferred_applied = 0
         self._noop_skips = 0
-        self._delta_propagated = 0
 
     # -- constraint-graph primitives -------------------------------------------
 
@@ -139,11 +140,15 @@ class AndersenSolver:
 
     # -- main loop ------------------------------------------------------------------
 
-    def solve(self, roots: Optional[list[str]] = None) -> None:
+    def solve(self, roots: Optional[list[str]] = None) -> dict[Node, int]:
+        """Drain the worklist and seal the graph. Returns the nodes whose
+        points-to sets grew during this solve, each with the number of
+        locations it gained."""
         if roots is None:
             if self.program.entry is None:
                 raise ValueError("program has no entry; pass roots explicitly")
             roots = [self.program.entry]
+        grown: dict[Node, int] = {}
         with trace.span("pointsto.solve", roots=len(roots)) as sp:
             for root in roots:
                 self._ensure_analyzed(root, ())
@@ -161,20 +166,21 @@ class AndersenSolver:
                     continue
                 for op in self._deferred.get(node, []):
                     self._apply_delta(op, delta)
-                self._delta_propagated += len(delta)
+                grown[node] = grown.get(node, 0) + len(delta)
                 for succ in self._succ.get(node, set()):
                     self._add_pts(succ, delta)
-            self.graph.seal()
+            self.graph.seal(grown)
             sp.set(pops=self._pops, methods=len(self._analyzed))
         metrics.counter("pointsto.worklist_pops").inc(self._pops)
         metrics.counter("pointsto.pts_updates").inc(self._pts_updates)
         metrics.counter("pointsto.deferred_applied").inc(self._deferred_applied)
         metrics.counter("pointsto.noop_pops_skipped").inc(self._noop_skips)
-        metrics.counter("pointsto.delta_propagated").inc(self._delta_propagated)
+        metrics.counter("pointsto.delta_propagated").inc(sum(grown.values()))
         metrics.counter("pointsto.methods_analyzed").inc(len(self._analyzed))
         metrics.counter("pointsto.solves").inc()
         self._pops = self._pts_updates = self._deferred_applied = 0
-        self._noop_skips = self._delta_propagated = 0
+        self._noop_skips = 0
+        return grown
 
     def _apply_delta(self, op: _DeferredOp, locs: set[AbsLoc]) -> None:
         new = locs - op.done
@@ -326,6 +332,7 @@ class AndersenSolver:
         self.call_graph.callers.setdefault(target, set()).add(
             (caller_qname, cmd.label)
         )
+        self.call_graph.sites.setdefault(caller_qname, set()).add(cmd.label)
         callee = self.program.methods.get(target)
         if callee is None:
             return

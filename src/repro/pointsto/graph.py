@@ -11,7 +11,8 @@ the pseudo-field ``"@elems"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Union
 
 from ..ir.instructions import AllocSite
 
@@ -108,29 +109,55 @@ class PointsToGraph:
         self.pts: dict[Node, set[AbsLoc]] = {}
         # Local pt sets collapsed over contexts: (method, var) -> set.
         self._local_union: dict[tuple[str, str], frozenset[AbsLoc]] = {}
-        # pt_field_of_set answers; every solve ends in seal(), which
-        # clears them.
+        # pt_field_of_set answers; seal() drops those a grown field moves.
         self._field_of_set: dict[tuple[frozenset, str], frozenset[AbsLoc]] = {}
         # Heap adjacency for path search: loc -> (field, targets) pairs in
-        # pts order. Built on first use after a solve; seal() drops it.
-        # Readers racing on the first use each build the same index.
+        # pts order, the targets aliasing the live sets. Built on first
+        # use; seal() appends the field nodes created since, which come
+        # last in pts order. Readers racing on the first use each build
+        # the same index.
         self._out: Optional[dict[AbsLoc, list[tuple[str, set[AbsLoc]]]]] = None
+        self._indexed = 0  # how many pts entries _out covers
 
     # -- construction (used by the solver) -----------------------------------
 
     def points_to(self, node: Node) -> set[AbsLoc]:
         return self.pts.setdefault(node, set())
 
-    def seal(self) -> None:
-        """Precompute the per-variable unions over contexts and drop what
-        was derived from the previous solve."""
-        self._field_of_set.clear()
-        self._out = None
+    def seal(self, grown: Iterable[Node]) -> None:
+        """Fold the nodes that grew since the last seal into the derived
+        views: the per-variable unions over contexts, the answers of
+        :meth:`pt_field_of_set` on a grown field, and the adjacency index.
+        Sets only grow, so a variable's new union is its old one plus its
+        grown nodes' sets."""
         unions: dict[tuple[str, str], set[AbsLoc]] = {}
-        for node, locs in self.pts.items():
+        fields: set[str] = set()
+        for node in grown:
             if isinstance(node, VarNode):
-                unions.setdefault((node.method, node.var), set()).update(locs)
-        self._local_union = {key: frozenset(locs) for key, locs in unions.items()}
+                key = (node.method, node.var)
+                union = unions.get(key)
+                if union is None:
+                    union = unions[key] = set(self._local_union.get(key, ()))
+                union |= self.pts[node]
+            elif isinstance(node, FieldNode):
+                fields.add(node.field)
+        for key, union in unions.items():
+            self._local_union[key] = frozenset(union)
+        if fields and self._field_of_set:
+            self._field_of_set = {
+                key: locs
+                for key, locs in self._field_of_set.items()
+                if key[1] not in fields
+            }
+        if self._out is not None:
+            self._index(self._out, self._indexed)
+
+    def _index(self, out: dict, start: int) -> None:
+        """Add the field nodes from the ``start``-th pts entry on."""
+        for node in islice(self.pts, start, None):
+            if isinstance(node, FieldNode):
+                out.setdefault(node.loc, []).append((node.field, self.pts[node]))
+        self._indexed = len(self.pts)
 
     # -- queries ----------------------------------------------------------------
 
@@ -160,9 +187,7 @@ class PointsToGraph:
         out = self._out
         if out is None:
             out = {}
-            for node, locs in self.pts.items():
-                if isinstance(node, FieldNode):
-                    out.setdefault(node.loc, []).append((node.field, locs))
+            self._index(out, 0)
             self._out = out
         return out.get(loc, [])
 

@@ -12,12 +12,14 @@ uses it in two places:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..ir import instructions as ins
 from ..ir.program import IRProgram
 from ..ir.stmts import Stmt, walk_commands
 from .andersen import CallGraph
 from .graph import ELEMS
+from .termination import falls_through
 
 
 @dataclass
@@ -95,46 +97,85 @@ class RefSet:
         return (len(self.fields), len(self.statics), self.reads_unknown)
 
 
+class _Direct(NamedTuple):
+    """One method's own facts, from one walk of its body."""
+
+    mod: ModSet  # its writes, allocations and locals (no callees)
+    refs: RefSet  # its reads (no callees)
+    callees: list  # resolved callees that are program methods, sorted
+    falls: bool  # may fall through, taking every call to complete
+
+
 class ModRefAnalysis:
-    """Transitive per-method mod summaries over the resolved call graph."""
+    """Transitive per-method mod and ref summaries over the resolved call
+    graph. Each method's own facts come from one walk of its body; the
+    transitive sets are the least fixpoint of unioning callees' sets in."""
 
     def __init__(self, program: IRProgram, call_graph: CallGraph) -> None:
         self.program = program
         self.call_graph = call_graph
+        self._direct: dict[str, _Direct] = {}
         self._summary: dict[str, ModSet] = {}
-        self._refs: dict[str, RefSet] = {}  # computed lazily
-        #: Per method: its resolved callees that have summaries, and
-        #: whether it calls one that has none. Collected once; both
-        #: fixpoints below propagate along these edges only.
-        self._callees: dict[str, tuple[list[str], bool]] = {}
-        self._compute()
+        self._refs: dict[str, RefSet] = {}
+        self.update(call_graph.reachable_methods)
 
-    def _compute(self) -> None:
-        methods = self.call_graph.reachable_methods & set(self.program.methods)
-        for qname in methods:
-            summary = ModSet()
-            callees: set[str] = set()
-            for cmd in walk_commands(self.program.methods[qname].body):
-                self._command_mod(cmd, summary, include_calls=False)
-                if isinstance(cmd, ins.Invoke):
-                    callees |= self.call_graph.callees_of(cmd.label)
-            known = sorted(callees & methods)
-            summary.calls_unknown = len(known) < len(callees)
-            self._callees[qname] = (known, summary.calls_unknown)
-            self._summary[qname] = summary
-        # Fixpoint over the call graph (handles recursion and cycles).
-        self._propagate(self._summary, ModSet.update)
+    def update(self, dirty) -> set[str]:
+        """Re-walk the ``dirty`` methods' bodies, then recompute the
+        transitive summaries of them and their transitive callers, the
+        only methods whose summaries can move (every other method's
+        callees are outside that set). Returns that set. A fresh analysis
+        is one update with every reachable method dirty."""
+        affected = set(dirty) & self.call_graph.reachable_methods
+        affected.intersection_update(self.program.methods)
+        for qname in affected:
+            self._direct[qname] = self._walk(self.program.methods[qname].body)
+        stack = list(affected)
+        while stack:
+            for caller, _ in self.call_graph.callers_of(stack.pop()):
+                if caller not in affected and caller in self._direct:
+                    affected.add(caller)
+                    stack.append(caller)
+        for qname in affected:
+            direct = self._direct[qname]
+            self._summary[qname] = summary = ModSet()
+            summary.update(direct.mod, include_locals=True)
+            self._refs[qname] = refs = RefSet()
+            refs.update(direct.refs)
+        self._propagate(affected, self._summary, ModSet.update)
+        self._propagate(affected, self._refs, RefSet.update)
+        return affected
 
-    def _propagate(self, sets: dict, update) -> None:
+    def _walk(self, body: Stmt) -> _Direct:
+        mod, refs = ModSet(), RefSet()
+        callees: set[str] = set()
+        throws = False
+        for cmd in walk_commands(body):
+            self._command_mod(cmd, mod, include_calls=False)
+            if isinstance(cmd, ins.Invoke):
+                callees |= self.call_graph.callees_of(cmd.label)
+            elif isinstance(cmd, ins.FieldRead):
+                refs.fields.add(cmd.field_name)
+            elif isinstance(cmd, ins.ArrayRead):
+                refs.fields.add(ELEMS)
+            elif isinstance(cmd, ins.StaticRead):
+                refs.statics.add((cmd.class_name, cmd.field_name))
+            elif isinstance(cmd, ins.ThrowCmd):
+                throws = True
+        known = sorted(callee for callee in callees if callee in self.program.methods)
+        mod.calls_unknown = refs.reads_unknown = len(known) < len(callees)
+        falls = not throws or falls_through(body, lambda label: True)
+        return _Direct(mod, refs, known, falls)
+
+    def _propagate(self, qnames, sets: dict, update) -> None:
         """Union every method's callees' sets into its own until nothing
         grows: the monotone least fixpoint, whatever the visiting order."""
         changed = True
         while changed:
             changed = False
-            for qname, (callees, _) in self._callees.items():
+            for qname in qnames:
                 own = sets[qname]
                 before = own.size()
-                for callee in callees:
+                for callee in self._direct[qname].callees:
                     update(own, sets[callee])
                 if own.size() != before:
                     changed = True
@@ -198,8 +239,6 @@ class ModRefAnalysis:
         footprint the serve session intersects with a points-to delta: a
         verdict whose visited methods never read a grown field or static
         cannot observe the growth."""
-        if not self._refs:
-            self._compute_refs()
         refs = self._refs.get(qname)
         if refs is None:
             unknown = RefSet()
@@ -213,19 +252,6 @@ class ModRefAnalysis:
         for qname in qnames:
             out.update(self.method_refs(qname))
         return out
-
-    def _compute_refs(self) -> None:
-        for qname, (_, unknown) in self._callees.items():
-            refs = RefSet(reads_unknown=unknown)
-            for cmd in walk_commands(self.program.methods[qname].body):
-                if isinstance(cmd, ins.FieldRead):
-                    refs.fields.add(cmd.field_name)
-                elif isinstance(cmd, ins.ArrayRead):
-                    refs.fields.add(ELEMS)
-                elif isinstance(cmd, ins.StaticRead):
-                    refs.statics.add((cmd.class_name, cmd.field_name))
-            self._refs[qname] = refs
-        self._propagate(self._refs, RefSet.update)
 
     def statement_mod(self, stmt: Stmt) -> ModSet:
         """Mod set of one structured statement (e.g. a loop body), callees

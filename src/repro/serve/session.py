@@ -310,7 +310,9 @@ class ProgramSession:
             )
             if not all(
                 is_additive(
-                    self._program.methods[qname], new_program.methods[qname]
+                    self._program.methods[qname],
+                    new_program.methods[qname],
+                    self._program,
                 )
                 for qname in changed
             ):
@@ -411,6 +413,7 @@ class ProgramSession:
             {"mode": "noop", "changed_methods": []},
             {"seconds": time.perf_counter() - started,
              "invalidated_edges": 0,
+             "invalidated_facts": 0,
              "retained_verdicts": self._retained()[0],
              "build": build},
         )
@@ -420,7 +423,7 @@ class ProgramSession:
     ) -> tuple[dict, dict]:
         """The conservative path: everything retained is dropped, and the
         session restarts from ``program``, built from ``source``."""
-        invalidated = self._retained()[0]
+        invalidated, facts = self._retained()
         _INVALIDATED.inc(invalidated)
         self._verdicts = {}
         self._driver.close()
@@ -432,6 +435,7 @@ class ProgramSession:
             {
                 "seconds": time.perf_counter() - started,
                 "invalidated_edges": invalidated,
+                "invalidated_facts": facts,
                 "retained_verdicts": 0,
                 "build": "full",
             },
@@ -448,7 +452,8 @@ class ProgramSession:
     ) -> tuple[dict, dict]:
         changed_set = frozenset(changed)
         # Signatures and producer lists must be captured *before* the
-        # graft: reanalyze mutates the retained call graph in place.
+        # graft: reanalyze refreshes the retained call graph and summaries
+        # in place (safe only here, under the write lock).
         fp_methods = set()
         for result in self._verdicts.values():
             if result.footprint:
@@ -494,9 +499,10 @@ class ProgramSession:
         self._driver = self._new_driver()
         self._driver.seed_results(surviving)
         # Fingerprints are label- and site-free, so the grafted program's
-        # are the edited build's; site tokens must see the re-pointed sites.
+        # are the edited build's; the edited methods' site tokens must see
+        # the re-pointed sites.
         self._fingerprints = new_prints
-        self._site_tokens = stable_site_tokens(self._program)
+        self._site_tokens.update(stable_site_tokens(self._program, changed))
         self._source = source
         self._updates_applied += 1
         return (

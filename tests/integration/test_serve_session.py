@@ -122,6 +122,30 @@ class TestLifecycle:
         finally:
             session.close()
 
+    def test_every_update_reports_the_facts_it_drops(self, lifecycle_source):
+        """``invalidated_facts`` is in every update's meta: 0 on a no-op,
+        and on a rebuild every fact verdict the table held."""
+        params = {"client": "immutability", "class_name": "Screen0"}
+        session = ProgramSession(lifecycle_source, include_library=False)
+        try:
+            session.analyze(params)
+            session.analyze(REACH_PARAMS)
+            status = session.status()[0]
+            facts, edges = status["retained_facts"], status["retained_verdicts"]
+            assert facts >= 1 and edges >= 1
+
+            _, noop_meta = session.update({"source": lifecycle_source})
+            assert noop_meta["invalidated_facts"] == 0
+
+            declared = lifecycle_source.replace("int pad;", "int pad; int extra;", 1)
+            update, meta = session.update({"source": declared})
+            assert update["mode"] == "rebuild"
+            assert meta["invalidated_facts"] == facts
+            assert meta["invalidated_edges"] == edges
+            assert session.status()[0]["retained_facts"] == 0
+        finally:
+            session.close()
+
     def test_noop_and_classes_update_flavors(self, lifecycle_source):
         session = ProgramSession(lifecycle_source, include_library=False)
         try:

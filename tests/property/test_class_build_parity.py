@@ -19,12 +19,26 @@ there goes through the whole-program path. For every update:
 * the following ``analyze`` returns the same status, the same records
   (description and status, in order) and the same verdict payload.
 
+After every incremental update, both sessions' refreshed summaries
+also equal a whole-program recomputation over the same grafted program
+and retained graph: producer lists in exact order, every method's mod
+signature, ref set and normal completion, the site tokens, and the
+graph's per-variable unions, adjacency index and remembered
+``pt_field_of_set`` answers. After a removed or reordered call, the next
+analyze's verdicts equal those of a cold session on the same source.
+
 Programs: ``lifecycle_app`` (no library) and the seven benchmark apps,
-which extend the Android library's classes and so load with it. Edits:
+which extend the Android library's classes and so load with it, each
+with two spare classes appended whose methods nothing calls. Edits:
 added, changed and removed statements; whitespace-only and comment-only
 edits; an edit inside a string literal; an unclosed ``/*``; a renamed
 class; an added field, an added static initializer and a static
-initializer on an existing field; and one edit spanning two classes.
+initializer on an existing field; one edit spanning two classes; a
+removed call and two swapped calls; a call that reaches a spare method
+with no reference locals, and one that reaches a spare method with one;
+a call that reaches, then one that grows, the targets of the virtual call
+in another spare method; an added ``throw``; added static writes of one
+object from two methods; and an added field write.
 """
 
 from __future__ import annotations
@@ -41,9 +55,12 @@ from repro.bench.workloads import lifecycle_app
 from repro.ir import build_program
 from repro.ir.stmts import walk_commands
 from repro.lang import ast, frontend, parse_program
+from repro.pointsto.graph import FieldNode, VarNode
 from repro.serve.classbuild import position_of
-from repro.serve.invalidation import body_fingerprint
+from repro.serve.invalidation import body_fingerprint, stable_site_tokens
 from repro.serve.session import ProgramSession
+
+from .test_modref_parity import check_summaries
 
 #: Every edit kind; the stream visits each at least once, in seeded order.
 KINDS = (
@@ -60,7 +77,58 @@ KINDS = (
     "static_init",
     "init_existing",
     "two_classes",
+    "remove_call",
+    "reorder",
+    "call_spare",
+    "call_spare_ref",
+    "virtual",
+    "virtual",
+    "throw",
+    "static_write",
+    "static_write",
+    "field_write",
 )
+
+#: Kinds after which the next analyze is checked against a cold session.
+COLD_CHECKED = ("remove_call", "reorder")
+
+#: Additive kinds that move summaries: each must take the incremental path.
+INCREMENTAL_KINDS = (
+    "call_spare",
+    "call_spare_ref",
+    "virtual",
+    "throw",
+    "static_write",
+    "field_write",
+)
+
+#: Appended to every streamed program. Nothing calls these methods until
+#: an edit does: ``tick`` has no reference locals, so reaching it grows no
+#: points-to set; ``via``'s virtual call gains ``Spare2.id`` once some
+#: edit passes it a ``Spare2``; ``grab`` and ``one`` return one object
+#: each, so static writes in two methods produce one edge, and field
+#: writes grow one field node.
+SPARE = """
+class Spare {
+    static Object kept;
+    Object slot;
+    Object id() { return this; }
+    static void tick() { int n = 1; }
+    static Object grab() { Object o = new Object(); return o; }
+    static Spare one() { Spare s = new Spare(); return s; }
+    static Object via(Spare s) { Object r = s.id(); return r; }
+}
+class Spare2 extends Spare {
+    Object id() { Object o = new Object(); return o; }
+}
+"""
+
+#: Bodies that run (the entry, the lifecycle screens, the apps' activities):
+#: where an edit's new call reaches what it calls.
+REACHED = ("main", "onStart", "onCreate")
+
+#: One bare call statement: ``x.m(...);`` after a ``;``, ``{`` or ``}``.
+_CALL = r"\w+\.\w+\([^()]*\);"
 
 
 def _full_build(source: str, include_library: bool):
@@ -87,15 +155,22 @@ class _EditStream:
     def _classes(self, source: str) -> list[ast.ClassDecl]:
         return parse_program("\n" * self.line_base + source).classes
 
-    def _body_opening(self, source: str, after: int = -1) -> int:
+    def _body_opening(
+        self, source: str, after: int = -1, names: tuple = ()
+    ) -> int:
         """Offset just past the ``{`` of a random non-constructor body
-        that opens past offset ``after`` (the end of ``source`` if none
-        does)."""
-        bodies = [
-            _offset(source, mth.body.pos, self.line_base) + 1
+        (of a method in ``names``, if any is) that opens past offset
+        ``after`` (the end of ``source`` if none does)."""
+        methods = [
+            mth
             for cls in self._classes(source)
             for mth in cls.methods
             if not mth.is_constructor
+        ]
+        named = [mth for mth in methods if mth.name in names]
+        bodies = [
+            _offset(source, mth.body.pos, self.line_base) + 1
+            for mth in named or methods
         ]
         later = [at for at in bodies if at > after]
         return self.rng.choice(later) if later else len(source)
@@ -108,6 +183,26 @@ class _EditStream:
     def _insert_in_body(self, source: str, text: str) -> str:
         at = self._body_opening(source)
         return source[:at] + text + source[at:]
+
+    def _append_to_body(self, source: str, text: str, names: tuple) -> str:
+        """Insert ``text`` just before the closing ``}`` of a random body
+        of a method in ``names``: past every temp the body already has,
+        so the edit renumbers none of them."""
+        at, depth = self._body_opening(source, names=names), 1
+        while depth:
+            if source.startswith("//", at):
+                at = source.index("\n", at)
+            elif source.startswith("/*", at):
+                at = source.index("*/", at) + 1
+            elif source[at] == '"':
+                at = source.index('"', at + 1)
+            elif source[at] in "{}":
+                depth += 1 if source[at] == "{" else -1
+            at += 1
+        return source[: at - 1] + text + source[at - 1 :]
+
+    def _calls(self, source: str, pattern: str) -> list:
+        return list(re.finditer(r"(?<=[;{}])(\s*)" + pattern, source))
 
     def apply(self, kind: str, source: str) -> str:
         self.counter += 1
@@ -148,8 +243,51 @@ class _EditStream:
             # Past the last "*/", so that nothing closes it.
             at = self._body_opening(source, after=source.rfind("*/"))
             return source[:at] + " /* never closed " + source[at:]
+        if kind == "remove_call":
+            calls = self._calls(source, _CALL)
+            if calls:
+                call = self.rng.choice(calls)
+                return source[: call.start()] + source[call.end() :]
+        if kind == "reorder":
+            pairs = self._calls(source, f"({_CALL})(\\s*)({_CALL})")
+            if pairs:
+                pair = self.rng.choice(pairs)
+                first, gap, second = pair.group(2, 3, 4)
+                return (
+                    source[: pair.start(2)]
+                    + second
+                    + gap
+                    + first
+                    + source[pair.end() :]
+                )
+        if kind in ("remove_call", "reorder"):
+            return self._insert_in_body(source, f" int e${k} = {k};")
+        # Statements with temps go at the end of a body: one ahead of the
+        # body's own temps would renumber them, which is additive only
+        # when no renumbered temp carries a reference into a constraint.
+        if kind == "call_spare":
+            return self._append_to_body(source, " Spare.tick();", REACHED)
+        if kind == "call_spare_ref":
+            text = f" Object g${k} = Spare.grab();"
+            return self._append_to_body(source, text, REACHED)
+        if kind == "virtual":
+            # The first call reaches via with a Spare; a later one adds
+            # Spare2.id to the targets of the call inside via.
+            receiver = "Spare2" if "Spare.via(" in source else "Spare"
+            text = f" Object v${k} = Spare.via(new {receiver}());"
+            return self._append_to_body(source, text, REACHED)
+        if kind == "throw":
+            return self._append_to_body(source, " throw new Spare();", REACHED)
+        if kind == "static_write":
+            return self._append_to_body(source, " Spare.kept = Spare.grab();", REACHED)
+        if kind == "field_write":
+            text = f" Spare w${k} = Spare.one(); w${k}.slot = Spare.grab();"
+            return self._append_to_body(source, text, REACHED)
         if kind == "rename":
-            cls = self.rng.choice(self._classes(source))
+            # Not the spare classes, which later edits call by name.
+            cls = self.rng.choice(
+                [c for c in self._classes(source) if not c.name.startswith("Spare")]
+            )
             start = _offset(source, cls.pos, self.line_base)
             head = f"class {cls.name}"
             return (
@@ -242,12 +380,50 @@ def _query(name: str) -> dict:
     }
 
 
+def _check_refreshed(session) -> None:
+    """The session's summaries, site tokens and graph views equal a
+    whole-program recomputation over its grafted program and graph."""
+    check_summaries(session._pta)
+    assert session._site_tokens == stable_site_tokens(session._program)
+    graph = session._pta.graph
+    unions: dict = {}
+    out: dict = {}
+    for node, locs in graph.pts.items():
+        if isinstance(node, VarNode):
+            unions.setdefault((node.method, node.var), set()).update(locs)
+        elif isinstance(node, FieldNode):
+            out.setdefault(node.loc, []).append((node.field, locs))
+    for key in unions.keys() | graph._local_union.keys():
+        assert graph.pt_local(*key) == unions.get(key, set()), key
+    for loc in graph.all_abs_locs():
+        assert graph.out_fields(loc) == out.get(loc, []), loc
+    for (locs, field), answer in graph._field_of_set.items():
+        assert answer == frozenset().union(
+            *(graph.pts.get(FieldNode(loc, field), ()) for loc in locs)
+        )
+
+
+def _remember_field_answers(graph) -> None:
+    """Ask ``pt_field_of_set`` of every location and field, so that an
+    update finds an answer remembered for whatever field it grows."""
+    fields = {node.field for node in graph.pts if isinstance(node, FieldNode)}
+    for loc in graph.all_abs_locs():
+        for field in fields | {"slot"}:
+            graph.pt_field_of_set(frozenset({loc}), field)
+
+
+def _verdicts(analysis: str) -> str:
+    return json.dumps(json.loads(analysis)["verdicts"], sort_keys=True)
+
+
 def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
+    """Returns the update count per build, and per kind the modes its
+    updates took."""
     include_library = name != "lifecycle"
     if name == "lifecycle":
-        source = lifecycle_app(4, leaky=1, branches=2)
+        source = lifecycle_app(4, leaky=1, branches=2) + SPARE
     else:
-        source = app_by_name(name).source
+        source = app_by_name(name).source + SPARE
     stream = _EditStream(seed, include_library)
     kinds = list(KINDS) + [
         stream.rng.choice(KINDS) for _ in range(max(0, steps - len(KINDS)))
@@ -259,10 +435,13 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
     full = ProgramSession(source, include_library=include_library)
     monkeypatch.setattr(full, "_class_build", lambda new_source, region: None)
     builds = {"class": 0, "full": 0}
+    modes: dict = {}
     try:
         assert _analysis(fast, params) == _analysis(full, params)
         for kind in kinds:
             edited = stream.apply(kind, source)
+            for session in (fast, full):
+                _remember_field_answers(session._pta.graph)
             got, got_error = _update(fast, edited)
             want, want_error = _update(full, edited)
             assert got_error == want_error, (kind, got_error, want_error)
@@ -272,6 +451,7 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
             # An unchanged source builds nothing on either side.
             assert want_meta["build"] == ("class" if edited == source else "full")
             builds[meta["build"]] += 1
+            modes.setdefault(kind, set()).add(result["mode"])
             assert json.dumps(result, sort_keys=True) == json.dumps(
                 want_result, sort_keys=True
             ), kind
@@ -289,12 +469,24 @@ def _run_stream(name: str, seed: int, steps: int, monkeypatch) -> dict:
                 _check_against_full_build(
                     fast, reference, result["changed_methods"]
                 )
+            if result["mode"] == "incremental":
+                for session in (fast, full):
+                    _check_refreshed(session)
             source = edited
-            assert _analysis(fast, params) == _analysis(full, params), kind
+            analysis = _analysis(fast, params)
+            assert analysis == _analysis(full, params), kind
+            if kind in COLD_CHECKED:
+                cold = ProgramSession(edited, include_library=include_library)
+                try:
+                    assert _verdicts(analysis) == _verdicts(
+                        _analysis(cold, params)
+                    ), kind
+                finally:
+                    cold.close()
     finally:
         fast.close()
         full.close()
-    return builds
+    return builds, modes
 
 
 def _check_positions(session, reference):
@@ -346,13 +538,22 @@ def test_position_of_matches_the_lexer():
 def test_lifecycle(seed, monkeypatch):
     """The ``serve`` workload's program under every edit kind once, plus
     a few repeats."""
-    builds = _run_stream(
+    builds, modes = _run_stream(
         "lifecycle", seed=seed, steps=len(KINDS) + 5, monkeypatch=monkeypatch
     )
     assert builds["class"] >= 3 and builds["full"] >= 3, builds
+    # The edits the summary refresh must follow all took the incremental
+    # path, and the removed call was a rebuild.
+    for kind in ("reorder", *INCREMENTAL_KINDS):
+        assert "incremental" in modes[kind], (kind, modes)
+    assert modes["remove_call"] == {"rebuild"}, modes
 
 
 @pytest.mark.parametrize("name", [app.name for app in APPS])
 def test_apps(name, monkeypatch):
-    builds = _run_stream(name, seed=11, steps=len(KINDS), monkeypatch=monkeypatch)
+    builds, modes = _run_stream(
+        name, seed=11, steps=len(KINDS), monkeypatch=monkeypatch
+    )
     assert builds["class"] >= 1, builds
+    for kind in INCREMENTAL_KINDS:
+        assert "incremental" in modes[kind], (kind, modes)

@@ -1,14 +1,20 @@
-"""Mod/ref summaries from callee lists collected once vs the loop that
-re-walked every body on every fixpoint pass.
+"""Summaries from per-method facts vs the whole-program loops they replace.
 
-``ModRefAnalysis`` now collects each method's callees in the walk that
-computes its direct mod set and propagates summaries along those lists.
-The oracle below is the earlier fixpoint, kept verbatim apart from
-reading the analysis' direct sets: it walks every reachable body on every
-pass. Both compute the same monotone least fixpoint, so every method's
-``method_mod(q).signature()`` and ``method_refs(q)`` must come out equal,
-on the seven benchmark apps (Ann N and Y) and the ``lifecycle`` and
-``layered`` workload programs.
+``ModRefAnalysis`` keeps each method's own facts from one walk of its body
+and propagates transitive sets along the callee lists collected there;
+``NormalCompletion`` reads those facts; ``ProducerMap`` assembles per-method
+shares. A fresh analysis is one refresh with every method dirty, and
+the serve session refreshes only what an edit can move. The oracles below
+are the earlier whole-program passes, kept verbatim apart from reading
+the analysis' direct sets: the mod and ref fixpoints walk every reachable
+body on every pass, the completion fixpoint re-walks every body, and the
+producer loop visits every write in ``reachable_methods`` order. Every
+method's ``method_mod(q).signature()``, ``method_refs(q)`` and
+``may_complete(q)`` must come out equal, and so must every producer list,
+in order, on the seven benchmark apps (Ann N and Y) and the ``lifecycle``
+and ``layered`` workload programs. ``tests/property/test_class_build_parity.py``
+holds the serve session's refreshed summaries to the same oracles after
+every incremental update.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.ir.stmts import walk_commands
 from repro.pointsto import analyze
 from repro.pointsto.graph import ELEMS
 from repro.pointsto.modref import ModSet, RefSet
+from repro.pointsto.termination import falls_through
 
 PROGRAMS = [
     *(f"{app.name}-{ann}" for app in APPS for ann in ("N", "Y")),
@@ -122,14 +129,70 @@ def oracle_refs(program, call_graph) -> dict[str, RefSet]:
     return out
 
 
-@pytest.mark.parametrize("name", PROGRAMS)
-def test_summaries_match_the_rewalking_fixpoint(name):
-    pta = _pta(name)
-    expected = oracle_summaries(pta.program, pta.call_graph)
-    expected_refs = oracle_refs(pta.program, pta.call_graph)
+def oracle_completion(program, call_graph) -> dict[str, bool]:
+    methods = call_graph.reachable_methods & set(program.methods)
+    complete = dict.fromkeys(methods, True)
+
+    def call_may_complete(label):
+        callees = call_graph.callees_of(label)
+        return not callees or any(complete.get(c, True) for c in callees)
+
+    changed = True
+    while changed:
+        changed = False
+        for qname in methods:
+            if complete[qname] and not falls_through(
+                program.methods[qname].body, call_may_complete
+            ):
+                complete[qname] = False
+                changed = True
+    return complete
+
+
+def oracle_producers(program, graph, call_graph) -> dict:
+    producers: dict = {}
+
+    def record(key, label) -> None:
+        producers.setdefault(key, []).append(label)
+
+    for qname in call_graph.reachable_methods:
+        method = program.methods.get(qname)
+        if method is None:
+            continue
+        for cmd in walk_commands(method.body):
+            if isinstance(cmd, ins.FieldWrite) and isinstance(cmd.rhs, ins.VarAtom):
+                values = graph.pt_local(qname, cmd.rhs.name)
+                for base in graph.pt_local(qname, cmd.base):
+                    targets = graph.pt_field(base, cmd.field_name)
+                    for value in values & targets:
+                        record(("heap", base, cmd.field_name, value), cmd.label)
+            elif isinstance(cmd, ins.ArrayWrite) and isinstance(cmd.rhs, ins.VarAtom):
+                values = graph.pt_local(qname, cmd.rhs.name)
+                for base in graph.pt_local(qname, cmd.base):
+                    targets = graph.pt_field(base, ELEMS)
+                    for value in values & targets:
+                        record(("heap", base, ELEMS, value), cmd.label)
+            elif isinstance(cmd, ins.StaticWrite) and isinstance(cmd.rhs, ins.VarAtom):
+                values = graph.pt_local(qname, cmd.rhs.name)
+                targets = graph.pt_static(cmd.class_name, cmd.field_name)
+                for value in values & targets:
+                    record(
+                        ("static", cmd.class_name, cmd.field_name, value), cmd.label
+                    )
+    return producers
+
+
+def check_summaries(pta) -> None:
+    """Every summary of ``pta`` equals its whole-program oracle."""
+    program, call_graph = pta.program, pta.call_graph
+    assert dict(pta.producers) == oracle_producers(program, pta.graph, call_graph)
+    expected = oracle_summaries(program, call_graph)
+    expected_refs = oracle_refs(program, call_graph)
+    complete = oracle_completion(program, call_graph)
     # Every method of the program, reachable or not (the unreachable ones
     # answer the "unknown" summary on both sides).
-    for qname in pta.program.methods:
+    for qname in program.methods:
+        assert pta.completion.may_complete(qname) == complete.get(qname, True)
         want = expected.get(qname)
         got = pta.modref.method_mod(qname)
         if want is None:
@@ -143,3 +206,8 @@ def test_summaries_match_the_rewalking_fixpoint(name):
             want_refs.statics,
             want_refs.reads_unknown,
         ), qname
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_summaries_match_the_rewalking_fixpoint(name):
+    check_summaries(_pta(name))

@@ -93,18 +93,32 @@ class TestFieldOfSet:
 
     def test_seal_forgets_answers(self):
         # A re-solve (serve's incremental update) grows the graph and ends
-        # in seal(), which must drop every remembered answer.
+        # in seal(), which must drop every remembered answer on a grown
+        # field and keep the others.
         from repro.pointsto.graph import FieldNode
 
         res = pta(self.SOURCE)
         (b,) = res.pt_local("A.main", "b")
         (c,) = res.pt_local("A.main", "c")
         before = res.pt_field_of_set(frozenset({b}), "v")
+        other = res.pt_field_of_set(frozenset({b}), "w")
         res.graph.points_to(FieldNode(b, "v")).update(res.pt_field(c, "v"))
-        res.graph.seal()
+        res.graph.seal({FieldNode(b, "v"): 1})
         after = res.pt_field_of_set(frozenset({b}), "v")
         assert after == before | res.pt_field(c, "v")
         assert after != before
+        assert res.pt_field_of_set(frozenset({b}), "w") is other
+
+    def test_seal_folds_grown_locals_into_the_union(self):
+        from repro.pointsto.graph import VarNode
+
+        res = pta(self.SOURCE)
+        (c,) = res.pt_local("A.main", "c")
+        node = VarNode("A.main", "b")
+        res.graph.points_to(node).add(c)
+        res.graph.seal({node: 1})
+        assert c in res.pt_local("A.main", "b")
+        assert res.pt_local("A.main", "c") == frozenset({c})
 
 
 class TestCallsAndCallGraph:

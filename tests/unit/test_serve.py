@@ -15,9 +15,9 @@ from repro.pointsto.incremental import DeltaReport
 from repro.pointsto.modref import RefSet
 from repro.serve.invalidation import (
     body_fingerprint,
-    fact_multiset,
     graft_method,
     is_additive,
+    temp_renaming,
     method_fingerprints,
     program_signature,
     stable_edge_token,
@@ -148,30 +148,75 @@ class TestDiffing:
                 "this.pad = this.pad + 1; this.pad = this.pad + 1;",
             )
         )
-        assert is_additive(a.methods["A.go"], b.methods["A.go"])
+        assert is_additive(a.methods["A.go"], b.methods["A.go"], a)
 
     def test_additivity_survives_temp_renumbering(self):
-        # Inserting a call renumbers every later builder temp ($tN); the
-        # fact multiset must still see the old commands as preserved.
+        # The second bump renumbers the temp of make()'s result ($t2 ->
+        # $t4); the renaming matches the old commands anyway. The node $t2
+        # keeps the old body's Item, but only arithmetic reads $t2 now.
         a = compile_program(BASE_SRC)
         b = compile_program(
             BASE_SRC.replace(
-                "void go() {", "void go() { Item extra = this.make();"
+                "this.pad = this.pad + 1;",
+                "this.pad = this.pad + 1; this.pad = this.pad + 1;",
             )
         )
         old, new = a.methods["A.go"], b.methods["A.go"]
-        assert is_additive(old, new)
-        # ...and the erasure really was load-bearing: raw strings differ.
+        assert temp_renaming(old, new)["$t2"] == "$t4"
+        assert is_additive(old, new, a)
+        # ...and the renaming really was load-bearing: raw strings differ.
         assert {str(c) for c in walk_commands(old.body)} - {
             str(c) for c in walk_commands(new.body)
         }
+
+    def test_renumbered_reference_temp_fed_to_a_constraint_is_not_additive(self):
+        # A store ahead of the bump shifts every temp by one: the old $t2
+        # (make()'s Item) becomes the bumped value stored into this.pad.
+        # The retained solver keeps $t2 pointing at the Item, so the store
+        # would put it in pad, which a cold build never does.
+        a = compile_program(BASE_SRC)
+        b = compile_program(
+            BASE_SRC.replace("void go() {", "void go() { Registry.hold = new Item();")
+        )
+        old, new = a.methods["A.go"], b.methods["A.go"]
+        renaming = temp_renaming(old, new)
+        assert renaming == {"$t0": "$t1", "$t1": "$t2", "$t2": "$t3"}
+        assert not is_additive(old, new, a)
+        # A call result ahead of it cannot even be matched in order: the
+        # new first make() result is the inserted one.
+        c = compile_program(
+            BASE_SRC.replace("void go() {", "void go() { Item extra = this.make();")
+        )
+        assert temp_renaming(old, c.methods["A.go"]) is None
+
+    def test_renumbered_reference_into_a_data_local_is_additive(self):
+        # The bump moves make()'s result onto $t4, which the old body copied
+        # into the counter x. Only integers are assigned to x and only
+        # arithmetic reads it, so the Item the solver leaves on x is never
+        # asked for. Once x is stored into a field, the Item would reach the
+        # heap, and the edit is no longer additive.
+        loop = "int x = 0; if (nondet()) { x = x + 1; }"
+        for tail, additive in ((loop, True), (loop + " this.pad = x;", False)):
+            src = BASE_SRC.replace(
+                "Item o = this.make(); }", f"Item o = this.make(); {tail} }}"
+            )
+            a = compile_program(src)
+            b = compile_program(
+                src.replace(
+                    "this.pad = this.pad + 1;",
+                    "this.pad = this.pad + 1; this.pad = this.pad + 1;",
+                )
+            )
+            old, new = a.methods["A.go"], b.methods["A.go"]
+            assert temp_renaming(old, new)["$t4"] == "$t6"
+            assert is_additive(old, new, a) is additive, tail
 
     def test_deletion_is_not_additive(self):
         a = compile_program(BASE_SRC)
         b = compile_program(
             BASE_SRC.replace("this.pad = this.pad + 1; ", "")
         )
-        assert not is_additive(a.methods["A.go"], b.methods["A.go"])
+        assert not is_additive(a.methods["A.go"], b.methods["A.go"], a)
         # Multiset, not set: dropping one of two identical stores is a
         # deletion too.
         c = compile_program(
@@ -180,10 +225,8 @@ class TestDiffing:
                 "this.pad = this.pad + 1; this.pad = this.pad + 1;",
             )
         )
-        assert not is_additive(c.methods["A.go"], a.methods["A.go"])
-        assert sum(fact_multiset(c.methods["A.go"]).values()) > sum(
-            fact_multiset(a.methods["A.go"]).values()
-        )
+        assert not is_additive(c.methods["A.go"], a.methods["A.go"], c)
+        assert temp_renaming(c.methods["A.go"], a.methods["A.go"]) is None
 
     def test_body_fingerprint_sees_structure(self):
         a = compile_program(BASE_SRC)
@@ -236,6 +279,34 @@ class TestGrafting:
         assert go_labels_before <= set(program.commands)
         for label in go_labels_before:
             assert program.method_of_label(label).qualified_name == "A.go"
+
+    def test_graft_matches_sites_as_the_renaming_matches_commands(self):
+        # A new Item[n] between the old Item[n] and Item[3]: the old Item[3]
+        # site must stay on the Item[3] allocation (and so on a), not move
+        # to the inserted array, whose site is fresh.
+        src = BASE_SRC.replace(
+            "Item o = this.make(); }",
+            "Item o = this.make();"
+            " Item[] b = new Item[this.pad]; Item[] a = new Item[3]; }",
+        )
+        program = compile_program(src)
+
+        def arrays(method):
+            return [c for c in walk_commands(method.body) if isinstance(c, ins.NewArray)]
+
+        old_b, old_a = (c.site for c in arrays(program.methods["A.go"]))
+        edited = compile_program(
+            src.replace(
+                "Item[] a =", "Item[] c = new Item[this.pad]; Item[] a ="
+            )
+        )
+        assert is_additive(
+            program.methods["A.go"], edited.methods["A.go"], program
+        )
+        graft_method(program, edited.methods["A.go"])
+        new_b, new_c, new_a = (c.site for c in arrays(program.methods["A.go"]))
+        assert (new_b, new_a) == (old_b, old_a)
+        assert new_c not in (old_a, old_b)
 
     def test_graft_mints_fresh_sites_for_new_allocations(self):
         program = compile_program(BASE_SRC)
