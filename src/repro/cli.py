@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
             from . import perf
             from .obs import metrics
 
-            perf.refresh_intern_gauges()
+            perf.refresh_memo_gauges()
             metrics.REGISTRY.write(args.metrics)
 
 

@@ -75,7 +75,7 @@ class RunReport:
     #: from the span stream when tracing is enabled; empty otherwise.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Cache behavior for the run: per-cache hit/miss counts and rates
-    #: (component record, component memo, term interning) from the
+    #: (component record, component memo, verdict store) from the
     #: registry that process-pool workers' payloads merge into, plus the
     #: active toggle values.
     #: See :func:`repro.perf.cache_report`.

@@ -52,30 +52,19 @@ CACHE_METRIC_NAMES = (
 )
 
 
-def refresh_intern_gauges() -> None:
-    """Publish the solver-term intern-table tallies and the memo-table
-    sizes as gauges (the hot paths keep plain ints/dicts; this is the
-    flush point)."""
-    from ..solver import terms
-
-    stats = terms.intern_stats()
-    metrics.gauge("solver.intern_hits").set(stats["hits"])
-    metrics.gauge("solver.intern_misses").set(stats["misses"])
-    metrics.gauge("solver.intern_size").set(stats["size"])
+def refresh_memo_gauges() -> None:
+    """Publish the memo-table sizes as gauges (the hot paths keep plain
+    dicts; this is the flush point)."""
     sizes = SOLVER_MEMO.sizes()
     metrics.gauge("solver.memo_component_size").set(sizes["component"])
     metrics.gauge("solver.memo_capacity").set(sizes["capacity"])
 
 
 def cache_stats_snapshot() -> dict:
-    """This process's cumulative cache counters and term-intern tallies,
-    as a plain dict."""
-    refresh_intern_gauges()
+    """This process's cumulative cache counters, as a plain dict."""
+    refresh_memo_gauges()
     out: dict = {}
     for name in CACHE_METRIC_NAMES:
-        instrument = metrics.REGISTRY.get(name)
-        out[name] = instrument.value if instrument is not None else 0
-    for name in ("solver.intern_hits", "solver.intern_misses", "solver.intern_size"):
         instrument = metrics.REGISTRY.get(name)
         out[name] = instrument.value if instrument is not None else 0
     return out
@@ -114,14 +103,6 @@ def cache_report() -> dict:
             "hits": merged.get("solver.context_hits", 0),
             "partitioned_queries": merged.get("solver.partitions", 0),
             "fastpath_unsat": merged.get("solver.fastpath_unsat", 0),
-        },
-        "term_intern": {
-            "hits": merged.get("solver.intern_hits", 0),
-            "misses": merged.get("solver.intern_misses", 0),
-            "hit_rate": _rate(
-                merged.get("solver.intern_hits", 0),
-                merged.get("solver.intern_misses", 0),
-            ),
         },
         "worklist_subsumed": merged.get("executor.worklist_subsumed", 0),
         # Per-tier efficacy: how each answered-without-deciding tier
@@ -174,5 +155,5 @@ __all__ = [
     "CACHE_METRIC_NAMES",
     "cache_stats_snapshot",
     "cache_report",
-    "refresh_intern_gauges",
+    "refresh_memo_gauges",
 ]

@@ -76,6 +76,7 @@ from .invalidation import (
     is_additive,
     method_fingerprints,
     program_signature,
+    reference_names,
     stable_edge_token,
     stable_site_tokens,
     verdict_is_stale,
@@ -308,11 +309,13 @@ class ProgramSession:
                 for qname, print_ in new_prints.items()
                 if self._fingerprints[qname] != print_
             )
+            ref_names = reference_names(self._program)
             if not all(
                 is_additive(
                     self._program.methods[qname],
                     new_program.methods[qname],
                     self._program,
+                    ref_names,
                 )
                 for qname in changed
             ):

@@ -254,7 +254,7 @@ def _decide_component(
     """Run the actual decision procedure on one variable-connected
     component, in the caller's own variable names (the canonical
     signature is a cache key, never an instance — signatures are built
-    from plain data precisely so no renamed terms are ever interned).
+    from plain data precisely so no renamed terms are ever built).
     Counts toward ``solver.checks`` — the "actual runs" metric the
     ablation grid compares against the answering tiers."""
     _CHECKS.inc()
@@ -295,9 +295,9 @@ def _check_refs(ref_atoms: list[RefAtom], nonnull: Iterable[Var]) -> bool:
 # The procedure runs on plain *rows*: ``(terms, const)``, a ``{var:
 # coeff}`` dict of nonzero coefficients plus a constant, meaning
 # ``Σ coeff·var + const``. Rows are built once per decision from the
-# component's atoms and are never interned: every substitution and every
-# Fourier–Motzkin combination is dead once the decision ends, so it has no
-# business in the process-wide term table.
+# component's atoms and are never turned back into terms: every
+# substitution and every Fourier–Motzkin combination is dead once the
+# decision ends, so building a canonical term for it would be waste.
 #
 # A row's dict order is not its canonical (``repr``-sorted) order, but it
 # agrees with it among variables of equal ``repr``: a row starts in its

@@ -71,10 +71,8 @@ from .terms import Atom, LinAtom, Var, _NullConst
 #: across searches, while signatures recur for every structurally identical
 #: fragment. Deliberately NOT built from term objects: signatures are
 #: nested tuples of ints and strings, so they hash and compare at C
-#: speed and — crucially — never touch the hash-cons intern table
-#: (term-valued canonical keys flood it with renamed atoms, and its
-#: overflow clears destroy the identity fast path for *every* atom
-#: comparison in the process).
+#: speed and never build renamed term objects, which would cost a
+#: canonical sort per atom and live as long as the memo entry.
 CanonicalKey = tuple
 
 #: Signature slot for a NULL operand (variables use indices ``0, 1, ...``;
@@ -142,7 +140,7 @@ def split_components(
 
     Returns ``(component atoms, component non-null vars, dirty)``
     triples; the atom lists preserve the input order and everything stays
-    in the caller's own variable names — renaming costs term interning,
+    in the caller's own variable names — renaming rebuilds every term,
     so the canonical form (:func:`canonical_key`) is derived separately,
     only for components that need a verdict. A component is dirty when it
     mentions a variable of ``dirty``; with ``dirty=None`` every component

@@ -15,15 +15,10 @@ on; the decision procedure itself does no term arithmetic: it copies each
 linear atom of a component into a plain coefficient row and eliminates on
 those (see :mod:`repro.solver.core`).
 
-Terms are **hash-consed**: every :class:`LinExpr`, :class:`LinAtom`, and
-:class:`RefAtom` is canonicalized through a process-wide intern table at
-construction, so structurally equal terms are usually the *same* object.
-Hashes are precomputed once, equality takes the identity fast path, and
-atom sets (the solver-memoization keys, query histories, entailment
-checks) dedupe in O(1) per element. The table is capped — when full it is
-cleared, which only costs future re-interning, never correctness: equality
-remains structural between non-shared instances (e.g. after crossing a
-process-pool boundary).
+Terms are immutable ``__slots__`` values with a hash computed once at
+construction. Equality is structural and rejects on the hash first, so
+atom sets (the component record's positions, query histories,
+entailment checks) dedupe without sharing term objects.
 """
 
 from __future__ import annotations
@@ -32,41 +27,17 @@ from typing import Hashable, Iterable, Mapping, Union
 
 Var = Hashable
 
-#: Intern-table size cap; reaching it clears the table (cheap, deterministic).
-INTERN_CAP = 1 << 16
-
-_TABLE: dict = {}
-# Plain-int tallies (no lock: the GIL makes occasional lost increments the
-# only race, acceptable for statistics); surfaced as gauges by repro.perf.
-_HITS = 0
-_MISSES = 0
-
-
-def intern_stats() -> dict:
-    """Current intern-table statistics (hits/misses/live entries)."""
-    return {"hits": _HITS, "misses": _MISSES, "size": len(_TABLE)}
-
-
 _SETATTR = object.__setattr__
 
 
-def _intern(cls: type, key: tuple):
-    """Return the canonical ``cls`` instance for ``key`` = ``(tag, *fields)``,
-    building it on first use. ``cls.__slots__`` lists the fields in key
-    order, then ``_hash`` (the hash of ``key``)."""
-    global _HITS, _MISSES
-    obj = _TABLE.get(key)
-    if obj is not None:
-        _HITS += 1
-        return obj
-    _MISSES += 1
+def _make(cls: type, key: tuple):
+    """Build the ``cls`` instance for ``key`` = ``(tag, *fields)``.
+    ``cls.__slots__`` lists the fields in key order, then ``_hash`` (the
+    hash of ``key``)."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__slots__, key[1:]):
         _SETATTR(obj, name, value)
     _SETATTR(obj, "_hash", hash(key))
-    if len(_TABLE) >= INTERN_CAP:
-        _TABLE.clear()
-    _TABLE[key] = obj
     return obj
 
 
@@ -96,14 +67,14 @@ class LinExpr:
     """Σ cᵢ·xᵢ + k with integer coefficients, in canonical form (no zero
     coefficients; terms sorted by repr for deterministic hashing).
 
-    Immutable, hash-consed, ``__slots__``-backed: construct via
+    Immutable and ``__slots__``-backed: construct via
     :meth:`of` / :meth:`var` / :meth:`constant` or positionally with an
     already-canonical coefficient tuple."""
 
     __slots__ = ("coeffs", "const", "_hash")
 
     def __new__(cls, coeffs: tuple = (), const: int = 0) -> "LinExpr":
-        return _intern(LinExpr, ("le", tuple(coeffs), const))
+        return _make(LinExpr, ("le", tuple(coeffs), const))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinExpr is immutable")
@@ -127,7 +98,6 @@ class LinExpr:
         return eq if eq is NotImplemented else not eq
 
     def __reduce__(self):
-        # Re-intern on unpickle (process-pool crossings).
         return (LinExpr, (self.coeffs, self.const))
 
     def __repr__(self) -> str:
@@ -138,15 +108,15 @@ class LinExpr:
         items = [(v, c) for v, c in terms.items() if c != 0]
         if len(items) > 1:
             items.sort(key=_repr_key)
-        return _intern(LinExpr, ("le", tuple(items), const))
+        return _make(LinExpr, ("le", tuple(items), const))
 
     @staticmethod
     def var(v: Var) -> "LinExpr":
-        return _intern(LinExpr, ("le", ((v, 1),), 0))
+        return _make(LinExpr, ("le", ((v, 1),), 0))
 
     @staticmethod
     def constant(k: int) -> "LinExpr":
-        return _intern(LinExpr, ("le", (), k))
+        return _make(LinExpr, ("le", (), k))
 
     def combine(self, other: "LinExpr", k: int) -> "LinExpr":
         """``self + k·other`` in one construction.
@@ -172,7 +142,7 @@ class LinExpr:
             if len(terms) > known and len(items) > 1:
                 items.sort(key=_repr_key)
             coeffs = tuple(items)
-        return _intern(LinExpr, ("le", coeffs, const))
+        return _make(LinExpr, ("le", coeffs, const))
 
     def add(self, other: "LinExpr") -> "LinExpr":
         return self.combine(other, 1)
@@ -184,16 +154,16 @@ class LinExpr:
         if factor == 1:
             return self
         if factor == 0:
-            return _intern(LinExpr, ("le", (), 0))
+            return _make(LinExpr, ("le", (), 0))
         coeffs = tuple((v, c * factor) for v, c in self.coeffs)
-        return _intern(LinExpr, ("le", coeffs, self.const * factor))
+        return _make(LinExpr, ("le", coeffs, self.const * factor))
 
     def rename(self, mapping: Mapping[Var, Var]) -> "LinExpr":
         for v, _ in self.coeffs:
             if mapping.get(v, v) is not v:
                 break
         else:
-            return self  # untouched: rebuilding would re-intern ``self``
+            return self  # untouched: rebuilding would copy ``self``
         terms: dict[Var, int] = {}
         for v, c in self.coeffs:
             v2 = mapping.get(v, v)
@@ -225,15 +195,14 @@ class LinAtom:
     """``expr op 0`` with op ∈ {"<=", "==", "!="} over the integers.
 
     Strict inequalities are normalized away at construction (``a < b`` over
-    the integers is ``a - b + 1 ≤ 0``). Immutable and hash-consed like
-    :class:`LinExpr`."""
+    the integers is ``a - b + 1 ≤ 0``). Immutable like :class:`LinExpr`."""
 
     __slots__ = ("op", "expr", "_hash")
 
     def __new__(cls, op: str, expr: LinExpr) -> "LinAtom":
         if op not in ("<=", "==", "!="):
             raise ValueError(f"bad linear op {op!r}")
-        return _intern(LinAtom, ("la", op, expr))
+        return _make(LinAtom, ("la", op, expr))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinAtom is immutable")
@@ -276,14 +245,14 @@ class LinAtom:
 class RefAtom:
     """Reference (dis)equality between two instances (or NULL).
 
-    Immutable and hash-consed like :class:`LinExpr`."""
+    Immutable like :class:`LinExpr`."""
 
     __slots__ = ("equal", "left", "right", "_hash")
 
     def __new__(
         cls, equal: bool, left: Union[Var, _NullConst], right: Union[Var, _NullConst]
     ) -> "RefAtom":
-        return _intern(RefAtom, ("ra", equal, left, right))
+        return _make(RefAtom, ("ra", equal, left, right))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RefAtom is immutable")

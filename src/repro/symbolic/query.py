@@ -598,7 +598,7 @@ class Query:
 
     def _canonicalize(self, pure: list[tuple[Atom, bool]]) -> list[Atom]:
         """Rebuild only atoms that mention a merged (non-root) variable.
-        Every other atom is kept as is: terms are interned in canonical
+        Every other atom is kept as is: terms are built in canonical
         form, so a full rename would only rebuild an equal term."""
         parent = self.uf._parent  # keys are exactly the non-root variables
         if not parent:

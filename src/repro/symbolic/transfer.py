@@ -723,8 +723,8 @@ def _field_write(cmd: ins.FieldWrite, q: Query, ctx: TransferContext) -> list[Qu
             # Disaliasing simplification (Section 3.3): the local check
             # passed; drop the explicit disequalities and keep only the
             # separation- and instance-constraint-implied information.
-            dropped = set(map(id, diseqs))
-            q.pure = [(a, g) for a, g in q.pure if id(a) not in dropped]
+            dropped = set(diseqs)
+            q.pure = [(a, g) for a, g in q.pure if a not in dropped]
             results.append(q)
         else:
             ctx.count_refutation("separation")
@@ -867,7 +867,7 @@ def _array_write(cmd: ins.ArrayWrite, q: Query, ctx: TransferContext) -> list[Qu
                 atom = ref_ne(qb.find(ux), qb.find(cell.base))
                 qb.add_pure(atom)
                 if qb.check_sat(ctx.solver_stats):
-                    qb.pure = [(a, g) for a, g in qb.pure if a is not atom]
+                    qb.pure = [(a, g) for a, g in qb.pure if a != atom]
                     next_splits.append(qb)
         splits = next_splits
     results.extend(splits)

@@ -25,7 +25,6 @@ from repro.engine import (
 from repro.ir import compile_program
 from repro.obs import metrics, trace
 from repro.pointsto import analyze
-from repro.solver import terms
 from repro.symbolic import Engine, SearchConfig
 from repro.symbolic.stats import REFUTED, TIMEOUT, WITNESSED
 
@@ -314,7 +313,7 @@ class TestOneMerge:
             compile_program(mixed_app(3, 1, easy_branches=1, hard_branches=6))
         )
         edges = sorted(pta.graph.static_edges(), key=str)
-        # A warm parent: forked workers inherit its term-intern table.
+        # A warm parent, so the pool batch adds to nonzero tallies.
         warm = RefutationDriver(pta)
         warm.refute_edges(edges)
         before = warm.build_report().cache["counters"]
@@ -332,7 +331,6 @@ class TestOneMerge:
         after = cache["counters"]
         assert after["executor.states_explored"] > before["executor.states_explored"]
         assert {name: after[name] for name in registry} == registry
-        assert cache["term_intern"]["hits"] <= terms.intern_stats()["hits"]
 
 
 class TestBrokenPool:

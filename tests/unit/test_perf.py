@@ -432,7 +432,7 @@ class TestMemoCapacity:
 
     def test_sizes_published_as_gauges(self):
         SOLVER_MEMO.component.put(("sig", "gauge-probe"), True)
-        perf.refresh_intern_gauges()
+        perf.refresh_memo_gauges()
         assert (
             metrics.gauge("solver.memo_component_size").value
             == SOLVER_MEMO.sizes()["component"]
@@ -445,12 +445,7 @@ class TestFacade:
         snap = perf.cache_stats_snapshot()
         for name in perf.CACHE_METRIC_NAMES:
             assert name in snap
-        assert "solver.intern_hits" in snap
 
     def test_hit_rate_zero_when_untouched(self):
         report = perf.cache_report()
         assert isinstance(report["component_memo"]["hit_rate"], float)
-
-    def test_intern_gauges_refresh(self):
-        perf.refresh_intern_gauges()
-        assert metrics.gauge("solver.intern_size").value >= 0

@@ -40,7 +40,7 @@ def edges(pta):
 
 
 GOLDEN = """\
-# repro-exposition-version 4
+# repro-exposition-version 5
 # HELP repro_driver_job_seconds Distribution of driver.job_seconds.
 # TYPE repro_driver_job_seconds summary
 repro_driver_job_seconds_count 1

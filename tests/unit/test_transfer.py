@@ -11,7 +11,7 @@ from repro.ir import compile_program
 from repro.ir import instructions as ins
 from repro.ir.stmts import walk_commands
 from repro.pointsto import ELEMS, analyze
-from repro.solver import NULL, LinAtom
+from repro.solver import NULL, LinAtom, LinExpr, le, ref_ne
 from repro.symbolic import Query, SearchConfig, TransferContext
 from repro.symbolic.config import Representation
 from repro.symbolic.transfer import apply_assume, transfer_command
@@ -195,6 +195,52 @@ class TestWitReadWrite:
         outs = transfer_command(write, q, ctx)
         # Only the not-produced case remains, and it keeps the cell.
         assert all(o.get_field(base, "v") is not None for o in outs)
+
+    def test_not_produced_drops_every_copy_of_the_disequality(self):
+        # The query already holds ``ux != base``; the not-produced case adds
+        # the same disequality, checks it, and drops both copies.
+        program, pta, ctx = setup_ctx(TWO_SITES)
+        write = cmds_of(program, "M.main", ins.FieldWrite)[0]  # x.v = a
+        q = Query("M.main")
+        ux = q.new_ref(pta.pt_local("M.main", "x"))
+        q.set_local(write.base, ux)
+        base = q.new_ref(pta.pt_local("M.main", "x"))
+        q.set_field(base, "v", q.new_ref(None))
+        bound = le(LinExpr.var(q.new_data()), LinExpr.constant(3))
+        q.add_pure(ref_ne(ux, base))
+        q.add_pure(bound)
+        outs = transfer_command(write, q, ctx)
+        (kept,) = [
+            o for o in outs if not o.failed and o.get_field(base, "v") is not None
+        ]
+        assert kept.pure == [(bound, False)]
+
+
+class TestWitArrayWrite:
+    def test_different_base_case_drops_every_copy_of_the_disequality(self):
+        # Case B (the write hit another array) of a query that already
+        # holds ``ux != base`` keeps neither copy of the disequality.
+        program, pta, ctx = setup_ctx(
+            "class M { static void main() {"
+            " Object[] xs = new Object[2]; xs[0] = new Object(); } }"
+        )
+        write = cmds_of(program, "M.main", ins.ArrayWrite)[0]
+        q = Query("M.main")
+        region = pta.pt_local("M.main", "xs")
+        ux = q.new_ref(region)
+        q.set_local(write.base, ux)
+        base = q.new_ref(region)
+        q.add_array_cell(base, q.new_data(), q.new_ref(None))
+        bound = le(LinExpr.var(q.new_data()), LinExpr.constant(3))
+        q.add_pure(ref_ne(ux, base))
+        q.add_pure(bound)
+        case_a, case_b = transfer_command(write, q, ctx)
+        pure_a = [a for a, _ in case_a.pure]
+        pure_b = [a for a, _ in case_b.pure]
+        # Case A (another index) keeps the query's copy and adds the
+        # index disequality; case B has neither.
+        assert pure_a[:2] == [ref_ne(ux, base), bound]
+        assert pure_b == pure_a[1:-1]
 
 
 class TestWitStatics:
