@@ -13,12 +13,11 @@ from .events import (
     EdgeEscalated,
     EdgeFinished,
     EdgeScheduled,
-    EventBus,
     ProgressPrinter,
     RunFinished,
     RunStarted,
 )
-from .report import EdgeRecord, RunReport
+from .report import RunReport
 
 __all__ = [
     "RefutationDriver",
@@ -28,11 +27,9 @@ __all__ = [
     "EdgeEscalated",
     "EdgeFinished",
     "EdgeScheduled",
-    "EventBus",
     "ProgressPrinter",
     "RunFinished",
     "RunStarted",
-    "EdgeRecord",
     "RunReport",
     "diff_reports",
     "render_diff",

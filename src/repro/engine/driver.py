@@ -62,19 +62,12 @@ from ..pointsto.producers import EdgeKey, edge_key
 from ..symbolic import Engine, SearchConfig
 from ..symbolic.stats import TIMEOUT, EdgeResult
 from .events import (
-    EdgeEscalated,
-    EdgeFinished,
-    EdgeScheduled,
-    EventBus,
-    RunFinished,
-    RunStarted,
+    EdgeEscalated, EdgeFinished, EdgeScheduled, RunFinished, RunStarted
 )
-from .report import EdgeRecord, RunReport
+from .report import RunReport
 from .schedule import CostModel, RungCeiling, rung_ladder
 
 _CACHE_HITS = metrics.counter("driver.cache_hits")
-_JOBS_DONE = metrics.counter("driver.jobs_completed")
-_JOB_SECONDS = metrics.histogram("driver.job_seconds")
 _BATCH_SECONDS = metrics.histogram("driver.batch_seconds")
 
 SERIAL = "serial"
@@ -167,7 +160,9 @@ class RefutationDriver:
         or the pool cannot start, the process backend runs in-process
         too.
     on_event:
-        Optional event sink (see :mod:`repro.engine.events`).
+        Optional event sink (see :mod:`repro.engine.events`). It is called
+        under a lock, so concurrent batches (serve's readers) emit one
+        totally-ordered stream.
     """
 
     def __init__(
@@ -188,7 +183,8 @@ class RefutationDriver:
         self.config = config
         self.jobs = jobs
         self.backend = self._resolve_backend(backend)
-        self.events = EventBus([on_event] if on_event is not None else None)
+        self._on_event = on_event
+        self._event_lock = threading.Lock()
         #: The serial engine: runs every in-process job. Its construction
         #: also (re)binds the process-wide persistent verdict store to
         #: ``config.cache_dir``.
@@ -198,7 +194,7 @@ class RefutationDriver:
         #: concurrent callers (serve's readers) take turns.
         self._search_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._records: dict = {}  # job key -> EdgeRecord, insertion-ordered
+        self._records: dict = {}  # job key -> EdgeResult, insertion-ordered
         #: The verdict cache: job key -> final EdgeResult, for edges and
         #: facts alike, whether searched here or on the pool, or seeded.
         self._verdicts: dict = {}
@@ -279,6 +275,11 @@ class RefutationDriver:
     # Observability plumbing
     # ------------------------------------------------------------------
 
+    def _emit(self, event: object) -> None:
+        if self._on_event is not None:
+            with self._event_lock:
+                self._on_event(event)
+
     @contextmanager
     def _timed_batch(self, total: int, kind: str, path: bool):
         """One batch of refutation jobs: RunStarted/RunFinished bracketing,
@@ -290,7 +291,7 @@ class RefutationDriver:
         it on exit.
         """
         backend = SERIAL if path else self.backend
-        self.events.emit(
+        self._emit(
             RunStarted(
                 total_jobs=total,
                 jobs=1 if path else self.jobs,
@@ -306,7 +307,7 @@ class RefutationDriver:
         with self._lock:
             self._wall_seconds += elapsed
         _BATCH_SECONDS.observe(elapsed)
-        self.events.emit(
+        self._emit(
             RunFinished(
                 refuted=sum(1 for r in outcomes if r.refuted),
                 witnessed=sum(1 for r in outcomes if r.witnessed),
@@ -566,7 +567,7 @@ class RefutationDriver:
         if rung + 1 == len(ladder):
             return
         next_budget, next_deadline = ladder[rung + 1]
-        self.events.emit(
+        self._emit(
             EdgeEscalated(
                 description=job.description,
                 rung=rung,
@@ -603,7 +604,7 @@ class RefutationDriver:
         self._pooled = True
         futures = {}
         for slot, job in enumerate(jobs):
-            self.events.emit(
+            self._emit(
                 EdgeScheduled(description=job.description, index=slot, total=total)
             )
             try:
@@ -621,7 +622,9 @@ class RefutationDriver:
                 result, worker = self._absorb(fut.result())
             except BrokenExecutor:
                 lost = True
-                result = EdgeResult(edge=job.edge, status=TIMEOUT)
+                result = EdgeResult(
+                    job.edge, TIMEOUT, description=job.description, kind=job.kind
+                )
                 worker = LOST
             settle(job, result, worker)
         if lost:
@@ -637,7 +640,7 @@ class RefutationDriver:
     ) -> EdgeResult:
         """One in-process search, taking its turn on the serial engine."""
         with self._search_lock:
-            return _search(self.engine, job, budget, deadline, ceiling)
+            return job.run(self.engine, budget, deadline, ceiling)
 
     # ------------------------------------------------------------------
     # Results, records, reports
@@ -681,22 +684,20 @@ class RefutationDriver:
     ) -> None:
         """The one finish step for a final result.
 
-        A fresh result joins the verdict cache (unless its worker was lost)
-        and the run records. With an ``index`` the result is announced as
-        ``EdgeFinished``. ``cached`` results were finished when first
-        computed."""
+        A fresh result takes its ``worker``, joins the verdict cache (unless
+        its worker was lost) and is the job's run record. With an ``index``
+        the result is announced as ``EdgeFinished``. ``cached`` results
+        were finished when first computed."""
         if not cached:
+            result.worker = worker
             with self._lock:
                 if worker != LOST:
                     self._verdicts.setdefault(job.key, result)
                 previous = self._records.get(job.key)
                 if previous is None or previous.worker == LOST:
-                    self._records[job.key] = EdgeRecord.from_result(
-                        result, worker=worker, description=job.description,
-                        kind=job.kind,
-                    )
+                    self._records[job.key] = result
         if index is not None:
-            self.events.emit(
+            self._emit(
                 EdgeFinished(
                     description=job.description,
                     status=result.status,
@@ -768,29 +769,6 @@ class RefutationDriver:
             )
 
 
-def _search(
-    engine: Engine,
-    job: Job,
-    budget: Optional[int] = None,
-    deadline: Optional[float] = None,
-    ceiling: Optional[RungCeiling] = None,
-) -> EdgeResult:
-    """One search under the job's root span (``driver.job``, with the
-    rung's ``budget``; the engine's ``executor.search`` nests under it),
-    counted in the ``driver.job*`` metrics — in-process and in a process
-    worker alike."""
-    with trace.span(
-        "driver.job",
-        kind=job.kind,
-        description=job.description,
-        budget=engine.config.path_budget if budget is None else budget,
-    ):
-        result = job.run(engine, budget, deadline, ceiling)
-    _JOBS_DONE.inc()
-    _JOB_SECONDS.observe(result.seconds)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Process-backend workers (module-level so they pickle by reference)
 # ---------------------------------------------------------------------------
@@ -822,7 +800,7 @@ def _process_run(
     its metrics-registry counters and histograms, and its span records and
     search journals when those subsystems are on."""
     assert _PROCESS_ENGINE is not None
-    result = _search(_PROCESS_ENGINE, job, budget, deadline)
+    result = job.run(_PROCESS_ENGINE, budget, deadline)
     obs: dict = {"metrics": metrics.REGISTRY.drain(), "pid": os.getpid()}
     tracer = trace.get_tracer()
     if tracer is not None:

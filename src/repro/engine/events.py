@@ -1,21 +1,19 @@
 """Live progress events emitted by the refutation driver.
 
-Every scheduling decision and every finished edge job produces one event.
-Consumers subscribe a plain callable (``on_event``) — the CLI attaches a
-:class:`ProgressPrinter` for live terminal output, the reporting layer can
-attach collectors, and tests attach plain lists. Events are immutable
-dataclasses so they can be fanned out to several sinks safely.
+Every scheduling decision and every finished edge job produces one event,
+handed to the driver's one sink, a plain callable (``on_event``): the CLI
+attaches a :class:`ProgressPrinter` for live terminal output, and tests
+attach ``list.append``. Events are immutable dataclasses.
 
-Emission is serialized under a lock: concurrent serve requests share
-one driver, but sinks observe a single, totally-ordered stream.
+The driver emits under a lock: concurrent serve requests share one
+driver, but the sink observes a single, totally-ordered stream.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from ..obs import trace
 
@@ -76,23 +74,6 @@ class RunFinished:
     witnessed: int
     timeouts: int
     seconds: float
-
-
-class EventBus:
-    """Thread-safe fan-out of driver events to any number of sinks."""
-
-    def __init__(self, sinks: Optional[List[EventSink]] = None) -> None:
-        self._sinks: List[EventSink] = list(sinks or [])
-        self._lock = threading.Lock()
-
-    def subscribe(self, sink: EventSink) -> None:
-        with self._lock:
-            self._sinks.append(sink)
-
-    def emit(self, event: Event) -> None:
-        with self._lock:
-            for sink in self._sinks:
-                sink(event)
 
 
 class ProgressPrinter:

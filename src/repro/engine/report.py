@@ -1,18 +1,19 @@
 """Structured run reports: the JSON artifact of one refutation run.
 
 A :class:`RunReport` records, for every edge (or fact) job the driver
-executed, its verdict, effort, wall-clock time, refutation kinds, and the
-worker that ran it, plus run-level metadata (worker count, backend,
-deadline, total wall time). It round-trips through JSON
-(``to_json``/``from_json``) so runs can be archived, diffed, and consumed
-by dashboards — the machine-readable counterpart of the human tables in
-:mod:`repro.reporting`.
+executed, its :class:`EdgeResult` — verdict, effort, wall-clock time,
+refutation kinds, and the worker that ran it — plus run-level metadata
+(worker count, backend, deadline, total wall time). It round-trips
+through JSON (``to_json``/``from_json``) so runs can be archived, diffed,
+and consumed by dashboards — the machine-readable counterpart of the
+human tables in :mod:`repro.reporting`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from ..symbolic.stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult
@@ -20,43 +21,16 @@ from ..symbolic.stats import REFUTED, TIMEOUT, WITNESSED, EdgeResult
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class EdgeRecord:
-    """One refutation job's outcome, JSON-ready."""
+#: The keys of one job's record, in ``to_dict`` order: every field of its
+#: :class:`EdgeResult` but the edge itself and the search footprint.
+RECORD_KEYS = (
+    "description", "status", "path_programs", "seconds", "refutation_kinds",
+    "worker", "kind", "witness_trace", "kill_reasons", "rung",
+)
 
-    description: str  # e.g. "Vec.table -> activity0" or "cast@L12"
-    status: str  # refuted | witnessed | timeout
-    path_programs: int = 0
-    seconds: float = 0.0
-    refutation_kinds: dict = field(default_factory=dict)
-    worker: str = "serial"
-    kind: str = "edge"  # edge | fact
-    witness_trace: Optional[list] = None
-    #: Typed kill-reason counts from the search journal (empty unless a
-    #: provenance journal was installed for the run).
-    kill_reasons: dict = field(default_factory=dict)
-    #: Portfolio rung that resolved this job (0 = first/only rung; always
-    #: 0 outside ``--portfolio`` runs).
-    rung: int = 0
 
-    @classmethod
-    def from_result(
-        cls, result: EdgeResult, worker: str, description: str, kind: str
-    ) -> "EdgeRecord":
-        return cls(
-            description=description,
-            status=result.status,
-            path_programs=result.path_programs,
-            seconds=result.seconds,
-            refutation_kinds=dict(result.refutation_kinds),
-            worker=worker,
-            kind=kind,
-            witness_trace=list(result.witness_trace)
-            if result.witness_trace is not None
-            else None,
-            kill_reasons=dict(result.kill_reasons),
-            rung=result.rung,
-        )
+def _record(result: EdgeResult) -> dict:
+    return {key: deepcopy(getattr(result, key)) for key in RECORD_KEYS}
 
 
 @dataclass
@@ -70,15 +44,14 @@ class RunReport:
     deadline: Optional[float] = None
     path_budget: int = 0
     wall_seconds: float = 0.0
-    records: list[EdgeRecord] = field(default_factory=list)
+    records: list[EdgeResult] = field(default_factory=list)
     #: Summed seconds per pipeline phase (span name -> total), populated
     #: from the span stream when tracing is enabled; empty otherwise.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Cache behavior for the run: per-cache hit/miss counts and rates
-    #: (component record, component memo, verdict store) from the
-    #: registry that process-pool workers' payloads merge into, plus the
-    #: active toggle values.
-    #: See :func:`repro.perf.cache_report`.
+    #: Cache behavior for the run: the cache counters, answers per solver
+    #: tier and the verdict store's slice, from the registry that
+    #: process-pool workers' payloads merge into, plus the active toggle
+    #: values. See :func:`repro.perf.cache_report`.
     cache: dict = field(default_factory=dict)
     #: Scheduling behavior for the run: the portfolio toggle, per-rung
     #: resolution stats (``rungs``: scheduled/resolved/carryover and
@@ -134,7 +107,8 @@ class RunReport:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = asdict(replace(self, records=[]))
+        out["records"] = [_record(r) for r in self.records]
         out["summary"] = {
             "refuted": self.edges_refuted,
             "witnessed": self.edges_witnessed,
@@ -150,7 +124,7 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        records = [EdgeRecord(**r) for r in data.get("records", [])]
+        records = [EdgeResult(edge=None, **r) for r in data.get("records", [])]
         return cls(
             app=data.get("app", ""),
             command=data.get("command", ""),

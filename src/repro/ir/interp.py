@@ -342,6 +342,19 @@ class Interpreter:
             raise TypeError(f"unknown command {type(cmd).__name__}")
 
     def _exec_invoke(self, state: _State, cmd: ins.Invoke) -> Iterator[_State]:
+        callee = self._enter_call(state, cmd)
+        for result in self._exec(state, callee.body):
+            if result.aborted is not None:
+                yield result
+                continue
+            frame = result.frames.pop()
+            if cmd.lhs is not None:
+                result.frame.locals[cmd.lhs] = frame.locals.get(RET_VAR)
+            yield result
+
+    def _enter_call(self, state: _State, cmd: ins.Invoke) -> IRMethod:
+        """Resolve ``cmd``'s callee and push its frame with the arguments
+        bound; raises :class:`_Abort` when the call cannot be made."""
         if len(state.frames) >= self.limits.max_call_depth:
             raise _Abort("call depth exceeded")
         locals_ = state.frame.locals
@@ -370,14 +383,7 @@ class Interpreter:
         for name, value in zip(callee.params, values):
             callee_locals[name] = value
         state.frames.append(_Frame(callee, callee_locals))
-        for result in self._exec(state, callee.body):
-            if result.aborted is not None:
-                yield result
-                continue
-            frame = result.frames.pop()
-            if cmd.lhs is not None:
-                result.frame.locals[cmd.lhs] = frame.locals.get(RET_VAR)
-            yield result
+        return callee
 
     # -- evaluation -----------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Optional
 from . import metrics
 
 #: Bumped whenever the exposition's family names/labels change shape.
-EXPOSITION_VERSION = 5
+EXPOSITION_VERSION = 6
 
 #: The scrape Content-Type (the standard Prometheus text format).
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"

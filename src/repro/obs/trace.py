@@ -17,7 +17,7 @@ Installing a :class:`Tracer` (the CLI does this for ``--trace FILE``)
 turns every span into a *Chrome trace event*: the export of
 :meth:`Tracer.to_chrome_trace` loads directly in ``chrome://tracing`` or
 `Perfetto <https://ui.perfetto.dev>`_, showing the per-phase breakdown of
-a run — driver jobs, backwards searches, loop-invariant inference, solver
+a run — driver batches, backwards searches, loop-invariant inference, solver
 calls — one lane per thread, and per process worker.
 
 Span identity is thread-aware: each thread keeps its own span stack, so
@@ -37,7 +37,7 @@ import time
 from typing import Optional
 
 #: The span/metric naming scheme (see docs/observability.md): dotted,
-#: ``<layer>.<operation>`` — e.g. ``driver.job``, ``executor.search``,
+#: ``<layer>.<operation>`` — e.g. ``driver.batch``, ``executor.search``,
 #: ``solver.check_sat``, ``pointsto.solve``.
 
 

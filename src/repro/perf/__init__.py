@@ -76,35 +76,11 @@ def _rate(hits: float, misses: float) -> float:
 
 
 def cache_report() -> dict:
-    """The run report's ``cache`` section: this process's counters, with
-    per-cache hit rates."""
+    """The run report's ``cache`` section: this process's counters, the
+    answers per solver tier, and the verdict store's slice."""
     merged = cache_stats_snapshot()
     return {
         "counters": merged,
-        # Whole queries the component record answered; the name is kept
-        # from the whole-query memo it replaced.
-        "solver_memo": {
-            "hits": merged.get("solver.memo_hits", 0),
-            "misses": merged.get("solver.memo_misses", 0),
-            "hit_rate": _rate(
-                merged.get("solver.memo_hits", 0),
-                merged.get("solver.memo_misses", 0),
-            ),
-        },
-        "component_memo": {
-            "hits": merged.get("solver.component_memo_hits", 0),
-            "misses": merged.get("solver.component_memo_misses", 0),
-            "hit_rate": _rate(
-                merged.get("solver.component_memo_hits", 0),
-                merged.get("solver.component_memo_misses", 0),
-            ),
-        },
-        "solver_context": {
-            "hits": merged.get("solver.context_hits", 0),
-            "partitioned_queries": merged.get("solver.partitions", 0),
-            "fastpath_unsat": merged.get("solver.fastpath_unsat", 0),
-        },
-        "worklist_subsumed": merged.get("executor.worklist_subsumed", 0),
         # Per-tier efficacy: how each answered-without-deciding tier
         # contributed, against the decisions that actually ran.
         "tiers": {

@@ -54,10 +54,6 @@ class SearchConfig:
     max_call_depth: int = 3
     #: Maximum number of path (guard) constraints kept in a query.
     max_path_constraints: int = 2
-    #: Loop-invariant inference materialization bound per abstract location.
-    materialization_bound: int = 1
-    #: Maximum body passes per loop saturation before aggressive weakening.
-    max_loop_passes: int = 10
     #: Query-history subsumption at loop heads and procedure boundaries.
     simplify_queries: bool = True
     #: Memoize per-component solver verdicts on canonical constraint
@@ -68,9 +64,6 @@ class SearchConfig:
     #: (CLI ``--no-subsumption`` disables).
     state_subsumption: bool = True
     loop_inference: LoopInference = LoopInference.FULL
-    #: Upper bound on disjuncts produced by one array-write case split
-    #: before falling back to dropping disaliasing constraints.
-    max_array_case_splits: int = 2
     #: Record, per search, the set of methods the search visited or whose
     #: mod/ref summaries it consulted (``EdgeResult.footprint``). The serve
     #: session uses footprints to invalidate only the verdicts an edit can

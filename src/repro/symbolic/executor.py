@@ -233,7 +233,8 @@ class Engine:
         the lazily built ``roots`` (``None`` for a root refuted on its
         own) until one is witnessed. REFUTED when every root is refuted,
         vacuously so when there are none. ``methods`` seed the footprint;
-        ``name`` and ``kind`` open the search's journal, ``span`` tags its
+        ``name`` and ``kind`` name the result and open the search's
+        journal; they, the rung's budget and ``span`` tag its
         ``executor.search`` span."""
         start = time.perf_counter()
         checks_before = self.ctx.solver_stats.checks
@@ -249,7 +250,9 @@ class Engine:
         self._fp = set(methods) - {None} if self.config.record_footprints else None
         status = REFUTED
         witness_trace: Optional[list[int]] = None
-        with trace.span("executor.search", **span) as sp:
+        with trace.span(
+            "executor.search", kind=kind, description=name, budget=baseline, **span
+        ) as sp:
             try:
                 for state in roots:
                     if state is None:
@@ -270,6 +273,8 @@ class Engine:
             seconds=time.perf_counter() - start,
             refutation_kinds=dict(self.ctx.refutations),
             witness_trace=witness_trace,
+            description=name,
+            kind=kind,
         )
         if self._fp is not None:
             result.footprint = frozenset(self._fp)

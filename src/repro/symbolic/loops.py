@@ -10,7 +10,7 @@ by ``S``. Termination is forced by over-approximation (WIT-ABSTRACTION):
   "trivial widening" on the base domain);
 * materialization is bounded: memory constraints introduced during the
   fixpoint beyond the per-location bound are dropped;
-* if the fixpoint still does not converge within ``max_loop_passes``, every
+* if the fixpoint still does not converge within ``MAX_LOOP_PASSES``, every
   pending query is weakened to the drop-all form, and as a last resort to
   ``any`` (which can only make the edge *witnessed*, never unsoundly
   refuted).
@@ -34,6 +34,11 @@ from .symvar import SymVar
 if TYPE_CHECKING:  # pragma: no cover
     from .executor import Engine
     from ..ir.stmts import Loop
+
+#: Materialization bound per abstract location during the fixpoint.
+MATERIALIZATION_BOUND = 1
+#: Body passes per loop saturation before aggressive weakening.
+MAX_LOOP_PASSES = 10
 
 _SATURATIONS = metrics.counter("executor.loop_saturations")
 _INVARIANT_SIZE = metrics.histogram("executor.loop_invariant_size")
@@ -69,13 +74,13 @@ def _saturate(engine: "Engine", loop: "Loop", query: Query) -> list[Query]:
         if cfg.loop_inference is LoopInference.DROP_ALL:
             _drop_affected_memory(q, mod)
         _drop_unstable_pure(q, mod)
-        _bound_materialization(q, baseline_size, cfg.materialization_bound)
+        _bound_materialization(q, baseline_size, MATERIALIZATION_BOUND)
         return q
 
     invariant: list[Query] = []
     pending: list[Query] = [weaken(query)]
     passes = 0
-    while pending and passes < cfg.max_loop_passes:
+    while pending and passes < MAX_LOOP_PASSES:
         passes += 1
         current, pending = pending, []
         for q in current:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..ir import instructions as ins
-from ..ir.interp import ConcreteObject, Interpreter, Limits, _Frame, _State
-from ..ir.program import IRProgram
+from ..ir.interp import Interpreter, Limits, _Abort, _Frame, _State
+from ..ir.program import RET_VAR, IRProgram
 from ..ir.stmts import AtomicStmt, Choice, Loop, Seq, Stmt, walk_commands
 from ..obs import metrics
 from ..obs import trace as obs_trace
@@ -130,59 +130,21 @@ class _GuidedInterpreter(Interpreter):
         advance = cursor < len(self.trace) and self.trace[cursor] == cmd.label
         next_cursor = cursor + 1 if advance else cursor
         if isinstance(cmd, ins.Invoke):
-            for out in self._exec_invoke_guided(state, cmd, next_cursor):
-                yield out
+            yield from self._exec_invoke_guided(state, cmd, next_cursor)
             return
-        if isinstance(cmd, ins.Nondet):
-            # Both boolean values are consistent with any trace (the guard
-            # assume downstream prunes the wrong one).
-            for out_state in self._exec_atomic(state, cmd):
-                yield out_state, next_cursor
-            return
+        # A Nondet forks both values: either is consistent with any trace
+        # (the guard assume downstream prunes the wrong one).
         for out_state in self._exec_atomic(state, cmd):
             yield out_state, next_cursor
 
     def _exec_invoke_guided(self, state: _State, cmd: ins.Invoke, cursor: int):
-        # Resolve and bind exactly like the base interpreter, but run the
-        # callee body guided.
-        from ..ir.program import RET_VAR
-
-        if len(state.frames) >= self.limits.max_call_depth:
-            state.aborted = "call depth exceeded"
+        # Resolve and bind like the base interpreter; run the callee guided.
+        try:
+            callee = self._enter_call(state, cmd)
+        except _Abort as abort:
+            state.aborted = abort.reason
             yield state, cursor
             return
-        locals_ = state.frame.locals
-        args = [self._atom(state, a) for a in cmd.args]
-        receiver = None
-        if cmd.kind == "static":
-            qname = f"{cmd.decl_class}.{cmd.method_name}"
-        else:
-            value = locals_.get(cmd.receiver)
-            if not isinstance(value, ConcreteObject):
-                state.aborted = "null dereference"
-                yield state, cursor
-                return
-            receiver = value
-            if cmd.kind == "special":
-                qname = self.program.resolve_virtual(cmd.decl_class, cmd.method_name)
-            else:
-                qname = self.program.resolve_virtual(
-                    value.site.class_name, cmd.method_name
-                )
-            if qname is None:
-                state.aborted = "unresolved method"
-                yield state, cursor
-                return
-        callee = self.program.methods.get(qname)
-        if callee is None:
-            state.aborted = "missing method body"
-            yield state, cursor
-            return
-        callee_locals: dict = {}
-        values = ([receiver] + args) if not callee.is_static else args
-        for name, value in zip(callee.params, values):
-            callee_locals[name] = value
-        state.frames.append(_Frame(callee, callee_locals))
         for result, c in self._exec_guided(state, callee.body, cursor):
             if result.aborted is not None:
                 yield result, c

@@ -1,6 +1,6 @@
-"""Bookkeeping for the witness-refutation search: per-edge outcomes (the
-raw material of Table 1's Effort columns; a run's aggregate is its
-:class:`~repro.engine.report.RunReport`)."""
+"""Bookkeeping for the witness-refutation search: per-job outcomes (the
+raw material of Table 1's Effort columns). One :class:`EdgeResult` is also
+the job's record in the run's :class:`~repro.engine.report.RunReport`."""
 
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ TIMEOUT = "timeout"
 
 @dataclass
 class EdgeResult:
-    """Outcome of trying to refute one points-to edge."""
+    """Outcome of trying to refute one points-to edge (or fact)."""
 
-    edge: HeapEdge
+    edge: Optional[HeapEdge]  # None for a fact job
     status: str  # refuted | witnessed | timeout
     path_programs: int = 0
     seconds: float = 0.0
@@ -36,6 +36,13 @@ class EdgeResult:
     #: Portfolio rung that resolved this job (0 = first/only rung). Set by
     #: the driver; always 0 outside ``SearchConfig.portfolio`` runs.
     rung: int = 0
+    #: The job's name, e.g. ``"Vec.table -> activity0"`` or ``"cast@L12"``,
+    #: and its kind (``"edge"`` | ``"fact"``). Set by the engine.
+    description: str = ""
+    kind: str = "edge"
+    #: Where the search ran (``"serial"``, ``"process-<pid>"``). Set by the
+    #: driver.
+    worker: str = "serial"
 
     @property
     def refuted(self) -> bool:

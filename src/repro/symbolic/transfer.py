@@ -37,6 +37,9 @@ from .symvar import SymVar
 
 ARRAY_LEN_FIELD = "@len"
 _DNF_CAP = 8
+#: Upper bound on disjuncts produced by one array-write case split before
+#: falling back to dropping disaliasing constraints.
+MAX_ARRAY_CASE_SPLITS = 2
 
 
 @dataclass
@@ -851,7 +854,7 @@ def _array_write(cmd: ins.ArrayWrite, q: Query, ctx: TransferContext) -> list[Qu
             ambiguous.append(("either", cell))
     splits = [q]
     for kind, cell in ambiguous:
-        if len(splits) > ctx.config.max_array_case_splits:
+        if len(splits) > MAX_ARRAY_CASE_SPLITS:
             break  # fall back to dropping disaliasing info (sound)
         next_splits = []
         for qs in splits:

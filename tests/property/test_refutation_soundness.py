@@ -232,12 +232,24 @@ def _driver_paths_never_refute_produced_edges(source, **driver_args):
                     refuted |= broken
 
 
+#: A three-edge path M.s -> box -> box -> object whose middle edge only a
+#: dead branch writes: both driver legs run it, so each reaches a portfolio
+#: rung on a multi-edge path at least once.
+THREE_EDGE_PATH = (
+    HEADER
+    + "b0 = new Box(); o0 = new Object(); b0.v = o0; b1 = new Box();"
+    " if (i0 == 1) { b1.next = b0; } M.s = b1; b2 = new Box(); b2.next = b0;"
+    + FOOTER
+)
+
+
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(programs())
+@example(THREE_EDGE_PATH)
 def test_driver_portfolio_paths_never_refute_produced_edges(source):
     """In-process (``backend="thread"``): the rung ceiling cuts path-mates
     live."""
@@ -250,14 +262,7 @@ def test_driver_portfolio_paths_never_refute_produced_edges(source):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(programs())
-@example(
-    # A three-edge path M.s -> box -> box -> object whose middle edge only
-    # a dead branch writes.
-    HEADER
-    + "b0 = new Box(); o0 = new Object(); b0.v = o0; b1 = new Box();"
-    " if (i0 == 1) { b1.next = b0; } M.s = b1; b2 = new Box(); b2.next = b0;"
-    + FOOTER
-)
+@example(THREE_EDGE_PATH)
 def test_driver_process_pool_edges_never_refute_produced_edges(source):
     """On the process pool: every heap and static edge of the program runs
     as one flat portfolio batch (``refute_edges``, the batch ``witness``

@@ -249,10 +249,10 @@ class TestParallelDriver:
         assert {e.status for e in finished} == {REFUTED, WITNESSED}
 
     def test_cached_results_not_recomputed(self, pta, edges):
-        with RefutationDriver(pta, jobs=2) as driver:
+        events = []
+        with RefutationDriver(pta, jobs=2, on_event=events.append) as driver:
             driver.refute_edges(edges)
-            events = []
-            driver.events.subscribe(events.append)
+            events.clear()
             driver.refute_edges(edges)
         finished = [e for e in events if isinstance(e, EdgeFinished)]
         assert all(e.cached for e in finished)
@@ -271,14 +271,14 @@ class TestFactCache:
             return refute_fact_at(self, label, bindings, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "refute_fact_at", counting)
-        driver = RefutationDriver(pta)
+        events = []
+        driver = RefutationDriver(pta, on_event=events.append)
         first = driver.refute_facts([requests[0], *requests, requests[0]])
         assert len(searched) == len(requests)
         assert first[0] is first[1] is first[-1]
         assert len(driver.build_report().records) == len(requests)
 
-        events = []
-        driver.events.subscribe(events.append)
+        events.clear()
         again = driver.refute_facts(requests)
         assert len(searched) == len(requests)
         assert [r.status for r in again] == [r.status for r in first[1:-1]]
@@ -424,6 +424,14 @@ class TestRunReport:
         assert clone.deadline == report.deadline
         assert clone.jobs == report.jobs
         assert len(clone.records) == len(edges)
+        # A record is the job's EdgeResult without its edge and footprint.
+        for record in payload["records"]:
+            assert set(record) == {
+                "description", "status", "path_programs", "seconds",
+                "refutation_kinds", "worker", "kind", "witness_trace",
+                "kill_reasons", "rung",
+            }
+        assert clone.to_json() == report.to_json()
 
     def test_write_and_read_file(self, pta, edges, tmp_path):
         driver = RefutationDriver(pta, jobs=1)

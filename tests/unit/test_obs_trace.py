@@ -174,7 +174,8 @@ class TestChromeExport:
 
 
 class TestPipelineIntegration:
-    """The acceptance shape: driver.job -> executor.search -> solver spans."""
+    """The acceptance shape: driver.batch -> executor.search -> solver
+    spans."""
 
     def test_refutation_run_produces_nested_pipeline_spans(self):
         from repro.api import analyze
@@ -199,8 +200,9 @@ class TestPipelineIntegration:
         assert result.verified
         by_id = {r.span_id: r for r in tracer.spans()}
         names = {r.name for r in by_id.values()}
-        assert {"driver.batch", "driver.job", "executor.search",
+        assert {"driver.batch", "executor.search",
                 "solver.check_sat", "pointsto.solve"} <= names
+        assert "driver.job" not in names
 
         def ancestors(record):
             chain = []
@@ -212,15 +214,17 @@ class TestPipelineIntegration:
         searches = [r for r in by_id.values() if r.name == "executor.search"]
         assert searches
         for search in searches:
-            assert ancestors(search)[0] == "driver.job"
+            assert ancestors(search)[0] == "driver.batch"
+            assert search.attrs["kind"] == "fact"
+            assert search.attrs["description"].startswith("cast@L")
         checks = [r for r in by_id.values() if r.name == "solver.check_sat"]
         assert checks
         for check in checks:
             assert "executor.search" in ancestors(check)
 
     def test_portfolio_trace_has_one_job_span_per_rung_attempt(self):
-        """Escalations show in the trace as the job's ``driver.job`` spans,
-        one per rung it ran at, each with that rung's budget."""
+        """Escalations show in the trace as the job's ``executor.search``
+        spans, one per rung it ran at, each with that rung's budget."""
         from repro.bench.workloads import mixed_app
         from repro.engine import EdgeEscalated, RefutationDriver
         from repro.engine.schedule import rung_ladder
@@ -246,7 +250,7 @@ class TestPipelineIntegration:
         jobs = [
             e["args"]
             for e in tracer.to_chrome_trace()["traceEvents"]
-            if e["name"] == "driver.job"
+            if e["name"] == "executor.search"
         ]
         escalated = [e for e in events if isinstance(e, EdgeEscalated)]
         assert escalated, "no job climbed the ladder"

@@ -448,4 +448,5 @@ class TestFacade:
 
     def test_hit_rate_zero_when_untouched(self):
         report = perf.cache_report()
-        assert isinstance(report["component_memo"]["hit_rate"], float)
+        assert set(report) == {"counters", "tiers", "store"}
+        assert isinstance(report["store"]["hit_rate"], float)

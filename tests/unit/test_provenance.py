@@ -438,6 +438,9 @@ class TestExporters:
 # ---------------------------------------------------------------------------
 
 
+SEARCH_VERDICTS = ("executor.refuted", "executor.witnessed", "executor.timeout")
+
+
 class TestProcessPoolObservability:
     @pytest.fixture()
     def process_run(self):
@@ -462,7 +465,7 @@ class TestProcessPoolObservability:
             for name in (
                 "executor.states_explored",
                 "solver.checks",
-                "driver.jobs_completed",
+                *SEARCH_VERDICTS,
             )
         }
         driver.refute_edges(sorted(pta.graph.heap_edges(), key=str))
@@ -481,9 +484,11 @@ class TestProcessPoolObservability:
             > before["executor.states_explored"]
         )
         assert metrics.counter("solver.checks").value > before["solver.checks"]
-        # Each of the two worker jobs counts as a driver job, as inline.
-        jobs = metrics.counter("driver.jobs_completed").value
-        assert jobs - before["driver.jobs_completed"] == 2
+        # Each of the two worker jobs counts as one search verdict, as inline.
+        searches = sum(
+            metrics.counter(name).value - before[name] for name in SEARCH_VERDICTS
+        )
+        assert searches == 2
 
     def test_worker_journals_merge_into_parent(self, process_run):
         report, book, tracer, before = process_run

@@ -281,10 +281,12 @@ class TestPathPortfolio:
         """A path edge served from the cache still reports
         ``EdgeFinished(cached=True)``, as refute_edges does."""
         pta, path = layered
-        driver = RefutationDriver(pta, SearchConfig(**PORTFOLIO), jobs=1)
-        cached = driver.refute_edge(path[0])
         events = []
-        driver.events.subscribe(events.append)
+        driver = RefutationDriver(
+            pta, SearchConfig(**PORTFOLIO), jobs=1, on_event=events.append
+        )
+        cached = driver.refute_edge(path[0])
+        events.clear()
         pairs = dict(driver.refute_path(path))
         finished = [e for e in events if isinstance(e, EdgeFinished)]
         assert [(e.description, e.cached) for e in finished][0] == (

@@ -40,13 +40,7 @@ def edges(pta):
 
 
 GOLDEN = """\
-# repro-exposition-version 5
-# HELP repro_driver_job_seconds Distribution of driver.job_seconds.
-# TYPE repro_driver_job_seconds summary
-repro_driver_job_seconds_count 1
-repro_driver_job_seconds_sum 2
-repro_driver_job_seconds{quantile="0.5"} 2
-repro_driver_job_seconds{quantile="0.95"} 2
+# repro-exposition-version 6
 # HELP repro_driver_rung_jobs_total Portfolio-ladder jobs, by lifecycle event and rung.
 # TYPE repro_driver_rung_jobs_total counter
 repro_driver_rung_jobs_total{event="carryover",rung="0"} 1
@@ -85,8 +79,20 @@ class TestExposition:
         reg.counter("store.misses").inc(1)
         reg.gauge("store.entries").set(7)
         reg.gauge("pool.workers").set(2)
-        reg.histogram("driver.job_seconds").observe(2.0)
         assert render_prometheus(reg) == GOLDEN
+
+    def test_histogram_renders_as_summary(self):
+        reg = metrics.MetricsRegistry()
+        reg.histogram("executor.search_seconds").observe(2.0)
+        assert render_prometheus(reg).splitlines()[1:] == [
+            "# HELP repro_executor_search_seconds"
+            " Distribution of executor.search_seconds.",
+            "# TYPE repro_executor_search_seconds summary",
+            "repro_executor_search_seconds_count 1",
+            "repro_executor_search_seconds_sum 2",
+            'repro_executor_search_seconds{quantile="0.5"} 2',
+            'repro_executor_search_seconds{quantile="0.95"} 2',
+        ]
 
     def test_version_line_and_content_type(self):
         text = render_prometheus(metrics.MetricsRegistry())
