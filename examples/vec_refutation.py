@@ -79,8 +79,8 @@ def main() -> None:
             f" ({len(producers)} producing statements,"
             f" {result.path_programs} path programs)"
         )
-        for kind, count in sorted(result.refutation_kinds.items()):
-            print(f"      refutations via {kind}: {count}")
+        for reason, count in sorted(result.kill_reasons.items()):
+            print(f"      dead branches by {reason}: {count}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A :class:`RunReport` records, for every edge (or fact) job the driver
 executed, its :class:`EdgeResult` — verdict, effort, wall-clock time,
-refutation kinds, and the worker that ran it — plus run-level metadata
+kill reasons, and the worker that ran it — plus run-level metadata
 (worker count, backend, deadline, total wall time). It round-trips
 through JSON (``to_json``/``from_json``) so runs can be archived, diffed,
 and consumed by dashboards — the machine-readable counterpart of the
@@ -24,8 +24,8 @@ SCHEMA_VERSION = 1
 #: The keys of one job's record, in ``to_dict`` order: every field of its
 #: :class:`EdgeResult` but the edge itself and the search footprint.
 RECORD_KEYS = (
-    "description", "status", "path_programs", "seconds", "refutation_kinds",
-    "worker", "kind", "witness_trace", "kill_reasons", "rung",
+    "description", "status", "path_programs", "seconds", "worker", "kind",
+    "witness_trace", "kill_reasons", "rung",
 )
 
 
@@ -93,8 +93,9 @@ class RunReport:
     @property
     def attribution(self) -> dict:
         """Run-wide prune attribution: which mechanism killed how many
-        branches (the paper's "which mechanism refuted what" accounting).
-        Totals equal the sum of per-edge journal kill events."""
+        branches (the paper's "which mechanism refuted what" accounting):
+        the records' ``kill_reasons`` summed, which equals the run
+        journal's attribution when one was kept."""
         kills: dict[str, int] = {}
         for r in self.records:
             for reason, n in r.kill_reasons.items():
@@ -124,7 +125,11 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        records = [EdgeResult(edge=None, **r) for r in data.get("records", [])]
+        # Keys a record no longer has (an older report's) are skipped.
+        records = [
+            EdgeResult(edge=None, **{k: r[k] for k in RECORD_KEYS if k in r})
+            for r in data.get("records", [])
+        ]
         return cls(
             app=data.get("app", ""),
             command=data.get("command", ""),

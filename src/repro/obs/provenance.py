@@ -20,12 +20,14 @@ Like :mod:`repro.obs.trace`, journaling is off by default and the hooks in
 :class:`RunJournal` process-wide active (one ``is None`` check per hook;
 the ``benchmarks/obs_overhead.py`` guard covers the disabled cost).
 
-On top of the journal sit the consumers:
+The kill counts themselves are not the journal's: the engine tallies
+every search's kills under this taxonomy whether or not a journal is
+installed (``EdgeResult.kill_reasons``), and :meth:`SearchJournal.close`
+adopts that tally as :attr:`SearchJournal.kill_counts`. On top of the
+journal sit the consumers:
 
-* **attribution** — kill counts rolled up per search
-  (:attr:`SearchJournal.kill_counts`), per edge
-  (``EdgeResult.kill_reasons``), and per run
-  (``RunReport.attribution`` and ``executor.kill.<reason>`` metrics);
+* **attribution** — the per-search tally rolled up per run
+  (:meth:`RunJournal.attribution`, which equals ``RunReport.attribution``);
 * **exporters** — JSONL (:meth:`RunJournal.write_jsonl`) and Graphviz DOT
   of the search tree with kill reasons on the leaves (:func:`to_dot`);
 * **certificates** — :func:`render_certificate` turns the journals of one
@@ -45,8 +47,6 @@ from __future__ import annotations
 import json
 import threading
 from typing import Iterable, Optional
-
-from . import metrics
 
 # ---------------------------------------------------------------------------
 # The kill-reason taxonomy (see docs/observability.md for the mapping from
@@ -97,7 +97,7 @@ NOTE = "note"
 
 def classify_kill(fail_reason: Optional[str]) -> str:
     """Map a raw refutation string (``Query.fail_reason`` /
-    ``TransferContext.count_refutation`` text) onto the typed taxonomy."""
+    ``TransferContext.last_reason`` text) onto the typed taxonomy."""
     if not fail_reason:
         return SOLVER_UNSAT
     head = fail_reason.split(":", 1)[0].strip()
@@ -159,8 +159,8 @@ class SearchJournal:
     search appends; readers come after :meth:`close`.
 
     Events beyond ``max_events`` are counted (``dropped_events``) but not
-    stored; :attr:`kill_counts` stays exact regardless, so attribution
-    totals never lose kills to the retention cap.
+    stored; :attr:`kill_counts` is the engine's tally, set on
+    :meth:`close`, so it stays exact regardless of the retention cap.
     """
 
     __slots__ = ("description", "kind", "status", "events", "kill_counts",
@@ -198,7 +198,6 @@ class SearchJournal:
     def kill(
         self, sid: int, label: Optional[int], reason: str, detail: str = ""
     ) -> None:
-        self.kill_counts[reason] = self.kill_counts.get(reason, 0) + 1
         self._add(StateEvent(KILLED, sid, None, label, reason, detail))
 
     def witness(self, sid: int, label: Optional[int]) -> None:
@@ -214,12 +213,11 @@ class SearchJournal:
     ) -> None:
         self._add(StateEvent(NOTE, sid, None, label, reason, detail))
 
-    def close(self, status: str) -> None:
-        """Seal the journal with the search verdict and publish the kill
-        rollup to the metrics registry (``executor.kill.<reason>``)."""
+    def close(self, status: str, kill_counts: dict[str, int]) -> None:
+        """Seal the journal with the search verdict and the engine's kill
+        tally for the search (its record's ``kill_reasons``)."""
         self.status = status
-        for reason, n in self.kill_counts.items():
-            metrics.counter(f"executor.kill.{reason}").inc(n)
+        self.kill_counts = dict(kill_counts)
 
     # -- accessors ----------------------------------------------------------
 

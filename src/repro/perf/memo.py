@@ -19,26 +19,12 @@ LRU bound to keep memory flat on long runs. The process-wide instance
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Hashable
 
 #: Default per-table capacity; entries are (small tuple key -> bool).
 MEMO_CAPACITY = 1 << 16
-
-
-def _configured_capacity() -> int:
-    """The memo-table bound, overridable via ``REPRO_MEMO_CAPACITY`` for
-    long-lived ``repro serve`` daemons that want a tighter (or looser)
-    ceiling than the default."""
-    raw = os.environ.get("REPRO_MEMO_CAPACITY")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return MEMO_CAPACITY
 
 
 class LRUCache:
@@ -96,9 +82,7 @@ class SolverMemo:
 
     __slots__ = ("enabled", "component")
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            capacity = _configured_capacity()
+    def __init__(self, capacity: int = MEMO_CAPACITY) -> None:
         self.enabled = True
         self.component = LRUCache(capacity)
 

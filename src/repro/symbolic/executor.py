@@ -74,10 +74,16 @@ _ROOT_WORDS = {
 
 
 def _observe_search(result: "EdgeResult", solver_calls: int) -> None:
+    """The one place a finished search writes the metrics registry: its
+    effort distributions, its verdict and its kill tally."""
     _PATH_PROGRAMS.observe(result.path_programs)
     _SEARCH_SECONDS.observe(result.seconds)
     _SOLVER_CALLS.observe(solver_calls)
     metrics.counter(f"executor.{result.status}").inc()
+    kills = result.kill_reasons
+    for reason, n in kills.items():
+        metrics.counter(f"executor.kill.{reason}").inc(n)
+    _WORKLIST_SUBSUMED.inc(kills.get(provenance.WORKLIST_SUBSUMED, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,9 +159,15 @@ class Engine:
         #: consulted); None unless ``config.record_footprints``.
         self._fp: Optional[set[str]] = None
         self._stmt_callees: dict[int, frozenset] = {}
-        #: The active search journal (repro.obs.provenance), or None: every
-        #: journaling hook below is a no-op when no journal is installed.
+        #: The active search journal (repro.obs.provenance), or None: the
+        #: kill hooks below count every kill but journal only into this.
         self._sj: Optional["provenance.SearchJournal"] = None
+        #: The search in flight's kill tally, ``{kill reason: count}``: its
+        #: record's ``kill_reasons`` and its journal's ``kill_counts``.
+        self._kills: dict[str, int] = {}
+        #: Nesting depth of loop-inference subwalks (run_subwalk); their
+        #: states are not the search's own, so their kills go uncounted.
+        self._subwalk_depth = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -243,8 +255,7 @@ class Engine:
         self._ceiling = ceiling
         self._arm_deadline(start, deadline)
         self._history = QueryHistory(enabled=self.config.simplify_queries)
-        # Each search's record tallies its own refutations.
-        self.ctx.refutations = {}
+        self._kills = {}
         book = provenance.get_journal()
         self._sj = book.open_search(name, kind=kind) if book is not None else None
         self._fp = set(methods) - {None} if self.config.record_footprints else None
@@ -271,8 +282,8 @@ class Engine:
             status=status,
             path_programs=explored,
             seconds=time.perf_counter() - start,
-            refutation_kinds=dict(self.ctx.refutations),
             witness_trace=witness_trace,
+            kill_reasons=self._kills,
             description=name,
             kind=kind,
         )
@@ -280,8 +291,7 @@ class Engine:
             result.footprint = frozenset(self._fp)
             self._fp = None
         if self._sj is not None:
-            self._sj.close(status)
-            result.kill_reasons = dict(self._sj.kill_counts)
+            self._sj.close(status, self._kills)
             self._sj = None
         _observe_search(result, self.ctx.solver_stats.checks - checks_before)
         return result
@@ -352,66 +362,71 @@ class Engine:
                 sj.witness(w.state.sid, _trace_label(w.state.trace))
             return w.state
         except SearchTimeout:
-            if sj is not None:
-                if state is not None and state.sid:
-                    sj.kill(
-                        state.sid,
-                        _trace_label(state.trace),
-                        provenance.BUDGET_TIMEOUT,
-                        "path budget or wall-clock deadline exhausted",
-                    )
-                for s in frontier:
-                    if s.sid:
-                        sj.kill(
-                            s.sid,
-                            _trace_label(s.trace),
-                            provenance.BUDGET_TIMEOUT,
-                            "abandoned on the worklist at timeout",
-                        )
+            if state is not None:
+                self._kill(
+                    state,
+                    provenance.BUDGET_TIMEOUT,
+                    "path budget or wall-clock deadline exhausted",
+                )
+            for s in frontier:
+                self._kill(
+                    s,
+                    provenance.BUDGET_TIMEOUT,
+                    "abandoned on the worklist at timeout",
+                )
             raise
         finally:
             _STATES_EXPLORED.inc(explored)
         return None
 
     # ------------------------------------------------------------------
-    # Journaling hooks (no-ops when no journal is installed; subwalk
-    # states carry sid 0 and are never journaled)
+    # Kill hooks: every kill of the search's own states is counted in
+    # the tally and, when a journal is installed, journaled; kills inside
+    # loop-inference subwalks are neither
     # ------------------------------------------------------------------
 
-    def _jkill(
+    def _record_kill(
+        self, sid: int, label: Optional[int], reason: str, detail: str
+    ) -> None:
+        kills = self._kills
+        kills[reason] = kills.get(reason, 0) + 1
+        if self._sj is not None:
+            self._sj.kill(sid, label, reason, detail)
+
+    def _kill(
         self,
         state: PathState,
         reason: str,
         detail: str = "",
         label: Optional[int] = None,
     ) -> None:
-        sj = self._sj
-        if sj is None or state.sid == 0:
+        if self._subwalk_depth:
             return
-        sj.kill(
+        self._record_kill(
             state.sid,
             label if label is not None else _trace_label(state.trace),
             reason,
             detail,
         )
 
-    def _jkill_fail(
+    def _kill_fail(
         self,
         state: PathState,
         fail_reason: Optional[str],
         label: Optional[int] = None,
     ) -> None:
-        """Kill attributed from a raw refutation string; solver-unsat kills
-        are enriched with the constraint the decision procedure rejected."""
-        if self._sj is None or state.sid == 0:
+        """Kill attributed from a raw refutation string; journaled
+        solver-unsat kills are enriched with the constraint the decision
+        procedure rejected."""
+        if self._subwalk_depth:
             return
         reason = provenance.classify_kill(fail_reason)
         detail = fail_reason or ""
-        if reason == provenance.SOLVER_UNSAT:
+        if reason == provenance.SOLVER_UNSAT and self._sj is not None:
             unsat = provenance.take_last_unsat()
             if unsat:
                 detail = f"{detail} [{unsat}]" if detail else unsat
-        self._jkill(state, reason, detail, label)
+        self._kill(state, reason, detail, label)
 
     def _prune_batch(self, states: list["PathState"]) -> list["PathState"]:
         """Entailment-based worklist subsumption over one state's successor
@@ -435,7 +450,7 @@ class Engine:
                     break
             if dominated is not None:
                 dropped += 1
-                self._jkill(
+                self._kill(
                     s,
                     provenance.WORKLIST_SUBSUMED,
                     f"entailed by sibling state s{dominated.sid}:"
@@ -445,7 +460,6 @@ class Engine:
             kept_rev.append(s)
         if not dropped:
             return states
-        _WORKLIST_SUBSUMED.inc(dropped)
         kept_rev.reverse()
         return kept_rev
 
@@ -454,19 +468,23 @@ class Engine:
         at the start of ``stmt``. Used by the loop-invariant inference."""
         collected: list[Query] = []
         stack = [PathState((StmtTask(stmt), ()), query)]
-        while stack:
-            self._check_deadline(every=16)
-            state = stack.pop()
-            if state.k == ():
-                collected.append(state.query)
-                continue
-            stack.extend(self._step(state, in_subwalk=True))
+        self._subwalk_depth += 1
+        try:
+            while stack:
+                self._check_deadline(every=16)
+                state = stack.pop()
+                if state.k == ():
+                    collected.append(state.query)
+                    continue
+                stack.extend(self._step(state))
+        finally:
+            self._subwalk_depth -= 1
         return collected
 
-    def _step(self, state: PathState, in_subwalk: bool = False) -> list[PathState]:
+    def _step(self, state: PathState) -> list[PathState]:
         task, rest = state.k
         if isinstance(task, EnterMethodTask):
-            return self._enter_method(task, rest, state, in_subwalk)
+            return self._enter_method(task, rest, state)
         stmt = task.stmt
         if isinstance(stmt, Seq):
             k = rest
@@ -497,7 +515,7 @@ class Engine:
             return out
         if isinstance(stmt, Loop):
             if self._history.should_drop(("loop", stmt.label), state.query):
-                self._jkill(
+                self._kill(
                     state,
                     provenance.LOOP_INVARIANT_DROP,
                     f"loop L{stmt.label}: the loop-head history holds an"
@@ -508,7 +526,7 @@ class Engine:
             queries = loops.saturate(self, stmt, state.query)
             out = [PathState(rest, q, state.trace) for q in queries]
             if not out:
-                self._jkill(
+                self._kill(
                     state,
                     provenance.LOOP_INVARIANT_DROP,
                     f"loop L{stmt.label}: invariant inference refuted"
@@ -517,15 +535,10 @@ class Engine:
                 )
             return out
         assert isinstance(stmt, AtomicStmt)
-        return self._atomic(stmt.cmd, task, rest, state, in_subwalk)
+        return self._atomic(stmt.cmd, task, rest, state)
 
     def _atomic(
-        self,
-        cmd: ins.Command,
-        task: StmtTask,
-        rest: Cons,
-        state: PathState,
-        in_subwalk: bool,
+        self, cmd: ins.Command, task: StmtTask, rest: Cons, state: PathState
     ) -> list[PathState]:
         q = state.query
         trace = (cmd.label, state.trace)
@@ -539,11 +552,11 @@ class Engine:
             # its label is recorded at the method-entry crossing instead so
             # the materialized trace reads in forward execution order
             # (invoke before callee body).
-            return self._invoke(cmd, rest, state, state.trace, in_subwalk)
+            return self._invoke(cmd, rest, state, state.trace)
         queries = transfer_command(cmd, q, self.ctx)
         queries = self._explode_explicit(queries)
         if not queries:
-            self._jkill_fail(state, self.ctx.last_reason, label=cmd.label)
+            self._kill_fail(state, self.ctx.last_reason, label=cmd.label)
             return []
         return [PathState(rest, qi, trace) for qi in queries]
 
@@ -579,19 +592,13 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _invoke(
-        self,
-        cmd: ins.Invoke,
-        rest: Cons,
-        state: PathState,
-        trace: Cons,
-        in_subwalk: bool,
+        self, cmd: ins.Invoke, rest: Cons, state: PathState, trace: Cons
     ) -> list[PathState]:
         q = state.query
         # A call that can never return normally makes every later program
         # point unreachable (exceptions are never caught).
         if not self.pta.completion.call_may_complete(cmd.label):
-            self.ctx.count_refutation("control: callee never completes normally")
-            self._jkill(
+            self._kill(
                 state,
                 provenance.CONTROL_UNREACHABLE,
                 f"call @L{cmd.label} never completes normally: every later"
@@ -637,8 +644,7 @@ class Engine:
             k = (StmtTask(callee.body), (EnterMethodTask(callee_qname), rest))
             out.append(PathState(k, q2, trace))
         if not out:
-            self.ctx.count_refutation("dispatch")
-            self._jkill(
+            self._kill(
                 state,
                 provenance.INSTANCE_CONSTRAINT,
                 f"virtual dispatch @L{cmd.label}: no callee is consistent"
@@ -797,13 +803,14 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _enter_method(
-        self, task: EnterMethodTask, rest: Cons, state: PathState, in_subwalk: bool
+        self, task: EnterMethodTask, rest: Cons, state: PathState
     ) -> list[PathState]:
         q = state.query
+        in_subwalk = self._subwalk_depth > 0
         if self._fp is not None:
             self._fp.add(task.qname)
         if not in_subwalk and self._history.should_drop(("entry", task.qname), q):
-            self._jkill(
+            self._kill(
                 state,
                 provenance.HISTORY_SUBSUMED,
                 f"entry of {task.qname}: subsumed by a query already"
@@ -817,7 +824,7 @@ class Engine:
             assert isinstance(invoke, ins.Invoke)
             q2 = q
             if not self._bind_entry(q2, method, invoke, pop=True):
-                self._jkill_fail(
+                self._kill_fail(
                     state,
                     q2.fail_reason or self.ctx.last_reason,
                     label=frame.invoke_label,
@@ -828,7 +835,7 @@ class Engine:
         if task.qname == self.root:
             if self._entry_satisfiable(q):
                 raise _Witnessed(state)
-            self._jkill_fail(
+            self._kill_fail(
                 state,
                 q.fail_reason
                 or self.ctx.last_reason
@@ -857,14 +864,14 @@ class Engine:
             out.append(PathState(k, q2, (label, state.trace)))
         if not out and not in_subwalk:
             if attempted == 0:
-                self._jkill(
+                self._kill(
                     state,
                     provenance.CONTROL_UNREACHABLE,
                     f"{task.qname} has no callers: the query cannot reach"
                     " the program entry",
                 )
             else:
-                self._jkill_fail(
+                self._kill_fail(
                     state,
                     last_fail or "entry binding failed at every caller",
                 )
@@ -880,19 +887,19 @@ class Engine:
         if q.failed:
             return False
         if q.locals or q.field_cells or q.array_cells:
-            self.ctx.count_refutation("entry: non-empty heap at program start")
+            self.ctx.last_reason = "entry: non-empty heap at program start"
             return False
         for (_, _), value in q.statics.items():
             root = q.find(value)
             if root.is_ref:
                 if not q.is_maybe_null(value):
-                    self.ctx.count_refutation("entry: static must be null initially")
+                    self.ctx.last_reason = "entry: static must be null initially"
                     return False
                 q.add_pure(ref_eq(root, NULL))
             else:
                 q.add_pure(eq(LinExpr.var(root), LinExpr.constant(0)))
         if not q.check_sat(self.ctx.solver_stats):
-            self.ctx.count_refutation("entry: initial values contradict query")
+            self.ctx.last_reason = "entry: initial values contradict query"
             return False
         return True
 
@@ -919,7 +926,7 @@ class Engine:
                 # A non-parameter local constrained at entry: the value of
                 # an uninitialized local can satisfy no instance constraint.
                 q.fail("entry: constraint on uninitialized local")
-                self.ctx.count_refutation("entry")
+                self.ctx.last_reason = "entry"
                 return False
         if pop:
             q.pop_frame()
@@ -939,7 +946,7 @@ class Engine:
                 q.fail("entry: parameter/argument mismatch")
                 return False
             if not _bind_value_into(q, self.ctx, atom, value):
-                self.ctx.count_refutation(q.fail_reason or "entry binding")
+                self.ctx.last_reason = q.fail_reason or "entry binding"
                 return False
             # Virtual dispatch consistency: the receiver must be an
             # instance that actually dispatches to this method.
@@ -959,11 +966,11 @@ class Engine:
                     == method.qualified_name
                 )
                 if not q.narrow(value, compatible):
-                    self.ctx.count_refutation("dispatch")
+                    self.ctx.last_reason = "dispatch"
                     return False
         self.ctx.renarrow(q)
         if q.failed or not q.check_sat(self.ctx.solver_stats):
-            self.ctx.count_refutation("entry binding unsat")
+            self.ctx.last_reason = "entry binding unsat"
             return False
         return True
 
@@ -1066,36 +1073,36 @@ class Engine:
         """The search root for query ``q`` just before the command at
         ``label`` in ``qname``, or ``None`` when ``q`` is already refuted
         there (``ok`` false, failed or unsatisfiable). Spends the root's
-        path program; the journal records the root and any kill at it."""
+        path program; any kill at the root is counted, and the journal
+        records the root with it."""
         detail, where, unsat = _ROOT_WORDS[kind]
+        sj = self._sj
         if not ok or q.failed or not q.check_sat(self.ctx.solver_stats):
-            if self._sj is not None:
-                sid = self._sj.new_state(0, label, detail=detail)
-                # An edge root also blames the last refutation its
-                # binding counted; a fact root binds nothing.
-                fail = q.fail_reason or (
-                    self.ctx.last_reason if kind == "edge" else None
-                )
-                self._sj.kill(
-                    sid, label, provenance.classify_kill(fail), fail or unsat
-                )
+            sid = sj.new_state(0, label, detail=detail) if sj is not None else 0
+            # An edge root also blames the last refutation its binding
+            # counted; a fact root binds nothing.
+            fail = q.fail_reason or (
+                self.ctx.last_reason if kind == "edge" else None
+            )
+            self._record_kill(
+                sid, label, provenance.classify_kill(fail), fail or unsat
+            )
             return None
         k = self._continuation_before(qname, label)
         state = PathState(k, q, (label, ()))
-        if self._sj is not None:
-            state.sid = self._sj.new_state(0, label, detail=detail)
+        if sj is not None:
+            state.sid = sj.new_state(0, label, detail=detail)
         try:
             self._spend()
         except SearchTimeout:
-            # The budget/deadline died at the root: journal the kill here,
+            # The budget/deadline died at the root: count the kill here,
             # because the state never reaches _search's timeout sweep.
-            if self._sj is not None:
-                self._sj.kill(
-                    state.sid,
-                    label,
-                    provenance.BUDGET_TIMEOUT,
-                    f"budget or deadline exhausted at the {where}",
-                )
+            self._record_kill(
+                state.sid,
+                label,
+                provenance.BUDGET_TIMEOUT,
+                f"budget or deadline exhausted at the {where}",
+            )
             raise
         return state
 

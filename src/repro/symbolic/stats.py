@@ -22,12 +22,11 @@ class EdgeResult:
     status: str  # refuted | witnessed | timeout
     path_programs: int = 0
     seconds: float = 0.0
-    refutation_kinds: dict[str, int] = field(default_factory=dict)
     #: For witnessed edges: labels of the witnessing path program, in
     #: forward execution order (the paper's triaging aid).
     witness_trace: Optional[list[int]] = None
-    #: Typed kill-reason counts from the search journal (empty unless a
-    #: provenance journal was attached for the run).
+    #: The search's kills per typed reason (repro.obs.provenance's
+    #: taxonomy), tallied on every run, journaled or not.
     kill_reasons: dict[str, int] = field(default_factory=dict)
     #: Methods the search visited or whose mod/ref summaries it consulted
     #: (``SearchConfig.record_footprints``); the verdict can only change if

@@ -52,8 +52,7 @@ class TransferContext:
     #: Set of REF variables created by the current transfer application;
     #: the executor uses it for FULLY_EXPLICIT region splitting.
     new_refs: list[SymVar] = field(default_factory=list)
-    refutations: dict[str, int] = field(default_factory=dict)
-    #: Raw reason string of the most recent refutation, so the journal can
+    #: Raw reason string of the most recent refutation, so the executor can
     #: classify a kill after the transfer that caused it has returned.
     last_reason: Optional[str] = None
     _site_locs: Optional[dict] = None
@@ -64,11 +63,6 @@ class TransferContext:
 
     def begin_command(self) -> None:
         self.new_refs = []
-
-    def count_refutation(self, reason: str) -> None:
-        self.last_reason = reason
-        kind = reason.split(":")[0]
-        self.refutations[kind] = self.refutations.get(kind, 0) + 1
 
     def site_locs(self, site: ins.AllocSite) -> frozenset[AbsLoc]:
         """All abstract locations of an allocation site in the graph."""
@@ -211,10 +205,10 @@ def _filter_sat(queries: list[Query], ctx: TransferContext) -> list[Query]:
         if not q.failed:
             ctx.renarrow(q)
         if q.failed:
-            ctx.count_refutation(q.fail_reason or "unknown")
+            ctx.last_reason = q.fail_reason or "unknown"
             continue
         if not q.check_sat(ctx.solver_stats):
-            ctx.count_refutation(q.fail_reason or "pure constraints")
+            ctx.last_reason = q.fail_reason or "pure constraints"
             continue
         out.append(q)
     return out
@@ -730,7 +724,7 @@ def _field_write(cmd: ins.FieldWrite, q: Query, ctx: TransferContext) -> list[Qu
             q.pure = [(a, g) for a, g in q.pure if a not in dropped]
             results.append(q)
         else:
-            ctx.count_refutation("separation")
+            ctx.last_reason = "separation"
     else:
         results.append(q)  # failed; filtered later
     return results

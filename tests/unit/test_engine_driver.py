@@ -428,10 +428,35 @@ class TestRunReport:
         for record in payload["records"]:
             assert set(record) == {
                 "description", "status", "path_programs", "seconds",
-                "refutation_kinds", "worker", "kind", "witness_trace",
-                "kill_reasons", "rung",
+                "worker", "kind", "witness_trace", "kill_reasons", "rung",
             }
         assert clone.to_json() == report.to_json()
+
+    def test_reads_report_with_retired_refutation_kinds(self):
+        # A record as written by a build whose EdgeResult still had the
+        # raw-string ``refutation_kinds`` tally next to ``kill_reasons``.
+        old = {
+            "app": "old",
+            "command": "check",
+            "records": [{
+                "description": "A.cache -> a0",
+                "status": "refuted",
+                "path_programs": 3,
+                "seconds": 0.01,
+                "refutation_kinds": {"pure constraints unsatisfiable": 1},
+                "worker": "serial",
+                "kind": "edge",
+                "witness_trace": None,
+                "kill_reasons": {"solver-unsat": 1},
+                "rung": 0,
+            }],
+        }
+        report = RunReport.from_json(json.dumps(old))
+        (record,) = report.records
+        assert record.status == "refuted"
+        assert record.kill_reasons == {"solver-unsat": 1}
+        assert report.attribution["kills"] == {"solver-unsat": 1}
+        assert "refutation_kinds" not in report.to_dict()["records"][0]
 
     def test_write_and_read_file(self, pta, edges, tmp_path):
         driver = RefutationDriver(pta, jobs=1)
@@ -451,8 +476,8 @@ class TestRunReport:
 
 
 class TestRefutationKinds:
-    """Each record carries its own search's refutation tally, never the
-    engine's running total."""
+    """Each record carries its own search's kill tally (``kill_reasons``,
+    kept with no journal installed), never the engine's running total."""
 
     FIRST = "arr1.@elems -> feedActivity0"
     SECOND = "arr1.@elems -> mapActivity0"
@@ -462,11 +487,11 @@ class TestRefutationKinds:
         edges = {str(e): e for e in checker.pta.graph.heap_edges()}
         shared = Engine(checker.pta, checker.config)
         # A non-empty first tally: a running total would leak into the second.
-        assert shared.refute_edge(edges[self.FIRST]).refutation_kinds
+        assert shared.refute_edge(edges[self.FIRST]).kill_reasons
         second = shared.refute_edge(edges[self.SECOND])
         alone = Engine(checker.pta, checker.config).refute_edge(edges[self.SECOND])
-        assert second.refutation_kinds
-        assert second.refutation_kinds == alone.refutation_kinds
+        assert second.kill_reasons
+        assert second.kill_reasons == alone.kill_reasons
 
     def test_serial_and_process_records_agree(self):
         checker = LeakChecker(app_by_name("PulsePoint").source, "PulsePoint")
@@ -479,7 +504,7 @@ class TestRefutationKinds:
             ) as driver:
                 driver.refute_edges(batch)
                 records = driver.build_report().records
-            kinds.append({r.description: r.refutation_kinds for r in records})
+            kinds.append({r.description: r.kill_reasons for r in records})
         assert all(r.worker.startswith("process-") for r in records)
         assert kinds[0][self.FIRST] and kinds[0][self.SECOND]
         assert kinds[0] == kinds[1]

@@ -420,16 +420,6 @@ class TestMemoCapacity:
         assert memo.sizes()["component"] == 4
         assert memo.sizes()["capacity"] == 4
 
-    def test_env_override_sets_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMO_CAPACITY", "7")
-        assert SolverMemo().component.capacity == 7
-
-    def test_env_override_ignores_garbage(self, monkeypatch):
-        from repro.perf.memo import MEMO_CAPACITY
-
-        monkeypatch.setenv("REPRO_MEMO_CAPACITY", "not-a-number")
-        assert SolverMemo().component.capacity == MEMO_CAPACITY
-
     def test_sizes_published_as_gauges(self):
         SOLVER_MEMO.component.put(("sig", "gauge-probe"), True)
         perf.refresh_memo_gauges()

@@ -92,8 +92,12 @@ def _pta(source):
 
 def _refute_all(source, config=None, journal=True):
     """Run every heap edge of ``source`` through one engine; returns
-    (results-by-str(edge), journal-or-None)."""
-    book = provenance.install() if journal else None
+    (results-by-str(edge), journal-or-None). ``journal`` may also be the
+    :class:`RunJournal` to install."""
+    if isinstance(journal, RunJournal):
+        book = provenance.install(journal)
+    else:
+        book = provenance.install() if journal else None
     pta = _pta(source)
     engine = Engine(pta, config or SearchConfig())
     results = {}
@@ -155,36 +159,35 @@ class TestSearchJournal:
         b = sj.new_state(a, 2)
         sj.kill(b, 2, SOLVER_UNSAT, "contradiction")
         sj.witness(a, 1)
-        sj.close("witnessed")
+        tally = {SOLVER_UNSAT: 1}
+        sj.close("witnessed", tally)
         assert sj.states == 2
         assert sj.kills == 1
-        assert sj.kill_counts == {SOLVER_UNSAT: 1}
+        assert sj.kill_counts == tally
+        assert sj.kill_counts is not tally  # the engine's dict stays its own
         assert sj.witness_sid == a
         fates = sj.fates()
         assert fates[b].reason == SOLVER_UNSAT
 
     def test_kill_counts_exact_beyond_event_cap(self):
-        sj = SearchJournal("e", max_events=3)
-        sids = [sj.new_state(0, i) for i in range(3)]
-        for sid in sids:
-            sj.kill(sid, 0, SOLVER_UNSAT)
-        assert len(sj.events) == 3  # capped
-        assert sj.dropped_events == 3
-        assert sj.kill_counts == {SOLVER_UNSAT: 3}  # exact regardless
-
-    def test_close_publishes_kill_metrics(self):
-        name = f"executor.kill.{SOLVER_UNSAT}"
-        before = metrics.counter(name).value
-        sj = SearchJournal("e")
-        sj.kill(sj.new_state(0, 1), 1, SOLVER_UNSAT)
-        sj.close("refuted")
-        assert metrics.counter(name).value == before + 1
+        # The engine's tally, not the retained events, sets kill_counts.
+        uncapped, _ = _refute_all(LOOP_INVARIANT, journal=False)
+        capped, book = _refute_all(
+            LOOP_INVARIANT, journal=RunJournal(max_events_per_search=3)
+        )
+        for sj in book.searches:
+            assert len(sj.events) <= 3
+            assert sj.kill_counts == capped[sj.description].kill_reasons
+        assert any(sj.dropped_events for sj in book.searches)
+        assert {d: r.kill_reasons for d, r in capped.items()} == {
+            d: r.kill_reasons for d, r in uncapped.items()
+        }
 
     def test_to_dict_round_trip(self):
         sj = SearchJournal("edge x", kind="edge")
         sid = sj.new_state(0, 7, detail="producer")
         sj.kill(sid, 7, INSTANCE_CONSTRAINT, "boom")
-        sj.close("refuted")
+        sj.close("refuted", {INSTANCE_CONSTRAINT: 1})
         back = SearchJournal.from_dict(sj.to_dict())
         assert back.description == "edge x"
         assert back.status == "refuted"
@@ -207,7 +210,7 @@ class TestRunJournal:
         a = RunJournal()
         sj = a.open_search("e1")
         sj.kill(sj.new_state(0, 1), 1, SOLVER_UNSAT)
-        sj.close("refuted")
+        sj.close("refuted", {SOLVER_UNSAT: 1})
         payloads = a.drain()
         assert a.searches == []
         b = RunJournal()
@@ -219,7 +222,7 @@ class TestRunJournal:
         book = RunJournal()
         sj = book.open_search("edge a")
         sj.kill(sj.new_state(0, 3), 3, INSTANCE_CONSTRAINT)
-        sj.close("refuted")
+        sj.close("refuted", {INSTANCE_CONSTRAINT: 1})
         path = tmp_path / "journal.jsonl"
         book.write_jsonl(str(path))
         lines = path.read_text().splitlines()
@@ -261,11 +264,32 @@ OLD_JOURNAL = (
 
 
 class TestEngineJournaling:
-    def test_disabled_by_default_no_journal_no_kill_reasons(self):
-        results, book = _refute_all(DEAD_BRANCH, journal=False)
-        assert book is None
+    def test_kill_reasons_without_a_journal_equal_the_journaled_run(self):
+        for source in (DEAD_BRANCH, LOOP_INVARIANT):
+            bare, book = _refute_all(source, journal=False)
+            assert book is None
+            journaled, book = _refute_all(source)
+            assert any(r.kill_reasons for r in bare.values())
+            assert {d: r.kill_reasons for d, r in bare.items()} == {
+                d: r.kill_reasons for d, r in journaled.items()
+            }
+            for sj in book.searches:
+                assert sj.kill_counts == journaled[sj.description].kill_reasons
+
+    def test_kill_metrics_rise_without_a_journal(self):
+        names = [f"executor.kill.{reason}" for reason in KILL_REASONS]
+        before = {name: metrics.counter(name).value for name in names}
+        results, _ = _refute_all(LOOP_INVARIANT, journal=False)
+        kills: dict = {}
         for result in results.values():
-            assert result.kill_reasons == {}
+            for reason, n in result.kill_reasons.items():
+                kills[reason] = kills.get(reason, 0) + n
+        assert kills
+        for reason in KILL_REASONS:
+            name = f"executor.kill.{reason}"
+            assert metrics.counter(name).value - before[name] == kills.get(
+                reason, 0
+            )
 
     def test_refuted_edge_every_dead_branch_has_a_typed_kill(self):
         results, book = _refute_all(DEAD_BRANCH)
@@ -303,31 +327,30 @@ class TestEngineJournaling:
         assert kills and kills == book.attribution()
 
     def test_pinned_kill_counts_pure_instance_constraints(self):
-        results, book = _refute_all(PURE_INSTANCE)
-        refuted = results["box0.v -> object0"]
-        assert refuted.status == "refuted"
-        assert refuted.kill_reasons == {INSTANCE_CONSTRAINT: 1}
+        for journal in (True, False):
+            results, book = _refute_all(PURE_INSTANCE, journal=journal)
+            refuted = results["box0.v -> object0"]
+            assert refuted.status == "refuted"
+            assert refuted.kill_reasons == {INSTANCE_CONSTRAINT: 1}
 
     def test_pinned_kill_counts_loop_invariant_inference(self):
-        results, book = _refute_all(LOOP_INVARIANT)
-        refuted = results["box0.v -> object0"]
-        assert refuted.status == "refuted"
-        assert refuted.kill_reasons == {
-            SOLVER_UNSAT: 1,
-            LOOP_INVARIANT_DROP: 1,
-        }
+        for journal in (True, False):
+            results, book = _refute_all(LOOP_INVARIANT, journal=journal)
+            refuted = results["box0.v -> object0"]
+            assert refuted.status == "refuted"
+            assert refuted.kill_reasons == {
+                SOLVER_UNSAT: 1,
+                LOOP_INVARIANT_DROP: 1,
+            }
 
     def test_budget_timeout_kills_are_journaled(self):
-        book = provenance.install()
-        pta = _pta(LOOP_INVARIANT)
-        engine = Engine(pta, SearchConfig(path_budget=2))
-        edge = next(
-            e for e in pta.graph.heap_edges() if str(e) == "box0.v -> object0"
-        )
-        result = engine.refute_edge(edge)
-        provenance.disable()
-        assert result.status == "timeout"
-        assert BUDGET_TIMEOUT in result.kill_reasons
+        for journal in (True, False):
+            results, book = _refute_all(
+                LOOP_INVARIANT, SearchConfig(path_budget=2), journal=journal
+            )
+            result = results["box0.v -> object0"]
+            assert result.status == "timeout"
+            assert BUDGET_TIMEOUT in result.kill_reasons
 
     def test_fact_searches_carry_the_description(self):
         from repro.clients import analyze_casts
@@ -474,6 +497,36 @@ class TestProcessPoolObservability:
         trace.disable()
         provenance.disable()
         return report, book, tracer, before
+
+    def test_pool_records_and_kill_counters_match_serial(self):
+        # No journal: the kill tally rides in each record and the worker's
+        # executor.kill.* increments merge into the parent registry.
+        names = [f"executor.kill.{reason}" for reason in KILL_REASONS]
+        pta = _pta(LOOP_INVARIANT)
+        edges = sorted(pta.graph.heap_edges(), key=str)
+        runs = []
+        for jobs, backend in ((1, None), (2, "process")):
+            before = {name: metrics.counter(name).value for name in names}
+            with RefutationDriver(
+                pta, SearchConfig(), jobs=jobs, backend=backend
+            ) as driver:
+                if backend and driver.backend != backend:
+                    pytest.skip("process backend unavailable on this platform")
+                driver.refute_edges(edges)
+                records = driver.build_report().records
+            runs.append((
+                {r.description: r.kill_reasons for r in records},
+                {n: metrics.counter(n).value - before[n] for n in names},
+                {r.worker.split("-")[0] for r in records},
+            ))
+        (serial, serial_kills, _), (pooled, pooled_kills, workers) = runs
+        assert workers == {"process"}
+        assert any(serial.values())
+        assert pooled == serial
+        assert pooled_kills == serial_kills
+        assert sum(pooled_kills.values()) == sum(
+            sum(k.values()) for k in serial.values()
+        )
 
     def test_worker_metrics_merge_into_parent_registry(self, process_run):
         report, book, tracer, before = process_run
